@@ -467,7 +467,8 @@ def _frame_section(fam, tol):
     op = frame_operator(fam)
     # The quadratic form <S e_k, e_k> is the k-th dual row mass, so the
     # canonical directions give a deterministic positivity probe.
-    diag = np.real(np.diag(op.matrix))
+    z = fam.require_dual()
+    diag = np.sum(z.real ** 2 + z.imag ** 2, axis=1)
     sec = Section("frame-operator")
     sec.records = {"certificate": op.certificate,
                    "smallest_diagonal": float(np.min(diag)),

@@ -27,10 +27,11 @@ def load_complex_matrix(path, expected_shape=None):
     """Read a complex matrix stored row-major with (re, im) column pairs.
 
     A single leading non-numeric row is treated as a header.  Parse
-    failures report file, line and column; a shape mismatch names the
-    file.
+    failures, non-finite cells included, report file, line and column; a
+    shape mismatch names the file.
     """
     rows = []
+    linenos = []
     width = None
     first_data_line = True
     with open(path, newline="") as fh:
@@ -64,9 +65,15 @@ def load_complex_matrix(path, expected_shape=None):
                                  f"ragged row: {len(parsed)} columns after "
                                  f"{width}")
             rows.append(parsed)
+            linenos.append(lineno)
     if not rows:
         raise ParseError(path, 1, 1, "no numeric rows found")
     arr = np.asarray(rows, dtype=float)
+    bad = ~np.isfinite(arr)
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise ParseError(path, linenos[row], int(col) + 1,
+                         f"non-finite value: {float(arr[row, col])!r}")
     mat = arr[:, 0::2] + 1j * arr[:, 1::2]
     if expected_shape is not None and mat.shape != tuple(expected_shape):
         raise DimensionError(

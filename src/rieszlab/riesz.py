@@ -102,7 +102,8 @@ def coefficient_seminorm(fam, f):
 class MetricCheckResult:
     """Joint check of the equivalent basis formulations through S xi_k = zeta_k.
 
-    metric : S = Z Xi^+ with its (1, -1) certificate
+    metric : S = Z Xi^+ with its (1, -1) certificate, kept as the factor
+        pair (Z, (Xi^+)^H)
     positivity : worst |<S f, f> - sum |a_k|^2| over sampled f = Xi a
     p_zeta_level : smallest ladder level dominating the coefficient
         seminorm within the declared factor (None if none does)
@@ -136,21 +137,20 @@ def metric_operator_check(fam, samples=50, seed=0, level_factor=2.0,
     if s.size == 0 or s[-1] <= rank_rtol * s[0]:
         raise InjectivityError("family matrix is singular; S is not determined")
     pinv = (vh.conj().T * (1.0 / s)) @ u.conj().T
-    smat = z @ pinv
-    metric = make_linear_map(smat, fam.triplet, pairs=((1, -1),))
+    metric = make_linear_map(z, fam.triplet, pairs=((1, -1),),
+                             right=pinv.conj().T)
 
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(int(samples)):
         a = rng.standard_normal(fam.size) + 1j * rng.standard_normal(fam.size)
         f = xi @ a
-        dev = abs(pairing(smat @ f, f) - float(np.sum(np.abs(a) ** 2)))
+        dev = abs(pairing(z @ (pinv @ f), f) - float(np.sum(np.abs(a) ** 2)))
         worst = max(worst, dev)
 
     constants = {}
     for j in range(fam.triplet.levels + 1):
-        sj = np.linalg.svd(z.conj().T @ fam.triplet.scale_matrix(-j),
-                           compute_uv=False)
+        sj = np.linalg.svd(fam.triplet.scale(-j, z), compute_uv=False)
         constants[j] = float(sj[0]) if sj.size else 0.0
     p_level = next((j for j in range(fam.triplet.levels + 1)
                     if constants[j] <= level_factor), None)
@@ -230,12 +230,10 @@ def strictness_constants(triplet, family_matrix):
     x = np.asarray(family_matrix, dtype=complex)
     if x.shape[1] > x.shape[0]:
         raise DimensionError("more columns than the dimension supports")
-    s1 = np.linalg.svd(triplet.scale_matrix(1) @ x, compute_uv=False)
-    lower = float(s1[-1] ** 2) if s1.size else 0.0
-    upper = {}
-    for q in range(triplet.levels + 1):
-        sq = np.linalg.svd(triplet.scale_matrix(q) @ x, compute_uv=False)
-        upper[q] = float(sq[0] ** 2) if sq.size else 0.0
+    sv = {q: np.linalg.svd(triplet.scale(q, x), compute_uv=False)
+          for q in range(triplet.levels + 1)}
+    lower = float(sv[1][-1] ** 2) if sv[1].size else 0.0
+    upper = {q: float(s[0] ** 2) if s.size else 0.0 for q, s in sv.items()}
     return lower, upper
 
 

@@ -6,12 +6,15 @@ biorthogonal partner sequence living on the dual side of the triplet.
 All operators built here (analysis, synthesis, frame operator, factor
 maps, partial sums) are finite matrices, and continuity across the
 seminorm ladder is certified by largest singular values of weight-scaled
-matrices.  Nothing is mutated: checks that recover a dual hand back an
-augmented copy of the family.
+matrices.  Maps of rank at most M are kept as their thin N x M factors
+and certified from them, so no N x N array is formed on the way.
+Nothing is mutated: checks that recover a dual hand back an augmented
+copy of the family.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -28,55 +31,98 @@ RANK_RTOL = 1e-12
 BIORTH_TOL = 1e-10
 
 
-def certificate_norm(matrix, triplet, from_level, to_level):
-    """Largest singular value of scale(to) @ matrix @ scale(-from).
-
-    This is the operator norm of the map between the two levels; negative
-    levels address the dual side, so e.g. (from=1, to=-1) certifies a map
-    from the smooth space into the level-1 dual.
-    """
-    a = np.asarray(matrix, dtype=complex)
-    left = triplet.scale_matrix(to_level)
-    right = triplet.scale_matrix(-from_level)
-    prod = left @ a @ right
-    if prod.size and not np.all(np.isfinite(prod.view(float))):
+def _require_finite(from_level, to_level, *arrays):
+    if not all(np.isfinite(a).all() for a in arrays):
         raise ContinuityError(
             f"non-finite values in the scaled operator between levels "
             f"{from_level} -> {to_level}")
-    s = np.linalg.svd(prod, compute_uv=False)
-    return float(s[0]) if s.size else 0.0
+
+
+def certificate_norm(matrix, triplet, from_level, to_level, right=None):
+    """Largest singular value of scale(to) @ A @ scale(-from).
+
+    This is the operator norm of the map A between the two levels;
+    negative levels address the dual side, so e.g. (from=1, to=-1)
+    certifies a map from the smooth space into the level-1 dual.
+
+    Without `right`, A is the square `matrix` and is scaled on both
+    sides.  With `right`, A = matrix @ right^H is a map of rank at most
+    M given by two N x M factors B and C, and the certificate is
+    sigma_max((S_to B)(S_-from C)^H).  For M < N that equals
+    sigma_max(R_B R_C^H) with R_B, R_C the triangular factors of reduced
+    QRs of the scaled factors, so only N x M and M x M arrays are formed;
+    factors at least as wide as N are multiplied out instead, which is
+    cheaper than the two QRs.
+    """
+    a = np.asarray(matrix, dtype=complex)
+    left = triplet.scale(to_level, a)
+    if right is None:
+        # A S = (S A^H)^H because every scaling is Hermitian.
+        prod = triplet.scale(-from_level, left.conj().T).conj().T
+    else:
+        c = triplet.scale(-from_level, right)
+        _require_finite(from_level, to_level, left, c)
+        if c.shape[1] < c.shape[0]:
+            prod = (np.linalg.qr(left, mode="r")
+                    @ np.linalg.qr(c, mode="r").conj().T)
+        else:
+            prod = left @ c.conj().T
+    _require_finite(from_level, to_level, prod)
+    if not prod.size:
+        return 0.0
+    return float(np.linalg.svd(prod, compute_uv=False)[0])
 
 
 @dataclass(frozen=True)
 class LinearMap:
-    """Dense map together with estimated operator norms between levels.
+    """Map together with estimated operator norms between levels.
 
-    The certificate maps (from_level, to_level) pairs to the largest
-    singular value of the correspondingly scaled matrix.
+    A dense map is stored in `left`.  A map of rank at most M is stored
+    as its thin factors, A = left @ right^H with both N x M, and the
+    dense `matrix` is only formed when a caller reads it.  The
+    certificate maps (from_level, to_level) pairs to the largest
+    singular value of the correspondingly scaled map.
     """
 
-    matrix: np.ndarray
+    left: np.ndarray
     certificate: dict
+    right: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=complex))
+        object.__setattr__(self, "left", np.asarray(self.left, dtype=complex))
+        if self.right is not None:
+            object.__setattr__(self, "right",
+                               np.asarray(self.right, dtype=complex))
+
+    @cached_property
+    def matrix(self):
+        if self.right is None:
+            return self.left
+        return self.left @ self.right.conj().T
 
     @property
     def shape(self):
-        return self.matrix.shape
+        if self.right is None:
+            return self.left.shape
+        return (self.left.shape[0], self.right.shape[0])
 
 
-def make_linear_map(matrix, triplet, pairs=((0, 0),)):
-    """Wrap a matrix with continuity certificates for the given level pairs."""
+def make_linear_map(matrix, triplet, pairs=((0, 0),), right=None):
+    """Wrap a map with continuity certificates for the given level pairs.
+
+    The map is `matrix`, or matrix @ right^H when the factor `right`
+    is given (see `certificate_norm`).
+    """
     a = np.asarray(matrix, dtype=complex)
+    c = None if right is None else np.asarray(right, dtype=complex)
     cert = {}
     for fr, to in pairs:
-        value = certificate_norm(a, triplet, fr, to)
+        value = certificate_norm(a, triplet, fr, to, right=c)
         if not np.isfinite(value):
             raise ContinuityError(
                 f"operator norm overflow between levels {fr} -> {to}")
         cert[(fr, to)] = value
-    return LinearMap(a, cert)
+    return LinearMap(a, cert, c)
 
 
 @dataclass(frozen=True)
@@ -183,10 +229,11 @@ def frame_operator(fam):
     """Composition synthesis . analysis: eta -> sum_k conj(<zeta_k, eta>) zeta_k.
 
     The matrix is Z Z^H, a positive map from the smooth side into the
-    dual; its (1, -1) continuity certificate is attached.
+    dual; it is kept as the factor pair (Z, Z) and its (1, -1)
+    continuity certificate is attached.
     """
     z = fam.require_dual()
-    return make_linear_map(z @ z.conj().T, fam.triplet, pairs=((1, -1),))
+    return make_linear_map(z, fam.triplet, pairs=((1, -1),), right=z)
 
 
 # -- Bessel-type bounds ------------------------------------------------------
@@ -195,15 +242,15 @@ def bessel_bound(fam, j):
     """Supremum of sum_k |<zeta_k, eta>|^2 over the level-j unit ball.
 
     Computed exactly at truncation as the squared largest singular value
-    of Z^H scale(-j).  Finiteness of these per-level suprema across a
-    dimension ladder is the model's Bessel-type verdict; bounded sets are
-    represented by the seminorm-level balls throughout.
+    of Z^H scale(-j), the adjoint of the thin N x M array scale(-j) Z.
+    Finiteness of these per-level suprema across a dimension ladder is
+    the model's Bessel-type verdict; bounded sets are represented by the
+    seminorm-level balls throughout.
     """
     z = fam.require_dual()
     if not 1 <= j <= fam.triplet.levels:
         raise LevelError(f"Bessel level {j} outside [1, {fam.triplet.levels}]")
-    s = np.linalg.svd(z.conj().T @ fam.triplet.scale_matrix(-j),
-                      compute_uv=False)
+    s = np.linalg.svd(fam.triplet.scale(-j, z), compute_uv=False)
     return float(s[0] ** 2) if s.size else 0.0
 
 
@@ -217,21 +264,31 @@ def bessel_bound_sampled(fam, j, samples=10000, seed=0):
     if not 1 <= j <= fam.triplet.levels:
         raise LevelError(f"Bessel level {j} outside [1, {fam.triplet.levels}]")
     rng = np.random.default_rng(seed)
-    op = z.conj().T @ fam.triplet.scale_matrix(-j)
+    op = fam.triplet.scale(-j, z).conj().T
+    op_re = np.ascontiguousarray(op.real)
+    op_im = np.ascontiguousarray(op.imag)
     best = 0.0
     left = int(samples)
     while left > 0:
         # Chunked so the scratch arrays stay small on grid-sized models.
         m = min(left, 2048)
-        u = rng.standard_normal((fam.dim, m)) \
-            + 1j * rng.standard_normal((fam.dim, m))
-        out = op @ u
+        u_re = rng.standard_normal((fam.dim, m))
+        u_im = rng.standard_normal((fam.dim, m))
+        # op @ (u_re + i u_im) in four real products, without complex
+        # copies of the draws.
+        out_re = op_re @ u_re - op_im @ u_im
+        out_im = op_re @ u_im + op_im @ u_re
         # Rayleigh ratios against the raw draws, through the same matrix
         # the certificate takes its singular values from, keep the
         # estimate at or below the certified value down to rounding
         # resolution on diagonal models.
-        num = np.sum(out.real ** 2 + out.imag ** 2, axis=0)
-        den = np.sum(u.real ** 2 + u.imag ** 2, axis=0)
+        num = np.sum(out_re ** 2 + out_im ** 2, axis=0)
+        # The draws are spent: square them in place, so the denominator
+        # needs no further N x 2048 scratch arrays.
+        np.square(u_re, out=u_re)
+        np.square(u_im, out=u_im)
+        u_re += u_im
+        den = np.sum(u_re, axis=0)
         best = max(best, float(np.max(num / den)))
         left -= m
     return best
@@ -242,12 +299,12 @@ def bessel_factor(fam):
 
     Continuity from the Hilbert space into the level-1 dual is certified;
     its certificate squared reproduces the level-1 Bessel bound, the
-    finite-size face of the factorization property.
+    finite-size face of the factorization property.  The map Z E_M^H is
+    kept as the factor pair (Z, E_M), E_M the first M canonical columns.
     """
     z = fam.require_dual()
-    mat = np.zeros((fam.dim, fam.dim), dtype=complex)
-    mat[:, :fam.size] = z
-    return make_linear_map(mat, fam.triplet, pairs=((0, -1),))
+    return make_linear_map(z, fam.triplet, pairs=((0, -1),),
+                           right=np.eye(fam.dim, fam.size))
 
 
 # -- Riesz-Fischer-type check ------------------------------------------------
@@ -257,8 +314,10 @@ class RieszFischerResult:
     """Outcome of the flattening check S xi_n = e_n.
 
     ok : the family admits a continuous flattening at this truncation
-    flatten : minimal-norm S (least-squares solution when rank-deficient)
-    residual : max |(S Xi - E)_{ij}| against the target columns e_1..e_M
+    flatten : minimal-norm S = E_M Xi^+ (least-squares solution when
+        rank-deficient), kept as the factor pair (E_M, (Xi^+)^H)
+    residual : max |(S Xi - E)_{ij}| against the target columns e_1..e_M,
+        which is max |Xi^+ Xi - I_M| because S Xi = E_M Xi^+ Xi
     rank : numerical rank of the family
     family : input family, with the recovered dual attached when ok
     note : provenance of the dual / reason for failure
@@ -290,10 +349,9 @@ def riesz_fischer_check(fam, rank_rtol=RANK_RTOL):
     inv = np.zeros_like(s)
     inv[keep] = 1.0 / s[keep]
     pinv = (vh.conj().T * inv) @ u.conj().T  # m x n pseudo-inverse
-    target = np.eye(n)[:, :m]
-    smat = target @ pinv
-    residual = float(np.max(np.abs(smat @ xi - target))) if m else 0.0
-    flatten = make_linear_map(smat, fam.triplet, pairs=((1, 0),))
+    residual = float(np.max(np.abs(pinv @ xi - np.eye(m)))) if m else 0.0
+    flatten = make_linear_map(np.eye(n, m), fam.triplet, pairs=((1, 0),),
+                              right=pinv.conj().T)
     ok = rank == m
     if ok:
         out = fam if fam.dual is not None else replace(fam, dual=pinv.conj().T)
@@ -430,5 +488,5 @@ def schauder_inequality_probe(fam, p_level, trials, seed, factor=2.0):
 
 def level_gram(fam, j):
     """Gram matrix of the family columns in the level-j inner product."""
-    x = fam.triplet.scale_matrix(j) @ fam.family
+    x = fam.triplet.scale(j, fam.family)
     return x.conj().T @ x

@@ -222,13 +222,12 @@ def sobolev_triplet(grid):
     """Weighted triplet whose level-1 norm is ||(I - d^2/dx^2)^{1/2} f||.
 
     Weights are (1 + y^2)^{1/2} over the FFT frequencies and the frame is
-    the inverse unitary DFT, so the scaling acts diagonally in frequency
-    coordinates while level 0 stays the quadrature L2 norm.
+    the inverse unitary DFT, applied by FFT, so the scaling acts
+    diagonally in frequency coordinates while level 0 stays the
+    quadrature L2 norm.
     """
-    p = grid.points
     weights = np.sqrt(1.0 + grid.angular_frequencies ** 2)
-    dft = np.fft.fft(np.eye(p), axis=0) / np.sqrt(p)
-    return WeightedTriplet(p, weights, 1, dft.conj().T)
+    return WeightedTriplet.fourier(weights, 1)
 
 
 def sobolev_basis(grid, count, construction_tol=1e-10,

@@ -10,8 +10,14 @@ both sides at once: +j lives on the smooth side, -j on its dual.
 
 An optional unitary frame Q rotates the model so that the weights act
 diagonally in the coordinates Q^H f; graph-norm constructions and
-polar-decomposition realizations produce such rotated triplets.  All
-values are immutable and every operation is pure.
+polar-decomposition realizations produce such rotated triplets, and the
+Sobolev grid model rotates by the unitary DFT.  Frames are applied, not
+stored as scaling matrices: `WeightedTriplet.scale(j, X)` computes
+Q diag(w^j) Q^H X as an element-wise product in the canonical model, as
+an FFT pair for the DFT frame and as two thin products for a dense
+frame, so no N x N matrix is built unless a caller asks for the dense
+reference `scale_matrix`.  All values are immutable and every operation
+is pure.
 """
 from __future__ import annotations
 
@@ -22,6 +28,10 @@ import numpy as np
 from .errors import DimensionError, LevelError, ValidationError
 
 _WEIGHT_SLACK = 1e-9
+
+# Stored in place of a matrix for the inverse unitary DFT frame, Q = F^H
+# with F x = fft(x, norm="ortho"); see `WeightedTriplet.fourier`.
+_DFT_FRAME = "unitary-dft"
 
 
 @dataclass(frozen=True)
@@ -66,6 +76,19 @@ def _unitary_defect(q):
     return float(np.max(np.abs(q.conj().T @ (q @ x) - x)) / np.max(np.abs(x)))
 
 
+def _fft_defect(n):
+    # The FFT pair is unitary by construction; the probe pins the
+    # normalization: Q^H Q x = x and ||Q x|| = ||x|| on random columns.
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((n, 8)) + 1j * rng.standard_normal((n, 8))
+    qx = np.fft.ifft(x, axis=0, norm="ortho")
+    back = np.fft.fft(qx, axis=0, norm="ortho")
+    norms = np.linalg.norm(x, axis=0)
+    return max(float(np.max(np.abs(back - x)) / np.max(np.abs(x))),
+               float(np.max(np.abs(np.linalg.norm(qx, axis=0) - norms)
+                            / norms)))
+
+
 @dataclass(frozen=True)
 class WeightedTriplet:
     """Weighted model of a Hilbert space between a smooth space and its dual.
@@ -81,7 +104,8 @@ class WeightedTriplet:
         Number of seminorm levels J >= 1 on the smooth side.
     frame : ndarray, optional
         Unitary N x N matrix Q; seminorms act on the rotated coordinates
-        Q^H f.  None means the canonical (diagonal) model.
+        Q^H f.  None means the canonical (diagonal) model.  Triplets
+        rotated by the unitary DFT come from `WeightedTriplet.fourier`.
     check_weights : bool, init-only
         Skip the >= 1 floor for triplets realized from exact operator
         norms, where the weights are singular values that may dip below 1.
@@ -90,7 +114,7 @@ class WeightedTriplet:
     dim: int
     weights: np.ndarray
     levels: int = 1
-    frame: np.ndarray | None = None
+    frame: np.ndarray | str | None = None
     check_weights: InitVar[bool] = True
 
     def __post_init__(self, check_weights):
@@ -110,50 +134,85 @@ class WeightedTriplet:
                 "Hilbert norm; pass check_weights=False only for triplets "
                 "realized from exact operator norms")
         frame = self.frame
-        if frame is not None:
+        if isinstance(frame, str):
+            if frame != _DFT_FRAME:
+                raise ValidationError(f"unknown frame {frame!r}")
+            defect = _fft_defect(self.dim)
+        elif frame is not None:
             frame = np.asarray(frame, dtype=complex)
             if frame.shape != (self.dim, self.dim):
                 raise DimensionError("frame must be square of the model dimension")
             defect = _unitary_defect(frame)
-            if not defect <= 1e-8:
-                raise ValidationError(f"frame is not unitary (defect {defect:.2e})")
+        if frame is not None and not defect <= 1e-8:
+            raise ValidationError(f"frame is not unitary (defect {defect:.2e})")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "frame", frame)
-        # Ladder diagnostics rebuild the same scalings many times over; on
-        # rotated grids each one costs two dense products, so memoize.
-        object.__setattr__(self, "_scale_cache", {})
+
+    @classmethod
+    def fourier(cls, weights, levels=1):
+        """Triplet rotated by the inverse unitary DFT, applied by FFT.
+
+        The weights act on the frequency coordinates
+        ``fft(f, norm="ortho")``, so every scaling is a Fourier multiplier
+        and the frame costs O(N log N) per column instead of N^2 storage.
+        """
+        w = np.asarray(weights, dtype=float)
+        return cls(int(w.shape[0]), w, levels, _DFT_FRAME)
 
     # -- coordinate helpers -------------------------------------------------
+
+    def _to_frame(self, x):
+        """Q^H x along the first axis."""
+        if self.frame is None:
+            return x
+        if isinstance(self.frame, str):
+            return np.fft.fft(x, axis=0, norm="ortho")
+        # conj(Q^T conj(x)) avoids materializing the N x N adjoint.
+        return (self.frame.T @ x.conj()).conj()
+
+    def _from_frame(self, y):
+        """Q y along the first axis."""
+        if self.frame is None:
+            return y
+        if isinstance(self.frame, str):
+            return np.fft.ifft(y, axis=0, norm="ortho")
+        return self.frame @ y
 
     def _rotated(self, x):
         v = coords_of(x)
         if v.shape[0] != self.dim:
             raise DimensionError(
                 f"vector of length {v.shape[0]} does not fit dimension {self.dim}")
-        if self.frame is not None:
-            v = self.frame.conj().T @ v
-        return v
+        return self._to_frame(v)
 
-    def scale_matrix(self, j):
-        """Positive matrix realizing the level-j scaling.
+    def scale(self, j, x):
+        """Apply the level-j scaling Q diag(w^j) Q^H to x.
 
-        Negative j addresses the dual side; j = 0 is the identity.  With
-        a frame Q the matrix is Q diag(w^j) Q^H.
+        x is a vector or an N x K array whose columns are scaled.
+        Negative j addresses the dual side; j = 0 is the identity.  This
+        is the kernel of every certificate: the scaling is applied, never
+        stored, so thin N x K inputs cost O(N K) work and memory (times
+        log N for the DFT frame, times N for a dense frame).
         """
         if not -self.levels <= j <= self.levels:
             raise LevelError(
                 f"level {j} outside the ladder [-{self.levels}, {self.levels}]")
-        cached = self._scale_cache.get(j)
-        if cached is not None:
-            return cached
-        d = np.diag((self.weights ** j).astype(complex))
-        if self.frame is None:
-            out = d
-        else:
-            out = self.frame @ d @ self.frame.conj().T
-        out.setflags(write=False)
-        self._scale_cache[j] = out
-        return out
+        x = np.asarray(x, dtype=complex)
+        if x.ndim == 0 or x.shape[0] != self.dim:
+            raise DimensionError(
+                f"array of shape {x.shape} does not fit dimension {self.dim}")
+        if j == 0:
+            return x.copy()
+        d = (self.weights ** j).reshape((self.dim,) + (1,) * (x.ndim - 1))
+        return self._from_frame(d * self._to_frame(x))
+
+    def scale_matrix(self, j):
+        """Dense N x N matrix Q diag(w^j) Q^H of the level-j scaling.
+
+        A reference for tests and small models; the diagnostics apply
+        `scale` to thin arrays instead.
+        """
+        return self.scale(j, np.eye(self.dim))
 
     # -- norms --------------------------------------------------------------
 

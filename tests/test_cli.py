@@ -69,6 +69,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{bad}:2:2" in err
 
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_csv_cell_is_a_parse_error(self, tmp_path, capsys,
+                                                  cell):
+        bad = tmp_path / "fam.csv"
+        bad.write_text(f"1.0,0.0,0.0,0.0\n0.0,0.0,{cell},0.0\n")
+        assert main(["riesz-fischer", "--family", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}:2:3: non-finite value")
+        assert "Traceback" not in err
+
 
 class TestCheckBiorthogonal:
     def test_identity_files_pass(self, tmp_path):

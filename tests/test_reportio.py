@@ -71,6 +71,18 @@ class TestComplexMatrixCsv:
         assert f"{path}:2:2" in str(err.value)
         assert "oops" in str(err.value)
 
+    @pytest.mark.parametrize("cell, column", [("nan", 4), ("-inf", 3)])
+    def test_non_finite_cell_located(self, tmp_path, cell, column):
+        path = tmp_path / "mat.csv"
+        row = ["1.0", "0.0", "2.0", "0.0"]
+        row[column - 1] = cell
+        path.write_text("re,im,re,im\n1.0,0.0,1.0,0.0\n\n" + ",".join(row)
+                        + "\n")
+        with pytest.raises(ParseError) as err:
+            load_complex_matrix(path)
+        assert f"{path}:4:{column}" in str(err.value)
+        assert cell.lstrip("-") in str(err.value)
+
     def test_ragged_rows_rejected(self, tmp_path):
         path = tmp_path / "mat.csv"
         path.write_text("1.0,0.0\n1.0,0.0,2.0,0.0\n")

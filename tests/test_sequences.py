@@ -220,6 +220,23 @@ class TestCertificates:
         with np.errstate(invalid="ignore"), pytest.raises(ContinuityError):
             make_linear_map(np.array([[np.inf, 0.0], [0.0, 1.0]]), tri)
 
+    def test_nonfinite_factor_rejected(self):
+        tri = WeightedTriplet(2, np.ones(2))
+        with np.errstate(invalid="ignore"), pytest.raises(ContinuityError):
+            make_linear_map(np.array([[np.inf], [0.0]]), tri,
+                            right=np.ones((2, 1)))
+
+    def test_factored_map_is_formed_on_read(self):
+        tri = WeightedTriplet(3, (1.0, 2.0, 3.0))
+        b = np.array([[1.0], [2.0], [0.0]])
+        c = np.array([[0.0], [1.0], [1.0j]])
+        lm = make_linear_map(b, tri, pairs=((1, -1),), right=c)
+        dense = b @ c.conj().T
+        assert lm.shape == (3, 3)
+        assert np.array_equal(lm.matrix, dense)
+        assert lm.certificate[(1, -1)] == pytest.approx(
+            certificate_norm(dense, tri, 1, -1), rel=1e-14)
+
     def test_certificate_recomputes(self, rng):
         n = 5
         tri = WeightedTriplet(n, rng.uniform(1.0, 3.0, n), levels=2)
@@ -258,6 +275,15 @@ class TestRieszFischer:
         assert res.rank == 1
         assert res.family.dual is None
         assert "independent" in res.note
+
+    def test_more_columns_than_dimension_is_negative(self):
+        tri = WeightedTriplet(2, np.ones(2))
+        fam = SequenceFamily(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]),
+                             tri)
+        res = riesz_fischer_check(fam)
+        assert not res.ok
+        assert res.rank == 2
+        assert res.flatten.shape == (2, 2)
 
     def test_input_family_unchanged(self):
         tri = WeightedTriplet(3, np.ones(3))
