@@ -16,13 +16,14 @@ import sys
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import partial
 
 import numpy as np
 
 from . import __version__
 from .errors import ConfigError, RieszLabError
-from .hamiltonian import (demo_pair, density_diagnostic, eigen_residual,
-                          nonnormality, spectrum_residual,
+from .hamiltonian import (HamiltonianPair, demo_pair, density_diagnostic,
+                          eigen_residual, nonnormality, spectrum_residual,
                           weak_similarity_residual)
 from .reportio import (DiagnosticsReport, SCHEMA_VERSION, Section, Verdict,
                        config_digest, load_complex_matrix, render_csv,
@@ -35,9 +36,10 @@ from .sequences import (SequenceFamily, bessel_bound, bessel_bound_sampled,
                         frame_operator, level_gram, partial_sum,
                         riesz_fischer_check, schauder_inequality_probe,
                         weak_expansion_residual)
-from .spaces import (LineGrid, aliasing_fraction, hermite_gram, hermite_grid,
-                     hermite_values, number_operator_model,
-                     schwartz_hermite_model, sobolev_basis, sobolev_multiplier)
+from .spaces import (LineGrid, aliasing_fraction, hermite_grid, hermite_values,
+                     number_operator_model, number_operator_rule,
+                     schwartz_hermite_model,
+                     sobolev_model, sobolev_multiplier)
 from .triplet import WeightedTriplet
 
 COMMANDS = ("check-biorthogonal", "frame-report", "bessel", "riesz-fischer",
@@ -67,6 +69,9 @@ DEFAULT_TOLERANCES = {
     "spectrum": 1e-8,
     "support": 1e-12,
 }
+
+# The pseudo-Hermitian knobs and their defaults.
+PSEUDO_DEFAULTS = {"psi_seed": 7, "N_ladder": (8, 16, 32)}
 
 
 @dataclass
@@ -107,19 +112,26 @@ class RunConfig:
         if self.weight_rule not in WEIGHT_RULES:
             raise ConfigError(f"unknown weight rule {self.weight_rule!r}")
         self.ladder = _checked_ladder(self.ladder, "ladder")
-        if self.weights is not None:
-            self.weights = tuple(float(w) for w in self.weights)
+        for name, low in (("seed", 0), ("dim", 1), ("levels", 1),
+                          ("size", 1)):
+            _check_int(getattr(self, name), name, low)
+        try:
+            self.half_width = float(self.half_width)
+            if self.weights is not None:
+                self.weights = tuple(float(w) for w in self.weights)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"half width and weights must be numbers: {exc}") from exc
         unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
         if unknown:
             raise ConfigError(
                 "unknown tolerance keys: " + ", ".join(sorted(unknown)))
         self.tolerances = {**DEFAULT_TOLERANCES,
-                           **{k: float(v) for k, v in self.tolerances.items()}}
-        bad = set(self.pseudo) - {"lambda_rule", "T_rule", "psi_seed",
-                                  "N_ladder"}
-        if bad:
-            raise ConfigError(
-                "unknown pseudo-hermitian keys: " + ", ".join(sorted(bad)))
+                           **{k: _checked_tolerance(k, v)
+                              for k, v in self.tolerances.items()}}
+        _check_int(self.pseudo.get("psi_seed"), "psi_seed", 0)
+        if "N_ladder" in self.pseudo:
+            _checked_ladder(self.pseudo["N_ladder"], "N_ladder")
         if self.seed is None and self.command in SEEDED:
             raise ConfigError(
                 f"command {self.command!r} draws random probes and needs "
@@ -169,6 +181,27 @@ class RunConfig:
         }
 
 
+def _check_int(value, name, low):
+    """Reject a set value that is not an integer >= low (None is unset)."""
+    if value is None:
+        return
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ConfigError(f"{name} must be at least {low}, got {value}")
+
+
+def _checked_tolerance(key, value):
+    try:
+        tol = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"tolerance {key!r} is not a number") from exc
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ConfigError(
+            f"tolerance {key!r} must be finite and positive, got {value!r}")
+    return tol
+
+
 def _checked_ladder(values, name):
     try:
         ladder = tuple(int(v) for v in values)
@@ -208,15 +241,13 @@ def load_config_file(path):
     for key in ("command", "example", "seed", "no_timing"):
         if key in raw:
             kw[key] = raw[key]
-    model = _group(raw, "model", _MODEL_KEYS)
-    kw.update(model)
+    if "model" in raw:
+        kw.update(_group_dict(raw, "model", _MODEL_KEYS))
     if "inputs" in raw:
         inputs = _group_dict(raw, "inputs", _INPUT_KEYS)
         kw["inputs"] = {k: str(v) for k, v in inputs.items()}
     if "pseudo" in raw:
-        if not isinstance(raw["pseudo"], dict):
-            raise ConfigError("'pseudo' must be an object")
-        kw["pseudo"] = dict(raw["pseudo"])
+        kw["pseudo"] = _group_dict(raw, "pseudo", set(PSEUDO_DEFAULTS))
     if "tolerances" in raw:
         if not isinstance(raw["tolerances"], dict):
             raise ConfigError("'tolerances' must be an object")
@@ -228,12 +259,6 @@ def load_config_file(path):
         if "format" in out:
             kw["fmt"] = str(out["format"])
     return kw
-
-
-def _group(raw, name, allowed):
-    if name not in raw:
-        return {}
-    return _group_dict(raw, name, allowed)
 
 
 def _group_dict(raw, name, allowed):
@@ -305,11 +330,7 @@ def config_from_args(args):
             key, sep, value = item.partition("=")
             if not sep:
                 raise ConfigError(f"--tolerance wants KEY=VALUE, got {item!r}")
-            try:
-                overrides[key.strip()] = float(value)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"tolerance {key.strip()!r} is not a number") from exc
+            overrides[key.strip()] = value
         kw["tolerances"] = overrides
     try:
         return RunConfig(**kw)
@@ -321,20 +342,25 @@ def config_from_args(args):
 
 @dataclass
 class ModelBundle:
-    """Everything a command runner may need, resolved once per run.
+    """Everything a section builder may need, resolved once per run.
 
-    Coefficient-space models fill triplet/family (and basis/ladder_rule
-    when a transform exists); function-space examples add the grid.  The
-    ladder rule feeds trend diagnostics and may return (triplet, matrix)
-    pairs for families truncated by column count.
+    Coefficient-space models fill the family (and the basis when a
+    transform exists); function-space examples add the grid, and the
+    Sobolev example also the Hermite columns and the round-trip defect
+    its construction measured.  The ladder rule feeds trend diagnostics
+    and may return (triplet, matrix) pairs for families truncated by
+    column count; the pseudo-Hermitian command resolves to its pair, with
+    a rule building the pair of each ladder dimension.
     """
 
     label: str
-    triplet: WeightedTriplet | None = None
     family: SequenceFamily | None = None
     basis: object | None = None
     ladder_rule: object | None = None
     grid: LineGrid | None = None
+    hermite: np.ndarray | None = None
+    round_trip: float | None = None
+    pair: HamiltonianPair | None = None
 
     def require_family(self):
         if self.family is None:
@@ -354,6 +380,11 @@ def _rule_weights(rule, n):
 
 
 def resolve_model(cfg):
+    if cfg.command == "pseudo-hermitian":
+        pair_rule = partial(
+            demo_pair, psi_seed={**PSEUDO_DEFAULTS, **cfg.pseudo}["psi_seed"])
+        return ModelBundle("pseudo-hermitian", ladder_rule=pair_rule,
+                           pair=pair_rule(cfg.effective_dim))
     if cfg.example is not None:
         return _resolve_example(cfg)
     if "transform" in cfg.inputs:
@@ -362,7 +393,7 @@ def resolve_model(cfg):
             raise ConfigError("transform file must hold a square matrix")
         tri = _file_triplet(cfg, t.shape[0])
         basis = make_riesz_basis(t, tri)
-        return ModelBundle("transform-file", tri, basis.fam, basis)
+        return ModelBundle("transform-file", basis.fam, basis)
     if "family" in cfg.inputs:
         xi = load_complex_matrix(cfg.inputs["family"])
         if xi.ndim != 2:
@@ -372,8 +403,7 @@ def resolve_model(cfg):
             dual = load_complex_matrix(cfg.inputs["dual"],
                                        expected_shape=xi.shape)
         tri = _file_triplet(cfg, xi.shape[0])
-        return ModelBundle("family-file", tri,
-                           SequenceFamily(xi, tri, dual=dual))
+        return ModelBundle("family-file", SequenceFamily(xi, tri, dual=dual))
     raise ConfigError(
         "no model: pass --example, or --transform / --family files")
 
@@ -393,35 +423,25 @@ def _resolve_example(cfg):
     dim = cfg.effective_dim
     levels = cfg.effective_levels
     if cfg.example == "number-op":
-        tri, basis = number_operator_model(dim, levels, cfg.ladder)
-
-        def rule(n):
-            w = np.arange(1, n + 1, dtype=float)
-            t = WeightedTriplet(n, w, levels)
-            return make_riesz_basis(np.diag(w).astype(complex), t)
-
-        return ModelBundle("number-op", tri, basis.fam, basis, rule)
+        _, basis = number_operator_model(dim, levels, cfg.ladder)
+        return ModelBundle("number-op", basis.fam, basis,
+                           number_operator_rule(levels))
     if cfg.example == "schwartz":
-        tri, fam = schwartz_hermite_model(dim, levels)
+        _, fam = schwartz_hermite_model(dim, levels)
 
         def rule(n):
             t = WeightedTriplet(n, np.arange(1, n + 1, dtype=float), levels)
             return t, np.eye(n, dtype=complex)
 
-        return ModelBundle("schwartz", tri, fam, None, rule)
+        return ModelBundle("schwartz", fam, ladder_rule=rule)
     if cfg.example == "hermite":
-        grid = hermite_grid(dim, points=cfg.size)
-        return ModelBundle("hermite", grid=grid)
-    if cfg.example == "sobolev":
-        grid = LineGrid(cfg.half_width, cfg.size)
-        fam = sobolev_basis(grid, dim)
-
-        def rule(m):
-            return fam.triplet, fam.family[:, :m]
-
-        return ModelBundle("sobolev", fam.triplet, fam, None, rule,
-                           grid=grid)
-    raise ConfigError(f"unknown example {cfg.example!r}")
+        return ModelBundle("hermite", grid=hermite_grid(dim, points=cfg.size))
+    # sobolev, the last of EXAMPLES
+    grid = LineGrid(cfg.half_width, cfg.size)
+    fam, hermite, round_trip = sobolev_model(grid, dim)
+    return ModelBundle("sobolev", fam,
+                       ladder_rule=lambda m: (fam.triplet, fam.family[:, :m]),
+                       grid=grid, hermite=hermite, round_trip=round_trip)
 
 
 # -- section builders --------------------------------------------------------
@@ -430,7 +450,9 @@ def _pf(ok):
     return "pass" if ok else "fail"
 
 
-def _biorthogonality_section(fam, tol):
+def _biorthogonality_section(bundle, cfg):
+    fam = bundle.require_family()
+    tol = cfg.tolerances
     res = biorthogonality_residual(fam)
     rank = family_rank(fam.family)
     sec = Section("biorthogonality")
@@ -443,7 +465,9 @@ def _biorthogonality_section(fam, tol):
     return sec
 
 
-def _construction_section(basis, tol):
+def _construction_section(bundle, cfg):
+    basis = bundle.basis
+    tol = cfg.tolerances
     t = basis.transform.matrix
     xi = basis.fam.family
     z = basis.fam.require_dual()
@@ -463,7 +487,9 @@ def _construction_section(basis, tol):
     return sec
 
 
-def _frame_section(fam, tol):
+def _frame_section(bundle, cfg):
+    fam = bundle.require_family()
+    tol = cfg.tolerances
     op = frame_operator(fam)
     # The quadratic form <S e_k, e_k> is the k-th dual row mass, so the
     # canonical directions give a deterministic positivity probe.
@@ -481,13 +507,15 @@ def _frame_section(fam, tol):
     return sec
 
 
-def _bessel_section(fam, seed, tol):
+def _bessel_section(bundle, cfg):
+    fam = bundle.require_family()
+    tol = cfg.tolerances
     sec = Section("bessel")
     levels = {}
     ok = True
     for j in range(1, fam.triplet.levels + 1):
         bound = bessel_bound(fam, j)
-        sampled = bessel_bound_sampled(fam, j, seed=seed)
+        sampled = bessel_bound_sampled(fam, j, seed=cfg.seed)
         levels[j] = {"bound": bound, "sampled": sampled}
         ok = ok and sampled <= bound + tol["equality"]
     factor = bessel_factor(fam)
@@ -505,7 +533,8 @@ def _bessel_section(fam, seed, tol):
     return sec
 
 
-def _riesz_fischer_section(fam):
+def _riesz_fischer_section(bundle, cfg):
+    fam = bundle.require_family()
     res = riesz_fischer_check(fam)
     sec = Section("riesz-fischer")
     sec.records = {"rank": res.rank, "family_size": fam.size,
@@ -516,8 +545,10 @@ def _riesz_fischer_section(fam):
     return sec
 
 
-def _metric_section(fam, seed, tol):
-    res = metric_operator_check(fam, seed=seed,
+def _metric_section(bundle, cfg):
+    fam = bundle.require_family()
+    tol = cfg.tolerances
+    res = metric_operator_check(fam, seed=cfg.seed,
                                 positivity_tol=tol["positivity"])
     sec = Section("metric-operator")
     sec.records = {"certificate": res.metric.certificate,
@@ -556,8 +587,9 @@ def _strictness_section(bundle, cfg):
     return sec
 
 
-def _schauder_section(fam, seed):
-    probe = schauder_inequality_probe(fam, fam.triplet.levels, 200, seed)
+def _schauder_section(bundle, cfg):
+    fam = bundle.require_family()
+    probe = schauder_inequality_probe(fam, fam.triplet.levels, 200, cfg.seed)
     sec = Section("partial-sum-domination")
     sec.records = {"dominating_level": probe.q_level,
                    "worst_ratio": probe.worst_ratio,
@@ -568,14 +600,15 @@ def _schauder_section(fam, seed):
     return sec
 
 
-def _realization_section(basis, tol):
+def _realization_section(bundle, cfg):
+    basis = bundle.basis
+    tol = cfg.tolerances
     sec = Section("triplet-realization")
-    if basis is None or basis.strict != "strict":
-        have = "no transported basis" if basis is None else basis.strict
-        sec.records = {"note": f"needs a strict ladder verdict, have {have}"}
+    if basis.strict != "strict":
+        sec.records = {
+            "note": f"needs a strict ladder verdict, have {basis.strict}"}
         sec.verdicts.append(Verdict(
-            "collapse-to-hilbert-triplet", "inconclusive",
-            {"strict": 0 if basis is None else int(basis.strict == "strict")}))
+            "collapse-to-hilbert-triplet", "inconclusive", {"strict": 0}))
         return sec
     tri = hilbert_triplet_realization(basis, gram_tol=tol["gram"])
     sec.records = {"weight_min": float(np.min(tri.weights)),
@@ -592,7 +625,8 @@ def _default_probe(dim):
     return 2.0 ** -np.arange(1, dim + 1)
 
 
-def _reconstruct_section(fam, cfg):
+def _reconstruct_section(bundle, cfg):
+    fam = bundle.require_family()
     tol = cfg.tolerances
     if "vector" in cfg.inputs:
         mat = load_complex_matrix(cfg.inputs["vector"])
@@ -629,7 +663,10 @@ def _reconstruct_section(fam, cfg):
     return sec
 
 
-def _hermite_section(grid, count, tol):
+def _hermite_section(bundle, cfg):
+    grid = bundle.grid
+    count = cfg.effective_dim
+    tol = cfg.tolerances
     vals = hermite_values(grid, count)
     idx = int(np.argmin(np.abs(grid.nodes)))
     at0 = vals[idx, :]
@@ -639,7 +676,7 @@ def _hermite_section(grid, count, tol):
               (np.sqrt(2.0) * x ** 2 - np.sqrt(0.5)) * phi0]
     rec = max(float(np.max(np.abs(vals[:, n] - closed[n])))
               for n in range(min(count, 3)))
-    gram = hermite_gram(grid, count)
+    gram = grid.spacing * (vals.T @ vals)
     gram_defect = float(np.max(np.abs(gram - np.eye(count))))
     alias = max(aliasing_fraction(grid, vals[:, n]) for n in range(count))
     sec = Section("hermite-values")
@@ -665,24 +702,18 @@ def _hermite_section(grid, count, tol):
     return sec
 
 
-def _sobolev_section(grid, fam, tol):
+def _sobolev_section(bundle, cfg):
+    grid, fam, phis = bundle.grid, bundle.family, bundle.hermite
+    tol = cfg.tolerances
     count = fam.size
-    phis = hermite_values(grid, count)
     scale = np.sqrt(grid.spacing)
-    worst_build = 0.0
-    worst_round = 0.0
-    for n in range(count):
-        forward = sobolev_multiplier(grid, 1.0, fam.family[:, n] / scale)
-        worst_build = max(worst_build, scale * float(
-            np.linalg.norm(forward.values - phis[:, n])))
-        down = sobolev_multiplier(grid, -1.0, phis[:, n])
-        back = sobolev_multiplier(grid, 1.0, down.values)
-        worst_round = max(worst_round, scale * float(
-            np.linalg.norm(back.values - phis[:, n])))
+    forward = sobolev_multiplier(grid, 1.0, fam.family / scale)
+    worst_build = scale * float(np.max(np.linalg.norm(forward - phis, axis=0)))
+    worst_round = bundle.round_trip
     modified = level_gram(fam, 1)
     mod_defect = float(np.max(np.abs(modified - np.eye(count))))
-    gram_defect = float(np.max(np.abs(
-        hermite_gram(grid, count) - np.eye(count))))
+    gram = grid.spacing * (phis.T @ phis)
+    gram_defect = float(np.max(np.abs(gram - np.eye(count))))
     lower, upper = strictness_constants(fam.triplet, fam.family)
     top = fam.triplet.levels
     sec = Section("sobolev-family")
@@ -712,35 +743,28 @@ def _sobolev_section(grid, fam, tol):
     return sec
 
 
-def _pseudo_sections(cfg):
+def _spectral_section(bundle, cfg):
+    pair = bundle.pair
     tol = cfg.tolerances
-    pseudo = cfg.pseudo
-    lam_rule = pseudo.get("lambda_rule", "linear")
-    t_rule = pseudo.get("T_rule", "diag")
-    if lam_rule != "linear" or t_rule != "diag":
-        raise ConfigError(
-            "only the built-in rules lambda_rule='linear', T_rule='diag' "
-            "are available")
-    psi_seed = int(pseudo.get("psi_seed", 7))
-    n_ladder = _checked_ladder(pseudo.get("N_ladder", (8, 16, 32)),
-                               "N_ladder")
-    dim = cfg.effective_dim
-    pair = demo_pair(dim, psi_seed=psi_seed)
-
-    spectral = Section("spectral")
     eig = eigen_residual(pair)
     spec = spectrum_residual(pair)
-    spectral.records = {"eigen_residual": eig, "spectrum_residual": spec,
-                        "degenerate": pair.degenerate,
-                        "nonnormality": nonnormality(pair.hamiltonian)}
-    spectral.verdicts.append(Verdict(
+    sec = Section("spectral")
+    sec.records = {"eigen_residual": eig, "spectrum_residual": spec,
+                   "degenerate": pair.degenerate,
+                   "nonnormality": nonnormality(pair.hamiltonian)}
+    sec.verdicts.append(Verdict(
         "eigenpairs", _pf(eig <= tol["eigen"]),
         {"eigen_residual": eig, "tolerance": tol["eigen"]}))
-    spectral.verdicts.append(Verdict(
+    sec.verdicts.append(Verdict(
         "real-spectrum", _pf(spec <= tol["spectrum"]),
         {"spectrum_residual": spec, "tolerance": tol["spectrum"]}))
+    return sec
 
-    similarity = Section("weak-similarity")
+
+def _similarity_section(bundle, cfg):
+    pair = bundle.pair
+    dim = pair.dim
+    tol = cfg.tolerances
     rng = np.random.default_rng(cfg.seed)
     worst = 0.0
     for _ in range(100):
@@ -749,115 +773,88 @@ def _pseudo_sections(cfg):
         xi /= np.linalg.norm(xi)
         eta /= np.linalg.norm(eta)
         worst = max(worst, weak_similarity_residual(pair, xi, eta))
-    similarity.records = {"worst_residual": worst, "pairs": 100}
-    similarity.verdicts.append(Verdict(
+    sec = Section("weak-similarity")
+    sec.records = {"worst_residual": worst, "pairs": 100}
+    sec.verdicts.append(Verdict(
         "intertwining-identity", _pf(worst <= tol["similarity"]),
         {"worst_residual": worst, "tolerance": tol["similarity"]}))
+    return sec
 
-    admissibility = Section("admissibility")
-    trend = density_diagnostic(lambda n: demo_pair(n, psi_seed=psi_seed),
-                               n_ladder)
-    admissibility.records = {"ladder": trend.ladder, "norms": trend.norms,
-                             "slope": trend.slope, "flag": trend.flag}
-    admissibility.verdicts.append(Verdict(
+
+def _admissibility_section(bundle, cfg):
+    ladder = {**PSEUDO_DEFAULTS, **cfg.pseudo}["N_ladder"]
+    trend = density_diagnostic(bundle.ladder_rule, ladder)
+    sec = Section("admissibility")
+    sec.records = {"ladder": trend.ladder, "norms": trend.norms,
+                   "slope": trend.slope, "flag": trend.flag}
+    sec.verdicts.append(Verdict(
         "dual-density-trend",
         "pass" if trend.flag in ("growing", "benign") else "inconclusive",
         {"slope": trend.slope if trend.slope is not None else 0.0,
          "ladder": trend.ladder}))
-    return [spectral, similarity, admissibility]
+    return sec
 
 
-# -- command runners ---------------------------------------------------------
-
-def _battery(bundle, cfg):
-    tol = cfg.tolerances
-    sections = []
-    if bundle.label == "hermite":
-        sections.append(_hermite_section(bundle.grid, cfg.effective_dim, tol))
-        return sections
-    if bundle.label == "sobolev":
-        sections.append(_sobolev_section(bundle.grid, bundle.family, tol))
-        sections.append(_biorthogonality_section(bundle.family, tol))
-        sections.append(_bessel_section(bundle.family, cfg.seed, tol))
-        return sections
-    if bundle.basis is not None:
-        sections.append(_construction_section(bundle.basis, tol))
-    fam = bundle.require_family()
-    sections.append(_biorthogonality_section(fam, tol))
-    sections.append(_bessel_section(fam, cfg.seed, tol))
-    sections.append(_metric_section(fam, cfg.seed, tol))
-    sections.append(_strictness_section(bundle, cfg))
-    sections.append(_schauder_section(fam, cfg.seed))
-    if bundle.basis is not None:
-        sections.append(_realization_section(bundle.basis, tol))
-    return sections
-
-
-def _run_check_biorthogonal(cfg):
-    bundle = resolve_model(cfg)
-    return [_biorthogonality_section(bundle.require_family(),
-                                     cfg.tolerances)]
-
-
-def _run_frame_report(cfg):
-    bundle = resolve_model(cfg)
-    fam = bundle.require_family()
-    return [_biorthogonality_section(fam, cfg.tolerances),
-            _frame_section(fam, cfg.tolerances)]
-
-
-def _run_bessel(cfg):
-    bundle = resolve_model(cfg)
-    return [_bessel_section(bundle.require_family(), cfg.seed,
-                            cfg.tolerances)]
-
-
-def _run_riesz_fischer(cfg):
-    bundle = resolve_model(cfg)
-    return [_riesz_fischer_section(bundle.require_family())]
-
-
-def _run_strictness(cfg):
-    bundle = resolve_model(cfg)
-    return [_strictness_section(bundle, cfg)]
-
-
-def _run_reconstruct(cfg):
-    bundle = resolve_model(cfg)
-    return [_reconstruct_section(bundle.require_family(), cfg)]
-
-
-def _run_example(cfg):
-    return _battery(resolve_model(cfg), cfg)
-
-
-def _run_full_report(cfg):
-    bundle = resolve_model(cfg)
-    sections = _battery(bundle, cfg)
-    if bundle.family is not None:
-        sections.append(_frame_section(bundle.family, cfg.tolerances))
-        sections.append(_riesz_fischer_section(bundle.family))
-        sections.append(_reconstruct_section(bundle.family, cfg))
-    return sections
-
-
-RUNNERS = {
-    "check-biorthogonal": _run_check_biorthogonal,
-    "frame-report": _run_frame_report,
-    "bessel": _run_bessel,
-    "riesz-fischer": _run_riesz_fischer,
-    "strictness": _run_strictness,
-    "reconstruct": _run_reconstruct,
-    "example": _run_example,
-    "pseudo-hermitian": _pseudo_sections,
-    "full-report": _run_full_report,
+# Section name -> builder; every builder takes (bundle, cfg).
+SECTIONS = {
+    "construction": _construction_section,
+    "biorthogonality": _biorthogonality_section,
+    "frame-operator": _frame_section,
+    "bessel": _bessel_section,
+    "riesz-fischer": _riesz_fischer_section,
+    "metric-operator": _metric_section,
+    "strictness": _strictness_section,
+    "partial-sum-domination": _schauder_section,
+    "triplet-realization": _realization_section,
+    "reconstruction": _reconstruct_section,
+    "hermite-values": _hermite_section,
+    "sobolev-family": _sobolev_section,
+    "spectral": _spectral_section,
+    "weak-similarity": _similarity_section,
+    "admissibility": _admissibility_section,
 }
+
+
+# -- commands ----------------------------------------------------------------
+
+_FAMILY_BATTERY = ("biorthogonality", "bessel", "metric-operator",
+                   "strictness", "partial-sum-domination")
+# The sections `example` runs for each built-in model, in report order.
+BATTERIES = {
+    "number-op": ("construction",) + _FAMILY_BATTERY
+                 + ("triplet-realization",),
+    "schwartz": _FAMILY_BATTERY,
+    "hermite": ("hermite-values",),
+    "sobolev": ("sobolev-family", "biorthogonality", "bessel"),
+}
+# `full-report` appends these to the battery of a model with a family.
+FULL_REPORT_EXTRA = ("frame-operator", "riesz-fischer", "reconstruction")
+COMMAND_SECTIONS = {
+    "check-biorthogonal": ("biorthogonality",),
+    "frame-report": ("biorthogonality", "frame-operator"),
+    "bessel": ("bessel",),
+    "riesz-fischer": ("riesz-fischer",),
+    "strictness": ("strictness",),
+    "reconstruct": ("reconstruction",),
+    "pseudo-hermitian": ("spectral", "weak-similarity", "admissibility"),
+}
+
+
+def _section_names(cfg, bundle):
+    if cfg.command not in ("example", "full-report"):
+        return COMMAND_SECTIONS[cfg.command]
+    names = BATTERIES[cfg.example]
+    if cfg.command == "full-report" and bundle.family is not None:
+        names += FULL_REPORT_EXTRA
+    return names
 
 
 def run(cfg):
     """Execute one configured command and assemble its report."""
     start = time.perf_counter()
-    sections = RUNNERS[cfg.command](cfg)
+    bundle = resolve_model(cfg)
+    sections = [SECTIONS[name](bundle, cfg)
+                for name in _section_names(cfg, bundle)]
     meta = {
         "schema_version": SCHEMA_VERSION,
         "tool": "rieszlab",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InjectivityError, ValidationError
-from .sequences import RANK_RTOL
+from .sequences import RANK_RTOL, pseudo_inverse
 from .trends import classify_growth, loglog_slope
 from .triplet import coords_of, pairing
 
@@ -92,11 +92,10 @@ def build_pair(eigenvalues, eigenvectors, transform, rank_rtol=RANK_RTOL,
     t = np.asarray(transform, dtype=complex)
     if t.shape != hsa.shape:
         raise DimensionError("transform does not match the operator size")
-    u, s, vh = np.linalg.svd(t)
-    if s.size == 0 or s[-1] <= rank_rtol * s[0]:
+    tinv, rank = pseudo_inverse(t, rank_rtol)
+    if rank < t.shape[1]:
         raise InjectivityError(
-            f"transform is singular (sigma_min {0.0 if s.size == 0 else s[-1]:.3e})")
-    tinv = vh.conj().T @ ((1.0 / s)[:, None] * u.conj().T)
+            f"transform is singular (rank {rank} of {t.shape[1]})")
     lam = np.asarray(eigenvalues, dtype=float).ravel() \
         if not np.iscomplexobj(eigenvalues) \
         else np.asarray(eigenvalues).real.astype(float).ravel()
@@ -150,15 +149,13 @@ def nonnormality(matrix):
 class DensityTrend:
     """Ladder record of the admissibility diagnostic.
 
-    At truncation the admissible set {eta : T^H eta in H} is everything
-    (ranks full, principal angles zero), so the informative entry is the
-    growth trend of ||T^H eta_N|| for the per-dimension probe vector.
+    At truncation the admissible set {eta : T^H eta in H} is everything,
+    because T is invertible, so the informative entry is the growth trend
+    of ||T^H eta_N|| for the per-dimension probe vector.
     """
 
     ladder: tuple
     norms: tuple
-    ranks: tuple
-    principal_angles: tuple
     slope: float | None
     flag: str
 
@@ -181,7 +178,7 @@ def density_diagnostic(pair_rule, ladder, eta_rule=None):
     ladder = tuple(int(n) for n in ladder)
     if not ladder:
         raise ValidationError("empty ladder")
-    norms, ranks, angles = [], [], []
+    norms = []
     for n in ladder:
         pair = pair_rule(n)
         if eta_rule is None:
@@ -190,8 +187,6 @@ def density_diagnostic(pair_rule, ladder, eta_rule=None):
         else:
             eta = coords_of(eta_rule(n))
         norms.append(float(np.linalg.norm(pair.transform.conj().T @ eta)))
-        ranks.append(pair.dim)      # invertible T: every eta is admissible
-        angles.append(0.0)
     if len(ladder) >= 2:
         slope = loglog_slope(ladder, norms)
         cls = classify_growth(slope)
@@ -199,8 +194,7 @@ def density_diagnostic(pair_rule, ladder, eta_rule=None):
                                                                "inconclusive")
     else:
         slope, flag = None, "inconclusive"
-    return DensityTrend(ladder, tuple(norms), tuple(ranks), tuple(angles),
-                        slope, flag)
+    return DensityTrend(ladder, tuple(norms), slope, flag)
 
 
 def demo_pair(dim, psi_seed=7):

@@ -180,9 +180,6 @@ class DiagnosticsReport:
             ],
         }
 
-    def verdict_values(self):
-        return [v.verdict for s in self.sections for v in s.verdicts]
-
 
 def render_json(report):
     return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DimensionError, InjectivityError, StateError, ValidationError
 from .sequences import (LinearMap, RANK_RTOL, SequenceFamily,
                         biorthogonality_residual, dual_analysis,
-                        make_linear_map)
+                        dual_level_norm, make_linear_map, pseudo_inverse)
 from .trends import (GROWTH_THRESHOLD, MIN_LADDER_POINTS, STRADDLE_BAND,
                      classify_growth, loglog_slope)
 from .triplet import CoefVector, WeightedTriplet, coords_of, pairing
@@ -64,12 +64,11 @@ def make_riesz_basis(transform, triplet, rank_rtol=RANK_RTOL):
         raise DimensionError("the transform must be square")
     if a.shape[0] != triplet.dim:
         raise DimensionError("transform size does not match the model dimension")
-    u, s, vh = np.linalg.svd(a)
-    if s.size == 0 or s[-1] <= rank_rtol * s[0]:
+    xi, rank = pseudo_inverse(a, rank_rtol)
+    if rank < a.shape[1]:
         raise InjectivityError(
-            f"transform is singular at this truncation "
-            f"(sigma_min {0.0 if s.size == 0 else s[-1]:.3e})")
-    xi = vh.conj().T @ ((1.0 / s)[:, None] * u.conj().T)
+            f"transform is singular at this truncation (rank {rank} of "
+            f"{a.shape[1]})")
     fam = SequenceFamily(xi, triplet, dual=a.conj().T)
     tmap = make_linear_map(a, triplet, pairs=((1, 0),))
     return RieszBasis(tmap, fam, triplet)
@@ -80,7 +79,7 @@ def adjoint_action(basis, g):
     v = coords_of(g)
     if v.shape[0] != basis.triplet.dim:
         raise DimensionError("vector does not match the model dimension")
-    return CoefVector(basis.transform.matrix.conj().T @ v, "Ddual")
+    return CoefVector(basis.transform.matrix.conj().T @ v)
 
 
 def coefficient_seminorm(fam, f):
@@ -133,10 +132,9 @@ def metric_operator_check(fam, samples=50, seed=0, level_factor=2.0,
     """
     z = fam.require_dual()
     xi = fam.family
-    u, s, vh = np.linalg.svd(xi, full_matrices=False)
-    if s.size == 0 or s[-1] <= rank_rtol * s[0]:
+    pinv, rank = pseudo_inverse(xi, rank_rtol)
+    if rank == 0 or rank < fam.size:
         raise InjectivityError("family matrix is singular; S is not determined")
-    pinv = (vh.conj().T * (1.0 / s)) @ u.conj().T
     metric = make_linear_map(z, fam.triplet, pairs=((1, -1),),
                              right=pinv.conj().T)
 
@@ -148,10 +146,8 @@ def metric_operator_check(fam, samples=50, seed=0, level_factor=2.0,
         dev = abs(pairing(z @ (pinv @ f), f) - float(np.sum(np.abs(a) ** 2)))
         worst = max(worst, dev)
 
-    constants = {}
-    for j in range(fam.triplet.levels + 1):
-        sj = np.linalg.svd(fam.triplet.scale(-j, z), compute_uv=False)
-        constants[j] = float(sj[0]) if sj.size else 0.0
+    constants = {j: dual_level_norm(fam, j)
+                 for j in range(fam.triplet.levels + 1)}
     p_level = next((j for j in range(fam.triplet.levels + 1)
                     if constants[j] <= level_factor), None)
 

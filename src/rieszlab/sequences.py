@@ -18,8 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (ContinuityError, DimensionError, InjectivityError,
-                     LevelError, MissingDualError, ValidationError)
+from .errors import (ContinuityError, DimensionError, LevelError,
+                     MissingDualError, ValidationError)
 from .triplet import CoefVector, WeightedTriplet, coords_of, pairing
 
 #: Relative cutoff below the largest singular value under which singular
@@ -29,6 +29,11 @@ RANK_RTOL = 1e-12
 #: Default biorthogonality tolerance; violations taint reports instead of
 #: raising.
 BIORTH_TOL = 1e-10
+
+#: Columns per `bessel_bound_sampled` chunk, fewer when a draw array would
+#: pass _CHUNK_ELEMENTS float64 entries (64 MiB) on large grids.
+_CHUNK_COLUMNS = 2048
+_CHUNK_ELEMENTS = 2 ** 23
 
 
 def _require_finite(from_level, to_level, *arrays):
@@ -173,6 +178,20 @@ class SequenceFamily:
         return self.dual
 
 
+def pseudo_inverse(matrix, rank_rtol=RANK_RTOL):
+    """(A^+, rank) of an N x M matrix from one thin SVD.
+
+    Singular values at or below `rank_rtol` times the largest count as
+    zero, so A^+ is the minimal-norm inverse; an injective A has rank M.
+    """
+    u, s, vh = np.linalg.svd(np.asarray(matrix, dtype=complex),
+                             full_matrices=False)
+    keep = s > (rank_rtol * s[0] if s.size and s[0] > 0 else np.inf)
+    inv = np.zeros_like(s)
+    inv[keep] = 1.0 / s[keep]
+    return (vh.conj().T * inv) @ u.conj().T, int(np.sum(keep))
+
+
 def family_rank(matrix, rank_rtol=RANK_RTOL):
     """Numerical rank with the package-wide relative singular value cutoff."""
     s = np.linalg.svd(np.asarray(matrix, dtype=complex), compute_uv=False)
@@ -222,7 +241,7 @@ def synthesis(fam, a):
     a = np.atleast_1d(np.asarray(a, dtype=complex))
     if a.shape[0] != fam.size:
         raise DimensionError("synthesis needs one coefficient per dual vector")
-    return CoefVector(z @ a, "Ddual")
+    return CoefVector(z @ a)
 
 
 def frame_operator(fam):
@@ -238,20 +257,28 @@ def frame_operator(fam):
 
 # -- Bessel-type bounds ------------------------------------------------------
 
+def dual_level_norm(fam, j):
+    """sigma_max(scale(-j) Z), the norm of a -> sum_k a_k zeta_k from l2
+    into level -j (level 0 is the Hilbert space), from the thin N x M
+    array scale(-j) Z.  Its square is the level-j Bessel bound."""
+    z = fam.require_dual()
+    s = np.linalg.svd(fam.triplet.scale(-j, z), compute_uv=False)
+    return float(s[0]) if s.size else 0.0
+
+
 def bessel_bound(fam, j):
     """Supremum of sum_k |<zeta_k, eta>|^2 over the level-j unit ball.
 
-    Computed exactly at truncation as the squared largest singular value
-    of Z^H scale(-j), the adjoint of the thin N x M array scale(-j) Z.
-    Finiteness of these per-level suprema across a dimension ladder is
-    the model's Bessel-type verdict; bounded sets are represented by the
-    seminorm-level balls throughout.
+    Computed exactly at truncation as the squared `dual_level_norm`, the
+    largest singular value of Z^H scale(-j).  Finiteness of these
+    per-level suprema across a dimension ladder is the model's Bessel-type
+    verdict; bounded sets are represented by the seminorm-level balls
+    throughout.
     """
-    z = fam.require_dual()
+    fam.require_dual()
     if not 1 <= j <= fam.triplet.levels:
         raise LevelError(f"Bessel level {j} outside [1, {fam.triplet.levels}]")
-    s = np.linalg.svd(fam.triplet.scale(-j, z), compute_uv=False)
-    return float(s[0] ** 2) if s.size else 0.0
+    return dual_level_norm(fam, j) ** 2
 
 
 def bessel_bound_sampled(fam, j, samples=10000, seed=0):
@@ -269,9 +296,9 @@ def bessel_bound_sampled(fam, j, samples=10000, seed=0):
     op_im = np.ascontiguousarray(op.imag)
     best = 0.0
     left = int(samples)
+    cols = min(_CHUNK_COLUMNS, max(1, _CHUNK_ELEMENTS // fam.dim))
     while left > 0:
-        # Chunked so the scratch arrays stay small on grid-sized models.
-        m = min(left, 2048)
+        m = min(left, cols)
         u_re = rng.standard_normal((fam.dim, m))
         u_im = rng.standard_normal((fam.dim, m))
         # op @ (u_re + i u_im) in four real products, without complex
@@ -284,13 +311,15 @@ def bessel_bound_sampled(fam, j, samples=10000, seed=0):
         # resolution on diagonal models.
         num = np.sum(out_re ** 2 + out_im ** 2, axis=0)
         # The draws are spent: square them in place, so the denominator
-        # needs no further N x 2048 scratch arrays.
+        # needs no further N x m scratch arrays.
         np.square(u_re, out=u_re)
         np.square(u_im, out=u_im)
         u_re += u_im
         den = np.sum(u_re, axis=0)
         best = max(best, float(np.max(num / den)))
         left -= m
+        # Free this chunk's draws before the next pair is drawn.
+        del u_re, u_im
     return best
 
 
@@ -343,12 +372,7 @@ def riesz_fischer_check(fam, rank_rtol=RANK_RTOL):
     """
     xi = fam.family
     n, m = xi.shape
-    u, s, vh = np.linalg.svd(xi, full_matrices=False)
-    keep = s > (rank_rtol * s[0] if s.size and s[0] > 0 else np.inf)
-    rank = int(np.sum(keep))
-    inv = np.zeros_like(s)
-    inv[keep] = 1.0 / s[keep]
-    pinv = (vh.conj().T * inv) @ u.conj().T  # m x n pseudo-inverse
+    pinv, rank = pseudo_inverse(xi, rank_rtol)
     residual = float(np.max(np.abs(pinv @ xi - np.eye(m)))) if m else 0.0
     flatten = make_linear_map(np.eye(n, m), fam.triplet, pairs=((1, 0),),
                               right=pinv.conj().T)
@@ -404,7 +428,7 @@ def partial_sum(fam, f, n):
     if v.shape[0] != fam.dim:
         raise DimensionError("partial-sum input does not match the model")
     coeffs = z[:, :n].conj().T @ v
-    return CoefVector(fam.family[:, :n] @ coeffs, "D")
+    return CoefVector(fam.family[:, :n] @ coeffs)
 
 
 def partial_sum_adjoint(fam, psi, n):
@@ -416,7 +440,7 @@ def partial_sum_adjoint(fam, psi, n):
     if p.shape[0] != fam.dim:
         raise DimensionError("partial-sum input does not match the model")
     coeffs = fam.family[:, :n].conj().T @ p  # <psi, xi_k>
-    return CoefVector(z[:, :n] @ coeffs, "Ddual")
+    return CoefVector(z[:, :n] @ coeffs)
 
 
 def weak_expansion_residual(fam, psi, f, n):

@@ -206,16 +206,21 @@ def sobolev_multiplier(grid, order, f):
     """Apply (I - d^2/dx^2)^(order/2) spectrally: multiply the transform
     by (1 + y^2)^(order/2).
 
-    Self-adjoint and positive for the quadrature inner product; order 0
-    is the identity and opposite orders invert each other exactly up to
-    roundoff.
+    `f` is a sampled function, a length-P sample vector, or a P x K array
+    of sample columns; columns share one FFT pair along axis 0.  A single
+    function comes back as a SampledFunction, a column array as a P x K
+    array.  Self-adjoint and positive for the quadrature inner product;
+    order 0 is the identity and opposite orders invert each other exactly
+    up to roundoff.
     """
     vals = f.values if isinstance(f, SampledFunction) else np.asarray(f, complex)
-    if vals.shape != (grid.points,):
+    if vals.ndim not in (1, 2) or vals.shape[0] != grid.points:
         raise DimensionError("sample count does not match the grid")
     mult = (1.0 + grid.angular_frequencies ** 2) ** (order / 2.0)
-    out = np.fft.ifft(mult * np.fft.fft(vals))
-    return SampledFunction(grid, out)
+    if vals.ndim == 2:
+        mult = mult[:, None]
+    out = np.fft.ifft(mult * np.fft.fft(vals, axis=0), axis=0)
+    return SampledFunction(grid, out) if out.ndim == 1 else out
 
 
 def sobolev_triplet(grid):
@@ -241,26 +246,42 @@ def sobolev_basis(grid, count, construction_tol=1e-10,
     norm strictly below its Hermite source (the multiplier contracts all
     nonzero frequencies).
     """
+    return sobolev_model(grid, count, construction_tol, support_tol)[0]
+
+
+def sobolev_model(grid, count, construction_tol=1e-10,
+                  support_tol=SUPPORT_TOL):
+    """(family, hermite, round_trip): `sobolev_basis` with the sampled
+    phi_n as columns and the worst quadrature-norm defect of the multiplier
+    round trip phi_n -> xi_n -> phi_n, for diagnostics to reuse."""
     phis = hermite_values(grid, count, support_tol)
-    xi = np.empty((grid.points, count), dtype=complex)
-    dual = np.empty_like(xi)
     scale = np.sqrt(grid.spacing)
-    for n in range(count):
-        f = SampledFunction(grid, phis[:, n])
-        low = sobolev_multiplier(grid, -1.0, f)
-        back = sobolev_multiplier(grid, 1.0, low)
-        defect = float(np.sqrt(grid.spacing)
-                       * np.linalg.norm(back.values - phis[:, n]))
-        if not defect <= construction_tol:
-            raise ValidationError(
-                f"multiplier round trip failed for function {n} "
-                f"(defect {defect:.2e})")
-        xi[:, n] = scale * low.values
-        dual[:, n] = scale * sobolev_multiplier(grid, 1.0, f).values
-    return SequenceFamily(xi, sobolev_triplet(grid), dual=dual)
+    low = sobolev_multiplier(grid, -1.0, phis)
+    defects = scale * np.linalg.norm(sobolev_multiplier(grid, 1.0, low) - phis,
+                                     axis=0)
+    failed = np.flatnonzero(~(defects <= construction_tol))
+    if failed.size:
+        n = int(failed[0])
+        raise ValidationError(
+            f"multiplier round trip failed for function {n} "
+            f"(defect {defects[n]:.2e})")
+    dual = scale * sobolev_multiplier(grid, 1.0, phis)
+    fam = SequenceFamily(scale * low, sobolev_triplet(grid), dual=dual)
+    return fam, phis, float(np.max(defects))
 
 
 # -- coefficient-space models ------------------------------------------------
+
+def number_operator_rule(levels):
+    """Rule n -> number-operator basis (w_k = k, T = diag(1..n)) at
+    `levels`, shared by the model and its strictness ladder."""
+    def rule(n):
+        w = np.arange(1, n + 1, dtype=float)
+        tri = WeightedTriplet(n, w, levels)
+        return make_riesz_basis(np.diag(w).astype(complex), tri)
+
+    return rule
+
 
 def number_operator_model(dim, levels=1, ladder=(8, 16, 32, 64)):
     """Diagonal model: weights w_k = k, transform T = diag(k).
@@ -270,11 +291,7 @@ def number_operator_model(dim, levels=1, ladder=(8, 16, 32, 64)):
     single level gives a strict ladder (all constants are exactly 1), two
     or more levels make the top-level constant grow like N^2.
     """
-    def rule(n):
-        w = np.arange(1, n + 1, dtype=float)
-        tri = WeightedTriplet(n, w, levels)
-        return make_riesz_basis(np.diag(w).astype(complex), tri)
-
+    rule = number_operator_rule(levels)
     basis = rule(int(dim))
     report = strictness_report(rule, ladder)
     return basis.triplet, with_strictness(basis, report)

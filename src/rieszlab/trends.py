@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 GROWTH_THRESHOLD = 0.5
-DECAY_THRESHOLD = -0.5
 STRADDLE_BAND = 0.1
 MIN_LADDER_POINTS = 4
 
@@ -44,14 +43,3 @@ def classify_growth(slope, threshold=GROWTH_THRESHOLD, band=STRADDLE_BAND):
         return "growing"
     return "inconclusive"
 
-
-def classify_decay(slope, threshold=DECAY_THRESHOLD, band=STRADDLE_BAND):
-    """Classify a residual trend: decay faster than the threshold slope
-    counts as 'convergent', slower as 'non-convergent'."""
-    lo = threshold * (1.0 + band)
-    hi = threshold * (1.0 - band)
-    if slope < lo:
-        return "convergent"
-    if slope > hi:
-        return "non-convergent"
-    return "inconclusive"

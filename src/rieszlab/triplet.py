@@ -36,22 +36,19 @@ _DFT_FRAME = "unitary-dft"
 
 @dataclass(frozen=True)
 class CoefVector:
-    """Coefficient vector together with the space it is read in.
+    """Coefficient vector against the canonical orthonormal basis.
 
-    The label is bookkeeping: at finite truncation every vector lies in
-    all three spaces, and the label records which norm and pairing
-    semantics the caller intends ("D", "H" or "Ddual").
+    At finite truncation every vector lies in all three spaces, so the
+    vector carries no space of its own: the norm or pairing applied to it
+    says which side it is read on.
     """
 
     coords: np.ndarray
-    label: str = "H"
 
     def __post_init__(self):
         coords = np.atleast_1d(np.asarray(self.coords, dtype=complex))
         if coords.ndim != 1:
             raise DimensionError("coefficient vectors are one-dimensional")
-        if self.label not in ("D", "H", "Ddual"):
-            raise ValidationError(f"unknown space label {self.label!r}")
         object.__setattr__(self, "coords", coords)
 
     def __len__(self):

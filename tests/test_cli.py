@@ -249,6 +249,73 @@ class TestExampleBatteries:
         assert sec["verdicts"][0]["verdict"] == "non-strict"
 
 
+PSEUDO = ["pseudo-hermitian", "--seed", "2"]
+BESSEL = ["bessel", "--example", "number-op", "--seed", "0"]
+
+
+@pytest.mark.parametrize("argv, config", [
+    pytest.param(PSEUDO, {"pseudo": {"psi_seed": "abc"}}, id="psi_seed-text"),
+    pytest.param(PSEUDO, {"pseudo": {"psi_seed": -3}}, id="psi_seed-negative"),
+    pytest.param(PSEUDO, {"pseudo": {"lambda_rule": "linear"}},
+                 id="lambda_rule-removed"),
+    pytest.param(PSEUDO, {"pseudo": {"T_rule": "diag"}}, id="T_rule-removed"),
+    pytest.param(PSEUDO, {"model": {"dim": "x"}}, id="dim-text"),
+    pytest.param(PSEUDO + ["--dim", "0"], None, id="dim-zero"),
+    pytest.param(PSEUDO + ["--seed", "-1"], None, id="seed-negative"),
+    pytest.param(BESSEL, {"model": {"levels": True}}, id="levels-bool"),
+    pytest.param(BESSEL, {"model": {"half_width": "wide"}},
+                 id="half_width-text"),
+    pytest.param(BESSEL + ["--size", "0"], None, id="size-zero"),
+    pytest.param(BESSEL + ["--tolerance", "equality=nan"], None,
+                 id="tolerance-nan"),
+    pytest.param(BESSEL + ["--tolerance", "equality=-1"], None,
+                 id="tolerance-negative"),
+    pytest.param(BESSEL + ["--tolerance", "gram=inf"], None,
+                 id="tolerance-inf"),
+    pytest.param(BESSEL, {"tolerances": {"gram": "tight"}},
+                 id="tolerance-text"),
+])
+def test_bad_config_value_is_a_config_error(tmp_path, capsys, argv, config):
+    if config is not None:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def count_calls(monkeypatch, names):
+    """Count calls of each named function, wherever a rieszlab module
+    binds it, since the CLI and the models call helpers by name."""
+    counts = dict.fromkeys(names, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for modname, module in list(sys.modules.items()):
+        if modname.split(".")[0] != "rieszlab":
+            continue
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counting(name, getattr(module, name)))
+    return counts
+
+
+def test_sobolev_report_verifies_its_construction_once(tmp_path, monkeypatch):
+    counts = count_calls(monkeypatch, ("hermite_values", "sobolev_multiplier"))
+    run_json(tmp_path, ["full-report", "--example", "sobolev", "--size",
+                        "256", "--seed", "1"])
+    # The model samples the Hermite columns once and hands them, with its
+    # round-trip defect, to the section: one multiplier pair for the round
+    # trip, one for the dual and one for the section's construction check.
+    assert counts == {"hermite_values": 1, "sobolev_multiplier": 4}
+
+
 class TestPseudoHermitian:
     def test_default_demo(self, tmp_path):
         doc = run_json(tmp_path, ["pseudo-hermitian", "--seed", "2"])

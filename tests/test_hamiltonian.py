@@ -155,8 +155,7 @@ class TestDensityDiagnostic:
         assert res.norms == pytest.approx(LADDER)
         assert res.flag == "growing"
         assert res.slope == pytest.approx(1.0, abs=1e-6)
-        assert res.ranks == LADDER
-        assert res.principal_angles == (0.0,) * 4
+        assert res.ladder == LADDER
 
     def test_identity_transform_is_benign(self):
         def rule(n):

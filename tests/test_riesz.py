@@ -71,7 +71,6 @@ class TestMakeRieszBasis:
 class TestAdjointAction:
     def test_diagonal_example(self):
         out = adjoint_action(number_op_basis(4), [1.0, 1.0, 0.0, 0.0])
-        assert out.label == "Ddual"
         assert np.allclose(coords_of(out), [1.0, 2.0, 0.0, 0.0], atol=1e-15)
 
     def test_matches_dual_expansion(self, rng):

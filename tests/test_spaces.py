@@ -182,6 +182,16 @@ class TestSobolevMultiplier:
     def test_sample_count_checked(self):
         with pytest.raises(DimensionError):
             sobolev_multiplier(GRID, 1.0, np.ones(100))
+        with pytest.raises(DimensionError):
+            sobolev_multiplier(GRID, 1.0, np.ones((100, 2)))
+
+    def test_columns_match_single_functions(self):
+        phis = hermite_values(GRID, 4)
+        out = sobolev_multiplier(GRID, -1.0, phis)
+        assert out.shape == phis.shape
+        for n in range(4):
+            single = sobolev_multiplier(GRID, -1.0, phis[:, n]).values
+            assert np.max(np.abs(out[:, n] - single)) < 1e-15
 
 
 class TestSobolevTriplet:

@@ -5,7 +5,8 @@ and certify low-rank maps from their thin factors.  Here every scaling
 is rebuilt as a dense matrix from the frame the test constructs itself,
 and each certificate, bound, Gram matrix and strictness constant is
 recomputed the slow way; the two must agree to 1e-12.  A grid at
-P = 2^14 then checks that the thin path never allocates a P x P array.
+P = 2^14 then checks that the thin path never allocates a P x P array,
+and one at P = 2^16 that the sampled Bessel draws stay within budget.
 """
 import contextlib
 import io
@@ -18,9 +19,9 @@ import numpy as np
 import pytest
 
 from rieszlab import (LevelError, LineGrid, SequenceFamily, WeightedTriplet,
-                      bessel_bound, bessel_factor, certificate_norm,
-                      frame_operator, graph_norm_triplet, level_gram,
-                      make_riesz_basis, metric_operator_check,
+                      bessel_bound, bessel_bound_sampled, bessel_factor,
+                      certificate_norm, frame_operator, graph_norm_triplet,
+                      level_gram, make_riesz_basis, metric_operator_check,
                       riesz_fischer_check, sobolev_basis,
                       strictness_constants)
 from rieszlab.cli import main
@@ -268,3 +269,19 @@ def test_no_square_array_at_large_grid():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2 ** 20
+
+
+def test_sampled_bessel_chunks_fit_a_memory_budget():
+    points = 2 ** 16  # a 2048-column draw at this size would take 1 GiB
+    tri = WeightedTriplet(points, np.ones(points))
+    cols = np.eye(points, 1, dtype=complex)
+    fam = SequenceFamily(cols, tri, dual=cols)
+    tracemalloc.start()
+    try:
+        with address_space_headroom(1 << 30):
+            sampled = bessel_bound_sampled(fam, 1, samples=300, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 2 ** 20
+    assert 0.0 < sampled <= bessel_bound(fam, 1) * (1 + 1e-12)

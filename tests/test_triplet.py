@@ -109,11 +109,11 @@ class TestConstruction:
             WeightedTriplet(2, (1.0, 2.0), frame=np.array([[1.0, 1.0],
                                                            [0.0, 1.0]]))
 
-    def test_coefvector_labels(self):
-        v = CoefVector([1.0, 2.0], "Ddual")
+    def test_coefvector_coords(self):
+        v = CoefVector([1.0, 2.0])
         assert len(v) == 2
-        with pytest.raises(ValidationError):
-            CoefVector([1.0], "X")
+        with pytest.raises(DimensionError):
+            CoefVector(np.ones((2, 2)))
         assert coords_of(v) is v.coords
 
 
