@@ -32,14 +32,13 @@ from .riesz import (hilbert_triplet_realization, make_riesz_basis,
                     metric_operator_check, strictness_constants,
                     strictness_report)
 from .sequences import (SequenceFamily, bessel_bound, bessel_bound_sampled,
-                        bessel_factor, biorthogonality_residual, family_rank,
+                        bessel_factor, biorthogonality_residual,
                         frame_operator, level_gram, partial_sum,
                         riesz_fischer_check, schauder_inequality_probe,
                         weak_expansion_residual)
-from .spaces import (LineGrid, aliasing_fraction, hermite_grid, hermite_values,
+from .spaces import (LineGrid, aliasing_fraction, hermite_model,
                      number_operator_model, number_operator_rule,
-                     schwartz_hermite_model,
-                     sobolev_model, sobolev_multiplier)
+                     schwartz_hermite_model, sobolev_model, sobolev_multiplier)
 from .triplet import WeightedTriplet
 
 COMMANDS = ("check-biorthogonal", "frame-report", "bessel", "riesz-fischer",
@@ -345,12 +344,12 @@ class ModelBundle:
     """Everything a section builder may need, resolved once per run.
 
     Coefficient-space models fill the family (and the basis when a
-    transform exists); function-space examples add the grid, and the
-    Sobolev example also the Hermite columns and the round-trip defect
-    its construction measured.  The ladder rule feeds trend diagnostics
-    and may return (triplet, matrix) pairs for families truncated by
-    column count; the pseudo-Hermitian command resolves to its pair, with
-    a rule building the pair of each ladder dimension.
+    transform exists); function-space examples add the grid and the
+    Hermite columns their construction verified, and the Sobolev example
+    also the round-trip defect it measured.  The ladder rule feeds trend
+    diagnostics and may return (triplet, matrix) pairs for families
+    truncated by column count; the pseudo-Hermitian command resolves to
+    its pair, with a rule building the pair of each ladder dimension.
     """
 
     label: str
@@ -435,7 +434,8 @@ def _resolve_example(cfg):
 
         return ModelBundle("schwartz", fam, ladder_rule=rule)
     if cfg.example == "hermite":
-        return ModelBundle("hermite", grid=hermite_grid(dim, points=cfg.size))
+        grid, hermite = hermite_model(dim, points=cfg.size)
+        return ModelBundle("hermite", grid=grid, hermite=hermite)
     # sobolev, the last of EXAMPLES
     grid = LineGrid(cfg.half_width, cfg.size)
     fam, hermite, round_trip = sobolev_model(grid, dim)
@@ -454,7 +454,7 @@ def _biorthogonality_section(bundle, cfg):
     fam = bundle.require_family()
     tol = cfg.tolerances
     res = biorthogonality_residual(fam)
-    rank = family_rank(fam.family)
+    rank = fam.inverse[1]
     sec = Section("biorthogonality")
     sec.records = {"residual": res, "family_rank": rank,
                    "family_size": fam.size, "dimension": fam.dim}
@@ -511,11 +511,11 @@ def _bessel_section(bundle, cfg):
     fam = bundle.require_family()
     tol = cfg.tolerances
     sec = Section("bessel")
+    js = tuple(range(1, fam.triplet.levels + 1))
     levels = {}
     ok = True
-    for j in range(1, fam.triplet.levels + 1):
+    for j, sampled in zip(js, bessel_bound_sampled(fam, js, seed=cfg.seed)):
         bound = bessel_bound(fam, j)
-        sampled = bessel_bound_sampled(fam, j, seed=cfg.seed)
         levels[j] = {"bound": bound, "sampled": sampled}
         ok = ok and sampled <= bound + tol["equality"]
     factor = bessel_factor(fam)
@@ -664,10 +664,9 @@ def _reconstruct_section(bundle, cfg):
 
 
 def _hermite_section(bundle, cfg):
-    grid = bundle.grid
+    grid, vals = bundle.grid, bundle.hermite
     count = cfg.effective_dim
     tol = cfg.tolerances
-    vals = hermite_values(grid, count)
     idx = int(np.argmin(np.abs(grid.nodes)))
     at0 = vals[idx, :]
     x = grid.nodes
@@ -882,9 +881,16 @@ def main(argv=None):
                 else render_csv(report)
             sys.stdout.write(text)
     except RieszLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 0
+        message = str(exc)
+    # Failures of the numeric kernels end like a refused input, untraced.
+    except np.linalg.LinAlgError as exc:
+        message = f"linear algebra failure: {exc}"
+    except MemoryError as exc:
+        message = f"out of memory: {exc}" if str(exc) else "out of memory"
+    else:
+        return 0
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

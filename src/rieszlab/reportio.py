@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, ParseError, ValidationError
+from .errors import (ConfigError, DimensionError, ParseError,
+                     ValidationError)
 
 SCHEMA_VERSION = "1.0"
 
@@ -22,6 +23,20 @@ VERDICTS = ("pass", "fail", "strict", "non-strict", "inconclusive", "tainted")
 
 
 # -- complex matrix CSV ------------------------------------------------------
+
+def _csv_rows(path):
+    """(line, stripped cells) for each CSV row of a file.  An unreadable
+    file is a ConfigError and malformed CSV a ParseError."""
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            for lineno, row in enumerate(reader, start=1):
+                yield lineno, [c.strip() for c in row]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    except csv.Error as exc:
+        raise ParseError(path, reader.line_num, 1, str(exc)) from exc
+
 
 def load_complex_matrix(path, expected_shape=None):
     """Read a complex matrix stored row-major with (re, im) column pairs.
@@ -34,38 +49,36 @@ def load_complex_matrix(path, expected_shape=None):
     linenos = []
     width = None
     first_data_line = True
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            cells = [c.strip() for c in row]
-            if not cells or all(c == "" for c in cells):
+    for lineno, cells in _csv_rows(path):
+        if not cells or all(c == "" for c in cells):
+            continue
+        parsed = []
+        bad_col = None
+        for col, cell in enumerate(cells, start=1):
+            try:
+                parsed.append(float(cell))
+            except ValueError:
+                bad_col = col
+                break
+        if bad_col is not None:
+            if first_data_line:
+                first_data_line = False  # header line, skip it
                 continue
-            parsed = []
-            bad_col = None
-            for col, cell in enumerate(cells, start=1):
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    bad_col = col
-                    break
-            if bad_col is not None:
-                if first_data_line:
-                    first_data_line = False  # header line, skip it
-                    continue
-                raise ParseError(path, lineno, bad_col,
-                                 f"not a number: {cells[bad_col - 1]!r}")
-            first_data_line = False
-            if len(parsed) % 2:
-                raise ParseError(path, lineno, len(parsed),
-                                 "expected (re, im) column pairs, got an odd "
-                                 "column count")
-            if width is None:
-                width = len(parsed)
-            elif len(parsed) != width:
-                raise ParseError(path, lineno, len(parsed),
-                                 f"ragged row: {len(parsed)} columns after "
-                                 f"{width}")
-            rows.append(parsed)
-            linenos.append(lineno)
+            raise ParseError(path, lineno, bad_col,
+                             f"not a number: {cells[bad_col - 1]!r}")
+        first_data_line = False
+        if len(parsed) % 2:
+            raise ParseError(path, lineno, len(parsed),
+                             "expected (re, im) column pairs, got an odd "
+                             "column count")
+        if width is None:
+            width = len(parsed)
+        elif len(parsed) != width:
+            raise ParseError(path, lineno, len(parsed),
+                             f"ragged row: {len(parsed)} columns after "
+                             f"{width}")
+        rows.append(parsed)
+        linenos.append(lineno)
     if not rows:
         raise ParseError(path, 1, 1, "no numeric rows found")
     arr = np.asarray(rows, dtype=float)

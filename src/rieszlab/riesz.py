@@ -18,7 +18,8 @@ import numpy as np
 from .errors import DimensionError, InjectivityError, StateError, ValidationError
 from .sequences import (LinearMap, RANK_RTOL, SequenceFamily,
                         biorthogonality_residual, dual_analysis,
-                        dual_level_norm, make_linear_map, pseudo_inverse)
+                        dual_level_norm, family_inverse, make_linear_map,
+                        pseudo_inverse)
 from .trends import (GROWTH_THRESHOLD, MIN_LADDER_POINTS, STRADDLE_BAND,
                      classify_growth, loglog_slope)
 from .triplet import CoefVector, WeightedTriplet, coords_of, pairing
@@ -132,7 +133,7 @@ def metric_operator_check(fam, samples=50, seed=0, level_factor=2.0,
     """
     z = fam.require_dual()
     xi = fam.family
-    pinv, rank = pseudo_inverse(xi, rank_rtol)
+    pinv, rank = family_inverse(fam, rank_rtol)
     if rank == 0 or rank < fam.size:
         raise InjectivityError("family matrix is singular; S is not determined")
     metric = make_linear_map(z, fam.triplet, pairs=((1, -1),),

@@ -13,7 +13,7 @@ copy of the family.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -138,12 +138,19 @@ class SequenceFamily:
     triplet : the weighted model the columns live in
     dual : ndarray or None, N x M columns zeta_n on the dual side
     biorth_tol : tolerance beyond which the pair counts as tainted
+
+    Two results are memoised on the instance, so every check that needs
+    them shares one SVD: `inverse`, the pair (Xi^+, rank) at RANK_RTOL,
+    and the per-level `dual_level_norm` values.  `dataclasses.replace`
+    builds a new instance, so a copy with another dual starts empty.
     """
 
     family: np.ndarray
     triplet: WeightedTriplet
     dual: np.ndarray | None = None
     biorth_tol: float = BIORTH_TOL
+    _dual_norms: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
 
     def __post_init__(self):
         fam = np.asarray(self.family, dtype=complex)
@@ -177,6 +184,14 @@ class SequenceFamily:
             raise MissingDualError("this diagnostic needs the dual family")
         return self.dual
 
+    @cached_property
+    def inverse(self):
+        """(Xi^+, rank) from `pseudo_inverse` at RANK_RTOL, taken on first
+        read; the shared pseudo-inverse is read-only."""
+        pinv, rank = pseudo_inverse(self.family)
+        pinv.flags.writeable = False
+        return pinv, rank
+
 
 def pseudo_inverse(matrix, rank_rtol=RANK_RTOL):
     """(A^+, rank) of an N x M matrix from one thin SVD.
@@ -190,6 +205,14 @@ def pseudo_inverse(matrix, rank_rtol=RANK_RTOL):
     inv = np.zeros_like(s)
     inv[keep] = 1.0 / s[keep]
     return (vh.conj().T * inv) @ u.conj().T, int(np.sum(keep))
+
+
+def family_inverse(fam, rank_rtol=RANK_RTOL):
+    """(Xi^+, rank) of a family: its memo at the package cutoff, a fresh
+    `pseudo_inverse` at any other."""
+    if rank_rtol == RANK_RTOL:
+        return fam.inverse
+    return pseudo_inverse(fam.family, rank_rtol)
 
 
 def family_rank(matrix, rank_rtol=RANK_RTOL):
@@ -260,10 +283,15 @@ def frame_operator(fam):
 def dual_level_norm(fam, j):
     """sigma_max(scale(-j) Z), the norm of a -> sum_k a_k zeta_k from l2
     into level -j (level 0 is the Hilbert space), from the thin N x M
-    array scale(-j) Z.  Its square is the level-j Bessel bound."""
-    z = fam.require_dual()
-    s = np.linalg.svd(fam.triplet.scale(-j, z), compute_uv=False)
-    return float(s[0]) if s.size else 0.0
+    array scale(-j) Z.  Its square is the level-j Bessel bound.  The
+    value is memoised per family and level, so the Bessel bounds and the
+    metric level constants share one SVD per level."""
+    norms = fam._dual_norms
+    if j not in norms:
+        z = fam.require_dual()
+        s = np.linalg.svd(fam.triplet.scale(-j, z), compute_uv=False)
+        norms[j] = float(s[0]) if s.size else 0.0
+    return norms[j]
 
 
 def bessel_bound(fam, j):
@@ -284,43 +312,75 @@ def bessel_bound(fam, j):
 def bessel_bound_sampled(fam, j, samples=10000, seed=0):
     """Brute-force companion of `bessel_bound` over random unit-ball points.
 
+    `j` is one level, or a tuple of levels served from one stream of
+    draws: each chunk of points is drawn once, its squared norms (the
+    denominators) are summed once, and every level's Rayleigh ratios are
+    taken against the same points.  A tuple returns a tuple with one sup
+    per level, each bit-for-bit equal to the single-level call with the
+    same seed, because that call draws the same chunks and does the same
+    arithmetic on them.
+
     Never exceeds the singular value answer; for families whose scaled
     dual is an isometry every sample attains it.
     """
     z = fam.require_dual()
-    if not 1 <= j <= fam.triplet.levels:
-        raise LevelError(f"Bessel level {j} outside [1, {fam.triplet.levels}]")
+    levels = (j,) if np.ndim(j) == 0 else tuple(j)
+    for level in levels:
+        if not 1 <= level <= fam.triplet.levels:
+            raise LevelError(
+                f"Bessel level {level} outside [1, {fam.triplet.levels}]")
+    ops = []
+    for level in levels:
+        op = fam.triplet.scale(-level, z).conj().T
+        # A real operator skips the products against its zero imaginary
+        # part: adding or subtracting exact zeros changes no bit.
+        ops.append((np.ascontiguousarray(op.real),
+                    np.ascontiguousarray(op.imag) if op.imag.any() else None))
     rng = np.random.default_rng(seed)
-    op = fam.triplet.scale(-j, z).conj().T
-    op_re = np.ascontiguousarray(op.real)
-    op_im = np.ascontiguousarray(op.imag)
-    best = 0.0
+    best = [0.0] * len(levels)
     left = int(samples)
     cols = min(_CHUNK_COLUMNS, max(1, _CHUNK_ELEMENTS // fam.dim))
+    # Every chunk is drawn into the same two buffers: the stream is the one
+    # fresh (dim, m) arrays would get, without new pages for each chunk.
+    bufs = [np.empty(fam.dim * min(cols, max(left, 0))) for _ in range(2)]
     while left > 0:
         m = min(left, cols)
-        u_re = rng.standard_normal((fam.dim, m))
-        u_im = rng.standard_normal((fam.dim, m))
-        # op @ (u_re + i u_im) in four real products, without complex
-        # copies of the draws.
-        out_re = op_re @ u_re - op_im @ u_im
-        out_im = op_re @ u_im + op_im @ u_re
+        u_re, u_im = (b[:fam.dim * m].reshape(fam.dim, m) for b in bufs)
+        rng.standard_normal(out=u_re)
+        rng.standard_normal(out=u_im)
         # Rayleigh ratios against the raw draws, through the same matrix
         # the certificate takes its singular values from, keep the
         # estimate at or below the certified value down to rounding
         # resolution on diagonal models.
-        num = np.sum(out_re ** 2 + out_im ** 2, axis=0)
+        nums = [_squared_images(op_re, op_im, u_re, u_im)
+                for op_re, op_im in ops]
         # The draws are spent: square them in place, so the denominator
         # needs no further N x m scratch arrays.
         np.square(u_re, out=u_re)
         np.square(u_im, out=u_im)
         u_re += u_im
         den = np.sum(u_re, axis=0)
-        best = max(best, float(np.max(num / den)))
+        for i, num in enumerate(nums):
+            best[i] = max(best[i], float(np.max(num / den)))
         left -= m
-        # Free this chunk's draws before the next pair is drawn.
-        del u_re, u_im
-    return best
+    return best[0] if np.ndim(j) == 0 else tuple(best)
+
+
+def _squared_images(op_re, op_im, u_re, u_im):
+    """Column sums of |op @ (u_re + i u_im)|^2, with op = op_re + i op_im
+    (op_im None for a real op), from real products and without complex
+    copies of the draws."""
+    if op_im is None:
+        out_re = op_re @ u_re
+        out_im = op_re @ u_im
+    else:
+        out_re = op_re @ u_re - op_im @ u_im
+        out_im = op_re @ u_im + op_im @ u_re
+    # The images are this call's own: square and add them in place.
+    np.square(out_re, out=out_re)
+    np.square(out_im, out=out_im)
+    out_re += out_im
+    return np.sum(out_re, axis=0)
 
 
 def bessel_factor(fam):
@@ -372,7 +432,7 @@ def riesz_fischer_check(fam, rank_rtol=RANK_RTOL):
     """
     xi = fam.family
     n, m = xi.shape
-    pinv, rank = pseudo_inverse(xi, rank_rtol)
+    pinv, rank = family_inverse(fam, rank_rtol)
     residual = float(np.max(np.abs(pinv @ xi - np.eye(m)))) if m else 0.0
     flatten = make_linear_map(np.eye(n, m), fam.triplet, pairs=((1, 0),),
                               right=pinv.conj().T)

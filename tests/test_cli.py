@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rieszlab import save_complex_matrix
-from rieszlab.cli import main
+from rieszlab.cli import SECTIONS, main
 
 SCHEMA = json.load(open("docs/report_schema.json"))
 
@@ -77,6 +77,18 @@ class TestExitCodes:
         assert main(["riesz-fischer", "--family", str(bad)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}:2:3: non-finite value")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    def test_unreadable_csv_input_is_an_error(self, tmp_path, capsys, kind):
+        path = tmp_path / "fam.csv"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf8":
+            path.write_bytes(b"\x80\xff,1\n")
+        assert main(["riesz-fischer", "--family", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {path}: ")
         assert "Traceback" not in err
 
 
@@ -314,6 +326,36 @@ def test_sobolev_report_verifies_its_construction_once(tmp_path, monkeypatch):
     # round-trip defect, to the section: one multiplier pair for the round
     # trip, one for the dual and one for the section's construction check.
     assert counts == {"hermite_values": 1, "sobolev_multiplier": 4}
+
+
+def test_hermite_report_samples_its_columns_once(tmp_path, monkeypatch):
+    counts = count_calls(monkeypatch, ("hermite_values",))
+    run_json(tmp_path, ["full-report", "--example", "hermite", "--seed", "1"])
+    # The grid builder hands its verified columns to the section; sampling
+    # them again there made 2 calls.
+    assert counts == {"hermite_values": 1}
+
+
+def failing(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+def test_linear_algebra_failure_is_an_error_line(monkeypatch, capsys):
+    monkeypatch.setattr(np.linalg, "svd", failing(
+        np.linalg.LinAlgError("SVD did not converge")))
+    assert main(["full-report", "--example", "number-op", "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: linear algebra failure: SVD did not converge\n"
+
+
+def test_memory_failure_is_an_error_line(monkeypatch, capsys):
+    monkeypatch.setitem(SECTIONS, "bessel", failing(MemoryError()))
+    assert main(["bessel", "--example", "number-op", "--seed", "1"]) == 2
+    out = capsys.readouterr()
+    assert out.err == "error: out of memory\n" and out.out == ""
+    assert "Traceback" not in out.err
 
 
 class TestPseudoHermitian:
