@@ -32,11 +32,11 @@ from .riesz import (hilbert_triplet_realization, make_riesz_basis,
                     metric_operator_check, strictness_constants,
                     strictness_report)
 from .sequences import (SequenceFamily, bessel_bound, bessel_bound_sampled,
-                        bessel_factor, biorthogonality_residual,
+                        bessel_factor, biorthogonality_residual, family_rank,
                         frame_operator, level_gram, partial_sum,
                         riesz_fischer_check, schauder_inequality_probe,
                         weak_expansion_residual)
-from .spaces import (LineGrid, aliasing_fraction, hermite_model,
+from .spaces import (LineGrid, aliasing_fraction, hermite_grid, hermite_values,
                      number_operator_model, number_operator_rule,
                      schwartz_hermite_model, sobolev_model, sobolev_multiplier)
 from .triplet import WeightedTriplet
@@ -344,12 +344,12 @@ class ModelBundle:
     """Everything a section builder may need, resolved once per run.
 
     Coefficient-space models fill the family (and the basis when a
-    transform exists); function-space examples add the grid and the
-    Hermite columns their construction verified, and the Sobolev example
-    also the round-trip defect it measured.  The ladder rule feeds trend
-    diagnostics and may return (triplet, matrix) pairs for families
-    truncated by column count; the pseudo-Hermitian command resolves to
-    its pair, with a rule building the pair of each ladder dimension.
+    transform exists); function-space examples add the grid, and the
+    Sobolev example also the Hermite columns and the round-trip defect
+    its construction measured.  The ladder rule feeds trend diagnostics
+    and may return (triplet, matrix) pairs for families truncated by
+    column count; the pseudo-Hermitian command resolves to its pair, with
+    a rule building the pair of each ladder dimension.
     """
 
     label: str
@@ -434,8 +434,7 @@ def _resolve_example(cfg):
 
         return ModelBundle("schwartz", fam, ladder_rule=rule)
     if cfg.example == "hermite":
-        grid, hermite = hermite_model(dim, points=cfg.size)
-        return ModelBundle("hermite", grid=grid, hermite=hermite)
+        return ModelBundle("hermite", grid=hermite_grid(dim, points=cfg.size))
     # sobolev, the last of EXAMPLES
     grid = LineGrid(cfg.half_width, cfg.size)
     fam, hermite, round_trip = sobolev_model(grid, dim)
@@ -450,11 +449,20 @@ def _pf(ok):
     return "pass" if ok else "fail"
 
 
+# Sections that read the family's memoised pseudo-inverse.
+_INVERSE_READERS = {"riesz-fischer", "metric-operator"}
+
+
 def _biorthogonality_section(bundle, cfg):
     fam = bundle.require_family()
     tol = cfg.tolerances
     res = biorthogonality_residual(fam)
-    rank = fam.inverse[1]
+    # The pseudo-inverse costs a full SVD; take the rank from it only when
+    # a later section of this run reads that memo anyway.
+    if _INVERSE_READERS & set(_section_names(cfg, bundle)):
+        rank = fam.inverse[1]
+    else:
+        rank = family_rank(fam.family)
     sec = Section("biorthogonality")
     sec.records = {"residual": res, "family_rank": rank,
                    "family_size": fam.size, "dimension": fam.dim}
@@ -664,9 +672,10 @@ def _reconstruct_section(bundle, cfg):
 
 
 def _hermite_section(bundle, cfg):
-    grid, vals = bundle.grid, bundle.hermite
+    grid = bundle.grid
     count = cfg.effective_dim
     tol = cfg.tolerances
+    vals = hermite_values(grid, count)
     idx = int(np.argmin(np.abs(grid.nodes)))
     at0 = vals[idx, :]
     x = grid.nodes

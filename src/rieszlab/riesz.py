@@ -18,8 +18,7 @@ import numpy as np
 from .errors import DimensionError, InjectivityError, StateError, ValidationError
 from .sequences import (LinearMap, RANK_RTOL, SequenceFamily,
                         biorthogonality_residual, dual_analysis,
-                        dual_level_norm, family_inverse, make_linear_map,
-                        pseudo_inverse)
+                        dual_level_norm, make_linear_map, pseudo_inverse)
 from .trends import (GROWTH_THRESHOLD, MIN_LADDER_POINTS, STRADDLE_BAND,
                      classify_growth, loglog_slope)
 from .triplet import CoefVector, WeightedTriplet, coords_of, pairing
@@ -121,7 +120,7 @@ class MetricCheckResult:
 
 
 def metric_operator_check(fam, samples=50, seed=0, level_factor=2.0,
-                          rank_rtol=RANK_RTOL, positivity_tol=1e-8):
+                          positivity_tol=1e-8):
     """Build S with S xi_k = zeta_k and test the equivalent formulations.
 
     S is Z Xi^+ (the minimal linear extension at truncation; a singular
@@ -133,7 +132,7 @@ def metric_operator_check(fam, samples=50, seed=0, level_factor=2.0,
     """
     z = fam.require_dual()
     xi = fam.family
-    pinv, rank = family_inverse(fam, rank_rtol)
+    pinv, rank = fam.inverse
     if rank == 0 or rank < fam.size:
         raise InjectivityError("family matrix is singular; S is not determined")
     metric = make_linear_map(z, fam.triplet, pairs=((1, -1),),

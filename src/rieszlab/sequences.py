@@ -207,14 +207,6 @@ def pseudo_inverse(matrix, rank_rtol=RANK_RTOL):
     return (vh.conj().T * inv) @ u.conj().T, int(np.sum(keep))
 
 
-def family_inverse(fam, rank_rtol=RANK_RTOL):
-    """(Xi^+, rank) of a family: its memo at the package cutoff, a fresh
-    `pseudo_inverse` at any other."""
-    if rank_rtol == RANK_RTOL:
-        return fam.inverse
-    return pseudo_inverse(fam.family, rank_rtol)
-
-
 def family_rank(matrix, rank_rtol=RANK_RTOL):
     """Numerical rank with the package-wide relative singular value cutoff."""
     s = np.linalg.svd(np.asarray(matrix, dtype=complex), compute_uv=False)
@@ -420,7 +412,7 @@ class RieszFischerResult:
     note: str = ""
 
 
-def riesz_fischer_check(fam, rank_rtol=RANK_RTOL):
+def riesz_fischer_check(fam):
     """Look for a continuous map S sending each xi_n to e_n.
 
     At truncation such a map exists iff the family has full column rank;
@@ -432,7 +424,7 @@ def riesz_fischer_check(fam, rank_rtol=RANK_RTOL):
     """
     xi = fam.family
     n, m = xi.shape
-    pinv, rank = family_inverse(fam, rank_rtol)
+    pinv, rank = fam.inverse
     residual = float(np.max(np.abs(pinv @ xi - np.eye(m)))) if m else 0.0
     flatten = make_linear_map(np.eye(n, m), fam.triplet, pairs=((1, 0),),
                               right=pinv.conj().T)

@@ -44,6 +44,8 @@ class LineGrid:
     def __post_init__(self):
         if not self.half_width > 0:
             raise ValidationError("half width must be positive")
+        if not np.isfinite(self.half_width):
+            raise ValidationError("half width must be finite")
         p = int(self.points)
         if p < 2 or p & (p - 1):
             raise ValidationError("point count must be a power of two >= 2")
@@ -185,14 +187,6 @@ def hermite_grid(count, half_width=None, points=1024,
     than `aliasing_tol` of its spectral mass in the top third of the
     band.  Support failures are not fixed by refinement and propagate.
     """
-    return hermite_model(count, half_width, points, aliasing_tol,
-                         support_tol)[0]
-
-
-def hermite_model(count, half_width=None, points=1024,
-                  aliasing_tol=ALIASING_TOL, support_tol=SUPPORT_TOL):
-    """(grid, hermite): `hermite_grid` with the Hermite columns it sampled
-    and verified on that grid, for diagnostics to reuse."""
     hw = default_half_width(count) if half_width is None else float(half_width)
     p = int(points)
     while True:
@@ -200,7 +194,7 @@ def hermite_model(count, half_width=None, points=1024,
         vals = hermite_values(grid, count, support_tol)
         worst = max(aliasing_fraction(grid, vals[:, n]) for n in range(count))
         if worst <= aliasing_tol:
-            return grid, vals
+            return grid
         if 2 * p > _MAX_POINTS:
             raise SupportError(
                 f"aliasing check keeps failing at {p} points "

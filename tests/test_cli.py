@@ -297,6 +297,13 @@ def test_bad_config_value_is_a_config_error(tmp_path, capsys, argv, config):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_infinite_half_width_is_refused_before_sampling(capsys):
+    argv = ["full-report", "--example", "sobolev", "--size", "256",
+            "--seed", "1", "--half-width", "inf"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: half width must be finite\n"
+
+
 def count_calls(monkeypatch, names):
     """Count calls of each named function, wherever a rieszlab module
     binds it, since the CLI and the models call helpers by name."""
@@ -326,14 +333,6 @@ def test_sobolev_report_verifies_its_construction_once(tmp_path, monkeypatch):
     # round-trip defect, to the section: one multiplier pair for the round
     # trip, one for the dual and one for the section's construction check.
     assert counts == {"hermite_values": 1, "sobolev_multiplier": 4}
-
-
-def test_hermite_report_samples_its_columns_once(tmp_path, monkeypatch):
-    counts = count_calls(monkeypatch, ("hermite_values",))
-    run_json(tmp_path, ["full-report", "--example", "hermite", "--seed", "1"])
-    # The grid builder hands its verified columns to the section; sampling
-    # them again there made 2 calls.
-    assert counts == {"hermite_values": 1}
 
 
 def failing(exc):

@@ -40,6 +40,10 @@ class TestLineGrid:
         with pytest.raises(ValidationError):
             LineGrid(0.0, 64)
 
+    def test_half_width_must_be_finite(self):
+        with pytest.raises(ValidationError, match="finite"):
+            LineGrid(np.inf, 64)
+
     def test_band_edge(self):
         freqs = GRID.angular_frequencies
         assert np.max(np.abs(freqs)) == pytest.approx(np.pi / GRID.spacing)
