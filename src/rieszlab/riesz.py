@@ -18,7 +18,8 @@ import numpy as np
 from .errors import DimensionError, InjectivityError, StateError, ValidationError
 from .sequences import (LinearMap, RANK_RTOL, SequenceFamily,
                         biorthogonality_residual, dual_analysis,
-                        dual_level_norm, make_linear_map, pseudo_inverse)
+                        dual_level_norm, make_linear_map, pseudo_inverse,
+                        singular_values)
 from .trends import (GROWTH_THRESHOLD, MIN_LADDER_POINTS, STRADDLE_BAND,
                      classify_growth, loglog_slope)
 from .triplet import CoefVector, WeightedTriplet, coords_of, pairing
@@ -226,7 +227,7 @@ def strictness_constants(triplet, family_matrix):
     x = np.asarray(family_matrix, dtype=complex)
     if x.shape[1] > x.shape[0]:
         raise DimensionError("more columns than the dimension supports")
-    sv = {q: np.linalg.svd(triplet.scale(q, x), compute_uv=False)
+    sv = {q: singular_values(triplet.scale(q, x))
           for q in range(triplet.levels + 1)}
     lower = float(sv[1][-1] ** 2) if sv[1].size else 0.0
     upper = {q: float(s[0] ** 2) if s.size else 0.0 for q, s in sv.items()}

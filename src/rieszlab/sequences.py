@@ -43,6 +43,41 @@ def _require_finite(from_level, to_level, *arrays):
             f"{from_level} -> {to_level}")
 
 
+def _real_diagonal(a):
+    """The diagonal of a square array as a real vector, or None.
+
+    None unless every off-diagonal entry and every imaginary part is
+    exactly 0 and every diagonal entry is finite; the check costs O(N^2).
+    Such a matrix has its singular values, pseudo-inverse and products in
+    closed form, and the kernels below take them from `d` directly.
+    """
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        return None
+    if np.iscomplexobj(a):
+        if a.imag.any():
+            return None
+        a = a.real
+    d = a.diagonal()
+    if np.count_nonzero(a) != np.count_nonzero(d) or \
+            not np.isfinite(d).all():
+        return None
+    return d.copy()
+
+
+def singular_values(matrix):
+    """Singular values of a matrix, largest first.
+
+    A real diagonal matrix gives sorted |d| without LAPACK: the exact
+    values, which LAPACK also returns bit for bit on the package's
+    diagonal models (see `_real_diagonal`).
+    """
+    a = np.asarray(matrix)
+    d = _real_diagonal(a)
+    if d is not None:
+        return np.sort(np.abs(d))[::-1]
+    return np.linalg.svd(a, compute_uv=False)
+
+
 def certificate_norm(matrix, triplet, from_level, to_level, right=None):
     """Largest singular value of scale(to) @ A @ scale(-from).
 
@@ -60,22 +95,24 @@ def certificate_norm(matrix, triplet, from_level, to_level, right=None):
     cheaper than the two QRs.
     """
     a = np.asarray(matrix, dtype=complex)
-    left = triplet.scale(to_level, a)
-    if right is None:
-        # A S = (S A^H)^H because every scaling is Hermitian.
-        prod = triplet.scale(-from_level, left.conj().T).conj().T
-    else:
-        c = triplet.scale(-from_level, right)
-        _require_finite(from_level, to_level, left, c)
-        if c.shape[1] < c.shape[0]:
-            prod = (np.linalg.qr(left, mode="r")
-                    @ np.linalg.qr(c, mode="r").conj().T)
+    # Overflow is reported by _require_finite, not by numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        left = triplet.scale(to_level, a)
+        if right is None:
+            # A S = (S A^H)^H because every scaling is Hermitian.
+            prod = triplet.scale(-from_level, left.conj().T).conj().T
         else:
-            prod = left @ c.conj().T
+            c = triplet.scale(-from_level, right)
+            _require_finite(from_level, to_level, left, c)
+            if c.shape[1] < c.shape[0]:
+                prod = (np.linalg.qr(left, mode="r")
+                        @ np.linalg.qr(c, mode="r").conj().T)
+            else:
+                prod = left @ c.conj().T
     _require_finite(from_level, to_level, prod)
     if not prod.size:
         return 0.0
-    return float(np.linalg.svd(prod, compute_uv=False)[0])
+    return float(singular_values(prod)[0])
 
 
 @dataclass(frozen=True)
@@ -160,8 +197,7 @@ class SequenceFamily:
             raise DimensionError(
                 f"family rows {fam.shape[0]} do not match model dimension "
                 f"{self.triplet.dim}")
-        norms = np.linalg.norm(fam, axis=0)
-        if fam.shape[1] and float(np.min(norms)) == 0.0:
+        if not fam.any(axis=0).all():
             raise ValidationError("family columns must be nonzero")
         dual = self.dual
         if dual is not None:
@@ -193,23 +229,38 @@ class SequenceFamily:
         return pinv, rank
 
 
+def _kept_inverse(s, rank_rtol):
+    """(1/s where |s| passes the cutoff and 0 elsewhere, kept count).
+
+    Values at or below `rank_rtol` times the largest |s| count as zero.
+    """
+    top = np.max(np.abs(s)) if s.size else 0.0
+    keep = np.abs(s) > (rank_rtol * top if top > 0 else np.inf)
+    inv = np.zeros_like(s)
+    inv[keep] = 1.0 / s[keep]
+    return inv, int(np.sum(keep))
+
+
 def pseudo_inverse(matrix, rank_rtol=RANK_RTOL):
     """(A^+, rank) of an N x M matrix from one thin SVD.
 
     Singular values at or below `rank_rtol` times the largest count as
     zero, so A^+ is the minimal-norm inverse; an injective A has rank M.
+    A real diagonal A is inverted entry by entry under the same cutoff.
     """
-    u, s, vh = np.linalg.svd(np.asarray(matrix, dtype=complex),
-                             full_matrices=False)
-    keep = s > (rank_rtol * s[0] if s.size and s[0] > 0 else np.inf)
-    inv = np.zeros_like(s)
-    inv[keep] = 1.0 / s[keep]
-    return (vh.conj().T * inv) @ u.conj().T, int(np.sum(keep))
+    a = np.asarray(matrix, dtype=complex)
+    d = _real_diagonal(a)
+    if d is not None:
+        inv, rank = _kept_inverse(d, rank_rtol)
+        return np.diag(inv).astype(complex), rank
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    inv, rank = _kept_inverse(s, rank_rtol)
+    return (vh.conj().T * inv) @ u.conj().T, rank
 
 
 def family_rank(matrix, rank_rtol=RANK_RTOL):
     """Numerical rank with the package-wide relative singular value cutoff."""
-    s = np.linalg.svd(np.asarray(matrix, dtype=complex), compute_uv=False)
+    s = singular_values(np.asarray(matrix, dtype=complex))
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > rank_rtol * s[0]))
@@ -223,8 +274,14 @@ def biorthogonality_residual(fam):
     m = fam.size
     if m == 0:
         return 0.0
-    gram = fam.family.conj().T @ z  # (k, n) entry equals <zeta_n, xi_k>
-    return float(np.max(np.abs(gram - np.eye(m))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = fam.family.conj().T @ z  # (k, n) entry equals <zeta_n, xi_k>
+        res = float(np.max(np.abs(gram - np.eye(m))))
+    if not np.isfinite(res):
+        raise ValidationError(
+            "non-finite biorthogonality residual: the family-dual pairings "
+            "overflow")
+    return res
 
 
 def is_tainted(fam, tol=None):
@@ -281,7 +338,7 @@ def dual_level_norm(fam, j):
     norms = fam._dual_norms
     if j not in norms:
         z = fam.require_dual()
-        s = np.linalg.svd(fam.triplet.scale(-j, z), compute_uv=False)
+        s = singular_values(fam.triplet.scale(-j, z))
         norms[j] = float(s[0]) if s.size else 0.0
     return norms[j]
 
@@ -325,9 +382,15 @@ def bessel_bound_sampled(fam, j, samples=10000, seed=0):
     for level in levels:
         op = fam.triplet.scale(-level, z).conj().T
         # A real operator skips the products against its zero imaginary
-        # part: adding or subtracting exact zeros changes no bit.
-        ops.append((np.ascontiguousarray(op.real),
-                    np.ascontiguousarray(op.imag) if op.imag.any() else None))
+        # part, and a real diagonal one keeps only its diagonal: adding or
+        # subtracting exact zeros changes no bit.
+        d = _real_diagonal(op)
+        if d is not None:
+            ops.append((d, None))
+        else:
+            ops.append((np.ascontiguousarray(op.real),
+                        np.ascontiguousarray(op.imag) if op.imag.any()
+                        else None))
     rng = np.random.default_rng(seed)
     best = [0.0] * len(levels)
     left = int(samples)
@@ -360,9 +423,14 @@ def bessel_bound_sampled(fam, j, samples=10000, seed=0):
 
 def _squared_images(op_re, op_im, u_re, u_im):
     """Column sums of |op @ (u_re + i u_im)|^2, with op = op_re + i op_im
-    (op_im None for a real op), from real products and without complex
-    copies of the draws."""
-    if op_im is None:
+    (op_im None for a real op; op_re the vector d for op = diag(d)), from
+    real products and without complex copies of the draws."""
+    if op_re.ndim == 1:
+        # diag(d) @ u: every other term of the matrix product is an exact
+        # 0, so scaling the rows gives the same bits.
+        out_re = op_re[:, None] * u_re
+        out_im = op_re[:, None] * u_im
+    elif op_im is None:
         out_re = op_re @ u_re
         out_im = op_re @ u_im
     else:

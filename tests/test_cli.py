@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import jsonschema
 import numpy as np
@@ -114,6 +115,36 @@ class TestCheckBiorthogonal:
                                   "--family", str(fam), "--dual", str(dual)])
         assert section(doc, "biorthogonality")["verdicts"][0]["verdict"] \
             == "tainted"
+
+
+    @pytest.mark.parametrize("command", ["check-biorthogonal",
+                                         "frame-report"])
+    def test_overflowing_pairings_are_an_error(self, tmp_path, capsys,
+                                               command):
+        big = tmp_path / "big.csv"
+        save_complex_matrix(big, np.full((4, 4), 1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails
+            assert main([command, "--family", str(big),
+                         "--dual", str(big)]) == 2
+        out = capsys.readouterr()
+        assert out.err == ("error: non-finite biorthogonality residual: the "
+                           "family-dual pairings overflow\n")
+        assert out.out == ""
+
+    def test_overflowing_frame_operator_is_an_error(self, tmp_path, capsys):
+        # The pairings are finite, Z Z^H is not.
+        fam = tmp_path / "family.csv"
+        dual = tmp_path / "dual.csv"
+        save_complex_matrix(fam, 1e-155 * np.eye(4))
+        save_complex_matrix(dual, 1e155 * np.eye(4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["frame-report", "--family", str(fam),
+                         "--dual", str(dual)]) == 2
+        assert capsys.readouterr().err == (
+            "error: non-finite values in the scaled operator between levels "
+            "1 -> -1\n")
 
 
 class TestDeterminism:

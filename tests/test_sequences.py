@@ -50,6 +50,12 @@ class TestFamilyConstruction:
         with pytest.raises(ValidationError):
             SequenceFamily(bad, tri)
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e308])
+    def test_extreme_nonzero_columns_accepted(self, scale):
+        # Their 2-norms underflow to 0 or overflow; the entries are nonzero.
+        tri = WeightedTriplet(3, np.ones(3))
+        assert SequenceFamily(scale * np.eye(3), tri).size == 3
+
     def test_empty_family_allowed(self):
         tri = WeightedTriplet(3, np.ones(3))
         fam = SequenceFamily(np.zeros((3, 0)), tri, dual=np.zeros((3, 0)))

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import rieszlab.cli as cli
+from rieszlab import hamiltonian, riesz, sequences
 from rieszlab import (InjectivityError, LevelError, LineGrid,
                       SequenceFamily, WeightedTriplet, bessel_bound_sampled,
                       graph_norm_triplet, make_riesz_basis,
@@ -182,7 +183,7 @@ def test_biorthogonality_takes_the_inverse_only_when_it_is_shared(
 
 def test_number_op_report_draws_once_and_saves_four_svds(tmp_path,
                                                         monkeypatch):
-    drawn, section, svds = {}, [None], [0]
+    drawn, section, kernels, svds = {}, [None], [0], [0]
     make_rng, svd = np.random.default_rng, np.linalg.svd
 
     class CountingGenerator:
@@ -197,9 +198,11 @@ def test_number_op_report_draws_once_and_saves_four_svds(tmp_path,
         def __getattr__(self, name):
             return getattr(self._rng, name)
 
-    def counting_svd(*args, **kwargs):
-        svds[0] += 1
-        return svd(*args, **kwargs)
+    def counting(count, kernel):
+        def wrapper(*args, **kwargs):
+            count[0] += 1
+            return kernel(*args, **kwargs)
+        return wrapper
 
     def tracked(name, build):
         def builder(bundle, cfg):
@@ -208,7 +211,13 @@ def test_number_op_report_draws_once_and_saves_four_svds(tmp_path,
         return builder
 
     monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "svd", counting(svds, svd))
+    # The two SVD kernels are bound by name wherever they are imported.
+    for kernel in (sequences.singular_values, sequences.pseudo_inverse):
+        wrapper = counting(kernels, kernel)
+        for module in (sequences, riesz, hamiltonian):
+            if getattr(module, kernel.__name__, None) is kernel:
+                monkeypatch.setattr(module, kernel.__name__, wrapper)
     for name, build in list(cli.SECTIONS.items()):
         monkeypatch.setitem(cli.SECTIONS, name, tracked(name, build))
     report_bytes(tmp_path, NUMBER_OP, "counted.json")
@@ -216,4 +225,7 @@ def test_number_op_report_draws_once_and_saves_four_svds(tmp_path,
     # drawing it once per level took twice as many.  Per-section
     # pseudo-inverses and dual-level norms took 54 SVDs.
     assert drawn["bessel"] == 2 * 16 * 10000
-    assert svds[0] == 54 - 4
+    assert kernels[0] == 54 - 4
+    # Every matrix of the number-op model is a real diagonal, so none of
+    # them reaches LAPACK.
+    assert svds[0] == 0
