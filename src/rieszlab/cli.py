@@ -32,7 +32,8 @@ from .riesz import (hilbert_triplet_realization, make_riesz_basis,
                     metric_operator_check, strictness_constants,
                     strictness_report)
 from .sequences import (SequenceFamily, bessel_bound, bessel_bound_sampled,
-                        bessel_factor, biorthogonality_residual, family_rank,
+                        bessel_factor, bessel_sampler,
+                        biorthogonality_residual, family_rank,
                         frame_operator, level_gram, partial_sum,
                         riesz_fischer_check, schauder_inequality_probe,
                         weak_expansion_residual)
@@ -530,6 +531,7 @@ def _bessel_section(bundle, cfg):
     cert = factor.certificate[(0, -1)]
     gap = abs(cert ** 2 - levels[1]["bound"])
     sec.records = {"levels": levels,
+                   "sampler": bessel_sampler(fam),
                    "factor_certificate": cert,
                    "factor_squared_vs_bound": gap}
     sec.verdicts.append(Verdict(

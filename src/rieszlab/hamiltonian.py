@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import sequences
 from .errors import DimensionError, InjectivityError, ValidationError
-from .sequences import RANK_RTOL, pseudo_inverse
+from .sequences import RANK_RTOL, pseudo_inverse, singular_values
 from .trends import classify_growth, loglog_slope
 from .triplet import coords_of, pairing
 
@@ -101,8 +102,18 @@ def build_pair(eigenvalues, eigenvectors, transform, rank_rtol=RANK_RTOL,
         else np.asarray(eigenvalues).real.astype(float).ravel()
     psi = np.asarray(eigenvectors, dtype=complex)
     degenerate = bool(np.any(np.diff(np.sort(lam)) < 1e-12))
-    return HamiltonianPair(tinv @ hsa @ t, hsa, t, lam, psi, tinv @ psi,
-                           degenerate)
+    # Read through the module, so that switching the closed forms off
+    # there switches this one off too.
+    d = sequences._real_diagonal(t)
+    if d is None:
+        h, xi = tinv @ hsa @ t, tinv @ psi
+    else:
+        # T = diag(d) is injective here, so T^{-1} = diag(1/d): scaling
+        # rows and columns skips products whose other terms are exact
+        # zeros and gives the same bits.
+        h = (1.0 / d)[:, None] * hsa * d
+        xi = (1.0 / d)[:, None] * psi
+    return HamiltonianPair(h, hsa, t, lam, psi, xi, degenerate)
 
 
 def weak_similarity_residual(pair, xi, eta):
@@ -142,7 +153,7 @@ def nonnormality(matrix):
     """Spectral norm of the commutator [A, A^H]; zero iff A is normal."""
     a = np.asarray(matrix, dtype=complex)
     c = a @ a.conj().T - a.conj().T @ a
-    return float(np.linalg.norm(c, 2))
+    return float(singular_values(c)[0])
 
 
 @dataclass(frozen=True)

@@ -358,9 +358,53 @@ def bessel_bound(fam, j):
     return dual_level_norm(fam, j) ** 2
 
 
+def _sampler_stream(fam):
+    """(stream, rank, parts): the draw `bessel_bound_sampled` takes.
+
+    The Rayleigh ratio |A u|^2 / |u|^2 of a circular Gaussian point u keeps
+    its law under every unitary change of coordinates, so a point is drawn
+    only in the coordinates that the level operators A_j = scale(-j, Z)^H
+    see.  The stream is chosen from every level of the triplet, not only
+    from the levels asked for, so it depends on the family and the seed
+    alone.  `rank` is the number of coordinates of one point, and `parts`
+    holds one entry per level.
+
+    - "diagonal-exponential": every A_j is a real diagonal diag(d_j), and
+      `parts` holds the d_j.  Each |u_k|^2 is 2 Exp(1) and the factor 2
+      cancels in the ratio, so a point is N standard exponentials e with
+      ratio sum d_k^2 e_k / sum e_k.
+    - "row-space": levels * M <= N / 2.  A point is c in C^r, r = levels *
+      M, in an orthonormal basis Q of the span of the scale(-j, Z), and
+      the squared norm of its remainder orthogonal to Q, a chi-square with
+      2 (N - r) degrees of freedom.
+    - "dense": otherwise a point is a complex Gaussian in C^N.
+
+    For the last two, `parts` holds the scale(-j, Z).
+    """
+    z = fam.require_dual()
+    tri = fam.triplet
+    duals = [tri.scale(-level, z) for level in range(1, tri.levels + 1)]
+    diagonals = [_real_diagonal(s) for s in duals]
+    if all(d is not None for d in diagonals):
+        return "diagonal-exponential", fam.dim, diagonals
+    rank = len(duals) * fam.size
+    if 2 * rank <= fam.dim:
+        return "row-space", rank, duals
+    return "dense", fam.dim, duals
+
+
+def bessel_sampler(fam):
+    """The stream `bessel_bound_sampled` draws for this family and the
+    number of coordinates of one point, as a report record."""
+    stream, rank, _ = _sampler_stream(fam)
+    return {"stream": stream, "rank": rank}
+
+
 def bessel_bound_sampled(fam, j, samples=10000, seed=0):
     """Brute-force companion of `bessel_bound` over random unit-ball points.
 
+    The points are circular Gaussian directions, drawn in the coordinates
+    the level operators see (see `_sampler_stream` for the three streams).
     `j` is one level, or a tuple of levels served from one stream of
     draws: each chunk of points is drawn once, its squared norms (the
     denominators) are summed once, and every level's Rayleigh ratios are
@@ -372,49 +416,59 @@ def bessel_bound_sampled(fam, j, samples=10000, seed=0):
     Never exceeds the singular value answer; for families whose scaled
     dual is an isometry every sample attains it.
     """
-    z = fam.require_dual()
+    fam.require_dual()
     levels = (j,) if np.ndim(j) == 0 else tuple(j)
     for level in levels:
         if not 1 <= level <= fam.triplet.levels:
             raise LevelError(
                 f"Bessel level {level} outside [1, {fam.triplet.levels}]")
-    ops = []
-    for level in levels:
-        op = fam.triplet.scale(-level, z).conj().T
-        # A real operator skips the products against its zero imaginary
-        # part, and a real diagonal one keeps only its diagonal: adding or
-        # subtracting exact zeros changes no bit.
-        d = _real_diagonal(op)
-        if d is not None:
-            ops.append((d, None))
+    stream, rank, parts = _sampler_stream(fam)
+    if stream == "diagonal-exponential":
+        ops = [np.square(d) for d in parts]
+    else:
+        if stream == "row-space":
+            # Q is the reduced QR factor of the stacked scaled duals; the
+            # operators act on c through A_j Q.
+            q = np.linalg.qr(np.hstack(parts))[0]
+            parts = [p.conj().T @ q for p in parts]
         else:
-            ops.append((np.ascontiguousarray(op.real),
-                        np.ascontiguousarray(op.imag) if op.imag.any()
-                        else None))
+            parts = [p.conj().T for p in parts]
+        # A real operator skips the products against its zero imaginary
+        # part, which would add exact zeros.
+        ops = [(np.ascontiguousarray(a.real),
+                np.ascontiguousarray(a.imag) if a.imag.any() else None)
+               for a in parts]
+    ops = [ops[level - 1] for level in levels]
     rng = np.random.default_rng(seed)
     best = [0.0] * len(levels)
     left = int(samples)
-    cols = min(_CHUNK_COLUMNS, max(1, _CHUNK_ELEMENTS // fam.dim))
+    cols = min(_CHUNK_COLUMNS, max(1, _CHUNK_ELEMENTS // max(rank, 1)))
     # Every chunk is drawn into the same two buffers: the stream is the one
-    # fresh (dim, m) arrays would get, without new pages for each chunk.
-    bufs = [np.empty(fam.dim * min(cols, max(left, 0))) for _ in range(2)]
+    # fresh (rank, m) arrays would get, without new pages for each chunk.
+    bufs = [np.empty(rank * min(cols, max(left, 0))) for _ in range(2)]
     while left > 0:
         m = min(left, cols)
-        u_re, u_im = (b[:fam.dim * m].reshape(fam.dim, m) for b in bufs)
-        rng.standard_normal(out=u_re)
-        rng.standard_normal(out=u_im)
-        # Rayleigh ratios against the raw draws, through the same matrix
-        # the certificate takes its singular values from, keep the
-        # estimate at or below the certified value down to rounding
-        # resolution on diagonal models.
-        nums = [_squared_images(op_re, op_im, u_re, u_im)
-                for op_re, op_im in ops]
-        # The draws are spent: square them in place, so the denominator
-        # needs no further N x m scratch arrays.
-        np.square(u_re, out=u_re)
-        np.square(u_im, out=u_im)
-        u_re += u_im
-        den = np.sum(u_re, axis=0)
+        u_re, u_im = (b[:rank * m].reshape(rank, m) for b in bufs)
+        if stream == "diagonal-exponential":
+            rng.standard_exponential(out=u_re)
+            # Numerator and denominator take the same sum, so where
+            # d = 1 they are equal bit for bit and the ratio is exactly 1.
+            nums = [np.sum(np.multiply(d2[:, None], u_re, out=u_im), axis=0)
+                    for d2 in ops]
+            den = np.sum(u_re, axis=0)
+        else:
+            rng.standard_normal(out=u_re)
+            rng.standard_normal(out=u_im)
+            nums = [_squared_images(op_re, op_im, u_re, u_im)
+                    for op_re, op_im in ops]
+            # The draws are spent: square them in place, so the
+            # denominator needs no further scratch arrays.
+            np.square(u_re, out=u_re)
+            np.square(u_im, out=u_im)
+            u_re += u_im
+            den = np.sum(u_re, axis=0)
+            if stream == "row-space":
+                den += 2.0 * rng.standard_gamma(fam.dim - rank, m)
         for i, num in enumerate(nums):
             best[i] = max(best[i], float(np.max(num / den)))
         left -= m
@@ -423,14 +477,9 @@ def bessel_bound_sampled(fam, j, samples=10000, seed=0):
 
 def _squared_images(op_re, op_im, u_re, u_im):
     """Column sums of |op @ (u_re + i u_im)|^2, with op = op_re + i op_im
-    (op_im None for a real op; op_re the vector d for op = diag(d)), from
-    real products and without complex copies of the draws."""
-    if op_re.ndim == 1:
-        # diag(d) @ u: every other term of the matrix product is an exact
-        # 0, so scaling the rows gives the same bits.
-        out_re = op_re[:, None] * u_re
-        out_im = op_re[:, None] * u_im
-    elif op_im is None:
+    (op_im None for a real op), from real products and without complex
+    copies of the draws."""
+    if op_im is None:
         out_re = op_re @ u_re
         out_im = op_re @ u_im
     else:

@@ -17,7 +17,7 @@ SCHEMA_PATH = "docs/report_schema.json"
 
 
 def small_report():
-    meta = {"schema_version": "1.0", "tool": "rieszlab",
+    meta = {"schema_version": "1.1", "tool": "rieszlab",
             "tool_version": "0.1.0", "command": "check-biorthogonal",
             "seed": None, "config_hash": "0" * 64}
     section = Section("biorthogonality",

@@ -4,27 +4,42 @@ one SVD per family and per dual level.
 `bessel_bound_sampled` serves a tuple of levels from one stream of
 random points, and `SequenceFamily` memoises its pseudo-inverse and its
 dual-level norms.  Both must be invisible in the numbers: every value is
-compared with `==` against a per-level reference sampler written here
-and against fresh SVDs, and a `full-report` with the reference patched
-in must give the same bytes.
+compared with `==` against per-level reference samplers written here
+and against fresh SVDs, and a `full-report` with a reference patched in
+must give the same bytes.
+
+The sampler draws in the coordinates the level operators see, so its
+stream depends on the family.  Dense families keep the full complex
+Gaussian stream of `reference_sampled`; real diagonal families draw the
+exponential stream of `reference_exponential`; thin families draw in
+their row space.  The last two are checked against the full stream by a
+two-sample Kolmogorov-Smirnov test.
 """
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 import rieszlab.cli as cli
 from rieszlab import hamiltonian, riesz, sequences
 from rieszlab import (InjectivityError, LevelError, LineGrid,
-                      SequenceFamily, WeightedTriplet, bessel_bound_sampled,
+                      SequenceFamily, WeightedTriplet, bessel_bound,
+                      bessel_bound_sampled, bessel_sampler,
                       graph_norm_triplet, make_riesz_basis,
                       metric_operator_check, number_operator_model,
                       riesz_fischer_check, schwartz_hermite_model,
                       sobolev_basis)
-from rieszlab.sequences import (_CHUNK_COLUMNS, _CHUNK_ELEMENTS,
-                                dual_level_norm, pseudo_inverse)
+from rieszlab.sequences import dual_level_norm, pseudo_inverse
 
 from conftest import well_conditioned_transform
+
+
+def chunk_columns(dim):
+    """Points per chunk of `dim` coordinates, from the package's limits as
+    they are when called."""
+    return min(sequences._CHUNK_COLUMNS,
+               max(1, sequences._CHUNK_ELEMENTS // dim))
 
 
 def reference_sampled(fam, j, samples=10000, seed=0):
@@ -34,7 +49,7 @@ def reference_sampled(fam, j, samples=10000, seed=0):
     op_re = np.ascontiguousarray(op.real)
     op_im = np.ascontiguousarray(op.imag)
     rng = np.random.default_rng(seed)
-    cols = min(_CHUNK_COLUMNS, max(1, _CHUNK_ELEMENTS // fam.dim))
+    cols = chunk_columns(fam.dim)
     best, left = 0.0, samples
     while left > 0:
         m = min(left, cols)
@@ -47,6 +62,35 @@ def reference_sampled(fam, j, samples=10000, seed=0):
         best = max(best, float(np.max(num / den)))
         left -= m
     return best
+
+
+def reference_exponential(fam, j, samples=10000, seed=0):
+    """The per-level sampler of a real diagonal family: |u_k|^2 = 2 Exp(1)
+    for a circular Gaussian u, so fresh exponential draws e give the
+    ratio sum d_k^2 e_k / sum e_k with d the diagonal of the scaled dual."""
+    d = np.diag(fam.triplet.scale(-j, fam.require_dual())).real
+    rng = np.random.default_rng(seed)
+    cols = chunk_columns(fam.dim)
+    best, left = 0.0, samples
+    while left > 0:
+        m = min(left, cols)
+        e = rng.standard_exponential((fam.dim, m))
+        num = np.sum(d[:, None] ** 2 * e, axis=0)
+        best = max(best, float(np.max(num / np.sum(e, axis=0))))
+        left -= m
+    return best
+
+
+def use_exponential_reference(monkeypatch):
+    """Let `full-report` take its sampled sups, one level at a time, and
+    its sampler record from the exponential reference."""
+    monkeypatch.setattr(
+        cli, "bessel_bound_sampled",
+        lambda fam, js, seed: tuple(reference_exponential(fam, j, seed=seed)
+                                    for j in js))
+    monkeypatch.setattr(
+        cli, "bessel_sampler",
+        lambda fam: {"stream": "diagonal-exponential", "rank": fam.dim})
 
 
 def graph_norm_family():
@@ -72,16 +116,28 @@ def fam(request):
     return CASES[request.param]()
 
 
+#: The reference each case's stream equals; the thin Sobolev family has
+#: none and is held to the law of the full stream below.
+REFERENCES = {"number-op-L2": reference_exponential,
+              "schwartz-L3": reference_exponential,
+              "graph-norm-L2": reference_sampled}
+
+
 class TestOneDrawStream:
-    def test_tuple_equals_per_level_calls_and_reference(self, fam):
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_tuple_equals_per_level_calls_and_reference(self, name):
+        fam = CASES[name]()
         # 3000 samples take two chunks on every case here.
         js = tuple(range(1, fam.triplet.levels + 1))
         joint = bessel_bound_sampled(fam, js, samples=3000, seed=4)
         single = tuple(bessel_bound_sampled(fam, j, samples=3000, seed=4)
                        for j in js)
-        ref = tuple(reference_sampled(fam, j, samples=3000, seed=4)
-                    for j in js)
-        assert joint == single == ref
+        assert joint == single
+        if name in REFERENCES:
+            assert joint == tuple(REFERENCES[name](fam, j, samples=3000,
+                                                   seed=4) for j in js)
+        for j, sampled in zip(js, joint):
+            assert 0.0 < sampled <= bessel_bound(fam, j) * (1 + 1e-12)
 
     def test_repeated_and_reordered_levels(self):
         fam = CASES["schwartz-L3"]()
@@ -160,10 +216,7 @@ def report_bytes(tmp_path, argv, name):
 def test_report_with_per_level_sampler_is_byte_identical(tmp_path,
                                                          monkeypatch, argv):
     shared = report_bytes(tmp_path, argv, "shared.json")
-    monkeypatch.setattr(
-        cli, "bessel_bound_sampled",
-        lambda fam, js, seed: tuple(reference_sampled(fam, j, seed=seed)
-                                    for j in js))
+    use_exponential_reference(monkeypatch)
     assert report_bytes(tmp_path, argv, "per-level.json") == shared
 
 
@@ -181,22 +234,35 @@ def test_biorthogonality_takes_the_inverse_only_when_it_is_shared(
     assert len(calls) == inverses
 
 
-def test_number_op_report_draws_once_and_saves_four_svds(tmp_path,
-                                                        monkeypatch):
-    drawn, section, kernels, svds = {}, [None], [0], [0]
-    make_rng, svd = np.random.default_rng, np.linalg.svd
+def counting_draws(monkeypatch, section=(None,)):
+    """Count the variates each generator method hands out, keyed by
+    (section[0], method); `section` is read at every draw."""
+    drawn = {}
+    make_rng = np.random.default_rng
 
     class CountingGenerator:
         def __init__(self, *args, **kwargs):
             self._rng = make_rng(*args, **kwargs)
 
-        def standard_normal(self, size=None, **kwargs):
-            out = self._rng.standard_normal(size, **kwargs)
-            drawn[section[0]] = drawn.get(section[0], 0) + np.size(out)
-            return out
-
         def __getattr__(self, name):
-            return getattr(self._rng, name)
+            method = getattr(self._rng, name)
+
+            def draw(*args, **kwargs):
+                out = method(*args, **kwargs)
+                key = (section[0], name)
+                drawn[key] = drawn.get(key, 0) + np.size(out)
+                return out
+            return draw
+
+    monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
+    return drawn
+
+
+def test_number_op_report_draws_once_and_saves_four_svds(tmp_path,
+                                                        monkeypatch):
+    section, kernels, svds = [None], [0], [0]
+    svd = np.linalg.svd
+    drawn = counting_draws(monkeypatch, section)
 
     def counting(count, kernel):
         def wrapper(*args, **kwargs):
@@ -210,7 +276,6 @@ def test_number_op_report_draws_once_and_saves_four_svds(tmp_path,
             return build(bundle, cfg)
         return builder
 
-    monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
     monkeypatch.setattr(np.linalg, "svd", counting(svds, svd))
     # The two SVD kernels are bound by name wherever they are imported.
     for kernel in (sequences.singular_values, sequences.pseudo_inverse):
@@ -221,11 +286,71 @@ def test_number_op_report_draws_once_and_saves_four_svds(tmp_path,
     for name, build in list(cli.SECTIONS.items()):
         monkeypatch.setitem(cli.SECTIONS, name, tracked(name, build))
     report_bytes(tmp_path, NUMBER_OP, "counted.json")
-    # One stream of 10000 points, 2 N normals each, serves both levels;
-    # drawing it once per level took twice as many.  Per-section
-    # pseudo-inverses and dual-level norms took 54 SVDs.
-    assert drawn["bessel"] == 2 * 16 * 10000
+    # One stream of 10000 points, N exponentials each, serves both levels;
+    # drawing it once per level took twice as many, and the full complex
+    # Gaussian stream 2 N normals a point.  Per-section pseudo-inverses
+    # and dual-level norms took 54 SVDs.
+    assert drawn[("bessel", "standard_exponential")] == 16 * 10000
+    assert ("bessel", "standard_normal") not in drawn
     assert kernels[0] == 54 - 4
     # Every matrix of the number-op model is a real diagonal, so none of
     # them reaches LAPACK.
     assert svds[0] == 0
+
+
+# -- the streams -------------------------------------------------------------
+
+def transform_family(n=64):
+    """A dense transported basis, as a transform file gives it."""
+    rng = np.random.default_rng(11)
+    tri = WeightedTriplet(n, np.linspace(1.0, 4.0, n), 2)
+    return make_riesz_basis(well_conditioned_transform(rng, n), tri).fam
+
+
+@pytest.mark.parametrize("name, stream", [
+    ("number-op-L2", "diagonal-exponential"),
+    ("schwartz-L3", "diagonal-exponential"),
+    ("sobolev-P256", "row-space"),
+    ("transform-64", "dense"),
+])
+def test_each_family_draws_its_stream(monkeypatch, name, stream):
+    fam = transform_family() if name == "transform-64" else CASES[name]()
+    levels, n, m = fam.triplet.levels, fam.dim, fam.size
+    rank = {"diagonal-exponential": n, "row-space": levels * m,
+            "dense": n}[stream]
+    assert bessel_sampler(fam) == {"stream": stream, "rank": rank}
+    drawn = counting_draws(monkeypatch)
+    bessel_bound_sampled(fam, tuple(range(1, levels + 1)), samples=500)
+    expected = {
+        "diagonal-exponential": {"standard_exponential": n * 500},
+        "row-space": {"standard_normal": 2 * levels * m * 500,
+                      "standard_gamma": 500},
+        "dense": {"standard_normal": 2 * n * 500},
+    }[stream]
+    assert {name: count for (_, name), count in drawn.items()} == expected
+
+
+def test_dense_chunks_follow_the_element_cap(monkeypatch):
+    # A 64-column cap makes 300 points take five chunks instead of one,
+    # which assigns the draws to other points.
+    fam = CASES["graph-norm-L2"]()
+    monkeypatch.setattr(sequences, "_CHUNK_ELEMENTS", fam.dim * 64)
+    capped = bessel_bound_sampled(fam, 1, samples=300, seed=4)
+    assert capped == reference_sampled(fam, 1, samples=300, seed=4)
+    monkeypatch.undo()
+    assert capped != bessel_bound_sampled(fam, 1, samples=300, seed=4)
+
+
+@pytest.mark.parametrize("name, level, seeds", [
+    ("sobolev-P256", 1, 200),
+    ("number-op-L2", 2, 300),
+])
+def test_streams_keep_the_law_of_the_full_stream(name, level, seeds):
+    # The sup over 200 points, once per seed, from the family's own stream
+    # and from the full complex Gaussian stream on disjoint seeds.
+    fam = CASES[name]()
+    drawn = [bessel_bound_sampled(fam, level, samples=200, seed=s)
+             for s in range(seeds)]
+    full = [reference_sampled(fam, level, samples=200, seed=10 ** 6 + s)
+            for s in range(seeds)]
+    assert ks_2samp(drawn, full).pvalue > 0.01

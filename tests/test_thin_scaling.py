@@ -20,6 +20,7 @@ import pytest
 
 from rieszlab import (LevelError, LineGrid, SequenceFamily, WeightedTriplet,
                       bessel_bound, bessel_bound_sampled, bessel_factor,
+                      bessel_sampler,
                       certificate_norm, frame_operator, graph_norm_triplet,
                       level_gram, make_riesz_basis, metric_operator_check,
                       riesz_fischer_check, sobolev_basis,
@@ -285,3 +286,26 @@ def test_sampled_bessel_chunks_fit_a_memory_budget():
         tracemalloc.stop()
     assert peak < 256 * 2 ** 20
     assert 0.0 < sampled <= bessel_bound(fam, 1) * (1 + 1e-12)
+
+
+def test_row_space_draws_take_no_grid_sized_chunk():
+    # Ten thin columns over two levels at P = 2^16: the full complex
+    # Gaussian stream would draw 10^4 points of 2^16 coordinates each, in
+    # chunks of 128 MiB; the row-space stream draws 20 coordinates each.
+    points = 2 ** 16
+    rng = np.random.default_rng(3)
+    tri = WeightedTriplet(points, np.linspace(1.0, 2.0, points), 2)
+    cols = rng.standard_normal((points, 5)) + 1j * rng.standard_normal(
+        (points, 5))
+    fam = SequenceFamily(cols, tri, dual=cols)
+    assert bessel_sampler(fam) == {"stream": "row-space", "rank": 10}
+    tracemalloc.start()
+    try:
+        with address_space_headroom(1 << 30):
+            sampled = bessel_bound_sampled(fam, (1, 2), seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    for j, value in zip((1, 2), sampled):
+        assert 0.0 < value <= bessel_bound(fam, j) * (1 + 1e-12)
