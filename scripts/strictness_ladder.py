@@ -7,17 +7,8 @@ trend the verdict machinery is built to catch.
 """
 import argparse
 
-import numpy as np
-
-from rieszlab import (WeightedTriplet, make_riesz_basis, strictness_report)
-
-
-def rule(levels):
-    def build(n):
-        w = np.arange(1, n + 1, dtype=float)
-        tri = WeightedTriplet(n, w, levels)
-        return make_riesz_basis(np.diag(w).astype(complex), tri)
-    return build
+from rieszlab import strictness_report
+from rieszlab.spaces import number_operator_rule
 
 
 def main():
@@ -27,7 +18,7 @@ def main():
     ladder = tuple(int(p) for p in args.ladder.split(","))
 
     for levels in (1, 2):
-        report = strictness_report(rule(levels), ladder)
+        report = strictness_report(number_operator_rule(levels), ladder)
         print(f"levels = {levels}: verdict {report.verdict}")
         print(f"  lower constants {report.lower}")
         for q, vals in sorted(report.upper.items()):

@@ -33,10 +33,9 @@ from .sequences import (LinearMap, SequenceFamily, analysis, bessel_bound,
                         riesz_fischer_check, schauder_inequality_probe,
                         synthesis, weak_expansion_residual)
 from .spaces import (LineGrid, SampledFunction, aliasing_fraction,
-                     hermite_basis, hermite_gram, hermite_grid,
-                     hermite_values, number_operator_model,
-                     schwartz_hermite_model, sobolev_basis,
-                     sobolev_multiplier, sobolev_triplet)
+                     hermite_gram, hermite_grid, hermite_values,
+                     number_operator_model, schwartz_hermite_model,
+                     sobolev_basis, sobolev_multiplier, sobolev_triplet)
 from .triplet import (CoefVector, WeightedTriplet, coords_of,
                       graph_norm_triplet, pairing)
 
@@ -53,8 +52,8 @@ __all__ = [
     "biorthogonality_residual", "build_pair", "build_selfadjoint",
     "certificate_norm", "coefficient_seminorm", "config_digest", "coords_of",
     "demo_pair", "density_diagnostic", "dual_analysis", "eigen_residual",
-    "frame_operator", "graph_norm_triplet", "hermite_basis", "hermite_gram",
-    "hermite_grid", "hermite_values", "hilbert_triplet_realization",
+    "frame_operator", "graph_norm_triplet", "hermite_gram", "hermite_grid",
+    "hermite_values", "hilbert_triplet_realization",
     "is_tainted", "level_gram", "load_complex_matrix", "make_linear_map",
     "make_riesz_basis", "metric_operator_check", "nonnormality",
     "number_operator_model", "pairing", "partial_sum", "partial_sum_adjoint",

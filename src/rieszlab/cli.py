@@ -31,13 +31,14 @@ from .reportio import (DiagnosticsReport, SCHEMA_VERSION, Section, Verdict,
 from .riesz import (hilbert_triplet_realization, make_riesz_basis,
                     metric_operator_check, strictness_constants,
                     strictness_report)
-from .sequences import (SequenceFamily, bessel_bound, bessel_bound_sampled,
-                        bessel_factor, bessel_sampler,
-                        biorthogonality_residual, family_rank,
-                        frame_operator, level_gram, partial_sum,
+from .sequences import (BIORTH_TOL, DOMINATION_FACTOR, SequenceFamily,
+                        bessel_bound, bessel_bound_sampled, bessel_factor,
+                        bessel_sampler, biorthogonality_residual,
+                        family_rank, frame_operator, level_gram, partial_sum,
                         riesz_fischer_check, schauder_inequality_probe,
                         weak_expansion_residual)
-from .spaces import (LineGrid, aliasing_fraction, hermite_grid, hermite_values,
+from .spaces import (ALIASING_TOL, CONSTRUCTION_TOL, SUPPORT_TOL, LineGrid,
+                     aliasing_fraction, hermite_grid, hermite_values,
                      number_operator_model, number_operator_rule,
                      schwartz_hermite_model, sobolev_model, sobolev_multiplier)
 from .triplet import WeightedTriplet
@@ -53,11 +54,11 @@ WEIGHT_RULES = ("ones", "linear", "quadratic")
 DEFAULT_LADDER = (8, 16, 32, 64)
 
 DEFAULT_TOLERANCES = {
-    "aliasing": 1e-10,
-    "biorthogonality": 1e-10,
+    "aliasing": ALIASING_TOL,
+    "biorthogonality": BIORTH_TOL,
     "composition": 1e-12,
     "constants_window": 1e-6,
-    "construction": 1e-10,
+    "construction": CONSTRUCTION_TOL,
     "eigen": 1e-10,
     "equality": 1e-12,
     "frame_positivity": 1e-12,
@@ -67,7 +68,7 @@ DEFAULT_TOLERANCES = {
     "roundtrip": 1e-12,
     "similarity": 1e-10,
     "spectrum": 1e-8,
-    "support": 1e-12,
+    "support": SUPPORT_TOL,
 }
 
 # The pseudo-Hermitian knobs and their defaults.
@@ -435,10 +436,12 @@ def _resolve_example(cfg):
 
         return ModelBundle("schwartz", fam, ladder_rule=rule)
     if cfg.example == "hermite":
-        return ModelBundle("hermite", grid=hermite_grid(dim, points=cfg.size))
+        return ModelBundle("hermite", grid=hermite_grid(
+            dim, points=cfg.size, support_tol=cfg.tolerances["support"]))
     # sobolev, the last of EXAMPLES
     grid = LineGrid(cfg.half_width, cfg.size)
-    fam, hermite, round_trip = sobolev_model(grid, dim)
+    fam, hermite, round_trip = sobolev_model(grid, dim,
+                                             cfg.tolerances["support"])
     return ModelBundle("sobolev", fam,
                        ladder_rule=lambda m: (fam.triplet, fam.family[:, :m]),
                        grid=grid, hermite=hermite, round_trip=round_trip)
@@ -606,7 +609,7 @@ def _schauder_section(bundle, cfg):
                    "per_level": probe.per_level}
     sec.verdicts.append(Verdict(
         "declared-factor-holds", _pf(probe.q_level is not None),
-        {"per_level": probe.per_level, "factor": 2.0}))
+        {"per_level": probe.per_level, "factor": DOMINATION_FACTOR}))
     return sec
 
 
@@ -677,7 +680,7 @@ def _hermite_section(bundle, cfg):
     grid = bundle.grid
     count = cfg.effective_dim
     tol = cfg.tolerances
-    vals = hermite_values(grid, count)
+    vals = hermite_values(grid, count, tol["support"])
     idx = int(np.argmin(np.abs(grid.nodes)))
     at0 = vals[idx, :]
     x = grid.nodes

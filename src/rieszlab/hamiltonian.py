@@ -18,9 +18,12 @@ import numpy as np
 
 from . import sequences
 from .errors import DimensionError, InjectivityError, ValidationError
-from .sequences import RANK_RTOL, pseudo_inverse, singular_values
+from .sequences import pseudo_inverse, singular_values
 from .trends import classify_growth, loglog_slope
 from .triplet import coords_of, pairing
+
+#: Largest entry of |Psi^H Psi - I| accepted for an eigenvector matrix.
+UNITARY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -59,7 +62,7 @@ def random_unitary(dim, seed):
     return q * (np.conj(d) / np.abs(d))
 
 
-def build_selfadjoint(eigenvalues, eigenvectors, unitary_tol=1e-10):
+def build_selfadjoint(eigenvalues, eigenvectors):
     """H_sa = sum_k lambda_k psi_k psi_k^H from real eigenvalues and a
     unitary eigenvector matrix; the result is symmetrized so Hermiticity
     is exact."""
@@ -75,31 +78,28 @@ def build_selfadjoint(eigenvalues, eigenvectors, unitary_tol=1e-10):
     if lam.shape != (psi.shape[0],):
         raise DimensionError("need one eigenvalue per eigenvector")
     defect = float(np.max(np.abs(psi.conj().T @ psi - np.eye(psi.shape[0]))))
-    if not defect <= unitary_tol:
+    if not defect <= UNITARY_TOL:
         raise ValidationError(
             f"eigenvector matrix is not unitary (defect {defect:.2e})")
     h = (psi * lam) @ psi.conj().T
     return (h + h.conj().T) / 2.0
 
 
-def build_pair(eigenvalues, eigenvectors, transform, rank_rtol=RANK_RTOL,
-               unitary_tol=1e-10):
+def build_pair(eigenvalues, eigenvectors, transform):
     """Assemble the intertwined pair H = T^{-1} H_sa T.
 
     The transform must be injective at this truncation; repeated
     eigenvalues are accepted and flagged as degenerate.
     """
-    hsa = build_selfadjoint(eigenvalues, eigenvectors, unitary_tol)
+    hsa = build_selfadjoint(eigenvalues, eigenvectors)
     t = np.asarray(transform, dtype=complex)
     if t.shape != hsa.shape:
         raise DimensionError("transform does not match the operator size")
-    tinv, rank = pseudo_inverse(t, rank_rtol)
+    tinv, rank = pseudo_inverse(t)
     if rank < t.shape[1]:
         raise InjectivityError(
             f"transform is singular (rank {rank} of {t.shape[1]})")
-    lam = np.asarray(eigenvalues, dtype=float).ravel() \
-        if not np.iscomplexobj(eigenvalues) \
-        else np.asarray(eigenvalues).real.astype(float).ravel()
+    lam = np.real(eigenvalues).astype(float).ravel()
     psi = np.asarray(eigenvectors, dtype=complex)
     degenerate = bool(np.any(np.diff(np.sort(lam)) < 1e-12))
     # Read through the module, so that switching the closed forms off
@@ -171,17 +171,16 @@ class DensityTrend:
     flag: str
 
 
-def density_diagnostic(pair_rule, ladder, eta_rule=None):
-    """Trend of ||T^H eta_N|| over a dimension ladder.
+def density_diagnostic(pair_rule, ladder):
+    """Trend of ||T^H e_N|| over a dimension ladder.
 
     Parameters
     ----------
     pair_rule : callable N -> HamiltonianPair
     ladder : increasing dimensions to sample
-    eta_rule : callable N -> array_like, optional
-        Probe vectors; the default is the last canonical basis vector,
-        which exposes the largest singular directions of diagonal-style
-        transforms.
+
+    The probe e_N, the last canonical basis vector, exposes the largest
+    singular directions of diagonal-style transforms.
 
     A clearly growing trend is flagged "growing" (the probe directions
     leave every bounded admissibility ball), bounded trends are "benign".
@@ -192,11 +191,8 @@ def density_diagnostic(pair_rule, ladder, eta_rule=None):
     norms = []
     for n in ladder:
         pair = pair_rule(n)
-        if eta_rule is None:
-            eta = np.zeros(pair.dim, dtype=complex)
-            eta[-1] = 1.0
-        else:
-            eta = coords_of(eta_rule(n))
+        eta = np.zeros(pair.dim, dtype=complex)
+        eta[-1] = 1.0
         norms.append(float(np.linalg.norm(pair.transform.conj().T @ eta)))
     if len(ladder) >= 2:
         slope = loglog_slope(ladder, norms)

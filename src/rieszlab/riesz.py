@@ -16,12 +16,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionError, InjectivityError, StateError, ValidationError
-from .sequences import (LinearMap, RANK_RTOL, SequenceFamily,
-                        biorthogonality_residual, dual_analysis,
-                        dual_level_norm, make_linear_map, pseudo_inverse,
-                        singular_values)
-from .trends import (GROWTH_THRESHOLD, MIN_LADDER_POINTS, STRADDLE_BAND,
-                     classify_growth, loglog_slope)
+from .sequences import (BIORTH_TOL, DOMINATION_FACTOR, LinearMap,
+                        SequenceFamily, biorthogonality_residual,
+                        dual_analysis, dual_level_norm, make_linear_map,
+                        pseudo_inverse, singular_values)
+from .trends import MIN_LADDER_POINTS, classify_growth, loglog_slope
 from .triplet import CoefVector, WeightedTriplet, coords_of, pairing
 
 
@@ -44,7 +43,7 @@ class RieszBasis:
             raise ValidationError(f"unknown strictness verdict {self.strict!r}")
 
 
-def make_riesz_basis(transform, triplet, rank_rtol=RANK_RTOL):
+def make_riesz_basis(transform, triplet):
     """Build the basis xi_n = T^{-1} e_n with dual zeta_n = T^H e_n.
 
     Parameters
@@ -65,7 +64,7 @@ def make_riesz_basis(transform, triplet, rank_rtol=RANK_RTOL):
         raise DimensionError("the transform must be square")
     if a.shape[0] != triplet.dim:
         raise DimensionError("transform size does not match the model dimension")
-    xi, rank = pseudo_inverse(a, rank_rtol)
+    xi, rank = pseudo_inverse(a)
     if rank < a.shape[1]:
         raise InjectivityError(
             f"transform is singular at this truncation (rank {rank} of "
@@ -106,7 +105,7 @@ class MetricCheckResult:
         pair (Z, (Xi^+)^H)
     positivity : worst |<S f, f> - sum |a_k|^2| over sampled f = Xi a
     p_zeta_level : smallest ladder level dominating the coefficient
-        seminorm within the declared factor (None if none does)
+        seminorm within DOMINATION_FACTOR (None if none does)
     level_constants : exact per-level domination constants (sup over all f)
     biorthogonality : residual of the family/dual pair
     verdict : "pass" when all three equivalent conditions check out
@@ -120,8 +119,7 @@ class MetricCheckResult:
     verdict: str
 
 
-def metric_operator_check(fam, samples=50, seed=0, level_factor=2.0,
-                          positivity_tol=1e-8):
+def metric_operator_check(fam, samples=50, seed=0, positivity_tol=1e-8):
     """Build S with S xi_k = zeta_k and test the equivalent formulations.
 
     S is Z Xi^+ (the minimal linear extension at truncation; a singular
@@ -150,10 +148,10 @@ def metric_operator_check(fam, samples=50, seed=0, level_factor=2.0,
     constants = {j: dual_level_norm(fam, j)
                  for j in range(fam.triplet.levels + 1)}
     p_level = next((j for j in range(fam.triplet.levels + 1)
-                    if constants[j] <= level_factor), None)
+                    if constants[j] <= DOMINATION_FACTOR), None)
 
     bio = biorthogonality_residual(fam)
-    ok = bio <= fam.biorth_tol and worst <= positivity_tol and p_level is not None
+    ok = bio <= BIORTH_TOL and worst <= positivity_tol and p_level is not None
     return MetricCheckResult(metric, worst, p_level, constants, bio,
                              "pass" if ok else "fail")
 
@@ -179,8 +177,7 @@ class RangeMembershipResult:
     in_range: bool | None
 
 
-def range_membership(basis_rule, psi_rule, ladder, *,
-                     threshold=GROWTH_THRESHOLD, band=STRADDLE_BAND):
+def range_membership(basis_rule, psi_rule, ladder):
     """Diagnose whether a dual-side vector lies in the adjoint's range.
 
     Parameters
@@ -206,7 +203,7 @@ def range_membership(basis_rule, psi_rule, ladder, *,
         defects.append(defect)
     if len(ladder) >= 2:
         slope = loglog_slope(ladder, sq_sums)
-        trend = classify_growth(slope, threshold, band)
+        trend = classify_growth(slope)
     else:
         slope, trend = None, "inconclusive"
     in_range = {"bounded": True, "growing": False}.get(trend)
@@ -239,7 +236,7 @@ class StrictnessReport:
     """Two-sided constants over a dimension ladder with the trend verdict.
 
     The verdict convention is declared, not proven: fitted log-log slopes
-    against a 0.5 threshold with a 10% straddle band, and at least four
+    classified by `trends.classify_growth`, and at least MIN_LADDER_POINTS
     ladder points; completeness beyond full column rank has no finite
     content, so the verdict speaks about trends only.
     """
@@ -253,13 +250,12 @@ class StrictnessReport:
     note: str = ""
 
 
-def strictness_report(basis_rule, ladder, *, threshold=GROWTH_THRESHOLD,
-                      band=STRADDLE_BAND, min_points=MIN_LADDER_POINTS):
+def strictness_report(basis_rule, ladder):
     """Fit growth trends of the two-sided constants across a ladder.
 
     Strict means the inverse lower constant and every level's upper
     constant stay bounded; any clearly growing trend is non-strict;
-    straddling slopes or a window shorter than `min_points` stay
+    straddling slopes or a window shorter than MIN_LADDER_POINTS stay
     inconclusive.  `basis_rule` may return either a basis or a plain
     (triplet, family_matrix) pair, which covers families truncated by
     column count rather than rebuilt per dimension.
@@ -288,12 +284,12 @@ def strictness_report(basis_rule, ladder, *, threshold=GROWTH_THRESHOLD,
     inv_lower = [1.0 / max(v, 1e-300) for v in lowers]
     lower_slope = loglog_slope(ladder, inv_lower)
     upper_slopes = {q: loglog_slope(ladder, v) for q, v in uppers.items()}
-    classes = [classify_growth(lower_slope, threshold, band)]
-    classes += [classify_growth(sl, threshold, band)
-                for sl in upper_slopes.values()]
-    if len(ladder) < min_points:
+    classes = [classify_growth(sl)
+               for sl in (lower_slope, *upper_slopes.values())]
+    if len(ladder) < MIN_LADDER_POINTS:
         verdict, note = "inconclusive", (
-            f"ladder shorter than the declared {min_points}-point window")
+            f"ladder shorter than the declared {MIN_LADDER_POINTS}-point "
+            "window")
     elif "growing" in classes:
         verdict, note = "non-strict", "some constant grows along the ladder"
     elif all(c == "bounded" for c in classes):

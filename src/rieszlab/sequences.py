@@ -26,9 +26,13 @@ from .triplet import CoefVector, WeightedTriplet, coords_of, pairing
 #: values count as zero (pseudo-inverses, rank decisions, injectivity).
 RANK_RTOL = 1e-12
 
-#: Default biorthogonality tolerance; violations taint reports instead of
-#: raising.
+#: Biorthogonality tolerance: a larger residual makes `is_tainted` true
+#: and fails `metric_operator_check`, without raising.
 BIORTH_TOL = 1e-10
+
+#: Declared domination factor: the partial-sum probe and the metric check
+#: pick the smallest level whose worst ratio or constant stays below it.
+DOMINATION_FACTOR = 2.0
 
 #: Columns per `bessel_bound_sampled` chunk, fewer when a draw array would
 #: pass _CHUNK_ELEMENTS float64 entries (64 MiB) on large grids.
@@ -130,12 +134,6 @@ class LinearMap:
     certificate: dict
     right: np.ndarray | None = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "left", np.asarray(self.left, dtype=complex))
-        if self.right is not None:
-            object.__setattr__(self, "right",
-                               np.asarray(self.right, dtype=complex))
-
     @cached_property
     def matrix(self):
         if self.right is None:
@@ -174,7 +172,6 @@ class SequenceFamily:
     family : ndarray, N x M columns xi_n (all nonzero)
     triplet : the weighted model the columns live in
     dual : ndarray or None, N x M columns zeta_n on the dual side
-    biorth_tol : tolerance beyond which the pair counts as tainted
 
     Two results are memoised on the instance, so every check that needs
     them shares one SVD: `inverse`, the pair (Xi^+, rank) at RANK_RTOL,
@@ -185,7 +182,6 @@ class SequenceFamily:
     family: np.ndarray
     triplet: WeightedTriplet
     dual: np.ndarray | None = None
-    biorth_tol: float = BIORTH_TOL
     _dual_norms: dict = field(default_factory=dict, init=False, repr=False,
                               compare=False)
 
@@ -229,41 +225,41 @@ class SequenceFamily:
         return pinv, rank
 
 
-def _kept_inverse(s, rank_rtol):
+def _kept_inverse(s):
     """(1/s where |s| passes the cutoff and 0 elsewhere, kept count).
 
-    Values at or below `rank_rtol` times the largest |s| count as zero.
+    Values at or below RANK_RTOL times the largest |s| count as zero.
     """
     top = np.max(np.abs(s)) if s.size else 0.0
-    keep = np.abs(s) > (rank_rtol * top if top > 0 else np.inf)
+    keep = np.abs(s) > (RANK_RTOL * top if top > 0 else np.inf)
     inv = np.zeros_like(s)
     inv[keep] = 1.0 / s[keep]
     return inv, int(np.sum(keep))
 
 
-def pseudo_inverse(matrix, rank_rtol=RANK_RTOL):
+def pseudo_inverse(matrix):
     """(A^+, rank) of an N x M matrix from one thin SVD.
 
-    Singular values at or below `rank_rtol` times the largest count as
+    Singular values at or below RANK_RTOL times the largest count as
     zero, so A^+ is the minimal-norm inverse; an injective A has rank M.
     A real diagonal A is inverted entry by entry under the same cutoff.
     """
     a = np.asarray(matrix, dtype=complex)
     d = _real_diagonal(a)
     if d is not None:
-        inv, rank = _kept_inverse(d, rank_rtol)
+        inv, rank = _kept_inverse(d)
         return np.diag(inv).astype(complex), rank
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    inv, rank = _kept_inverse(s, rank_rtol)
+    inv, rank = _kept_inverse(s)
     return (vh.conj().T * inv) @ u.conj().T, rank
 
 
-def family_rank(matrix, rank_rtol=RANK_RTOL):
+def family_rank(matrix):
     """Numerical rank with the package-wide relative singular value cutoff."""
     s = singular_values(np.asarray(matrix, dtype=complex))
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > rank_rtol * s[0]))
+    return int(np.sum(s > RANK_RTOL * s[0]))
 
 
 # -- biorthogonality ---------------------------------------------------------
@@ -284,16 +280,14 @@ def biorthogonality_residual(fam):
     return res
 
 
-def is_tainted(fam, tol=None):
-    """Whether biorthogonality is violated beyond tolerance.
+def is_tainted(fam):
+    """Whether the biorthogonality residual exceeds BIORTH_TOL.
 
-    Tainted families stay usable; the flag is propagated into reports
-    instead of raising.
+    Tainted families stay usable: the flag is data, not an error.
     """
     if fam.dual is None:
         return False
-    tol = fam.biorth_tol if tol is None else tol
-    return biorthogonality_residual(fam) > tol
+    return biorthogonality_residual(fam) > BIORTH_TOL
 
 
 # -- analysis / synthesis / frame -------------------------------------------
@@ -575,13 +569,13 @@ class DualAnalysisResult:
     surjective: bool
 
 
-def dual_analysis(fam, phi, rank_rtol=RANK_RTOL):
+def dual_analysis(fam, phi):
     """Second coefficient map phi -> {<phi, xi_k>}_k with its l2 mass."""
     v = coords_of(phi)
     if v.shape[0] != fam.dim:
         raise DimensionError("dual-analysis input does not match the model")
     coeffs = fam.family.conj().T @ v
-    rank = family_rank(fam.family, rank_rtol)
+    rank = family_rank(fam.family)
     return DualAnalysisResult(coeffs, float(np.sum(np.abs(coeffs) ** 2)),
                               rank, rank == fam.size)
 
@@ -634,7 +628,7 @@ def weak_expansion_residual(fam, psi, f, n):
 class SchauderProbeResult:
     """Smallest level dominating earlier partial sums, with the evidence.
 
-    q_level is None when even the top level failed the declared factor;
+    q_level is None when even the top level failed DOMINATION_FACTOR;
     per_level records the worst observed ratio for every candidate level.
     """
 
@@ -643,14 +637,14 @@ class SchauderProbeResult:
     per_level: dict
 
 
-def schauder_inequality_probe(fam, p_level, trials, seed, factor=2.0):
+def schauder_inequality_probe(fam, p_level, trials, seed):
     """Randomized partial-sum domination probe.
 
     Draws coefficient vectors and split points (n, n+m) and records, per
     candidate level q, the worst ratio p_{p_level}(shorter sum) /
     p_q(longer sum).  Reported is the smallest q whose worst ratio stays
-    below `factor` (default 2.0, a declared convention).  The seed is
-    mandatory so that reports reproduce bit for bit.
+    below DOMINATION_FACTOR.  The seed is mandatory so that reports
+    reproduce bit for bit.
     """
     tri = fam.triplet
     if not 0 <= p_level <= tri.levels:
@@ -674,7 +668,7 @@ def schauder_inequality_probe(fam, p_level, trials, seed, factor=2.0):
             elif pu > 0.0:
                 worst[q] = np.inf
     for q in range(tri.levels + 1):
-        if worst[q] <= factor:
+        if worst[q] <= DOMINATION_FACTOR:
             return SchauderProbeResult(q, worst[q], worst)
     return SchauderProbeResult(None, None, worst)
 

@@ -27,6 +27,10 @@ ALIASING_TOL = 1e-10
 #: support failure.
 SUPPORT_TOL = 1e-12
 
+#: Largest quadrature-norm defect of the multiplier round trip
+#: phi_n -> xi_n -> phi_n accepted by the Sobolev construction.
+CONSTRUCTION_TOL = 1e-10
+
 _MAX_POINTS = 2 ** 16
 
 
@@ -152,12 +156,6 @@ def hermite_values(grid, count, support_tol=SUPPORT_TOL):
     return out
 
 
-def hermite_basis(grid, count, support_tol=SUPPORT_TOL):
-    """The Hermite functions as a list of sampled functions."""
-    vals = hermite_values(grid, count, support_tol)
-    return [SampledFunction(grid, vals[:, n]) for n in range(count)]
-
-
 def hermite_gram(grid, count):
     """Quadrature Gram matrix of the first `count` Hermite functions."""
     vals = hermite_values(grid, count)
@@ -178,14 +176,14 @@ def aliasing_fraction(grid, values):
     return float(np.sum(np.abs(spec[high]) ** 2)) / total
 
 
-def hermite_grid(count, half_width=None, points=1024,
-                 aliasing_tol=ALIASING_TOL, support_tol=SUPPORT_TOL):
+def hermite_grid(count, half_width=None, points=1024, support_tol=SUPPORT_TOL):
     """Grid on which the first `count` Hermite functions are well resolved.
 
     Starts from the default window rule and the requested point count,
     doubling the points (up to 2^16) while any basis column leaves more
-    than `aliasing_tol` of its spectral mass in the top third of the
-    band.  Support failures are not fixed by refinement and propagate.
+    than ALIASING_TOL of its spectral mass in the top third of the
+    band.  Support failures (a column's window-support residual above
+    `support_tol`) are not fixed by refinement and propagate.
     """
     hw = default_half_width(count) if half_width is None else float(half_width)
     p = int(points)
@@ -193,7 +191,7 @@ def hermite_grid(count, half_width=None, points=1024,
         grid = LineGrid(hw, p)
         vals = hermite_values(grid, count, support_tol)
         worst = max(aliasing_fraction(grid, vals[:, n]) for n in range(count))
-        if worst <= aliasing_tol:
+        if worst <= ALIASING_TOL:
             return grid
         if 2 * p > _MAX_POINTS:
             raise SupportError(
@@ -237,8 +235,7 @@ def sobolev_triplet(grid):
     return WeightedTriplet.fourier(weights, 1)
 
 
-def sobolev_basis(grid, count, construction_tol=1e-10,
-                  support_tol=SUPPORT_TOL):
+def sobolev_basis(grid, count):
     """Family xi_n = (I - d^2/dx^2)^{-1/2} phi_n over the Sobolev triplet.
 
     The dual columns are (I - d^2/dx^2)^{+1/2} phi_n, so biorthogonality
@@ -248,20 +245,21 @@ def sobolev_basis(grid, count, construction_tol=1e-10,
     norm strictly below its Hermite source (the multiplier contracts all
     nonzero frequencies).
     """
-    return sobolev_model(grid, count, construction_tol, support_tol)[0]
+    return sobolev_model(grid, count)[0]
 
 
-def sobolev_model(grid, count, construction_tol=1e-10,
-                  support_tol=SUPPORT_TOL):
+def sobolev_model(grid, count, support_tol=SUPPORT_TOL):
     """(family, hermite, round_trip): `sobolev_basis` with the sampled
     phi_n as columns and the worst quadrature-norm defect of the multiplier
-    round trip phi_n -> xi_n -> phi_n, for diagnostics to reuse."""
+    round trip phi_n -> xi_n -> phi_n, for diagnostics to reuse.  A defect
+    above CONSTRUCTION_TOL raises; `support_tol` bounds each phi_n's
+    window-support residual as in `hermite_values`."""
     phis = hermite_values(grid, count, support_tol)
     scale = np.sqrt(grid.spacing)
     low = sobolev_multiplier(grid, -1.0, phis)
     defects = scale * np.linalg.norm(sobolev_multiplier(grid, 1.0, low) - phis,
                                      axis=0)
-    failed = np.flatnonzero(~(defects <= construction_tol))
+    failed = np.flatnonzero(~(defects <= CONSTRUCTION_TOL))
     if failed.size:
         n = int(failed[0])
         raise ValidationError(

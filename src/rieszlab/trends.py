@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+#: Slope threshold and its relative straddle band (`classify_growth`), and
+#: the shortest ladder a strictness verdict may rest on.
 GROWTH_THRESHOLD = 0.5
 STRADDLE_BAND = 0.1
 MIN_LADDER_POINTS = 4
@@ -33,10 +35,10 @@ def loglog_slope(ns, values):
     return float(np.polyfit(np.log(ns), np.log(vals), 1)[0])
 
 
-def classify_growth(slope, threshold=GROWTH_THRESHOLD, band=STRADDLE_BAND):
+def classify_growth(slope):
     """Classify a fitted slope as 'bounded', 'growing' or 'inconclusive'."""
-    lo = threshold * (1.0 - band)
-    hi = threshold * (1.0 + band)
+    lo = GROWTH_THRESHOLD * (1.0 - STRADDLE_BAND)
+    hi = GROWTH_THRESHOLD * (1.0 + STRADDLE_BAND)
     if slope < lo:
         return "bounded"
     if slope > hi:

@@ -335,6 +335,23 @@ def test_infinite_half_width_is_refused_before_sampling(capsys):
     assert capsys.readouterr().err == "error: half width must be finite\n"
 
 
+def test_support_tolerance_bounds_the_hermite_window(capsys):
+    argv = ["full-report", "--example", "hermite", "--seed", "1",
+            "--tolerance", "support=1e-300"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: half width 20 too small for basis function 0 ")
+
+
+def test_support_tolerance_admits_a_narrow_sobolev_window(tmp_path):
+    # At the default 1e-12 a half width of 8 is refused for function 7.
+    doc = run_json(tmp_path, ["example", "--example", "sobolev", "--size",
+                              "256", "--half-width", "8", "--seed", "1",
+                              "--tolerance", "support=1e-3"])
+    assert section(doc, "sobolev-family")["records"]["round_trip_residual"] \
+        <= 1e-12
+
+
 def count_calls(monkeypatch, names):
     """Count calls of each named function, wherever a rieszlab module
     binds it, since the CLI and the models call helpers by name."""

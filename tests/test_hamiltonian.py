@@ -166,11 +166,6 @@ class TestDensityDiagnostic:
         assert res.flag == "benign"
         assert res.norms == pytest.approx((1.0,) * 4)
 
-    def test_contracting_probe_is_benign(self):
-        res = density_diagnostic(demo_pair, LADDER,
-                                 eta_rule=lambda n: np.eye(n)[:, 0])
-        assert res.flag == "benign"
-
     def test_single_point_inconclusive(self):
         res = density_diagnostic(demo_pair, (8,))
         assert res.flag == "inconclusive"

@@ -86,7 +86,6 @@ class TestBiorthogonality:
         fam = SequenceFamily(E4, tri, dual=2.0 * E4)
         assert biorthogonality_residual(fam) == 1.0
         assert is_tainted(fam)
-        assert not is_tainted(fam, tol=2.0)
 
 
 class TestAnalysisSynthesis:
@@ -464,7 +463,6 @@ def test_duality_estimate_through_coefficients(rng):
 def test_family_rank_cutoff():
     mat = np.diag([1.0, 1e-6, 1e-14])
     assert family_rank(mat) == 2
-    assert family_rank(mat, rank_rtol=1e-16) == 3
     assert family_rank(np.zeros((3, 2))) == 0
 
 

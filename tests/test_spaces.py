@@ -6,8 +6,8 @@ from scipy.special import eval_hermite
 
 from rieszlab import (DimensionError, LineGrid, SampledFunction, SupportError,
                       ValidationError, WeightedTriplet, aliasing_fraction,
-                      bessel_bound, biorthogonality_residual, hermite_basis,
-                      hermite_gram, hermite_grid, hermite_values, level_gram,
+                      bessel_bound, biorthogonality_residual, hermite_gram,
+                      hermite_grid, hermite_values, level_gram,
                       number_operator_model, schwartz_hermite_model,
                       sobolev_basis, sobolev_multiplier, sobolev_triplet)
 from rieszlab.spaces import default_half_width, from_coef, to_coef
@@ -108,11 +108,6 @@ class TestHermiteValues:
     def test_count_validation(self):
         with pytest.raises(ValidationError):
             hermite_values(GRID, 0)
-
-    def test_basis_wraps_columns(self):
-        funcs = hermite_basis(GRID, 3)
-        assert len(funcs) == 3
-        assert funcs[0].inner(funcs[0]).real == pytest.approx(1.0, abs=1e-10)
 
 
 class TestHermiteGram:
