@@ -32,11 +32,11 @@ from .riesz import (hilbert_triplet_realization, make_riesz_basis,
                     metric_operator_check, strictness_constants,
                     strictness_report)
 from .sequences import (BIORTH_TOL, DOMINATION_FACTOR, SequenceFamily,
-                        bessel_bound, bessel_bound_sampled, bessel_factor,
-                        bessel_sampler, biorthogonality_residual,
-                        family_rank, frame_operator, level_gram, partial_sum,
-                        riesz_fischer_check, schauder_inequality_probe,
-                        weak_expansion_residual)
+                        analysis, bessel_bound, bessel_bound_sampled,
+                        bessel_factor, bessel_sampler,
+                        biorthogonality_residual, family_rank, frame_operator,
+                        level_gram, partial_sum, riesz_fischer_check,
+                        schauder_inequality_probe, weak_expansion_residual)
 from .spaces import (ALIASING_TOL, CONSTRUCTION_TOL, SUPPORT_TOL, LineGrid,
                      aliasing_fraction, hermite_grid, hermite_values,
                      number_operator_model, number_operator_rule,
@@ -52,6 +52,10 @@ SEEDED = frozenset({"bessel", "example", "pseudo-hermitian", "full-report"})
 EXAMPLES = ("number-op", "schwartz", "hermite", "sobolev")
 WEIGHT_RULES = ("ones", "linear", "quadratic")
 DEFAULT_LADDER = (8, 16, 32, 64)
+
+#: Random draws per report: partial-sum probe trials, weak-similarity pairs.
+SCHAUDER_TRIALS = 200
+SIMILARITY_PAIRS = 100
 
 DEFAULT_TOLERANCES = {
     "aliasing": ALIASING_TOL,
@@ -373,11 +377,7 @@ class ModelBundle:
 
 def _rule_weights(rule, n):
     k = np.arange(1, n + 1, dtype=float)
-    if rule == "ones":
-        return np.ones(n)
-    if rule == "linear":
-        return k
-    return k ** 2
+    return {"ones": np.ones(n), "linear": k, "quadratic": k ** 2}[rule]
 
 
 def resolve_model(cfg):
@@ -507,15 +507,14 @@ def _frame_section(bundle, cfg):
     # canonical directions give a deterministic positivity probe.
     z = fam.require_dual()
     diag = np.sum(z.real ** 2 + z.imag ** 2, axis=1)
+    least = float(np.min(diag))
     sec = Section("frame-operator")
-    sec.records = {"certificate": op.certificate,
-                   "smallest_diagonal": float(np.min(diag)),
+    sec.records = {"certificate": op.certificate, "smallest_diagonal": least,
                    "largest_diagonal": float(np.max(diag))}
     sec.verdicts.append(Verdict(
         "positivity-on-canonical-directions",
-        _pf(float(np.min(diag)) >= -tol["frame_positivity"]),
-        {"smallest_diagonal": float(np.min(diag)),
-         "tolerance": tol["frame_positivity"]}))
+        _pf(least >= -tol["frame_positivity"]),
+        {"smallest_diagonal": least, "tolerance": tol["frame_positivity"]}))
     return sec
 
 
@@ -602,7 +601,8 @@ def _strictness_section(bundle, cfg):
 
 def _schauder_section(bundle, cfg):
     fam = bundle.require_family()
-    probe = schauder_inequality_probe(fam, fam.triplet.levels, 200, cfg.seed)
+    probe = schauder_inequality_probe(fam, fam.triplet.levels,
+                                      SCHAUDER_TRIALS, cfg.seed)
     sec = Section("partial-sum-domination")
     sec.records = {"dominating_level": probe.q_level,
                    "worst_ratio": probe.worst_ratio,
@@ -628,14 +628,8 @@ def _realization_section(bundle, cfg):
                    "weight_max": float(np.max(tri.weights))}
     sec.verdicts.append(Verdict(
         "collapse-to-hilbert-triplet", "pass",
-        {"weight_min": float(np.min(tri.weights)),
-         "weight_max": float(np.max(tri.weights)),
-         "gram_tolerance": tol["gram"]}))
+        {**sec.records, "gram_tolerance": tol["gram"]}))
     return sec
-
-
-def _default_probe(dim):
-    return 2.0 ** -np.arange(1, dim + 1)
 
 
 def _reconstruct_section(bundle, cfg):
@@ -649,18 +643,20 @@ def _reconstruct_section(bundle, cfg):
                 f"probe vector length {f.shape[0]} does not match "
                 f"dimension {fam.dim}")
     else:
-        f = _default_probe(fam.dim).astype(complex)
-    residuals = []
-    for n in range(fam.size + 1):
-        s = partial_sum(fam, f, n)
-        residuals.append(float(np.linalg.norm(f - s.coords)))
+        f = (2.0 ** -np.arange(1, fam.dim + 1)).astype(complex)
+    # Row n of the running sum of the a_k xi_k^T is (S_{n+1} f)^T.
+    work = analysis(fam, f)[:, None] * fam.family.T
+    np.cumsum(work, axis=0, out=work)
+    np.subtract(f, work, out=work)
+    residuals = [float(np.linalg.norm(f))]
+    residuals += np.linalg.norm(work, axis=1).tolist()
     ratios = [residuals[n + 1] / residuals[n]
               for n in range(fam.size) if residuals[n] > 0.0]
     weak = weak_expansion_residual(fam, np.ones(fam.dim), f, fam.size)
     sec = Section("reconstruction")
     sec.records = {"residuals": residuals, "ratios": ratios,
                    "weak_expansion_residual": weak}
-    final = residuals[-1]
+    final = float(np.linalg.norm(f - partial_sum(fam, f, fam.size).coords))
     if final <= tol["reconstruction"]:
         verdict = "pass"
     elif fam.size < fam.dim:
@@ -776,18 +772,17 @@ def _spectral_section(bundle, cfg):
 
 def _similarity_section(bundle, cfg):
     pair = bundle.pair
-    dim = pair.dim
     tol = cfg.tolerances
-    rng = np.random.default_rng(cfg.seed)
-    worst = 0.0
-    for _ in range(100):
-        xi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        eta = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        xi /= np.linalg.norm(xi)
-        eta /= np.linalg.norm(eta)
-        worst = max(worst, weak_similarity_residual(pair, xi, eta))
+    # Row t holds re xi, im xi, re eta and im eta of pair t: the stream
+    # order of drawing the pairs one by one.
+    draws = np.random.default_rng(cfg.seed).standard_normal(
+        (SIMILARITY_PAIRS, 4, pair.dim))
+    units = draws[:, 0::2] + 1j * draws[:, 1::2]
+    units /= np.linalg.norm(units, axis=2, keepdims=True)
+    xi, eta = units.transpose(1, 2, 0)
+    worst = float(np.max(weak_similarity_residual(pair, xi, eta), initial=0.0))
     sec = Section("weak-similarity")
-    sec.records = {"worst_residual": worst, "pairs": 100}
+    sec.records = {"worst_residual": worst, "pairs": SIMILARITY_PAIRS}
     sec.verdicts.append(Verdict(
         "intertwining-identity", _pf(worst <= tol["similarity"]),
         {"worst_residual": worst, "tolerance": tol["similarity"]}))

@@ -20,7 +20,7 @@ from . import sequences
 from .errors import DimensionError, InjectivityError, ValidationError
 from .sequences import pseudo_inverse, singular_values
 from .trends import classify_growth, loglog_slope
-from .triplet import coords_of, pairing
+from .triplet import coords_of
 
 #: Largest entry of |Psi^H Psi - I| accepted for an eigenvector matrix.
 UNITARY_TOL = 1e-10
@@ -117,16 +117,23 @@ def build_pair(eigenvalues, eigenvectors, transform):
 
 
 def weak_similarity_residual(pair, xi, eta):
-    """|<H xi, T^H eta> - <T xi, H_sa eta>| for one vector pair.
+    """|<H xi, T^H eta> - <T xi, H_sa eta>| for one vector pair, or one
+    per column pair of two N x K arrays.
 
     Zero in exact arithmetic for any correctly intertwined pair; the
     residual measures perturbations of H away from T^{-1} H_sa T.
     """
-    x = coords_of(xi)
-    e = coords_of(eta)
-    lhs = pairing(pair.hamiltonian @ x, pair.transform.conj().T @ e)
-    rhs = pairing(pair.transform @ x, pair.selfadjoint @ e)
-    return float(abs(lhs - rhs))
+    # On rows x^T A^T = (A x)^T, each <a, b> = sum conj(b) a runs along a
+    # contiguous row and is summed in the order of a lone vector.
+    x, e = coords_of(xi).T, coords_of(eta).T
+    if x.shape != e.shape or x.shape[-1] != pair.dim:
+        raise DimensionError("vector pairs do not match the pair dimension")
+    lhs = np.sum((e @ pair.transform.conj()).conj() * (x @ pair.hamiltonian.T),
+                 axis=-1)
+    rhs = np.sum((e @ pair.selfadjoint.T).conj() * (x @ pair.transform.T),
+                 axis=-1)
+    res = np.abs(lhs - rhs)
+    return float(res) if res.ndim == 0 else res
 
 
 def eigen_residual(pair):

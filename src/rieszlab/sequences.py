@@ -582,28 +582,27 @@ def dual_analysis(fam, phi):
 
 # -- partial sums and weak expansions ---------------------------------------
 
-def partial_sum(fam, f, n):
-    """S_n f = sum_{k<=n} conj(<zeta_k, f>) xi_k, a vector on the smooth side."""
+def _order_input(fam, n, x):
+    """The dual and the coordinates of x for an expansion of order n."""
     z = fam.require_dual()
     if not 0 <= n <= fam.size:
-        raise DimensionError(f"partial-sum order {n} outside [0, {fam.size}]")
-    v = coords_of(f)
+        raise DimensionError(f"expansion order {n} outside [0, {fam.size}]")
+    v = coords_of(x)
     if v.shape[0] != fam.dim:
-        raise DimensionError("partial-sum input does not match the model")
-    coeffs = z[:, :n].conj().T @ v
-    return CoefVector(fam.family[:, :n] @ coeffs)
+        raise DimensionError("expansion input does not match the model")
+    return z, v
+
+
+def partial_sum(fam, f, n):
+    """S_n f = sum_{k<=n} conj(<zeta_k, f>) xi_k, a vector on the smooth side."""
+    z, v = _order_input(fam, n, f)
+    return CoefVector(fam.family[:, :n] @ (z[:, :n].conj().T @ v))
 
 
 def partial_sum_adjoint(fam, psi, n):
     """Adjoint action sum_{k<=n} <psi, xi_k> zeta_k on the dual side."""
-    z = fam.require_dual()
-    if not 0 <= n <= fam.size:
-        raise DimensionError(f"partial-sum order {n} outside [0, {fam.size}]")
-    p = coords_of(psi)
-    if p.shape[0] != fam.dim:
-        raise DimensionError("partial-sum input does not match the model")
-    coeffs = fam.family[:, :n].conj().T @ p  # <psi, xi_k>
-    return CoefVector(z[:, :n] @ coeffs)
+    z, p = _order_input(fam, n, psi)
+    return CoefVector(z[:, :n] @ (fam.family[:, :n].conj().T @ p))
 
 
 def weak_expansion_residual(fam, psi, f, n):
@@ -612,11 +611,8 @@ def weak_expansion_residual(fam, psi, f, n):
     The order-n defect of the weak expansion; it vanishes at n = M for an
     exactly biorthogonal full-rank square family.
     """
-    z = fam.require_dual()
-    if not 0 <= n <= fam.size:
-        raise DimensionError(f"expansion order {n} outside [0, {fam.size}]")
+    z, v = _order_input(fam, n, f)
     p = coords_of(psi)
-    v = coords_of(f)
     a = fam.family[:, :n].conj().T @ p          # <psi, xi_k>
     b = np.conj(z[:, :n].conj().T @ v)          # <zeta_k, f>
     return float(abs(pairing(p, v) - np.sum(a * b)))
@@ -652,25 +648,26 @@ def schauder_inequality_probe(fam, p_level, trials, seed):
     if fam.size == 0:
         raise ValidationError("cannot probe an empty family")
     rng = np.random.default_rng(seed)
-    m = fam.size
-    worst = {q: 0.0 for q in range(tri.levels + 1)}
-    for _ in range(int(trials)):
+    m, trials = fam.size, int(trials)
+    # Trial t fills row t of the shorter (first n coefficients) and of
+    # the longer (first n + extra) block.
+    coeffs = np.zeros((2 * trials, m), dtype=complex)
+    for t in range(trials):
         c = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         n = int(rng.integers(1, m + 1))
         extra = int(rng.integers(0, m - n + 1))
-        u = fam.family[:, :n] @ c[:n]
-        v = fam.family[:, :n + extra] @ c[:n + extra]
-        pu = tri.seminorm(u, p_level)
-        for q in range(tri.levels + 1):
-            pv = tri.seminorm(v, q)
-            if pv > 0.0:
-                worst[q] = max(worst[q], pu / pv)
-            elif pu > 0.0:
-                worst[q] = np.inf
+        coeffs[t, :n] = c[:n]
+        coeffs[trials + t, :n + extra] = c[:n + extra]
+    sums = coeffs @ fam.family.T  # row t is the partial sum (Xi c)^T
+    pu, pv_at_p = np.split(tri.seminorm(sums.T, p_level), 2)
+    worst = {}
     for q in range(tri.levels + 1):
-        if worst[q] <= DOMINATION_FACTOR:
-            return SchauderProbeResult(q, worst[q], worst)
-    return SchauderProbeResult(None, None, worst)
+        pv = pv_at_p if q == p_level else tri.seminorm(sums[trials:].T, q)
+        ratios = np.divide(pu, pv, out=np.where(pu > 0.0, np.inf, 0.0),
+                           where=pv > 0.0)
+        worst[q] = float(np.max(ratios, initial=0.0))
+    level = next((q for q, r in worst.items() if r <= DOMINATION_FACTOR), None)
+    return SchauderProbeResult(level, worst.get(level), worst)
 
 
 def level_gram(fam, j):

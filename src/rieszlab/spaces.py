@@ -288,8 +288,8 @@ def number_operator_model(dim, levels=1, ladder=(8, 16, 32, 64)):
 
     The transported family is xi_k = e_k / k with dual zeta_k = k e_k.
     Its strictness verdict is attached from a built-in ladder report: a
-    single level gives a strict ladder (all constants are exactly 1), two
-    or more levels make the top-level constant grow like N^2.
+    single level gives a strict ladder (all constants 1 up to roundoff),
+    two or more levels make the top-level constant grow like N^2.
     """
     rule = number_operator_rule(levels)
     basis = rule(int(dim))

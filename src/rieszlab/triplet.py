@@ -216,12 +216,16 @@ class WeightedTriplet:
     def seminorm(self, f, j):
         """Level-j seminorm p_j(f) = ||diag(w)^j f||_2 in frame coordinates.
 
+        A vector f gives a float, an N x K array one seminorm per column.
         Level 0 is the Hilbert norm regardless of the frame.
         """
         if not 0 <= j <= self.levels:
             raise LevelError(f"seminorm level {j} outside [0, {self.levels}]")
-        v = self._rotated(f)
-        return float(np.linalg.norm(self.weights ** j * v))
+        # A column is summed as a contiguous row, in the order of a lone
+        # vector, so its seminorm does not depend on the other columns.
+        y = np.multiply(self._rotated(f).T, self.weights ** j, order="C")
+        norms = np.linalg.norm(y, axis=-1)
+        return float(norms) if norms.ndim == 0 else norms
 
     def dual_norm(self, phi, j):
         """Dual-side norm ||diag(w)^{-j} phi||_2 for levels 1..J.

@@ -6,7 +6,7 @@ import pytest
 from rieszlab import (DimensionError, InjectivityError, ValidationError,
                       build_pair, build_selfadjoint, demo_pair,
                       density_diagnostic, eigen_residual, nonnormality,
-                      random_unitary, spectrum_residual,
+                      pairing, random_unitary, spectrum_residual,
                       weak_similarity_residual)
 
 from conftest import random_vector
@@ -114,6 +114,60 @@ class TestWeakSimilarity:
             outputs.append(weak_similarity_residual(bad, xi, eta))
         ratios = np.diff(np.log(outputs)) / np.log(100.0)
         assert np.allclose(ratios, 1.0, atol=0.05)
+
+
+class TestWeakSimilarityColumns:
+    def test_vector_gives_the_float_of_the_two_pairings(self, rng):
+        pair = demo_pair(16)
+        for _ in range(5):
+            xi, eta = random_vector(rng, 16), random_vector(rng, 16)
+            value = weak_similarity_residual(pair, xi, eta)
+            assert type(value) is float
+            lhs = pairing(pair.hamiltonian @ xi,
+                          pair.transform.conj().T @ eta)
+            rhs = pairing(pair.transform @ xi, pair.selfadjoint @ eta)
+            assert value == pytest.approx(abs(lhs - rhs), abs=1e-13)
+
+    @pytest.mark.parametrize("dim", [1, 12, 64])
+    def test_columns_match_single_calls(self, rng, dim):
+        pair = demo_pair(dim)
+        bad = dataclasses.replace(pair, hamiltonian=pair.hamiltonian
+                                  + 1e-3 * random_unitary(dim, seed=9))
+        xi = rng.standard_normal((dim, 7)) + 1j * rng.standard_normal((dim, 7))
+        eta = rng.standard_normal((dim, 7)) + 1j * rng.standard_normal((dim, 7))
+        xi /= np.linalg.norm(xi, axis=0)
+        eta /= np.linalg.norm(eta, axis=0)
+        for p, exact in ((pair, True), (bad, False)):
+            cols = weak_similarity_residual(p, xi, eta)
+            single = [weak_similarity_residual(p, xi[:, k], eta[:, k])
+                      for k in range(7)]
+            assert cols.shape == (7,)
+            if exact:
+                # Both are roundoff of a vanishing identity.
+                assert max(cols.max(), max(single)) < 1e-12
+            else:
+                assert np.allclose(cols, single, rtol=1e-9, atol=0.0)
+
+    def test_corrupted_pair_columns_equal_single_calls(self, rng):
+        # A diagonal transform and a real diagonal Hamiltonian keep every
+        # product exact, so batching changes no bit.
+        pair = build_pair([1.0, 2.0, 3.0], np.eye(3), np.diag([1.0, 2.0, 4.0]))
+        bad = dataclasses.replace(pair, hamiltonian=pair.hamiltonian
+                                  + np.diag([0.0, 1e-3, 0.0]))
+        xi = rng.standard_normal((3, 4))
+        eta = rng.standard_normal((3, 4))
+        cols = weak_similarity_residual(bad, xi, eta)
+        assert np.array_equal(cols, [weak_similarity_residual(
+            bad, xi[:, k], eta[:, k]) for k in range(4)])
+        assert cols.max() > 1e-4
+
+    @pytest.mark.parametrize("shapes", [((5,), (5,)), ((5, 2), (5, 2)),
+                                        ((4, 2), (4, 3)), ((4,), (4, 1))])
+    def test_wrong_shapes_rejected(self, shapes):
+        pair = demo_pair(4)
+        with pytest.raises(DimensionError):
+            weak_similarity_residual(pair, np.ones(shapes[0]),
+                                     np.ones(shapes[1]))
 
 
 class TestResiduals:

@@ -47,6 +47,56 @@ class TestSeminorm:
     def test_wrong_length(self):
         with pytest.raises(DimensionError):
             W4.seminorm(np.ones(5), 1)
+        with pytest.raises(DimensionError):
+            W4.seminorm(np.ones((5, 3)), 1)
+        with pytest.raises(DimensionError):
+            W4.seminorm(np.ones((3, 4)), 1)
+
+
+def framed_triplets(n, rng):
+    """The three kinds of frame: canonical, unitary DFT and dense."""
+    w = np.linspace(1.0, 3.0, n)
+    frame = graph_norm_triplet(rng.standard_normal((n, n))).frame
+    return {"canonical": WeightedTriplet(n, w, 2),
+            "dft": WeightedTriplet.fourier(w, 2),
+            "dense": WeightedTriplet(n, w, 2, frame)}
+
+
+class TestSeminormColumns:
+    @pytest.mark.parametrize("n", [1, 7, 64, 256])
+    def test_vector_gives_the_float_of_the_plain_norm(self, rng, n):
+        for tri in framed_triplets(n, rng).values():
+            f = random_vector(rng, n)
+            for j in range(3):
+                value = tri.seminorm(f, j)
+                assert type(value) is float
+                assert value == tri.seminorm(f[:, None], j)[0]
+                # ||Q diag(w^j) Q^H f||, up to the order in which the
+                # squares are summed.
+                plain = np.linalg.norm(tri.scale(j, f))
+                assert value == pytest.approx(plain, rel=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 7, 64, 256])
+    def test_columns_equal_single_calls(self, rng, n):
+        x = rng.standard_normal((n, 9)) + 1j * rng.standard_normal((n, 9))
+        for name, tri in framed_triplets(n, rng).items():
+            for j in range(3):
+                cols = tri.seminorm(x, j)
+                single = np.array([tri.seminorm(x[:, k], j)
+                                   for k in range(9)])
+                assert cols.shape == (9,)
+                if name == "dense":
+                    # A matrix product may round each column differently
+                    # from a matrix-vector product.
+                    assert np.allclose(cols, single, rtol=1e-14, atol=0.0)
+                else:
+                    assert np.array_equal(cols, single)
+
+    def test_transposed_and_empty_inputs(self, rng):
+        rows = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
+        cols = W4.seminorm(rows.T, 2)
+        assert np.array_equal(cols, [W4.seminorm(r, 2) for r in rows])
+        assert W4.seminorm(np.zeros((4, 0)), 1).shape == (0,)
 
 
 class TestDualNorm:
