@@ -5,8 +5,9 @@ overrides) and emit the same deterministic report: a meta block carrying
 the configuration digest and named sections whose verdicts always come
 with numeric evidence.  Exit status reflects operational success only;
 failed or tainted diagnostics are data inside the report, never a
-process error.  Sections are independent of each other, so a runner may
-compute them in any order; assembly order is fixed by the command.
+process error.  A section builder returns (records, verdicts), named by
+its `SECTIONS` key; sections are independent of each other, so a runner
+may compute them in any order, and the command fixes assembly order.
 """
 from __future__ import annotations
 
@@ -93,7 +94,7 @@ class RunConfig:
     dim: int | None = None
     levels: int | None = None
     size: int = 1024
-    half_width: float = 20.0
+    half_width: float | None = None
     weights: tuple | None = None
     weight_rule: str = "ones"
     ladder: tuple = DEFAULT_LADDER
@@ -121,7 +122,8 @@ class RunConfig:
                           ("size", 1)):
             _check_int(getattr(self, name), name, low)
         try:
-            self.half_width = float(self.half_width)
+            if self.half_width is not None:
+                self.half_width = float(self.half_width)
             if self.weights is not None:
                 self.weights = tuple(float(w) for w in self.weights)
         except (TypeError, ValueError) as exc:
@@ -174,7 +176,8 @@ class RunConfig:
                 "dim": self.effective_dim,
                 "levels": self.effective_levels,
                 "size": int(self.size),
-                "half_width": float(self.half_width),
+                "half_width": (20.0 if self.half_width is None
+                               else self.half_width),
                 "weights": list(self.weights) if self.weights else None,
                 "weight_rule": self.weight_rule,
                 "ladder": list(self.ladder),
@@ -278,8 +281,9 @@ def _group_dict(raw, name, allowed):
 
 
 def build_parser():
+    # Unset flags stay out of the namespace, so its vars are the overrides.
     parser = argparse.ArgumentParser(
-        prog="rieszlab",
+        prog="rieszlab", argument_default=argparse.SUPPRESS,
         description="Deterministic diagnostics for weighted coefficient "
                     "models, transported bases and intertwined operator "
                     "pairs.")
@@ -290,9 +294,9 @@ def build_parser():
                         help="model dimension / family size")
     parser.add_argument("--levels", type=int, help="seminorm levels")
     parser.add_argument("--size", type=int, help="grid points (power of two)")
-    parser.add_argument("--half-width", type=float, dest="half_width",
+    parser.add_argument("--half-width", type=float,
                         help="grid window half width")
-    parser.add_argument("--weight-rule", dest="weight_rule",
+    parser.add_argument("--weight-rule",
                         help="weights for file models: ones, linear, quadratic")
     parser.add_argument("--ladder", help="comma-separated dimensions")
     parser.add_argument("--family", help="CSV of family columns")
@@ -300,45 +304,35 @@ def build_parser():
     parser.add_argument("--transform", help="CSV of the transported map")
     parser.add_argument("--vector", help="CSV of a probe vector")
     parser.add_argument("--seed", type=int, help="seed for random probes")
-    parser.add_argument("--tolerance", action="append", default=None,
+    parser.add_argument("--tolerance", action="append",
                         metavar="KEY=VALUE", help="override one tolerance")
     parser.add_argument("--out", help="report output path (default stdout)")
     parser.add_argument("--format", dest="fmt", choices=("json", "csv"))
-    parser.add_argument("--no-timing", dest="no_timing", action="store_true",
-                        default=None,
+    parser.add_argument("--no-timing", action="store_true",
                         help="omit wall-clock fields for byte-stable output")
     return parser
 
 
 def config_from_args(args):
-    kw = load_config_file(args.config) if args.config else {}
-    for key in ("command", "example", "dim", "levels", "size", "half_width",
-                "weight_rule", "seed", "out", "fmt", "no_timing"):
-        value = getattr(args, key)
-        if value is not None:
-            kw[key] = value
-    if args.ladder is not None:
+    flags = dict(vars(args))
+    path = flags.pop("config", None)
+    kw = load_config_file(path) if path else {}
+    ladder = flags.pop("ladder", None)
+    if ladder is not None:
         try:
-            kw["ladder"] = [int(p) for p in args.ladder.split(",") if p.strip()]
+            kw["ladder"] = [int(p) for p in ladder.split(",") if p.strip()]
         except ValueError as exc:
-            raise ConfigError(f"cannot parse ladder {args.ladder!r}") from exc
-    inputs = dict(kw.get("inputs", {}))
-    for key in ("family", "dual", "transform", "vector"):
-        value = getattr(args, key)
-        if value is not None:
-            inputs[key] = value
-    if inputs:
-        kw["inputs"] = inputs
-    if args.tolerance:
-        overrides = dict(kw.get("tolerances", {}))
-        for item in args.tolerance:
-            key, sep, value = item.partition("=")
-            if not sep:
-                raise ConfigError(f"--tolerance wants KEY=VALUE, got {item!r}")
-            overrides[key.strip()] = value
-        kw["tolerances"] = overrides
+            raise ConfigError(f"cannot parse ladder {ladder!r}") from exc
+    inputs = {k: flags.pop(k) for k in sorted(_INPUT_KEYS) if k in flags}
+    kw["inputs"] = {**kw.get("inputs", {}), **inputs}
+    tolerances = kw.setdefault("tolerances", {})
+    for item in flags.pop("tolerance", ()):
+        key, sep, value = item.partition("=")
+        if not sep:
+            raise ConfigError(f"--tolerance wants KEY=VALUE, got {item!r}")
+        tolerances[key.strip()] = value
     try:
-        return RunConfig(**kw)
+        return RunConfig(**{**kw, **flags})
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -437,9 +431,9 @@ def _resolve_example(cfg):
         return ModelBundle("schwartz", fam, ladder_rule=rule)
     if cfg.example == "hermite":
         return ModelBundle("hermite", grid=hermite_grid(
-            dim, points=cfg.size, support_tol=cfg.tolerances["support"]))
-    # sobolev, the last of EXAMPLES
-    grid = LineGrid(cfg.half_width, cfg.size)
+            dim, cfg.half_width, cfg.size, cfg.tolerances["support"]))
+    # sobolev, the last of EXAMPLES, on the half width the digest records
+    grid = LineGrid(cfg.canonical()["model"]["half_width"], cfg.size)
     fam, hermite, round_trip = sobolev_model(grid, dim,
                                              cfg.tolerances["support"])
     return ModelBundle("sobolev", fam,
@@ -453,13 +447,17 @@ def _pf(ok):
     return "pass" if ok else "fail"
 
 
+def _at_most(name, key, value, tol):
+    return Verdict(name, _pf(value <= tol), {key: value, "tolerance": tol})
+
+
 # Sections that read the family's memoised pseudo-inverse.
 _INVERSE_READERS = {"riesz-fischer", "metric-operator"}
 
 
 def _biorthogonality_section(bundle, cfg):
     fam = bundle.require_family()
-    tol = cfg.tolerances
+    bound = cfg.tolerances["biorthogonality"]
     res = biorthogonality_residual(fam)
     # The pseudo-inverse costs a full SVD; take the rank from it only when
     # a later section of this run reads that memo anyway.
@@ -467,19 +465,15 @@ def _biorthogonality_section(bundle, cfg):
         rank = fam.inverse[1]
     else:
         rank = family_rank(fam.family)
-    sec = Section("biorthogonality")
-    sec.records = {"residual": res, "family_rank": rank,
-                   "family_size": fam.size, "dimension": fam.dim}
-    verdict = "pass" if res <= tol["biorthogonality"] else "tainted"
-    sec.verdicts.append(Verdict(
-        "family-dual-pairings", verdict,
-        {"residual": res, "tolerance": tol["biorthogonality"]}))
-    return sec
+    records = {"residual": res, "family_rank": rank,
+               "family_size": fam.size, "dimension": fam.dim}
+    return records, [Verdict(
+        "family-dual-pairings", "pass" if res <= bound else "tainted",
+        {"residual": res, "tolerance": bound})]
 
 
 def _construction_section(bundle, cfg):
     basis = bundle.basis
-    tol = cfg.tolerances
     t = basis.transform.matrix
     xi = basis.fam.family
     z = basis.fam.require_dual()
@@ -487,41 +481,34 @@ def _construction_section(bundle, cfg):
     r_txi = float(np.max(np.abs(t @ xi - eye)))
     r_dual = float(np.max(np.abs(z - t.conj().T)))
     r_chain = float(np.max(np.abs(t.conj().T @ t @ xi - z)))
-    sec = Section("construction")
-    sec.records = {"transform_times_family": r_txi,
-                   "dual_vs_adjoint": r_dual,
-                   "metric_chain": r_chain,
-                   "continuity_certificate": basis.transform.certificate}
+    records = {"transform_times_family": r_txi,
+               "dual_vs_adjoint": r_dual,
+               "metric_chain": r_chain,
+               "continuity_certificate": basis.transform.certificate}
     worst = max(r_txi, r_dual, r_chain)
-    sec.verdicts.append(Verdict(
-        "transported-identities", _pf(worst <= tol["composition"]),
-        {"worst_residual": worst, "tolerance": tol["composition"]}))
-    return sec
+    return records, [_at_most("transported-identities", "worst_residual",
+                              worst, cfg.tolerances["composition"])]
 
 
 def _frame_section(bundle, cfg):
     fam = bundle.require_family()
-    tol = cfg.tolerances
+    floor = cfg.tolerances["frame_positivity"]
     op = frame_operator(fam)
     # The quadratic form <S e_k, e_k> is the k-th dual row mass, so the
     # canonical directions give a deterministic positivity probe.
     z = fam.require_dual()
     diag = np.sum(z.real ** 2 + z.imag ** 2, axis=1)
     least = float(np.min(diag))
-    sec = Section("frame-operator")
-    sec.records = {"certificate": op.certificate, "smallest_diagonal": least,
-                   "largest_diagonal": float(np.max(diag))}
-    sec.verdicts.append(Verdict(
-        "positivity-on-canonical-directions",
-        _pf(least >= -tol["frame_positivity"]),
-        {"smallest_diagonal": least, "tolerance": tol["frame_positivity"]}))
-    return sec
+    records = {"certificate": op.certificate, "smallest_diagonal": least,
+               "largest_diagonal": float(np.max(diag))}
+    return records, [Verdict(
+        "positivity-on-canonical-directions", _pf(least >= -floor),
+        {"smallest_diagonal": least, "tolerance": floor})]
 
 
 def _bessel_section(bundle, cfg):
     fam = bundle.require_family()
     tol = cfg.tolerances
-    sec = Section("bessel")
     js = tuple(range(1, fam.triplet.levels + 1))
     levels = {}
     ok = True
@@ -532,29 +519,25 @@ def _bessel_section(bundle, cfg):
     factor = bessel_factor(fam)
     cert = factor.certificate[(0, -1)]
     gap = abs(cert ** 2 - levels[1]["bound"])
-    sec.records = {"levels": levels,
-                   "sampler": bessel_sampler(fam),
-                   "factor_certificate": cert,
-                   "factor_squared_vs_bound": gap}
-    sec.verdicts.append(Verdict(
-        "sampled-below-certified", _pf(ok),
-        {"levels": levels, "tolerance": tol["equality"]}))
-    sec.verdicts.append(Verdict(
-        "factorization-identity", _pf(gap <= tol["equality"] * (1 + cert ** 2)),
-        {"gap": gap, "certificate": cert}))
-    return sec
+    records = {"levels": levels,
+               "sampler": bessel_sampler(fam),
+               "factor_certificate": cert,
+               "factor_squared_vs_bound": gap}
+    return records, [
+        Verdict("sampled-below-certified", _pf(ok),
+                {"levels": levels, "tolerance": tol["equality"]}),
+        Verdict("factorization-identity",
+                _pf(gap <= tol["equality"] * (1 + cert ** 2)),
+                {"gap": gap, "certificate": cert})]
 
 
 def _riesz_fischer_section(bundle, cfg):
     fam = bundle.require_family()
     res = riesz_fischer_check(fam)
-    sec = Section("riesz-fischer")
-    sec.records = {"rank": res.rank, "family_size": fam.size,
-                   "flattening_residual": res.residual, "note": res.note}
-    sec.verdicts.append(Verdict(
-        "flattening-map-exists", _pf(res.ok),
-        {"rank": res.rank, "residual": res.residual}))
-    return sec
+    records = {"rank": res.rank, "family_size": fam.size,
+               "flattening_residual": res.residual, "note": res.note}
+    return records, [Verdict("flattening-map-exists", _pf(res.ok),
+                             {"rank": res.rank, "residual": res.residual})]
 
 
 def _metric_section(bundle, cfg):
@@ -562,74 +545,59 @@ def _metric_section(bundle, cfg):
     tol = cfg.tolerances
     res = metric_operator_check(fam, seed=cfg.seed,
                                 positivity_tol=tol["positivity"])
-    sec = Section("metric-operator")
-    sec.records = {"certificate": res.metric.certificate,
-                   "positivity_defect": res.positivity,
-                   "coefficient_level": res.p_zeta_level,
-                   "level_constants": res.level_constants,
-                   "biorthogonality": res.biorthogonality}
-    sec.verdicts.append(Verdict(
+    records = {"certificate": res.metric.certificate,
+               "positivity_defect": res.positivity,
+               "coefficient_level": res.p_zeta_level,
+               "level_constants": res.level_constants,
+               "biorthogonality": res.biorthogonality}
+    return records, [Verdict(
         "equivalent-formulations", res.verdict,
         {"positivity_defect": res.positivity,
          "tolerance": tol["positivity"],
-         "coefficient_level": res.p_zeta_level}))
-    return sec
+         "coefficient_level": res.p_zeta_level})]
 
 
 def _strictness_section(bundle, cfg):
-    sec = Section("strictness")
     if bundle.ladder_rule is not None:
         report = strictness_report(bundle.ladder_rule, cfg.ladder)
-        sec.records = {"ladder": report.ladder, "lower": report.lower,
-                       "upper": report.upper,
-                       "lower_slope": report.lower_slope,
-                       "upper_slopes": report.upper_slopes,
-                       "note": report.note}
-        sec.verdicts.append(Verdict(
-            "two-sided-constants-trend", report.verdict,
-            {"lower": report.lower, "upper": report.upper}))
-        return sec
-    fam = bundle.require_family()
-    lower, upper = strictness_constants(fam.triplet, fam.family)
-    sec.records = {"dimension": fam.dim, "lower": lower, "upper": upper,
+        lower, upper, verdict = report.lower, report.upper, report.verdict
+        records = {"ladder": report.ladder, "lower": lower, "upper": upper,
+                   "lower_slope": report.lower_slope,
+                   "upper_slopes": report.upper_slopes, "note": report.note}
+    else:
+        fam = bundle.require_family()
+        lower, upper = strictness_constants(fam.triplet, fam.family)
+        verdict = "inconclusive"
+        records = {"dimension": fam.dim, "lower": lower, "upper": upper,
                    "note": "single truncation cannot exhibit a trend"}
-    sec.verdicts.append(Verdict(
-        "two-sided-constants-trend", "inconclusive",
-        {"lower": lower, "upper": upper}))
-    return sec
+    return records, [Verdict("two-sided-constants-trend", verdict,
+                             {"lower": lower, "upper": upper})]
 
 
 def _schauder_section(bundle, cfg):
     fam = bundle.require_family()
     probe = schauder_inequality_probe(fam, fam.triplet.levels,
                                       SCHAUDER_TRIALS, cfg.seed)
-    sec = Section("partial-sum-domination")
-    sec.records = {"dominating_level": probe.q_level,
-                   "worst_ratio": probe.worst_ratio,
-                   "per_level": probe.per_level}
-    sec.verdicts.append(Verdict(
+    records = {"dominating_level": probe.q_level,
+               "worst_ratio": probe.worst_ratio,
+               "per_level": probe.per_level}
+    return records, [Verdict(
         "declared-factor-holds", _pf(probe.q_level is not None),
-        {"per_level": probe.per_level, "factor": DOMINATION_FACTOR}))
-    return sec
+        {"per_level": probe.per_level, "factor": DOMINATION_FACTOR})]
 
 
 def _realization_section(bundle, cfg):
     basis = bundle.basis
-    tol = cfg.tolerances
-    sec = Section("triplet-realization")
     if basis.strict != "strict":
-        sec.records = {
-            "note": f"needs a strict ladder verdict, have {basis.strict}"}
-        sec.verdicts.append(Verdict(
-            "collapse-to-hilbert-triplet", "inconclusive", {"strict": 0}))
-        return sec
-    tri = hilbert_triplet_realization(basis, gram_tol=tol["gram"])
-    sec.records = {"weight_min": float(np.min(tri.weights)),
-                   "weight_max": float(np.max(tri.weights))}
-    sec.verdicts.append(Verdict(
-        "collapse-to-hilbert-triplet", "pass",
-        {**sec.records, "gram_tolerance": tol["gram"]}))
-    return sec
+        note = f"needs a strict ladder verdict, have {basis.strict}"
+        return {"note": note}, [Verdict("collapse-to-hilbert-triplet",
+                                        "inconclusive", {"strict": 0})]
+    gram_tol = cfg.tolerances["gram"]
+    tri = hilbert_triplet_realization(basis, gram_tol=gram_tol)
+    records = {"weight_min": float(np.min(tri.weights)),
+               "weight_max": float(np.max(tri.weights))}
+    return records, [Verdict("collapse-to-hilbert-triplet", "pass",
+                             {**records, "gram_tolerance": gram_tol})]
 
 
 def _reconstruct_section(bundle, cfg):
@@ -653,23 +621,21 @@ def _reconstruct_section(bundle, cfg):
     ratios = [residuals[n + 1] / residuals[n]
               for n in range(fam.size) if residuals[n] > 0.0]
     weak = weak_expansion_residual(fam, np.ones(fam.dim), f, fam.size)
-    sec = Section("reconstruction")
-    sec.records = {"residuals": residuals, "ratios": ratios,
-                   "weak_expansion_residual": weak}
+    records = {"residuals": residuals, "ratios": ratios,
+               "weak_expansion_residual": weak}
     final = float(np.linalg.norm(f - partial_sum(fam, f, fam.size).coords))
     if final <= tol["reconstruction"]:
         verdict = "pass"
     elif fam.size < fam.dim:
         verdict = "inconclusive"
-        sec.records["note"] = ("family does not span the truncation; the "
-                               "residual floor is the distance to its span")
+        records["note"] = ("family does not span the truncation; the "
+                           "residual floor is the distance to its span")
     else:
         verdict = "fail"
-    sec.verdicts.append(Verdict(
+    return records, [Verdict(
         "expansion-converges", verdict,
         {"final_residual": final, "tolerance": tol["reconstruction"],
-         "weak_expansion_residual": weak}))
-    return sec
+         "weak_expansion_residual": weak})]
 
 
 def _hermite_section(bundle, cfg):
@@ -688,27 +654,23 @@ def _hermite_section(bundle, cfg):
     gram = grid.spacing * (vals.T @ vals)
     gram_defect = float(np.max(np.abs(gram - np.eye(count))))
     alias = max(aliasing_fraction(grid, vals[:, n]) for n in range(count))
-    sec = Section("hermite-values")
-    sec.records = {"value_at_zero_0": float(at0[0]),
-                   "value_at_zero_1": float(at0[1]) if count > 1 else None,
-                   "closed_form_residual": rec,
-                   "gram_defect": gram_defect,
-                   "worst_aliasing_fraction": alias,
-                   "grid_points": grid.points,
-                   "half_width": grid.half_width}
-    sec.verdicts.append(Verdict(
-        "recurrence-vs-closed-forms",
-        _pf(rec <= tol["equality"]
-            and abs(at0[0] - np.pi ** -0.25) <= tol["equality"]),
-        {"closed_form_residual": rec,
-         "value_at_zero_defect": abs(float(at0[0]) - np.pi ** -0.25)}))
-    sec.verdicts.append(Verdict(
-        "quadrature-orthonormality", _pf(gram_defect <= tol["gram"]),
-        {"gram_defect": gram_defect, "tolerance": tol["gram"]}))
-    sec.verdicts.append(Verdict(
-        "band-limited-resolution", _pf(alias <= tol["aliasing"]),
-        {"worst_aliasing_fraction": alias, "tolerance": tol["aliasing"]}))
-    return sec
+    records = {"value_at_zero_0": float(at0[0]),
+               "value_at_zero_1": float(at0[1]) if count > 1 else None,
+               "closed_form_residual": rec,
+               "gram_defect": gram_defect,
+               "worst_aliasing_fraction": alias,
+               "grid_points": grid.points,
+               "half_width": grid.half_width}
+    return records, [
+        Verdict("recurrence-vs-closed-forms",
+                _pf(rec <= tol["equality"]
+                    and abs(at0[0] - np.pi ** -0.25) <= tol["equality"]),
+                {"closed_form_residual": rec,
+                 "value_at_zero_defect": abs(float(at0[0]) - np.pi ** -0.25)}),
+        _at_most("quadrature-orthonormality", "gram_defect", gram_defect,
+                 tol["gram"]),
+        _at_most("band-limited-resolution", "worst_aliasing_fraction", alias,
+                 tol["aliasing"])]
 
 
 def _sobolev_section(bundle, cfg):
@@ -725,31 +687,24 @@ def _sobolev_section(bundle, cfg):
     gram_defect = float(np.max(np.abs(gram - np.eye(count))))
     lower, upper = strictness_constants(fam.triplet, fam.family)
     top = fam.triplet.levels
-    sec = Section("sobolev-family")
-    sec.records = {"construction_residual": worst_build,
-                   "round_trip_residual": worst_round,
-                   "hermite_gram_defect": gram_defect,
-                   "modified_gram_defect": mod_defect,
-                   "lower_constant": lower,
-                   "upper_constants": upper}
-    sec.verdicts.append(Verdict(
-        "inverse-multiplier-construction",
-        _pf(worst_build <= tol["construction"]),
-        {"construction_residual": worst_build,
-         "tolerance": tol["construction"]}))
-    sec.verdicts.append(Verdict(
-        "multiplier-round-trip", _pf(worst_round <= tol["roundtrip"]),
-        {"round_trip_residual": worst_round, "tolerance": tol["roundtrip"]}))
-    sec.verdicts.append(Verdict(
-        "modified-orthonormality", _pf(mod_defect <= tol["gram"]),
-        {"modified_gram_defect": mod_defect, "tolerance": tol["gram"]}))
+    records = {"construction_residual": worst_build,
+               "round_trip_residual": worst_round,
+               "hermite_gram_defect": gram_defect,
+               "modified_gram_defect": mod_defect,
+               "lower_constant": lower,
+               "upper_constants": upper}
     window = tol["constants_window"]
     in_window = (abs(lower - 1.0) <= window
                  and abs(upper[top] - 1.0) <= window)
-    sec.verdicts.append(Verdict(
-        "level-constants-near-one", _pf(in_window),
-        {"lower": lower, "upper_top": upper[top], "window": window}))
-    return sec
+    return records, [
+        _at_most("inverse-multiplier-construction", "construction_residual",
+                 worst_build, tol["construction"]),
+        _at_most("multiplier-round-trip", "round_trip_residual", worst_round,
+                 tol["roundtrip"]),
+        _at_most("modified-orthonormality", "modified_gram_defect",
+                 mod_defect, tol["gram"]),
+        Verdict("level-constants-near-one", _pf(in_window),
+                {"lower": lower, "upper_top": upper[top], "window": window})]
 
 
 def _spectral_section(bundle, cfg):
@@ -757,22 +712,16 @@ def _spectral_section(bundle, cfg):
     tol = cfg.tolerances
     eig = eigen_residual(pair)
     spec = spectrum_residual(pair)
-    sec = Section("spectral")
-    sec.records = {"eigen_residual": eig, "spectrum_residual": spec,
-                   "degenerate": pair.degenerate,
-                   "nonnormality": nonnormality(pair.hamiltonian)}
-    sec.verdicts.append(Verdict(
-        "eigenpairs", _pf(eig <= tol["eigen"]),
-        {"eigen_residual": eig, "tolerance": tol["eigen"]}))
-    sec.verdicts.append(Verdict(
-        "real-spectrum", _pf(spec <= tol["spectrum"]),
-        {"spectrum_residual": spec, "tolerance": tol["spectrum"]}))
-    return sec
+    records = {"eigen_residual": eig, "spectrum_residual": spec,
+               "degenerate": pair.degenerate,
+               "nonnormality": nonnormality(pair.hamiltonian)}
+    return records, [
+        _at_most("eigenpairs", "eigen_residual", eig, tol["eigen"]),
+        _at_most("real-spectrum", "spectrum_residual", spec, tol["spectrum"])]
 
 
 def _similarity_section(bundle, cfg):
     pair = bundle.pair
-    tol = cfg.tolerances
     # Row t holds re xi, im xi, re eta and im eta of pair t: the stream
     # order of drawing the pairs one by one.
     draws = np.random.default_rng(cfg.seed).standard_normal(
@@ -781,29 +730,24 @@ def _similarity_section(bundle, cfg):
     units /= np.linalg.norm(units, axis=2, keepdims=True)
     xi, eta = units.transpose(1, 2, 0)
     worst = float(np.max(weak_similarity_residual(pair, xi, eta), initial=0.0))
-    sec = Section("weak-similarity")
-    sec.records = {"worst_residual": worst, "pairs": SIMILARITY_PAIRS}
-    sec.verdicts.append(Verdict(
-        "intertwining-identity", _pf(worst <= tol["similarity"]),
-        {"worst_residual": worst, "tolerance": tol["similarity"]}))
-    return sec
+    records = {"worst_residual": worst, "pairs": SIMILARITY_PAIRS}
+    return records, [_at_most("intertwining-identity", "worst_residual",
+                              worst, cfg.tolerances["similarity"])]
 
 
 def _admissibility_section(bundle, cfg):
     ladder = {**PSEUDO_DEFAULTS, **cfg.pseudo}["N_ladder"]
     trend = density_diagnostic(bundle.ladder_rule, ladder)
-    sec = Section("admissibility")
-    sec.records = {"ladder": trend.ladder, "norms": trend.norms,
-                   "slope": trend.slope, "flag": trend.flag}
-    sec.verdicts.append(Verdict(
+    records = {"ladder": trend.ladder, "norms": trend.norms,
+               "slope": trend.slope, "flag": trend.flag}
+    return records, [Verdict(
         "dual-density-trend",
         "pass" if trend.flag in ("growing", "benign") else "inconclusive",
         {"slope": trend.slope if trend.slope is not None else 0.0,
-         "ladder": trend.ladder}))
-    return sec
+         "ladder": trend.ladder})]
 
 
-# Section name -> builder; every builder takes (bundle, cfg).
+# Section name -> builder(bundle, cfg), which returns (records, verdicts).
 SECTIONS = {
     "construction": _construction_section,
     "biorthogonality": _biorthogonality_section,
@@ -861,7 +805,7 @@ def run(cfg):
     """Execute one configured command and assemble its report."""
     start = time.perf_counter()
     bundle = resolve_model(cfg)
-    sections = [SECTIONS[name](bundle, cfg)
+    sections = [Section(name, *SECTIONS[name](bundle, cfg))
                 for name in _section_names(cfg, bundle)]
     meta = {
         "schema_version": SCHEMA_VERSION,

@@ -17,9 +17,10 @@ import numpy as np
 
 from .errors import DimensionError, InjectivityError, StateError, ValidationError
 from .sequences import (BIORTH_TOL, DOMINATION_FACTOR, LinearMap,
-                        SequenceFamily, analysis, biorthogonality_residual,
-                        dual_analysis, dual_level_norm, make_linear_map,
-                        pseudo_inverse, singular_values)
+                        SequenceFamily, _require_finite, analysis,
+                        biorthogonality_residual, dual_analysis,
+                        dual_level_norm, make_linear_map, pseudo_inverse,
+                        singular_values)
 from .trends import MIN_LADDER_POINTS, classify_growth, loglog_slope
 from .triplet import CoefVector, WeightedTriplet, coords_of
 
@@ -217,15 +218,22 @@ def strictness_constants(triplet, family_matrix):
     Returns (lower, upper): lower is the squared smallest singular value
     of scale(1) @ Xi (how far coefficient mass is dominated by the level-1
     seminorm of the sum), upper maps each level q to the squared largest
-    singular value of scale(q) @ Xi.
+    singular value of scale(q) @ Xi.  A scaled family or a constant that
+    overflows raises ContinuityError.
     """
     x = np.asarray(family_matrix, dtype=complex)
     if x.shape[1] > x.shape[0]:
         raise DimensionError("more columns than the dimension supports")
-    sv = {q: singular_values(triplet.scale(q, x))
-          for q in range(triplet.levels + 1)}
-    lower = float(sv[1][-1] ** 2) if sv[1].size else 0.0
-    upper = {q: float(s[0] ** 2) if s.size else 0.0 for q, s in sv.items()}
+    squares = {}
+    # Overflow is reported by _require_finite, not by numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for q in range(triplet.levels + 1):
+            scaled = triplet.scale(q, x)
+            _require_finite(0, q, scaled)
+            squares[q] = singular_values(scaled) ** 2
+            _require_finite(0, q, squares[q])
+    lower = float(squares[1][-1]) if squares[1].size else 0.0
+    upper = {q: float(s[0]) if s.size else 0.0 for q, s in squares.items()}
     return lower, upper
 
 

@@ -55,6 +55,9 @@ class LineGrid:
             raise ValidationError("point count must be a power of two >= 2")
         object.__setattr__(self, "points", p)
         object.__setattr__(self, "half_width", float(self.half_width))
+        if not np.isfinite(self.spacing):
+            raise ValidationError(
+                f"half width {self.half_width:g} overflows the grid spacing")
 
     @property
     def spacing(self):

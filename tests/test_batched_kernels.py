@@ -150,8 +150,8 @@ def test_probe_below_the_top_level_matches_the_loop(monkeypatch):
 
 
 def test_reconstruction_matches_the_loop(fam):
-    sec = cli._reconstruct_section(cli.ModelBundle("family", fam),
-                                   cli.RunConfig("reconstruct"))
+    sec = cli.Section("reconstruction", *cli._reconstruct_section(
+        cli.ModelBundle("family", fam), cli.RunConfig("reconstruct")))
     f = (2.0 ** -np.arange(1, fam.dim + 1)).astype(complex)
     loop = [float(np.linalg.norm(f - partial_sum(fam, f, n).coords))
             for n in range(fam.size + 1)]
@@ -180,7 +180,8 @@ def test_weak_similarity_at_the_loop_roundoff(monkeypatch, name, seed):
     cfg = cli.RunConfig("pseudo-hermitian", seed=seed)
     sec, rng = the_generator(
         monkeypatch,
-        lambda: cli._similarity_section(cli.ModelBundle(name, pair=pair), cfg))
+        lambda: cli.Section("weak-similarity", *cli._similarity_section(
+            cli.ModelBundle(name, pair=pair), cfg)))
     loop, loop_rng = loop_similarity(pair, cli.SIMILARITY_PAIRS, seed)
     assert same_state(rng, loop_rng)
     worst = sec.records["worst_residual"]
@@ -210,8 +211,9 @@ def test_weak_similarity_takes_the_loop_pairs(name, seed):
     pair = pairs()[name]
     off = replace(pair, hamiltonian=pair.hamiltonian
                   + 1e-3 * random_unitary(pair.dim, seed=8))
-    sec = cli._similarity_section(cli.ModelBundle(name, pair=off),
-                                  cli.RunConfig("pseudo-hermitian", seed=seed))
+    sec = cli.Section("weak-similarity", *cli._similarity_section(
+        cli.ModelBundle(name, pair=off),
+        cli.RunConfig("pseudo-hermitian", seed=seed)))
     loop, _ = loop_similarity(off, cli.SIMILARITY_PAIRS, seed)
     assert loop > 1e-5
     assert sec.records["worst_residual"] == pytest.approx(loop, rel=1e-10)

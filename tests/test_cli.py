@@ -1,4 +1,6 @@
 import json
+import os
+import pathlib
 import subprocess
 import sys
 import warnings
@@ -11,6 +13,10 @@ from rieszlab import save_complex_matrix
 from rieszlab.cli import SECTIONS, main
 
 SCHEMA = json.load(open("docs/report_schema.json"))
+# The package's own source tree first on the import path of subprocesses.
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+SRC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
 
 
 def run_json(tmp_path, argv, name="report.json"):
@@ -335,6 +341,51 @@ def test_infinite_half_width_is_refused_before_sampling(capsys):
     assert capsys.readouterr().err == "error: half width must be finite\n"
 
 
+def refusal(argv, capsys):
+    """The stderr of a run that must end with exit 2, no output and no
+    warning; every warning raised along the way fails the run."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--no-timing"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1
+    assert out.err.startswith("error: ") and "Warning" not in out.err
+    return out.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["strictness", "--example", "schwartz", "--dim", "8", "--levels", "150"],
+    ["full-report", "--example", "number-op", "--dim", "8", "--levels", "200",
+     "--seed", "0"],
+], ids=["schwartz-ladder", "number-op-basis"])
+def test_overflowing_strictness_constants_are_an_error(capsys, argv):
+    # At 86 levels and more the ladder constant 64^(2q) overflows.
+    assert "non-finite values in the scaled operator" in refusal(argv, capsys)
+
+
+HERMITE = ["example", "--example", "hermite", "--dim", "10", "--seed", "0"]
+
+
+def test_hermite_grid_takes_the_half_width(tmp_path):
+    doc = run_json(tmp_path, HERMITE + ["--half-width", "40"])
+    assert section(doc, "hermite-values")["records"]["half_width"] == 40.0
+    default = run_json(tmp_path, HERMITE, "default.json")
+    assert section(default, "hermite-values")["records"]["half_width"] == 20.0
+
+
+def test_narrow_hermite_half_width_is_refused(capsys):
+    assert refusal(HERMITE + ["--half-width", "5"], capsys).startswith(
+        "error: half width 5 too small for basis function 0 ")
+
+
+@pytest.mark.parametrize("example", ["hermite", "sobolev"])
+def test_overflowing_grid_spacing_is_refused(capsys, example):
+    argv = ["example", "--example", example, "--seed", "0",
+            "--half-width", "1e308"]
+    assert refusal(argv, capsys) == (
+        "error: half width 1e+308 overflows the grid spacing\n")
+
+
 def test_support_tolerance_bounds_the_hermite_window(capsys):
     argv = ["full-report", "--example", "hermite", "--seed", "1",
             "--tolerance", "support=1e-300"]
@@ -499,6 +550,6 @@ def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "rieszlab", "strictness", "--example",
          "number-op", "--dim", "4", "--out", str(out), "--no-timing"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=SRC_ENV)
     assert proc.returncode == 0, proc.stderr
     jsonschema.validate(json.loads(out.read_text()), SCHEMA)

@@ -1,9 +1,11 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
-from rieszlab import (DimensionError, InjectivityError, SequenceFamily,
+from rieszlab import (ContinuityError, DimensionError, InjectivityError,
+                      SequenceFamily,
                       StateError, ValidationError, WeightedTriplet,
                       adjoint_action, coefficient_seminorm, coords_of,
                       hilbert_triplet_realization, make_riesz_basis,
@@ -207,6 +209,18 @@ class TestStrictnessConstants:
         tri = WeightedTriplet(2, np.ones(2))
         with pytest.raises(DimensionError):
             strictness_constants(tri, np.ones((2, 3)))
+
+    # Weight 1e200 keeps the level-1 family finite but not its squared
+    # constant; weight 1e300 squared overflows the level-2 scaling itself
+    # although the scaled entry 1e300^2 * 1e-300 would be finite.
+    @pytest.mark.parametrize("weight, entry, levels", [
+        (1e200, 1.0, 1), (1e300, 1e-300, 2)], ids=["constant", "scaling"])
+    def test_overflow_raises_without_warnings(self, weight, entry, levels):
+        tri = WeightedTriplet(2, np.array([1.0, weight]), levels)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContinuityError, match=f"levels 0 -> {levels}"):
+                strictness_constants(tri, np.diag([1.0, entry]))
 
 
 class TestStrictnessReport:

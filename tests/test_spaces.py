@@ -44,6 +44,12 @@ class TestLineGrid:
         with pytest.raises(ValidationError, match="finite"):
             LineGrid(np.inf, 64)
 
+    def test_spacing_must_be_finite(self):
+        # 2L overflows although L is finite.
+        with pytest.raises(ValidationError, match="grid spacing"):
+            LineGrid(1e308, 64)
+        assert np.isfinite(LineGrid(8e307, 64).spacing)
+
     def test_band_edge(self):
         freqs = GRID.angular_frequencies
         assert np.max(np.abs(freqs)) == pytest.approx(np.pi / GRID.spacing)
