@@ -39,7 +39,7 @@ from .sequences import (BIORTH_TOL, DOMINATION_FACTOR, SequenceFamily,
                         level_gram, partial_sum, riesz_fischer_check,
                         schauder_inequality_probe, weak_expansion_residual)
 from .spaces import (ALIASING_TOL, CONSTRUCTION_TOL, SUPPORT_TOL, LineGrid,
-                     aliasing_fraction, hermite_grid, hermite_values,
+                     aliasing_fraction, hermite_grid,
                      number_operator_model, number_operator_rule,
                      schwartz_hermite_model, sobolev_model, sobolev_multiplier)
 from .triplet import WeightedTriplet
@@ -280,9 +280,17 @@ def _group_dict(raw, name, allowed):
     return dict(block)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a bad command line with a ConfigError, so that it ends like
+    every other refused input: one `error:` line and status 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser():
     # Unset flags stay out of the namespace, so its vars are the overrides.
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rieszlab", argument_default=argparse.SUPPRESS,
         description="Deterministic diagnostics for weighted coefficient "
                     "models, transported bases and intertwined operator "
@@ -344,12 +352,12 @@ class ModelBundle:
     """Everything a section builder may need, resolved once per run.
 
     Coefficient-space models fill the family (and the basis when a
-    transform exists); function-space examples add the grid, and the
-    Sobolev example also the Hermite columns and the round-trip defect
-    its construction measured.  The ladder rule feeds trend diagnostics
-    and may return (triplet, matrix) pairs for families truncated by
-    column count; the pseudo-Hermitian command resolves to its pair, with
-    a rule building the pair of each ladder dimension.
+    transform exists); function-space examples add the grid and the
+    Hermite columns sampled on it, and the Sobolev example also the
+    round-trip defect its construction measured.  The ladder rule feeds
+    trend diagnostics and may return (triplet, matrix) pairs for families
+    truncated by column count; the pseudo-Hermitian command resolves to
+    its pair, with a rule building the pair of each ladder dimension.
     """
 
     label: str
@@ -430,8 +438,9 @@ def _resolve_example(cfg):
 
         return ModelBundle("schwartz", fam, ladder_rule=rule)
     if cfg.example == "hermite":
-        return ModelBundle("hermite", grid=hermite_grid(
-            dim, cfg.half_width, cfg.size, cfg.tolerances["support"]))
+        grid, hermite = hermite_grid(dim, cfg.half_width, cfg.size,
+                                     cfg.tolerances["support"])
+        return ModelBundle("hermite", grid=grid, hermite=hermite)
     # sobolev, the last of EXAMPLES, on the half width the digest records
     grid = LineGrid(cfg.canonical()["model"]["half_width"], cfg.size)
     fam, hermite, round_trip = sobolev_model(grid, dim,
@@ -605,7 +614,7 @@ def _reconstruct_section(bundle, cfg):
     tol = cfg.tolerances
     if "vector" in cfg.inputs:
         mat = load_complex_matrix(cfg.inputs["vector"])
-        f = mat[:, 0] if mat.ndim == 2 else np.ravel(mat)
+        f = mat[:, 0]
         if f.shape[0] != fam.dim:
             raise ConfigError(
                 f"probe vector length {f.shape[0]} does not match "
@@ -639,10 +648,9 @@ def _reconstruct_section(bundle, cfg):
 
 
 def _hermite_section(bundle, cfg):
-    grid = bundle.grid
+    grid, vals = bundle.grid, bundle.hermite
     count = cfg.effective_dim
     tol = cfg.tolerances
-    vals = hermite_values(grid, count, tol["support"])
     idx = int(np.argmin(np.abs(grid.nodes)))
     at0 = vals[idx, :]
     x = grid.nodes
@@ -822,10 +830,8 @@ def run(cfg):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        cfg = config_from_args(args)
+        cfg = config_from_args(build_parser().parse_args(argv))
         report = run(cfg)
         if cfg.out:
             save_report(report, cfg.out, cfg.fmt)

@@ -256,10 +256,7 @@ def pseudo_inverse(matrix):
 
 def family_rank(matrix):
     """Numerical rank with the package-wide relative singular value cutoff."""
-    s = singular_values(np.asarray(matrix, dtype=complex))
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > RANK_RTOL * s[0]))
+    return _kept_inverse(singular_values(np.asarray(matrix, dtype=complex)))[1]
 
 
 # -- biorthogonality ---------------------------------------------------------
@@ -367,13 +364,11 @@ def _sampler_stream(fam):
       `parts` holds the d_j.  Each |u_k|^2 is 2 Exp(1) and the factor 2
       cancels in the ratio, so a point is N standard exponentials e with
       ratio sum d_k^2 e_k / sum e_k.
-    - "row-space": levels * M <= N / 2.  A point is c in C^r, r = levels *
-      M, in an orthonormal basis Q of the span of the scale(-j, Z), and
-      the squared norm of its remainder orthogonal to Q, a chi-square with
-      2 (N - r) degrees of freedom.
-    - "dense": otherwise a point is a complex Gaussian in C^N.
-
-    For the last two, `parts` holds the scale(-j, Z).
+    - "row-space": every other family.  A point is c in C^r, r =
+      min(levels * M, N), in the orthonormal basis Q of the reduced QR of
+      the stacked scale(-j, Z), and the squared norm of its remainder
+      orthogonal to Q, a chi-square with 2 (N - r) degrees of freedom
+      (0 when Q spans C^N), and `parts` holds the scale(-j, Z).
     """
     z = fam.require_dual()
     tri = fam.triplet
@@ -381,10 +376,7 @@ def _sampler_stream(fam):
     diagonals = [_real_diagonal(s) for s in duals]
     if all(d is not None for d in diagonals):
         return "diagonal-exponential", fam.dim, diagonals
-    rank = len(duals) * fam.size
-    if 2 * rank <= fam.dim:
-        return "row-space", rank, duals
-    return "dense", fam.dim, duals
+    return "row-space", min(len(duals) * fam.size, fam.dim), duals
 
 
 def bessel_sampler(fam):
@@ -398,7 +390,7 @@ def bessel_bound_sampled(fam, j, samples=10000, seed=0):
     """Brute-force companion of `bessel_bound` over random unit-ball points.
 
     The points are circular Gaussian directions, drawn in the coordinates
-    the level operators see (see `_sampler_stream` for the three streams).
+    the level operators see (see `_sampler_stream` for the two streams).
     `j` is one level, or a tuple of levels served from one stream of
     draws: each chunk of points is drawn once, its squared norms (the
     denominators) are summed once, and every level's Rayleigh ratios are
@@ -420,17 +412,11 @@ def bessel_bound_sampled(fam, j, samples=10000, seed=0):
     if stream == "diagonal-exponential":
         ops = [np.square(d) for d in parts]
     else:
-        if stream == "row-space":
-            # Q is the reduced QR factor of the stacked scaled duals; the
-            # operators act on c through A_j Q.
-            q = np.linalg.qr(np.hstack(parts))[0]
-            parts = [p.conj().T @ q for p in parts]
-        else:
-            parts = [p.conj().T for p in parts]
-        # A real operator skips the products against its zero imaginary
-        # part, which would add exact zeros.
-        ops = [(np.ascontiguousarray(a.real),
-                np.ascontiguousarray(a.imag) if a.imag.any() else None)
+        # Q is the reduced QR factor of the stacked scaled duals; the
+        # operators act on c through A_j Q.
+        q = np.linalg.qr(np.hstack(parts))[0]
+        parts = [p.conj().T @ q for p in parts]
+        ops = [(np.ascontiguousarray(a.real), np.ascontiguousarray(a.imag))
                for a in parts]
     ops = [ops[level - 1] for level in levels]
     rng = np.random.default_rng(seed)
@@ -461,8 +447,7 @@ def bessel_bound_sampled(fam, j, samples=10000, seed=0):
             np.square(u_im, out=u_im)
             u_re += u_im
             den = np.sum(u_re, axis=0)
-            if stream == "row-space":
-                den += 2.0 * rng.standard_gamma(fam.dim - rank, m)
+            den += 2.0 * rng.standard_gamma(fam.dim - rank, m)
         for i, num in enumerate(nums):
             best[i] = max(best[i], float(np.max(num / den)))
         left -= m
@@ -470,15 +455,10 @@ def bessel_bound_sampled(fam, j, samples=10000, seed=0):
 
 
 def _squared_images(op_re, op_im, u_re, u_im):
-    """Column sums of |op @ (u_re + i u_im)|^2, with op = op_re + i op_im
-    (op_im None for a real op), from real products and without complex
-    copies of the draws."""
-    if op_im is None:
-        out_re = op_re @ u_re
-        out_im = op_re @ u_im
-    else:
-        out_re = op_re @ u_re - op_im @ u_im
-        out_im = op_re @ u_im + op_im @ u_re
+    """Column sums of |op @ (u_re + i u_im)|^2, with op = op_re + i op_im,
+    from real products and without complex copies of the draws."""
+    out_re = op_re @ u_re - op_im @ u_im
+    out_im = op_re @ u_im + op_im @ u_re
     # The images are this call's own: square and add them in place.
     np.square(out_re, out=out_re)
     np.square(out_im, out=out_im)

@@ -180,7 +180,8 @@ def aliasing_fraction(grid, values):
 
 
 def hermite_grid(count, half_width=None, points=1024, support_tol=SUPPORT_TOL):
-    """Grid on which the first `count` Hermite functions are well resolved.
+    """(grid, columns): a grid on which the first `count` Hermite
+    functions are well resolved, and their `hermite_values` columns on it.
 
     Starts from the default window rule and the requested point count,
     doubling the points (up to 2^16) while any basis column leaves more
@@ -195,7 +196,7 @@ def hermite_grid(count, half_width=None, points=1024, support_tol=SUPPORT_TOL):
         vals = hermite_values(grid, count, support_tol)
         worst = max(aliasing_fraction(grid, vals[:, n]) for n in range(count))
         if worst <= ALIASING_TOL:
-            return grid
+            return grid, vals
         if 2 * p > _MAX_POINTS:
             raise SupportError(
                 f"aliasing check keeps failing at {p} points "

@@ -363,6 +363,24 @@ def test_overflowing_strictness_constants_are_an_error(capsys, argv):
     assert "non-finite values in the scaled operator" in refusal(argv, capsys)
 
 
+@pytest.mark.parametrize("argv", [
+    ["example", "--example", "number-op", "--seed", "0", "--format", "xml"],
+    ["example", "--example", "number-op", "--seed", "0", "--dim", "abc"],
+    ["no-such-command"],
+    ["example", "--example", "number-op", "--seed", "0", "--no-such-flag"],
+    [],
+], ids=["format", "dim", "command", "flag", "empty"])
+def test_refused_command_line_is_an_error_line(capsys, argv):
+    assert "usage:" not in refusal(argv, capsys)
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage:")
+
+
 HERMITE = ["example", "--example", "hermite", "--dim", "10", "--seed", "0"]
 
 
@@ -432,6 +450,13 @@ def test_sobolev_report_verifies_its_construction_once(tmp_path, monkeypatch):
     # round-trip defect, to the section: one multiplier pair for the round
     # trip, one for the dual and one for the section's construction check.
     assert counts == {"hermite_values": 1, "sobolev_multiplier": 4}
+
+
+def test_hermite_report_samples_the_columns_once(tmp_path, monkeypatch):
+    counts = count_calls(monkeypatch, ("hermite_values",))
+    run_json(tmp_path, ["full-report", "--example", "hermite", "--seed", "0"])
+    # The grid search hands the columns it checked to the section.
+    assert counts == {"hermite_values": 1}
 
 
 def failing(exc):

@@ -9,10 +9,10 @@ and against fresh SVDs, and a `full-report` with a reference patched in
 must give the same bytes.
 
 The sampler draws in the coordinates the level operators see, so its
-stream depends on the family.  Dense families keep the full complex
-Gaussian stream of `reference_sampled`; real diagonal families draw the
-exponential stream of `reference_exponential`; thin families draw in
-their row space.  The last two are checked against the full stream by a
+stream depends on the family.  Real diagonal families draw the
+exponential stream of `reference_exponential`; every other family draws
+in its row space, the stream of `reference_row_space`.  Both are checked
+against the full complex Gaussian stream of `reference_sampled` by a
 two-sample Kolmogorov-Smirnov test.
 """
 from dataclasses import replace
@@ -64,6 +64,37 @@ def reference_sampled(fam, j, samples=10000, seed=0):
     return best
 
 
+def reference_row_space(fam, j, samples=10000, seed=0):
+    """The per-level sampler in the row space: a point is c in C^r, r =
+    min(levels M, N), in the reduced QR factor Q of the stacked scaled
+    duals of every level, seen through four real products with
+    scale(-j, Z)^H Q, the imaginary part included even when it is 0, and
+    its remainder orthogonal to Q adds a chi-square with 2 (N - r) degrees
+    of freedom to the squared norm."""
+    z, tri = fam.require_dual(), fam.triplet
+    q = np.linalg.qr(np.hstack([tri.scale(-level, z)
+                                for level in range(1, tri.levels + 1)]))[0]
+    r = q.shape[1]
+    op = tri.scale(-j, z).conj().T @ q
+    op_re = np.ascontiguousarray(op.real)
+    op_im = np.ascontiguousarray(op.imag)
+    rng = np.random.default_rng(seed)
+    cols = chunk_columns(r)
+    best, left = 0.0, samples
+    while left > 0:
+        m = min(left, cols)
+        u_re = rng.standard_normal((r, m))
+        u_im = rng.standard_normal((r, m))
+        out_re = op_re @ u_re - op_im @ u_im
+        out_im = op_re @ u_im + op_im @ u_re
+        num = np.sum(out_re ** 2 + out_im ** 2, axis=0)
+        den = np.sum(u_re ** 2 + u_im ** 2, axis=0)
+        den += 2.0 * rng.standard_gamma(fam.dim - r, m)
+        best = max(best, float(np.max(num / den)))
+        left -= m
+    return best
+
+
 def reference_exponential(fam, j, samples=10000, seed=0):
     """The per-level sampler of a real diagonal family: |u_k|^2 = 2 Exp(1)
     for a circular Gaussian u, so fresh exponential draws e give the
@@ -103,11 +134,30 @@ def graph_norm_family():
     return make_riesz_basis(well_conditioned_transform(rng, n), tri).fam
 
 
+def real_thin_family():
+    """Real N = 40, M = 4 family on the canonical two-level triplet: every
+    scaled dual, and so every row-space operator, is real."""
+    rng = np.random.default_rng(8)
+    n = 40
+    xi = rng.standard_normal((n, 4))
+    tri = WeightedTriplet(n, np.linspace(1.0, 3.0, n), 2)
+    return SequenceFamily(xi, tri, dual=xi @ np.linalg.inv(xi.T @ xi))
+
+
+def transform_family(n=64):
+    """A dense transported basis, as a transform file gives it."""
+    rng = np.random.default_rng(11)
+    tri = WeightedTriplet(n, np.linspace(1.0, 4.0, n), 2)
+    return make_riesz_basis(well_conditioned_transform(rng, n), tri).fam
+
+
 CASES = {
     "number-op-L2": lambda: number_operator_model(16, 2)[1].fam,
     "schwartz-L3": lambda: schwartz_hermite_model(12, 3)[1],
     "sobolev-P256": lambda: sobolev_basis(LineGrid(20.0, 256), 10),
     "graph-norm-L2": graph_norm_family,
+    "real-thin-L2": real_thin_family,
+    "transform-64": transform_family,
 }
 
 
@@ -116,11 +166,13 @@ def fam(request):
     return CASES[request.param]()
 
 
-#: The reference each case's stream equals; the thin Sobolev family has
-#: none and is held to the law of the full stream below.
+#: The reference each case's stream equals.
 REFERENCES = {"number-op-L2": reference_exponential,
               "schwartz-L3": reference_exponential,
-              "graph-norm-L2": reference_sampled}
+              "sobolev-P256": reference_row_space,
+              "graph-norm-L2": reference_row_space,
+              "real-thin-L2": reference_row_space,
+              "transform-64": reference_row_space}
 
 
 class TestOneDrawStream:
@@ -133,9 +185,8 @@ class TestOneDrawStream:
         single = tuple(bessel_bound_sampled(fam, j, samples=3000, seed=4)
                        for j in js)
         assert joint == single
-        if name in REFERENCES:
-            assert joint == tuple(REFERENCES[name](fam, j, samples=3000,
-                                                   seed=4) for j in js)
+        assert joint == tuple(REFERENCES[name](fam, j, samples=3000, seed=4)
+                              for j in js)
         for j, sampled in zip(js, joint):
             assert 0.0 < sampled <= bessel_bound(fam, j) * (1 + 1e-12)
 
@@ -300,32 +351,24 @@ def test_number_op_report_draws_once_and_saves_four_svds(tmp_path,
 
 # -- the streams -------------------------------------------------------------
 
-def transform_family(n=64):
-    """A dense transported basis, as a transform file gives it."""
-    rng = np.random.default_rng(11)
-    tri = WeightedTriplet(n, np.linspace(1.0, 4.0, n), 2)
-    return make_riesz_basis(well_conditioned_transform(rng, n), tri).fam
-
-
 @pytest.mark.parametrize("name, stream", [
     ("number-op-L2", "diagonal-exponential"),
     ("schwartz-L3", "diagonal-exponential"),
     ("sobolev-P256", "row-space"),
-    ("transform-64", "dense"),
+    ("transform-64", "row-space"),
 ])
 def test_each_family_draws_its_stream(monkeypatch, name, stream):
-    fam = transform_family() if name == "transform-64" else CASES[name]()
+    fam = CASES[name]()
     levels, n, m = fam.triplet.levels, fam.dim, fam.size
-    rank = {"diagonal-exponential": n, "row-space": levels * m,
-            "dense": n}[stream]
+    rank = {"diagonal-exponential": n,
+            "row-space": min(levels * m, n)}[stream]
     assert bessel_sampler(fam) == {"stream": stream, "rank": rank}
     drawn = counting_draws(monkeypatch)
     bessel_bound_sampled(fam, tuple(range(1, levels + 1)), samples=500)
     expected = {
         "diagonal-exponential": {"standard_exponential": n * 500},
-        "row-space": {"standard_normal": 2 * levels * m * 500,
+        "row-space": {"standard_normal": 2 * rank * 500,
                       "standard_gamma": 500},
-        "dense": {"standard_normal": 2 * n * 500},
     }[stream]
     assert {name: count for (_, name), count in drawn.items()} == expected
 
@@ -336,7 +379,7 @@ def test_dense_chunks_follow_the_element_cap(monkeypatch):
     fam = CASES["graph-norm-L2"]()
     monkeypatch.setattr(sequences, "_CHUNK_ELEMENTS", fam.dim * 64)
     capped = bessel_bound_sampled(fam, 1, samples=300, seed=4)
-    assert capped == reference_sampled(fam, 1, samples=300, seed=4)
+    assert capped == reference_row_space(fam, 1, samples=300, seed=4)
     monkeypatch.undo()
     assert capped != bessel_bound_sampled(fam, 1, samples=300, seed=4)
 
@@ -344,6 +387,8 @@ def test_dense_chunks_follow_the_element_cap(monkeypatch):
 @pytest.mark.parametrize("name, level, seeds", [
     ("sobolev-P256", 1, 200),
     ("number-op-L2", 2, 300),
+    ("graph-norm-L2", 2, 200),
+    ("transform-64", 1, 200),
 ])
 def test_streams_keep_the_law_of_the_full_stream(name, level, seeds):
     # The sup over 200 points, once per seed, from the family's own stream

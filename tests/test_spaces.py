@@ -142,14 +142,14 @@ class TestHermiteGrid:
             2.0 * np.sqrt(2001.0))
 
     def test_coarse_start_doubles_until_resolved(self):
-        grid = hermite_grid(10, points=4)
+        grid, _ = hermite_grid(10, points=4)
         assert grid.points > 4
         vals = hermite_values(grid, 10)
         worst = max(aliasing_fraction(grid, vals[:, n]) for n in range(10))
         assert worst <= 1e-10
 
     def test_adequate_start_is_kept(self):
-        grid = hermite_grid(10, points=1024)
+        grid, _ = hermite_grid(10, points=1024)
         assert grid.points == 1024
         assert grid.half_width == 20.0
 
