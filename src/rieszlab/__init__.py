@@ -26,7 +26,8 @@ from .riesz import (RieszBasis, adjoint_action, coefficient_seminorm,
                     metric_operator_check, range_membership, realized_grams,
                     strictness_constants, strictness_report, with_strictness)
 from .sequences import (LinearMap, SequenceFamily, analysis, bessel_bound,
-                        bessel_bound_sampled, bessel_factor, bessel_sampler,
+                        bessel_bound_lanczos, bessel_bound_sampled,
+                        bessel_factor,
                         biorthogonality_residual, certificate_norm,
                         dual_analysis, frame_operator, is_tainted, level_gram,
                         make_linear_map, partial_sum, partial_sum_adjoint,
@@ -48,7 +49,8 @@ __all__ = [
     "RieszLabError", "SampledFunction", "Section", "SequenceFamily",
     "StateError", "SupportError", "ValidationError", "Verdict",
     "WeightedTriplet", "adjoint_action", "aliasing_fraction", "analysis",
-    "bessel_bound", "bessel_bound_sampled", "bessel_factor", "bessel_sampler",
+    "bessel_bound", "bessel_bound_lanczos", "bessel_bound_sampled",
+    "bessel_factor",
     "biorthogonality_residual", "build_pair", "build_selfadjoint",
     "certificate_norm", "coefficient_seminorm", "config_digest", "coords_of",
     "demo_pair", "density_diagnostic", "dual_analysis", "eigen_residual",

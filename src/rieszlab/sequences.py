@@ -334,6 +334,11 @@ def dual_level_norm(fam, j):
     return norms[j]
 
 
+def _check_level(fam, j):
+    if not 1 <= j <= fam.triplet.levels:
+        raise LevelError(f"Bessel level {j} outside [1, {fam.triplet.levels}]")
+
+
 def bessel_bound(fam, j):
     """Supremum of sum_k |<zeta_k, eta>|^2 over the level-j unit ball.
 
@@ -341,117 +346,101 @@ def bessel_bound(fam, j):
     largest singular value of Z^H scale(-j).  Finiteness of these
     per-level suprema across a dimension ladder is the model's Bessel-type
     verdict; bounded sets are represented by the seminorm-level balls
-    throughout.
+    throughout.  A square that overflows raises ContinuityError.
     """
     fam.require_dual()
-    if not 1 <= j <= fam.triplet.levels:
-        raise LevelError(f"Bessel level {j} outside [1, {fam.triplet.levels}]")
-    return dual_level_norm(fam, j) ** 2
+    _check_level(fam, j)
+    norm = dual_level_norm(fam, j)
+    bound = norm * norm
+    if not np.isfinite(bound):
+        raise ContinuityError(f"the level-{j} Bessel bound overflows")
+    return bound
 
 
-def _sampler_stream(fam):
-    """(stream, rank, parts): the draw `bessel_bound_sampled` takes.
+def bessel_bound_lanczos(fam, j, tol, seed):
+    """(ritz, residual, steps): the level-j Bessel bound attained by Lanczos.
 
-    The Rayleigh ratio |A u|^2 / |u|^2 of a circular Gaussian point u keeps
-    its law under every unitary change of coordinates, so a point is drawn
-    only in the coordinates that the level operators A_j = scale(-j, Z)^H
-    see.  The stream is chosen from every level of the triplet, not only
-    from the levels asked for, so it depends on the family and the seed
-    alone.  `rank` is the number of coordinates of one point, and `parts`
-    holds one entry per level.
-
-    - "diagonal-exponential": every A_j is a real diagonal diag(d_j), and
-      `parts` holds the d_j.  Each |u_k|^2 is 2 Exp(1) and the factor 2
-      cancels in the ratio, so a point is N standard exponentials e with
-      ratio sum d_k^2 e_k / sum e_k.
-    - "row-space": every other family.  A point is c in C^r, r =
-      min(levels * M, N), in the orthonormal basis Q of the reduced QR of
-      the stacked scale(-j, Z), and the squared norm of its remainder
-      orthogonal to Q, a chi-square with 2 (N - r) degrees of freedom
-      (0 when Q spans C^N), and `parts` holds the scale(-j, Z).
+    Runs Lanczos with full reorthogonalization on the M x M operator
+    S^H S, S = scale(-j, Z), from one seeded complex start vector, and
+    touches S only through products with S and S^H, so it shares no
+    step with the SVD behind `bessel_bound`.  After step k, `ritz` is
+    the top eigenvalue theta of the k x k tridiagonal and `residual` the
+    bound beta_k |e_k^T y| on |S^H S x - theta x| for its Ritz vector x;
+    an eigenvalue of S^H S lies within `residual` of `ritz`, and Ritz
+    values never exceed the largest one.  The iteration stops once
+    residual <= tol (1 + theta), on an invariant subspace (beta_k = 0)
+    or at k = M.  A non-finite product raises ContinuityError.
     """
     z = fam.require_dual()
-    tri = fam.triplet
-    duals = [tri.scale(-level, z) for level in range(1, tri.levels + 1)]
-    diagonals = [_real_diagonal(s) for s in duals]
-    if all(d is not None for d in diagonals):
-        return "diagonal-exponential", fam.dim, diagonals
-    return "row-space", min(len(duals) * fam.size, fam.dim), duals
-
-
-def bessel_sampler(fam):
-    """The stream `bessel_bound_sampled` draws for this family and the
-    number of coordinates of one point, as a report record."""
-    stream, rank, _ = _sampler_stream(fam)
-    return {"stream": stream, "rank": rank}
+    _check_level(fam, j)
+    m = fam.size
+    if m == 0:
+        return 0.0, 0.0, 0
+    s = fam.triplet.scale(-j, z)
+    s_h = s.conj().T
+    real, imag = np.random.default_rng(seed).standard_normal((2, m))
+    v = real + 1j * imag
+    v /= np.linalg.norm(v)
+    # Row k is the k-th Lanczos vector; rows past the current step are
+    # never written.
+    basis = np.empty((m, m), dtype=complex)
+    alpha, beta = [], []
+    for k in range(m):
+        basis[k] = v
+        # Overflow is reported below, not by numpy warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = s_h @ (s @ v)
+        if not np.isfinite(w).all():
+            raise ContinuityError(
+                f"non-finite values in the level-{j} Bessel products")
+        alpha.append(np.vdot(v, w).real)
+        done = basis[:k + 1]
+        for _ in range(2):  # twice is enough for orthogonality
+            w -= (done.conj() @ w) @ done
+        beta.append(float(np.linalg.norm(w)))
+        tri = (np.diag(alpha) + np.diag(beta[:-1], 1)
+               + np.diag(beta[:-1], -1))
+        theta, y = np.linalg.eigh(tri)
+        ritz, residual = float(theta[-1]), beta[-1] * float(abs(y[-1, -1]))
+        if residual <= tol * (1 + ritz) or beta[-1] == 0.0:
+            break
+        v = w / beta[-1]
+    return ritz, residual, k + 1
 
 
 def bessel_bound_sampled(fam, j, samples=10000, seed=0):
     """Brute-force companion of `bessel_bound` over random unit-ball points.
 
-    The points are circular Gaussian directions, drawn in the coordinates
-    the level operators see (see `_sampler_stream` for the two streams).
-    `j` is one level, or a tuple of levels served from one stream of
-    draws: each chunk of points is drawn once, its squared norms (the
-    denominators) are summed once, and every level's Rayleigh ratios are
-    taken against the same points.  A tuple returns a tuple with one sup
-    per level, each bit-for-bit equal to the single-level call with the
-    same seed, because that call draws the same chunks and does the same
-    arithmetic on them.
+    The Rayleigh ratio |A u|^2 / |u|^2 of a circular Gaussian point u keeps
+    its law under every unitary change of coordinates, so a point is drawn
+    only in the coordinates A = scale(-j, Z)^H sees: c in C^r, r =
+    min(M, N), in the orthonormal factor Q of the reduced QR of
+    scale(-j, Z), and the squared norm of its remainder orthogonal to Q, a
+    chi-square with 2 (N - r) degrees of freedom (0 when Q spans C^N).
 
     Never exceeds the singular value answer; for families whose scaled
     dual is an isometry every sample attains it.
     """
-    fam.require_dual()
-    levels = (j,) if np.ndim(j) == 0 else tuple(j)
-    for level in levels:
-        if not 1 <= level <= fam.triplet.levels:
-            raise LevelError(
-                f"Bessel level {level} outside [1, {fam.triplet.levels}]")
-    stream, rank, parts = _sampler_stream(fam)
-    if stream == "diagonal-exponential":
-        ops = [np.square(d) for d in parts]
-    else:
-        # Q is the reduced QR factor of the stacked scaled duals; the
-        # operators act on c through A_j Q.
-        q = np.linalg.qr(np.hstack(parts))[0]
-        parts = [p.conj().T @ q for p in parts]
-        ops = [(np.ascontiguousarray(a.real), np.ascontiguousarray(a.imag))
-               for a in parts]
-    ops = [ops[level - 1] for level in levels]
+    z = fam.require_dual()
+    _check_level(fam, j)
+    s = fam.triplet.scale(-j, z)
+    q = np.linalg.qr(s)[0]
+    rank = q.shape[1]
+    op = s.conj().T @ q
+    op_re, op_im = np.ascontiguousarray(op.real), np.ascontiguousarray(op.imag)
     rng = np.random.default_rng(seed)
-    best = [0.0] * len(levels)
-    left = int(samples)
+    best, left = 0.0, int(samples)
     cols = min(_CHUNK_COLUMNS, max(1, _CHUNK_ELEMENTS // max(rank, 1)))
-    # Every chunk is drawn into the same two buffers: the stream is the one
-    # fresh (rank, m) arrays would get, without new pages for each chunk.
-    bufs = [np.empty(rank * min(cols, max(left, 0))) for _ in range(2)]
     while left > 0:
         m = min(left, cols)
-        u_re, u_im = (b[:rank * m].reshape(rank, m) for b in bufs)
-        if stream == "diagonal-exponential":
-            rng.standard_exponential(out=u_re)
-            # Numerator and denominator take the same sum, so where
-            # d = 1 they are equal bit for bit and the ratio is exactly 1.
-            nums = [np.sum(np.multiply(d2[:, None], u_re, out=u_im), axis=0)
-                    for d2 in ops]
-            den = np.sum(u_re, axis=0)
-        else:
-            rng.standard_normal(out=u_re)
-            rng.standard_normal(out=u_im)
-            nums = [_squared_images(op_re, op_im, u_re, u_im)
-                    for op_re, op_im in ops]
-            # The draws are spent: square them in place, so the
-            # denominator needs no further scratch arrays.
-            np.square(u_re, out=u_re)
-            np.square(u_im, out=u_im)
-            u_re += u_im
-            den = np.sum(u_re, axis=0)
-            den += 2.0 * rng.standard_gamma(fam.dim - rank, m)
-        for i, num in enumerate(nums):
-            best[i] = max(best[i], float(np.max(num / den)))
+        u_re = rng.standard_normal((rank, m))
+        u_im = rng.standard_normal((rank, m))
+        num = _squared_images(op_re, op_im, u_re, u_im)
+        den = np.sum(u_re ** 2 + u_im ** 2, axis=0)
+        den += 2.0 * rng.standard_gamma(fam.dim - rank, m)
+        best = max(best, float(np.max(num / den)))
         left -= m
-    return best[0] if np.ndim(j) == 0 else tuple(best)
+    return best
 
 
 def _squared_images(op_re, op_im, u_re, u_im):
@@ -616,11 +605,11 @@ class SchauderProbeResult:
 def schauder_inequality_probe(fam, p_level, trials, seed):
     """Randomized partial-sum domination probe.
 
-    Draws coefficient vectors and split points (n, n+m) and records, per
-    candidate level q, the worst ratio p_{p_level}(shorter sum) /
-    p_q(longer sum).  Reported is the smallest q whose worst ratio stays
-    below DOMINATION_FACTOR.  The seed is mandatory so that reports
-    reproduce bit for bit.
+    Draws coefficient vectors and split points (n, n+m), each kind in one
+    array call, and records, per candidate level q, the worst ratio
+    p_{p_level}(shorter sum) / p_q(longer sum).  Reported is the smallest
+    q whose worst ratio stays below DOMINATION_FACTOR.  The seed is
+    mandatory so that reports reproduce bit for bit.
     """
     tri = fam.triplet
     if not 0 <= p_level <= tri.levels:
@@ -629,15 +618,15 @@ def schauder_inequality_probe(fam, p_level, trials, seed):
         raise ValidationError("cannot probe an empty family")
     rng = np.random.default_rng(seed)
     m, trials = fam.size, int(trials)
-    # Trial t fills row t of the shorter (first n coefficients) and of
-    # the longer (first n + extra) block.
-    coeffs = np.zeros((2 * trials, m), dtype=complex)
-    for t in range(trials):
-        c = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        n = int(rng.integers(1, m + 1))
-        extra = int(rng.integers(0, m - n + 1))
-        coeffs[t, :n] = c[:n]
-        coeffs[trials + t, :n + extra] = c[:n + extra]
+    c = rng.standard_normal((trials, m))
+    c = c + 1j * rng.standard_normal((trials, m))
+    n = rng.integers(1, m + 1, size=trials)
+    extra = rng.integers(0, m - n + 1)
+    # Trial t fills row t of the shorter (first n_t coefficients) and of
+    # the longer (first n_t + extra_t) block.
+    cols = np.arange(m)
+    coeffs = np.concatenate([np.where(cols < n[:, None], c, 0.0),
+                             np.where(cols < (n + extra)[:, None], c, 0.0)])
     sums = coeffs @ fam.family.T  # row t is the partial sum (Xi c)^T
     pu, pv_at_p = np.split(tri.seminorm(sums.T, p_level), 2)
     worst = {}

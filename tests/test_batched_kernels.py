@@ -60,16 +60,20 @@ def same_state(a, b):
 # -- the reference loops -----------------------------------------------------
 
 def loop_probe(fam, p_level, trials, seed):
-    """One coefficient draw, two matrix-vector sums and one seminorm per
-    level and trial."""
+    """The probe's four array draws (real parts, imaginary parts, split
+    points, extra lengths), then two matrix-vector sums and one seminorm
+    per level and trial."""
     tri = fam.triplet
     rng = np.random.default_rng(seed)
     m = fam.size
+    real = rng.standard_normal((trials, m))
+    imag = rng.standard_normal((trials, m))
+    splits = rng.integers(1, m + 1, size=trials)
+    extras = rng.integers(0, m - splits + 1)
     worst = {q: 0.0 for q in range(tri.levels + 1)}
-    for _ in range(trials):
-        c = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        n = int(rng.integers(1, m + 1))
-        extra = int(rng.integers(0, m - n + 1))
+    for t in range(trials):
+        c = real[t] + 1j * imag[t]
+        n, extra = int(splits[t]), int(extras[t])
         u = fam.family[:, :n] @ c[:n]
         v = fam.family[:, :n + extra] @ c[:n + extra]
         pu = tri.seminorm(u, p_level)

@@ -12,9 +12,10 @@ import pytest
 from rieszlab import save_complex_matrix
 from rieszlab.cli import SECTIONS, main
 
-SCHEMA = json.load(open("docs/report_schema.json"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SCHEMA = json.loads((ROOT / "docs" / "report_schema.json").read_text())
 # The package's own source tree first on the import path of subprocesses.
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+SRC = ROOT / "src"
 SRC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
     filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
 
@@ -152,6 +153,20 @@ class TestCheckBiorthogonal:
             "error: non-finite values in the scaled operator between levels "
             "1 -> -1\n")
 
+    def test_overflowing_bessel_bound_is_an_error(self, tmp_path, capsys):
+        # Both inputs are finite; the squared level-1 norm 1e400 is not.
+        fam = tmp_path / "family.csv"
+        dual = tmp_path / "dual.csv"
+        save_complex_matrix(fam, 1e-200 * np.eye(4))
+        save_complex_matrix(dual, 1e200 * np.eye(4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["bessel", "--family", str(fam), "--dual", str(dual),
+                         "--seed", "0"]) == 2
+        out = capsys.readouterr()
+        assert out.err == "error: the level-1 Bessel bound overflows\n"
+        assert out.out == ""
+
 
 class TestDeterminism:
     ARGS = ["bessel", "--example", "number-op", "--dim", "6", "--seed", "11"]
@@ -197,13 +212,16 @@ class TestNumberOpReports:
         assert sec["records"]["upper"]["2"] == \
             pytest.approx([64.0, 256.0, 1024.0, 4096.0])
 
-    def test_bessel_sampled_below_certified(self, tmp_path):
+    def test_bessel_lanczos_attains_certified(self, tmp_path):
         doc = run_json(tmp_path, ["bessel", "--example", "number-op",
                                   "--dim", "8", "--seed", "0"])
         sec = section(doc, "bessel")
         level_one = sec["records"]["levels"]["1"]
-        assert level_one["sampled"] <= level_one["bound"]
+        assert level_one["ritz"] <= level_one["bound"] * (1 + 1e-12)
         assert level_one["bound"] == pytest.approx(1.0, abs=1e-12)
+        assert 1 <= level_one["steps"] <= 8
+        assert [v["name"] for v in sec["verdicts"]] == [
+            "lanczos-attains-certified", "factorization-identity"]
         assert all(v == "pass" for v in
                    (x["verdict"] for x in sec["verdicts"]))
 

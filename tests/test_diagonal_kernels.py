@@ -1,15 +1,12 @@
 """Real diagonal matrices take their SVD results in closed form.
 
-`sequences._real_diagonal` routes singular values, pseudo-inverses and
-the sampled Bessel images of a real diagonal matrix around LAPACK and
-BLAS.  Patching it to return None gives the dense reference, and every
-value here must equal that reference with `==`.  The sampled Bessel sup
-of a real diagonal family draws exponentials, not the complex Gaussians
-of the dense path, so its reference is `reference_exponential`.  On the
-package's
-diagonal models (entries +-k^j, in any order, with signs and exact
-zeros) and on power-of-two magnitudes from 2^-498 to 2^498 (about 1e-150
-to 1e150), LAPACK returns the exact sorted |d| and signed permutations.
+`sequences._real_diagonal` routes the singular values and
+pseudo-inverses of a real diagonal matrix around LAPACK.  Patching it to
+return None gives the dense reference, and every value here must equal
+that reference with `==`.  On the package's diagonal models (entries
++-k^j, in any order, with signs and exact zeros) and on power-of-two
+magnitudes from 2^-498 to 2^498 (about 1e-150 to 1e150), LAPACK returns
+the exact sorted |d| and signed permutations.
 
 Elsewhere LAPACK itself rounds: it rescales a matrix whose largest entry
 lies outside its safe range by a factor that need not be a power of two,
@@ -22,12 +19,8 @@ import numpy as np
 import pytest
 
 import rieszlab.cli as cli
-from rieszlab import (WeightedTriplet, bessel_bound_sampled,
-                      certificate_norm, sequences)
+from rieszlab import WeightedTriplet, certificate_norm, sequences
 from rieszlab.sequences import pseudo_inverse, singular_values
-
-from test_shared_work import (CASES, reference_exponential,
-                              use_exponential_reference)
 
 SIZES = [1, 2, 8, 64, 256]
 
@@ -154,18 +147,6 @@ def test_real_dtype_and_empty_matrices():
     assert rank == 0 and not pinv.any()
 
 
-@pytest.mark.parametrize("name", ["number-op-L2", "schwartz-L3"])
-def test_sampled_images_equal_the_reference(shortcuts, name):
-    fam = CASES[name]()
-    js = tuple(range(1, fam.triplet.levels + 1))
-    joint = bessel_bound_sampled(fam, js, samples=3000, seed=4)
-    single = bessel_bound_sampled(fam, js[-1], samples=3000, seed=4)
-    assert shortcuts and all(shortcuts)
-    ref = tuple(reference_exponential(fam, j, samples=3000, seed=4)
-                for j in js)
-    assert joint == ref and single == ref[-1]
-
-
 @pytest.mark.parametrize("argv", [
     ["full-report", "--example", "number-op", "--dim", "8"],
     ["full-report", "--example", "number-op", "--dim", "256", "--levels",
@@ -186,8 +167,5 @@ def test_reports_equal_the_dense_reference(tmp_path, monkeypatch, capsys,
 
     fast = report("fast.json")
     assert any(shortcuts)
-    with monkeypatch.context() as m:
-        # The dense path would draw complex Gaussians instead.
-        use_exponential_reference(m)
-        reference = dense(monkeypatch, report, "dense.json")
+    reference = dense(monkeypatch, report, "dense.json")
     assert fast[0] == 0 and reference == fast

@@ -1,4 +1,5 @@
-"""LAPACK's SVD is called from three functions of the package only.
+"""LAPACK's SVD is called from three functions of the package only, and
+never on the way to the Lanczos Bessel check.
 
 No linter runs in this project, so this stands in for a banned-call
 rule: singular values go through `sequences.singular_values` and
@@ -7,6 +8,10 @@ matrices in closed form.  A new direct call would skip that shortcut.
 `riesz.hilbert_triplet_realization` needs the singular vectors of a
 transform and keeps its own call.  A matrix 2-norm, `norm(a, 2)` or
 `norm(a, ord=2)`, is an SVD too and counts as a call.
+
+`sequences.bessel_bound_lanczos` is held to the SVD certificate of the
+Bessel bound, so neither it nor a helper of its module that it calls
+may name the certificate's kernels.
 """
 import ast
 import pathlib
@@ -15,6 +20,10 @@ PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "rieszlab"
 
 ALLOWED = {"sequences.singular_values", "sequences.pseudo_inverse",
            "riesz.hilbert_triplet_realization"}
+
+#: The certificate's kernels, which the Lanczos check must not reach.
+CERTIFICATE = {"singular_values", "pseudo_inverse", "dual_level_norm",
+               "bessel_bound", "certificate_norm", "svd"}
 
 
 def spectral_norm(node):
@@ -72,3 +81,36 @@ def test_the_check_sees_a_spectral_norm(tmp_path):
                     "def length(v):\n"
                     "    return np.linalg.norm(v) + norm(v, axis=0)[0]\n")
     assert svd_sites(path) == {"extra.top", "extra.top_kw"}
+
+
+def reached_names(path, function):
+    """Every name and attribute that `function` in the file refers to,
+    following the module-level functions of the same file it names."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, ast.FunctionDef)}
+    names, todo = set(), [function]
+    while todo:
+        for node in ast.walk(defs[todo.pop()]):
+            name = node.id if isinstance(node, ast.Name) else \
+                getattr(node, "attr", None)
+            if name is not None and name not in names:
+                names.add(name)
+                if name in defs:
+                    todo.append(name)
+    return names
+
+
+def test_lanczos_check_reaches_no_certificate_kernel():
+    reached = reached_names(PACKAGE / "sequences.py", "bessel_bound_lanczos")
+    assert "_check_level" in reached and not reached & CERTIFICATE
+
+
+def test_the_check_follows_helpers_of_the_module(tmp_path):
+    path = tmp_path / "extra.py"
+    path.write_text("import numpy as np\n\n\n"
+                    "def _top(a):\n    return np.linalg.svd(a)[1][0]\n\n\n"
+                    "def kernel(fam, j):\n"
+                    "    return _top(fam.family) + dual_level_norm(fam, j)\n")
+    assert reached_names(path, "kernel") & CERTIFICATE == \
+        {"svd", "dual_level_norm"}

@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import jsonschema
 import numpy as np
@@ -9,15 +10,16 @@ from rieszlab import (DiagnosticsReport, DimensionError, LineGrid, ParseError,
                       config_digest, load_complex_matrix, render_csv,
                       render_json, save_complex_matrix, save_function_csv,
                       save_report)
-from rieszlab.reportio import jsonify
+from rieszlab.reportio import SCHEMA_VERSION, jsonify
 
 from conftest import random_vector
 
-SCHEMA_PATH = "docs/report_schema.json"
+SCHEMA_PATH = (pathlib.Path(__file__).resolve().parents[1] / "docs"
+               / "report_schema.json")
 
 
 def small_report():
-    meta = {"schema_version": "1.1", "tool": "rieszlab",
+    meta = {"schema_version": SCHEMA_VERSION, "tool": "rieszlab",
             "tool_version": "0.1.0", "command": "check-biorthogonal",
             "seed": None, "config_hash": "0" * 64}
     section = Section("biorthogonality",

@@ -1,19 +1,15 @@
-"""Work the diagnostics share: one draw stream for every Bessel level and
-one SVD per family and per dual level.
+"""Work the diagnostics share: one SVD per family and per dual level, and
+the draws of the sampled Bessel sup.
 
-`bessel_bound_sampled` serves a tuple of levels from one stream of
-random points, and `SequenceFamily` memoises its pseudo-inverse and its
-dual-level norms.  Both must be invisible in the numbers: every value is
-compared with `==` against per-level reference samplers written here
-and against fresh SVDs, and a `full-report` with a reference patched in
-must give the same bytes.
+`SequenceFamily` memoises its pseudo-inverse and its dual-level norms.
+That must be invisible in the numbers: every value is compared with `==`
+against fresh SVDs, and the report's SVD count is pinned.
 
-The sampler draws in the coordinates the level operators see, so its
-stream depends on the family.  Real diagonal families draw the
-exponential stream of `reference_exponential`; every other family draws
-in its row space, the stream of `reference_row_space`.  Both are checked
-against the full complex Gaussian stream of `reference_sampled` by a
-two-sample Kolmogorov-Smirnov test.
+`bessel_bound_sampled` draws each random point only in the coordinates
+the level operator sees: the row space of the level's scaled dual, the
+stream of `reference_row_space`, with which it agrees bit for bit.  The
+law of its sup is checked against the full complex Gaussian stream of
+`reference_sampled` by a two-sample Kolmogorov-Smirnov test.
 """
 from dataclasses import replace
 
@@ -23,9 +19,8 @@ from scipy.stats import ks_2samp
 
 import rieszlab.cli as cli
 from rieszlab import hamiltonian, riesz, sequences
-from rieszlab import (InjectivityError, LevelError, LineGrid,
-                      SequenceFamily, WeightedTriplet, bessel_bound,
-                      bessel_bound_sampled, bessel_sampler,
+from rieszlab import (InjectivityError, LineGrid, SequenceFamily,
+                      WeightedTriplet, bessel_bound, bessel_bound_sampled,
                       graph_norm_triplet, make_riesz_basis,
                       metric_operator_check, number_operator_model,
                       riesz_fischer_check, schwartz_hermite_model,
@@ -66,16 +61,15 @@ def reference_sampled(fam, j, samples=10000, seed=0):
 
 def reference_row_space(fam, j, samples=10000, seed=0):
     """The per-level sampler in the row space: a point is c in C^r, r =
-    min(levels M, N), in the reduced QR factor Q of the stacked scaled
-    duals of every level, seen through four real products with
-    scale(-j, Z)^H Q, the imaginary part included even when it is 0, and
-    its remainder orthogonal to Q adds a chi-square with 2 (N - r) degrees
-    of freedom to the squared norm."""
-    z, tri = fam.require_dual(), fam.triplet
-    q = np.linalg.qr(np.hstack([tri.scale(-level, z)
-                                for level in range(1, tri.levels + 1)]))[0]
+    min(M, N), in the reduced QR factor Q of the level's scaled dual
+    scale(-j, Z), seen through four real products with scale(-j, Z)^H Q,
+    the imaginary part included even when it is 0, and its remainder
+    orthogonal to Q adds a chi-square with 2 (N - r) degrees of freedom to
+    the squared norm."""
+    s = fam.triplet.scale(-j, fam.require_dual())
+    q = np.linalg.qr(s)[0]
     r = q.shape[1]
-    op = tri.scale(-j, z).conj().T @ q
+    op = s.conj().T @ q
     op_re = np.ascontiguousarray(op.real)
     op_im = np.ascontiguousarray(op.imag)
     rng = np.random.default_rng(seed)
@@ -93,35 +87,6 @@ def reference_row_space(fam, j, samples=10000, seed=0):
         best = max(best, float(np.max(num / den)))
         left -= m
     return best
-
-
-def reference_exponential(fam, j, samples=10000, seed=0):
-    """The per-level sampler of a real diagonal family: |u_k|^2 = 2 Exp(1)
-    for a circular Gaussian u, so fresh exponential draws e give the
-    ratio sum d_k^2 e_k / sum e_k with d the diagonal of the scaled dual."""
-    d = np.diag(fam.triplet.scale(-j, fam.require_dual())).real
-    rng = np.random.default_rng(seed)
-    cols = chunk_columns(fam.dim)
-    best, left = 0.0, samples
-    while left > 0:
-        m = min(left, cols)
-        e = rng.standard_exponential((fam.dim, m))
-        num = np.sum(d[:, None] ** 2 * e, axis=0)
-        best = max(best, float(np.max(num / np.sum(e, axis=0))))
-        left -= m
-    return best
-
-
-def use_exponential_reference(monkeypatch):
-    """Let `full-report` take its sampled sups, one level at a time, and
-    its sampler record from the exponential reference."""
-    monkeypatch.setattr(
-        cli, "bessel_bound_sampled",
-        lambda fam, js, seed: tuple(reference_exponential(fam, j, seed=seed)
-                                    for j in js))
-    monkeypatch.setattr(
-        cli, "bessel_sampler",
-        lambda fam: {"stream": "diagonal-exponential", "rank": fam.dim})
 
 
 def graph_norm_family():
@@ -166,42 +131,14 @@ def fam(request):
     return CASES[request.param]()
 
 
-#: The reference each case's stream equals.
-REFERENCES = {"number-op-L2": reference_exponential,
-              "schwartz-L3": reference_exponential,
-              "sobolev-P256": reference_row_space,
-              "graph-norm-L2": reference_row_space,
-              "real-thin-L2": reference_row_space,
-              "transform-64": reference_row_space}
-
-
-class TestOneDrawStream:
-    @pytest.mark.parametrize("name", sorted(CASES))
-    def test_tuple_equals_per_level_calls_and_reference(self, name):
-        fam = CASES[name]()
-        # 3000 samples take two chunks on every case here.
-        js = tuple(range(1, fam.triplet.levels + 1))
-        joint = bessel_bound_sampled(fam, js, samples=3000, seed=4)
-        single = tuple(bessel_bound_sampled(fam, j, samples=3000, seed=4)
-                       for j in js)
-        assert joint == single
-        assert joint == tuple(REFERENCES[name](fam, j, samples=3000, seed=4)
-                              for j in js)
-        for j, sampled in zip(js, joint):
-            assert 0.0 < sampled <= bessel_bound(fam, j) * (1 + 1e-12)
-
-    def test_repeated_and_reordered_levels(self):
-        fam = CASES["schwartz-L3"]()
-        out = bessel_bound_sampled(fam, (3, 1, 3), samples=500, seed=2)
-        one = bessel_bound_sampled(fam, 1, samples=500, seed=2)
-        three = bessel_bound_sampled(fam, 3, samples=500, seed=2)
-        assert out == (three, one, three)
-
-    @pytest.mark.parametrize("levels", [(1, 0), (0,), (1, 3), (-1, 1)])
-    def test_level_outside_ladder_rejected(self, levels):
-        fam = CASES["number-op-L2"]()
-        with pytest.raises(LevelError):
-            bessel_bound_sampled(fam, levels, samples=10)
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_sampled_equals_the_row_space_reference(name):
+    fam = CASES[name]()
+    # 3000 samples take two chunks on every case here.
+    for j in range(1, fam.triplet.levels + 1):
+        sampled = bessel_bound_sampled(fam, j, samples=3000, seed=4)
+        assert sampled == reference_row_space(fam, j, samples=3000, seed=4)
+        assert 0.0 < sampled <= bessel_bound(fam, j) * (1 + 1e-12)
 
 
 class TestFamilyMemo:
@@ -257,18 +194,6 @@ def report_bytes(tmp_path, argv, name):
     out = tmp_path / name
     assert cli.main(argv + ["--out", str(out)]) == 0
     return out.read_bytes()
-
-
-@pytest.mark.parametrize("argv", [
-    NUMBER_OP,
-    ["full-report", "--example", "schwartz", "--dim", "12", "--levels", "3",
-     "--seed", "2", "--no-timing"],
-], ids=["number-op-L2", "schwartz-L3"])
-def test_report_with_per_level_sampler_is_byte_identical(tmp_path,
-                                                         monkeypatch, argv):
-    shared = report_bytes(tmp_path, argv, "shared.json")
-    use_exponential_reference(monkeypatch)
-    assert report_bytes(tmp_path, argv, "per-level.json") == shared
 
 
 @pytest.mark.parametrize("command, inverses", [
@@ -337,38 +262,33 @@ def test_number_op_report_draws_once_and_saves_four_svds(tmp_path,
     for name, build in list(cli.SECTIONS.items()):
         monkeypatch.setitem(cli.SECTIONS, name, tracked(name, build))
     report_bytes(tmp_path, NUMBER_OP, "counted.json")
-    # One stream of 10000 points, N exponentials each, serves both levels;
-    # drawing it once per level took twice as many, and the full complex
-    # Gaussian stream 2 N normals a point.  Per-section pseudo-inverses
-    # and dual-level norms took 54 SVDs.
-    assert drawn[("bessel", "standard_exponential")] == 16 * 10000
-    assert ("bessel", "standard_normal") not in drawn
+    # One complex Lanczos start vector of M = 16 entries per level.
+    # Per-section pseudo-inverses and dual-level norms took 54 SVDs.
+    assert {name: count for (where, name), count in drawn.items()
+            if where == "bessel"} == {"standard_normal": 2 * 2 * 16}
     assert kernels[0] == 54 - 4
     # Every matrix of the number-op model is a real diagonal, so none of
     # them reaches LAPACK.
     assert svds[0] == 0
 
 
-# -- the streams -------------------------------------------------------------
+# -- the stream --------------------------------------------------------------
 
 @pytest.mark.parametrize("name, stream", [
-    ("number-op-L2", "diagonal-exponential"),
-    ("schwartz-L3", "diagonal-exponential"),
+    ("number-op-L2", "row-space"),
     ("sobolev-P256", "row-space"),
     ("transform-64", "row-space"),
 ])
 def test_each_family_draws_its_stream(monkeypatch, name, stream):
     fam = CASES[name]()
     levels, n, m = fam.triplet.levels, fam.dim, fam.size
-    rank = {"diagonal-exponential": n,
-            "row-space": min(levels * m, n)}[stream]
-    assert bessel_sampler(fam) == {"stream": stream, "rank": rank}
+    rank = {"row-space": min(m, n)}[stream]
     drawn = counting_draws(monkeypatch)
-    bessel_bound_sampled(fam, tuple(range(1, levels + 1)), samples=500)
+    for j in range(1, levels + 1):
+        bessel_bound_sampled(fam, j, samples=500)
     expected = {
-        "diagonal-exponential": {"standard_exponential": n * 500},
-        "row-space": {"standard_normal": 2 * rank * 500,
-                      "standard_gamma": 500},
+        "row-space": {"standard_normal": levels * 2 * rank * 500,
+                      "standard_gamma": levels * 500},
     }[stream]
     assert {name: count for (_, name), count in drawn.items()} == expected
 
