@@ -34,12 +34,12 @@ from .riesz import (hilbert_triplet_realization, make_riesz_basis,
                     strictness_report)
 from .sequences import (BIORTH_TOL, DOMINATION_FACTOR, SequenceFamily,
                         analysis, bessel_bound, bessel_bound_lanczos,
-                        bessel_factor, biorthogonality_residual, family_rank,
+                        bessel_factor, biorthogonality_residual,
                         frame_operator, level_gram, partial_sum,
                         riesz_fischer_check,
                         schauder_inequality_probe, weak_expansion_residual)
 from .spaces import (ALIASING_TOL, CONSTRUCTION_TOL, SUPPORT_TOL, LineGrid,
-                     aliasing_fraction, hermite_grid,
+                     aliasing_fraction, default_half_width, hermite_grid,
                      number_operator_model, number_operator_rule,
                      schwartz_hermite_model, sobolev_model, sobolev_multiplier)
 from .triplet import WeightedTriplet
@@ -86,7 +86,10 @@ class RunConfig:
 
     `dim` is the model dimension for coefficient-space models and the
     family size for function-space examples; `size` is the grid point
-    count.  All randomized probes consume the single `seed`.
+    count.  All randomized probes consume the single `seed`.  Construction
+    validates every field and then resolves the ones left unset (`dim`,
+    `levels`, `half_width` and the `pseudo` knobs), so each field holds
+    the value the run uses.
     """
 
     command: str
@@ -136,34 +139,30 @@ class RunConfig:
         self.tolerances = {**DEFAULT_TOLERANCES,
                            **{k: _checked_tolerance(k, v)
                               for k, v in self.tolerances.items()}}
-        _check_int(self.pseudo.get("psi_seed"), "psi_seed", 0)
-        if "N_ladder" in self.pseudo:
-            _checked_ladder(self.pseudo["N_ladder"], "N_ladder")
+        self.pseudo = {**PSEUDO_DEFAULTS, **self.pseudo}
+        _check_int(self.pseudo["psi_seed"], "psi_seed", 0)
+        self.pseudo["N_ladder"] = _checked_ladder(self.pseudo["N_ladder"],
+                                                  "N_ladder")
         if self.seed is None and self.command in SEEDED:
             raise ConfigError(
                 f"command {self.command!r} draws random probes and needs "
                 "an explicit --seed")
         if self.command in ("example", "full-report") and self.example is None:
             raise ConfigError("choose an example with --example")
-
-    @property
-    def effective_dim(self):
-        if self.dim is not None:
-            return int(self.dim)
-        if self.command == "pseudo-hermitian":
-            return 32
-        if self.example in ("hermite", "sobolev"):
-            return 10
-        return 8
-
-    @property
-    def effective_levels(self):
-        if self.levels is not None:
-            return int(self.levels)
-        return 2 if self.example == "schwartz" else 1
+        if self.dim is None:
+            self.dim = (32 if self.command == "pseudo-hermitian"
+                        else 10 if self.example in ("hermite", "sobolev")
+                        else 8)
+        if self.levels is None:
+            self.levels = 2 if self.example == "schwartz" else 1
+        if self.half_width is None:
+            self.half_width = (default_half_width(self.dim)
+                               if self.example == "hermite" else 20.0)
 
     def canonical(self):
-        """Digest-relevant view: everything that shapes the diagnostics.
+        """Digest-relevant view: every resolved field that shapes the
+        diagnostics, so two runs share a digest exactly when they compute
+        the same model.
 
         Output path, format and the timing switch do not affect any
         computed number, so the same run written twice stays byte
@@ -173,19 +172,18 @@ class RunConfig:
             "command": self.command,
             "example": self.example,
             "model": {
-                "dim": self.effective_dim,
-                "levels": self.effective_levels,
-                "size": int(self.size),
-                "half_width": (20.0 if self.half_width is None
-                               else self.half_width),
-                "weights": list(self.weights) if self.weights else None,
+                "dim": self.dim,
+                "levels": self.levels,
+                "size": self.size,
+                "half_width": self.half_width,
+                "weights": self.weights,
                 "weight_rule": self.weight_rule,
-                "ladder": list(self.ladder),
+                "ladder": self.ladder,
             },
-            "inputs": dict(sorted(self.inputs.items())),
-            "pseudo": dict(sorted(self.pseudo.items())),
+            "inputs": self.inputs,
+            "pseudo": self.pseudo,
             "seed": self.seed,
-            "tolerances": dict(sorted(self.tolerances.items())),
+            "tolerances": self.tolerances,
         }
 
 
@@ -212,11 +210,13 @@ def _checked_tolerance(key, value):
 
 def _checked_ladder(values, name):
     try:
-        ladder = tuple(int(v) for v in values)
-    except (TypeError, ValueError) as exc:
+        ladder = tuple(values)
+    except TypeError as exc:
         raise ConfigError(f"{name} must be a list of integers") from exc
-    if not ladder or any(n < 1 for n in ladder):
+    if not ladder or None in ladder:
         raise ConfigError(f"{name} needs positive dimensions")
+    for n in ladder:
+        _check_int(n, f"{name} entry", 1)
     if any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise ConfigError(f"{name} must be strictly increasing")
     return ladder
@@ -384,10 +384,9 @@ def _rule_weights(rule, n):
 
 def resolve_model(cfg):
     if cfg.command == "pseudo-hermitian":
-        pair_rule = partial(
-            demo_pair, psi_seed={**PSEUDO_DEFAULTS, **cfg.pseudo}["psi_seed"])
+        pair_rule = partial(demo_pair, psi_seed=cfg.pseudo["psi_seed"])
         return ModelBundle("pseudo-hermitian", ladder_rule=pair_rule,
-                           pair=pair_rule(cfg.effective_dim))
+                           pair=pair_rule(cfg.dim))
     if cfg.example is not None:
         return _resolve_example(cfg)
     if "transform" in cfg.inputs:
@@ -419,12 +418,11 @@ def _file_triplet(cfg, dim):
                 f"{dim} weights needed for the loaded model, got {w.shape[0]}")
     else:
         w = _rule_weights(cfg.weight_rule, dim)
-    return WeightedTriplet(dim, w, cfg.effective_levels)
+    return WeightedTriplet(dim, w, cfg.levels)
 
 
 def _resolve_example(cfg):
-    dim = cfg.effective_dim
-    levels = cfg.effective_levels
+    dim, levels = cfg.dim, cfg.levels
     if cfg.example == "number-op":
         _, basis = number_operator_model(dim, levels, cfg.ladder)
         return ModelBundle("number-op", basis.fam, basis,
@@ -441,13 +439,20 @@ def _resolve_example(cfg):
         grid, hermite = hermite_grid(dim, cfg.half_width, cfg.size,
                                      cfg.tolerances["support"])
         return ModelBundle("hermite", grid=grid, hermite=hermite)
-    # sobolev, the last of EXAMPLES, on the half width the digest records
-    grid = LineGrid(cfg.canonical()["model"]["half_width"], cfg.size)
+    # sobolev, the last of EXAMPLES
+    grid = LineGrid(cfg.half_width, cfg.size)
     fam, hermite, round_trip = sobolev_model(grid, dim,
                                              cfg.tolerances["support"])
-    return ModelBundle("sobolev", fam,
-                       ladder_rule=lambda m: (fam.triplet, fam.family[:, :m]),
-                       grid=grid, hermite=hermite, round_trip=round_trip)
+
+    def truncation(m):
+        if m > fam.size:
+            raise ConfigError(
+                f"ladder rung {m} exceeds the {fam.size} Sobolev columns; "
+                "raise --dim or lower the ladder")
+        return fam.triplet, fam.family[:, :m]
+
+    return ModelBundle("sobolev", fam, ladder_rule=truncation, grid=grid,
+                       hermite=hermite, round_trip=round_trip)
 
 
 # -- section builders --------------------------------------------------------
@@ -460,21 +465,11 @@ def _at_most(name, key, value, tol):
     return Verdict(name, _pf(value <= tol), {key: value, "tolerance": tol})
 
 
-# Sections that read the family's memoised pseudo-inverse.
-_INVERSE_READERS = {"riesz-fischer", "metric-operator"}
-
-
 def _biorthogonality_section(bundle, cfg):
     fam = bundle.require_family()
     bound = cfg.tolerances["biorthogonality"]
     res = biorthogonality_residual(fam)
-    # The pseudo-inverse costs a full SVD; take the rank from it only when
-    # a later section of this run reads that memo anyway.
-    if _INVERSE_READERS & set(_section_names(cfg, bundle)):
-        rank = fam.inverse[1]
-    else:
-        rank = family_rank(fam.family)
-    records = {"residual": res, "family_rank": rank,
+    records = {"residual": res, "family_rank": fam.inverse[1],
                "family_size": fam.size, "dimension": fam.dim}
     return records, [Verdict(
         "family-dual-pairings", "pass" if res <= bound else "tainted",
@@ -615,12 +610,8 @@ def _reconstruct_section(bundle, cfg):
     fam = bundle.require_family()
     tol = cfg.tolerances
     if "vector" in cfg.inputs:
-        mat = load_complex_matrix(cfg.inputs["vector"])
-        f = mat[:, 0]
-        if f.shape[0] != fam.dim:
-            raise ConfigError(
-                f"probe vector length {f.shape[0]} does not match "
-                f"dimension {fam.dim}")
+        f = load_complex_matrix(cfg.inputs["vector"],
+                                expected_shape=(fam.dim, 1))[:, 0]
     else:
         f = (2.0 ** -np.arange(1, fam.dim + 1)).astype(complex)
     # Row n of the running sum of the a_k xi_k^T is (S_{n+1} f)^T.
@@ -651,7 +642,7 @@ def _reconstruct_section(bundle, cfg):
 
 def _hermite_section(bundle, cfg):
     grid, vals = bundle.grid, bundle.hermite
-    count = cfg.effective_dim
+    count = cfg.dim
     tol = cfg.tolerances
     idx = int(np.argmin(np.abs(grid.nodes)))
     at0 = vals[idx, :]
@@ -746,8 +737,7 @@ def _similarity_section(bundle, cfg):
 
 
 def _admissibility_section(bundle, cfg):
-    ladder = {**PSEUDO_DEFAULTS, **cfg.pseudo}["N_ladder"]
-    trend = density_diagnostic(bundle.ladder_rule, ladder)
+    trend = density_diagnostic(bundle.ladder_rule, cfg.pseudo["N_ladder"])
     records = {"ladder": trend.ladder, "norms": trend.norms,
                "slope": trend.slope, "flag": trend.flag}
     return records, [Verdict(

@@ -254,11 +254,6 @@ def pseudo_inverse(matrix):
     return (vh.conj().T * inv) @ u.conj().T, rank
 
 
-def family_rank(matrix):
-    """Numerical rank with the package-wide relative singular value cutoff."""
-    return _kept_inverse(singular_values(np.asarray(matrix, dtype=complex)))[1]
-
-
 # -- biorthogonality ---------------------------------------------------------
 
 def biorthogonality_residual(fam):
@@ -544,7 +539,7 @@ def dual_analysis(fam, phi):
     if v.shape[0] != fam.dim:
         raise DimensionError("dual-analysis input does not match the model")
     coeffs = fam.family.conj().T @ v
-    rank = family_rank(fam.family)
+    rank = fam.inverse[1]
     return DualAnalysisResult(coeffs, float(np.sum(np.abs(coeffs) ** 2)),
                               rank, rank == fam.size)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import pathlib
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 
 from rieszlab import save_complex_matrix
-from rieszlab.cli import SECTIONS, main
+from rieszlab.cli import SECTIONS, RunConfig, main
+from rieszlab.reportio import jsonify
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SCHEMA = json.loads((ROOT / "docs" / "report_schema.json").read_text())
@@ -187,6 +189,56 @@ class TestDeterminism:
         assert doc1["meta"]["seed"] == 11
         assert doc2["meta"]["seed"] == 12
 
+    def test_hermite_half_width_enters_config_hash(self, tmp_path):
+        # Unset, the window follows the dimension: 22.7 at dim 64, not 20.
+        argv = ["example", "--example", "hermite", "--dim", "64", "--seed",
+                "0"]
+        docs = [run_json(tmp_path, argv + extra, f"h{len(extra)}.json")
+                for extra in ([], ["--half-width", "20"])]
+        widths = [section(d, "hermite-values")["records"]["half_width"]
+                  for d in docs]
+        assert widths[0] > widths[1] == 20.0
+        assert docs[0]["meta"]["config_hash"] != docs[1]["meta"]["config_hash"]
+
+    def test_spelled_out_pseudo_defaults_give_the_same_report(self,
+                                                              tmp_path):
+        cfg = tmp_path / "pseudo.json"
+        cfg.write_text(json.dumps(
+            {"pseudo": {"psi_seed": 7, "N_ladder": [8, 16, 32]}}))
+        reports = []
+        for extra in ([], ["--config", str(cfg)]):
+            out = tmp_path / f"p{len(extra)}.json"
+            assert main(["pseudo-hermitian", "--seed", "0", "--no-timing",
+                         "--out", str(out)] + extra) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
+    def test_spelled_out_model_defaults_share_the_hash(self, tmp_path):
+        argv = ["full-report", "--example", "number-op", "--seed", "0"]
+        docs = [run_json(tmp_path, argv + extra, f"n{len(extra)}.json")
+                for extra in ([], ["--dim", "8", "--levels", "1"])]
+        assert docs[0]["meta"]["config_hash"] == docs[1]["meta"]["config_hash"]
+
+    @pytest.mark.parametrize("kwargs", [
+        {"command": "example", "example": "hermite", "dim": 64, "seed": 0},
+        {"command": "pseudo-hermitian", "seed": 3, "pseudo": {"psi_seed": 1}},
+        {"command": "bessel", "seed": 0, "weights": [1, 2],
+         "inputs": {"transform": "t.csv"}, "tolerances": {"gram": 1e-6}},
+    ])
+    def test_canonical_lists_every_resolved_field(self, kwargs):
+        # Every field but the output knobs enters the digest as resolved,
+        # so a new field cannot be left out of it and canonical() resolves
+        # no default of its own.
+        cfg = RunConfig(**kwargs)
+        canon = cfg.canonical()
+        model = canon.pop("model")
+        flat = {**model, **canon}
+        names = {f.name for f in dataclasses.fields(RunConfig)} \
+            - {"out", "fmt", "no_timing"}
+        assert set(flat) == names and len(model) + len(canon) == len(names)
+        for name in names:
+            assert jsonify(flat[name]) == jsonify(getattr(cfg, name)), name
+
     def test_timing_fields_optional(self, tmp_path):
         out = tmp_path / "t.json"
         assert main(self.ARGS + ["--out", str(out)]) == 0
@@ -261,6 +313,14 @@ class TestReconstruct:
         save_complex_matrix(vec, np.eye(3)[:, :1])
         assert main(["reconstruct", "--example", "number-op", "--dim", "4",
                      "--vector", str(vec)]) == 2
+
+    def test_multi_column_probe_is_refused(self, tmp_path, capsys):
+        t, vec = tmp_path / "t.csv", tmp_path / "v.csv"
+        save_complex_matrix(t, np.diag([1.0, 2.0, 3.0, 4.0]))
+        save_complex_matrix(vec, np.ones((4, 2)) + 1j)
+        err = refusal(["reconstruct", "--transform", str(t), "--vector",
+                       str(vec)], capsys)
+        assert "expected shape (4, 1), found (4, 2)" in err
 
 
 class TestFileModels:
@@ -341,6 +401,12 @@ BESSEL = ["bessel", "--example", "number-op", "--seed", "0"]
                  id="tolerance-inf"),
     pytest.param(BESSEL, {"tolerances": {"gram": "tight"}},
                  id="tolerance-text"),
+    pytest.param(BESSEL, {"model": {"ladder": [8.7, 16, 32, 64]}},
+                 id="ladder-float"),
+    pytest.param(BESSEL, {"model": {"ladder": [True, 16, 32, 64]}},
+                 id="ladder-bool"),
+    pytest.param(PSEUDO, {"pseudo": {"N_ladder": [8.9, 16, 32]}},
+                 id="N_ladder-float"),
 ])
 def test_bad_config_value_is_a_config_error(tmp_path, capsys, argv, config):
     if config is not None:
@@ -379,6 +445,22 @@ def refusal(argv, capsys):
 def test_overflowing_strictness_constants_are_an_error(capsys, argv):
     # At 86 levels and more the ladder constant 64^(2q) overflows.
     assert "non-finite values in the scaled operator" in refusal(argv, capsys)
+
+
+SOBOLEV_STRICTNESS = ["strictness", "--example", "sobolev", "--seed", "0"]
+
+
+def test_sobolev_ladder_above_the_family_is_refused(capsys):
+    # The default ladder 8, 16, 32, 64 outgrows the default 10 columns.
+    err = refusal(SOBOLEV_STRICTNESS, capsys)
+    assert err.startswith("error: ladder rung 16 exceeds the 10 Sobolev")
+
+
+@pytest.mark.parametrize("extra", [["--dim", "64"],
+                                   ["--ladder", "2,4,8,10"]])
+def test_sobolev_ladder_within_the_family_is_strict(tmp_path, extra):
+    doc = run_json(tmp_path, SOBOLEV_STRICTNESS + extra)
+    assert verdicts(doc) == ["strict"]
 
 
 @pytest.mark.parametrize("argv", [
