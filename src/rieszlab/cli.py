@@ -31,18 +31,19 @@ from .reportio import (DiagnosticsReport, SCHEMA_VERSION, Section, Verdict,
                        render_json, save_report)
 from .riesz import (hilbert_triplet_realization, make_riesz_basis,
                     metric_operator_check, strictness_constants,
-                    strictness_report)
+                    strictness_report, transport_residuals)
 from .sequences import (BIORTH_TOL, DOMINATION_FACTOR, SequenceFamily,
-                        analysis, bessel_bound, bessel_bound_lanczos,
-                        bessel_factor, biorthogonality_residual,
-                        frame_operator, level_gram, partial_sum,
-                        riesz_fischer_check,
-                        schauder_inequality_probe, weak_expansion_residual)
+                        bessel_bound, bessel_bound_lanczos, bessel_factor,
+                        biorthogonality_residual, dual_row_masses,
+                        frame_operator, level_gram, max_deviation,
+                        partial_sum, partial_sum_residuals,
+                        riesz_fischer_check, schauder_inequality_probe,
+                        weak_expansion_residual)
 from .spaces import (ALIASING_TOL, CONSTRUCTION_TOL, SUPPORT_TOL, LineGrid,
                      aliasing_fraction, default_half_width, hermite_grid,
                      number_operator_model, number_operator_rule,
                      schwartz_hermite_model, sobolev_model, sobolev_multiplier)
-from .triplet import WeightedTriplet
+from .triplet import Diagonal, WeightedTriplet
 
 COMMANDS = ("check-biorthogonal", "frame-report", "bessel", "riesz-fischer",
             "strictness", "reconstruct", "example", "pseudo-hermitian",
@@ -88,15 +89,15 @@ class RunConfig:
     family size for function-space examples; `size` is the grid point
     count.  All randomized probes consume the single `seed`.  Construction
     validates every field and then resolves the ones left unset (`dim`,
-    `levels`, `half_width` and the `pseudo` knobs), so each field holds
-    the value the run uses.
+    `levels`, `size`, `half_width` and the `pseudo` knobs; None, a JSON
+    null, is unset), so each field holds the value the run uses.
     """
 
     command: str
     example: str | None = None
     dim: int | None = None
     levels: int | None = None
-    size: int = 1024
+    size: int | None = None
     half_width: float | None = None
     weights: tuple | None = None
     weight_rule: str = "ones"
@@ -139,7 +140,8 @@ class RunConfig:
         self.tolerances = {**DEFAULT_TOLERANCES,
                            **{k: _checked_tolerance(k, v)
                               for k, v in self.tolerances.items()}}
-        self.pseudo = {**PSEUDO_DEFAULTS, **self.pseudo}
+        self.pseudo = {**PSEUDO_DEFAULTS, **{
+            k: v for k, v in self.pseudo.items() if v is not None}}
         _check_int(self.pseudo["psi_seed"], "psi_seed", 0)
         self.pseudo["N_ladder"] = _checked_ladder(self.pseudo["N_ladder"],
                                                   "N_ladder")
@@ -155,6 +157,8 @@ class RunConfig:
                         else 8)
         if self.levels is None:
             self.levels = 2 if self.example == "schwartz" else 1
+        if self.size is None:
+            self.size = 1024
         if self.half_width is None:
             self.half_width = (default_half_width(self.dim)
                                if self.example == "hermite" else 20.0)
@@ -432,7 +436,7 @@ def _resolve_example(cfg):
 
         def rule(n):
             t = WeightedTriplet(n, np.arange(1, n + 1, dtype=float), levels)
-            return t, np.eye(n, dtype=complex)
+            return t, Diagonal(np.ones(n))
 
         return ModelBundle("schwartz", fam, ladder_rule=rule)
     if cfg.example == "hermite":
@@ -469,7 +473,7 @@ def _biorthogonality_section(bundle, cfg):
     fam = bundle.require_family()
     bound = cfg.tolerances["biorthogonality"]
     res = biorthogonality_residual(fam)
-    records = {"residual": res, "family_rank": fam.inverse[1],
+    records = {"residual": res, "family_rank": fam.pinv_rank[1],
                "family_size": fam.size, "dimension": fam.dim}
     return records, [Verdict(
         "family-dual-pairings", "pass" if res <= bound else "tainted",
@@ -478,13 +482,7 @@ def _biorthogonality_section(bundle, cfg):
 
 def _construction_section(bundle, cfg):
     basis = bundle.basis
-    t = basis.transform.matrix
-    xi = basis.fam.family
-    z = basis.fam.require_dual()
-    eye = np.eye(t.shape[0])
-    r_txi = float(np.max(np.abs(t @ xi - eye)))
-    r_dual = float(np.max(np.abs(z - t.conj().T)))
-    r_chain = float(np.max(np.abs(t.conj().T @ t @ xi - z)))
+    r_txi, r_dual, r_chain = transport_residuals(basis)
     records = {"transform_times_family": r_txi,
                "dual_vs_adjoint": r_dual,
                "metric_chain": r_chain,
@@ -498,10 +496,8 @@ def _frame_section(bundle, cfg):
     fam = bundle.require_family()
     floor = cfg.tolerances["frame_positivity"]
     op = frame_operator(fam)
-    # The quadratic form <S e_k, e_k> is the k-th dual row mass, so the
-    # canonical directions give a deterministic positivity probe.
-    z = fam.require_dual()
-    diag = np.sum(z.real ** 2 + z.imag ** 2, axis=1)
+    # The canonical directions give a deterministic positivity probe.
+    diag = dual_row_masses(fam)
     least = float(np.min(diag))
     records = {"certificate": op.certificate, "smallest_diagonal": least,
                "largest_diagonal": float(np.max(diag))}
@@ -572,7 +568,7 @@ def _strictness_section(bundle, cfg):
                    "upper_slopes": report.upper_slopes, "note": report.note}
     else:
         fam = bundle.require_family()
-        lower, upper = strictness_constants(fam.triplet, fam.family)
+        lower, upper = strictness_constants(fam.triplet, fam.xi)
         verdict = "inconclusive"
         records = {"dimension": fam.dim, "lower": lower, "upper": upper,
                    "note": "single truncation cannot exhibit a trend"}
@@ -614,12 +610,7 @@ def _reconstruct_section(bundle, cfg):
                                 expected_shape=(fam.dim, 1))[:, 0]
     else:
         f = (2.0 ** -np.arange(1, fam.dim + 1)).astype(complex)
-    # Row n of the running sum of the a_k xi_k^T is (S_{n+1} f)^T.
-    work = analysis(fam, f)[:, None] * fam.family.T
-    np.cumsum(work, axis=0, out=work)
-    np.subtract(f, work, out=work)
-    residuals = [float(np.linalg.norm(f))]
-    residuals += np.linalg.norm(work, axis=1).tolist()
+    residuals = partial_sum_residuals(fam, f)
     ratios = [residuals[n + 1] / residuals[n]
               for n in range(fam.size) if residuals[n] > 0.0]
     weak = weak_expansion_residual(fam, np.ones(fam.dim), f, fam.size)
@@ -652,8 +643,7 @@ def _hermite_section(bundle, cfg):
               (np.sqrt(2.0) * x ** 2 - np.sqrt(0.5)) * phi0]
     rec = max(float(np.max(np.abs(vals[:, n] - closed[n])))
               for n in range(min(count, 3)))
-    gram = grid.spacing * (vals.T @ vals)
-    gram_defect = float(np.max(np.abs(gram - np.eye(count))))
+    gram_defect = max_deviation(grid.spacing * (vals.T @ vals))
     alias = max(aliasing_fraction(grid, vals[:, n]) for n in range(count))
     records = {"value_at_zero_0": float(at0[0]),
                "value_at_zero_1": float(at0[1]) if count > 1 else None,
@@ -677,15 +667,12 @@ def _hermite_section(bundle, cfg):
 def _sobolev_section(bundle, cfg):
     grid, fam, phis = bundle.grid, bundle.family, bundle.hermite
     tol = cfg.tolerances
-    count = fam.size
     scale = np.sqrt(grid.spacing)
     forward = sobolev_multiplier(grid, 1.0, fam.family / scale)
     worst_build = scale * float(np.max(np.linalg.norm(forward - phis, axis=0)))
     worst_round = bundle.round_trip
-    modified = level_gram(fam, 1)
-    mod_defect = float(np.max(np.abs(modified - np.eye(count))))
-    gram = grid.spacing * (phis.T @ phis)
-    gram_defect = float(np.max(np.abs(gram - np.eye(count))))
+    mod_defect = max_deviation(level_gram(fam, 1))
+    gram_defect = max_deviation(grid.spacing * (phis.T @ phis))
     lower, upper = strictness_constants(fam.triplet, fam.family)
     top = fam.triplet.levels
     records = {"construction_residual": worst_build,

@@ -16,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import sequences
 from .errors import DimensionError, InjectivityError, ValidationError
-from .sequences import pseudo_inverse, singular_values
+from .sequences import (DenseView, _adjoint, _as_map, _product, max_deviation,
+                        pseudo_inverse)
 from .trends import classify_growth, loglog_slope
-from .triplet import coords_of
+from .triplet import Diagonal, coords_of
 
 #: Largest entry of |Psi^H Psi - I| accepted for an eigenvector matrix.
 UNITARY_TOL = 1e-10
@@ -32,7 +32,8 @@ class HamiltonianPair:
 
     hamiltonian : H = T^{-1} H_sa T
     selfadjoint : H_sa, Hermitian with spectrum `eigenvalues`
-    transform : the intertwining map T
+    transform : the intertwining map T, held in `t` as an array or a
+        Diagonal, and read back as an ndarray
     eigenvalues : real spectrum shared by both operators
     eigenvectors_sa : unitary columns psi_k of H_sa
     eigenvectors : columns xi_k = T^{-1} psi_k of H
@@ -41,7 +42,7 @@ class HamiltonianPair:
 
     hamiltonian: np.ndarray
     selfadjoint: np.ndarray
-    transform: np.ndarray
+    transform: np.ndarray = DenseView("t")
     eigenvalues: np.ndarray
     eigenvectors_sa: np.ndarray
     eigenvectors: np.ndarray
@@ -77,7 +78,7 @@ def build_selfadjoint(eigenvalues, eigenvectors):
         raise DimensionError("eigenvector matrix must be square")
     if lam.shape != (psi.shape[0],):
         raise DimensionError("need one eigenvalue per eigenvector")
-    defect = float(np.max(np.abs(psi.conj().T @ psi - np.eye(psi.shape[0]))))
+    defect = max_deviation(psi.conj().T @ psi)
     if not defect <= UNITARY_TOL:
         raise ValidationError(
             f"eigenvector matrix is not unitary (defect {defect:.2e})")
@@ -92,7 +93,7 @@ def build_pair(eigenvalues, eigenvectors, transform):
     eigenvalues are accepted and flagged as degenerate.
     """
     hsa = build_selfadjoint(eigenvalues, eigenvectors)
-    t = np.asarray(transform, dtype=complex)
+    t = _as_map(transform)
     if t.shape != hsa.shape:
         raise DimensionError("transform does not match the operator size")
     tinv, rank = pseudo_inverse(t)
@@ -102,18 +103,9 @@ def build_pair(eigenvalues, eigenvectors, transform):
     lam = np.real(eigenvalues).astype(float).ravel()
     psi = np.asarray(eigenvectors, dtype=complex)
     degenerate = bool(np.any(np.diff(np.sort(lam)) < 1e-12))
-    # Read through the module, so that switching the closed forms off
-    # there switches this one off too.
-    d = sequences._real_diagonal(t)
-    if d is None:
-        h, xi = tinv @ hsa @ t, tinv @ psi
-    else:
-        # T = diag(d) is injective here, so T^{-1} = diag(1/d): scaling
-        # rows and columns skips products whose other terms are exact
-        # zeros and gives the same bits.
-        h = (1.0 / d)[:, None] * hsa * d
-        xi = (1.0 / d)[:, None] * psi
-    return HamiltonianPair(h, hsa, t, lam, psi, xi, degenerate)
+    h = _product(_product(tinv, hsa), t)
+    return HamiltonianPair(h, hsa, t, lam, psi, _product(tinv, psi),
+                           degenerate)
 
 
 def weak_similarity_residual(pair, xi, eta):
@@ -128,10 +120,10 @@ def weak_similarity_residual(pair, xi, eta):
     x, e = coords_of(xi).T, coords_of(eta).T
     if x.shape != e.shape or x.shape[-1] != pair.dim:
         raise DimensionError("vector pairs do not match the pair dimension")
-    lhs = np.sum((e @ pair.transform.conj()).conj() * (x @ pair.hamiltonian.T),
+    t = pair.t
+    lhs = np.sum(_product(e, _adjoint(t).T).conj() * (x @ pair.hamiltonian.T),
                  axis=-1)
-    rhs = np.sum((e @ pair.selfadjoint.T).conj() * (x @ pair.transform.T),
-                 axis=-1)
+    rhs = np.sum((e @ pair.selfadjoint.T).conj() * _product(x, t.T), axis=-1)
     res = np.abs(lhs - rhs)
     return float(res) if res.ndim == 0 else res
 
@@ -157,10 +149,13 @@ def spectrum_residual(pair):
 
 
 def nonnormality(matrix):
-    """Spectral norm of the commutator [A, A^H]; zero iff A is normal."""
+    """Spectral norm of the commutator [A, A^H]; zero iff A is normal.
+
+    The commutator is Hermitian, so its norm is its largest |eigenvalue|.
+    """
     a = np.asarray(matrix, dtype=complex)
     c = a @ a.conj().T - a.conj().T @ a
-    return float(singular_values(c)[0])
+    return float(np.max(np.abs(np.linalg.eigvalsh(c))))
 
 
 @dataclass(frozen=True)
@@ -179,18 +174,11 @@ class DensityTrend:
 
 
 def density_diagnostic(pair_rule, ladder):
-    """Trend of ||T^H e_N|| over a dimension ladder.
-
-    Parameters
-    ----------
-    pair_rule : callable N -> HamiltonianPair
-    ladder : increasing dimensions to sample
-
-    The probe e_N, the last canonical basis vector, exposes the largest
-    singular directions of diagonal-style transforms.
-
-    A clearly growing trend is flagged "growing" (the probe directions
-    leave every bounded admissibility ball), bounded trends are "benign".
+    """Trend of ||T^H e_N|| over a ladder of dimensions N, one pair from
+    `pair_rule(N)` each.  The last canonical vector e_N exposes the
+    largest singular directions of diagonal-style transforms.  A clearly
+    growing trend is flagged "growing" (the probe directions leave every
+    bounded admissibility ball), a bounded one "benign".
     """
     ladder = tuple(int(n) for n in ladder)
     if not ladder:
@@ -200,7 +188,7 @@ def density_diagnostic(pair_rule, ladder):
         pair = pair_rule(n)
         eta = np.zeros(pair.dim, dtype=complex)
         eta[-1] = 1.0
-        norms.append(float(np.linalg.norm(pair.transform.conj().T @ eta)))
+        norms.append(float(np.linalg.norm(_product(_adjoint(pair.t), eta))))
     if len(ladder) >= 2:
         slope = loglog_slope(ladder, norms)
         cls = classify_growth(slope)
@@ -216,5 +204,4 @@ def demo_pair(dim, psi_seed=7):
     eigenvalues 1..N.  Non-normal for generic psi, spectrum exactly known."""
     lam = np.arange(1, int(dim) + 1, dtype=float)
     psi = random_unitary(int(dim), psi_seed)
-    t = np.diag(lam).astype(complex)
-    return build_pair(lam, psi, t)
+    return build_pair(lam, psi, Diagonal(lam))

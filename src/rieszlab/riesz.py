@@ -17,10 +17,10 @@ import numpy as np
 
 from .errors import DimensionError, InjectivityError, StateError, ValidationError
 from .sequences import (BIORTH_TOL, DOMINATION_FACTOR, LinearMap,
-                        SequenceFamily, _require_finite, analysis,
-                        biorthogonality_residual, dual_analysis,
-                        dual_level_norm, make_linear_map, pseudo_inverse,
-                        singular_values)
+                        SequenceFamily, _adjoint, _as_map, _dual_of, _product,
+                        _require_finite, analysis, biorthogonality_residual,
+                        dual_analysis, dual_level_norm, make_linear_map,
+                        max_deviation, pseudo_inverse, singular_values)
 from .trends import MIN_LADDER_POINTS, classify_growth, loglog_slope
 from .triplet import CoefVector, WeightedTriplet, coords_of
 
@@ -47,21 +47,14 @@ class RieszBasis:
 def make_riesz_basis(transform, triplet):
     """Build the basis xi_n = T^{-1} e_n with dual zeta_n = T^H e_n.
 
-    Parameters
-    ----------
-    transform : ndarray or LinearMap
-        Square injective map T of the model dimension; rejected when its
-        smallest singular value falls below the rank tolerance.
-    triplet : WeightedTriplet
-        Model the basis lives in; the (1 -> 0) continuity certificate of
-        T is computed against it.
-
+    `transform` is a square injective map T (an ndarray, a Diagonal, which
+    gives Diagonal family and dual, or a LinearMap), rejected when its
+    rank falls short; its (1 -> 0) certificate is taken in `triplet`.
     The identities T Xi = I, Z = T^H and T^H T Xi = Z hold by
-    construction, so the family/dual pair is exactly biorthogonal up to
-    the inversion's roundoff.
+    construction up to the inversion's roundoff.
     """
-    a = np.asarray(getattr(transform, "matrix", transform), dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    a = _as_map(getattr(transform, "matrix", transform))
+    if len(a.shape) != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError("the transform must be square")
     if a.shape[0] != triplet.dim:
         raise DimensionError("transform size does not match the model dimension")
@@ -70,7 +63,7 @@ def make_riesz_basis(transform, triplet):
         raise InjectivityError(
             f"transform is singular at this truncation (rank {rank} of "
             f"{a.shape[1]})")
-    fam = SequenceFamily(xi, triplet, dual=a.conj().T)
+    fam = SequenceFamily(xi, triplet, dual=_adjoint(a))
     tmap = make_linear_map(a, triplet, pairs=((1, 0),))
     return RieszBasis(tmap, fam, triplet)
 
@@ -80,15 +73,20 @@ def adjoint_action(basis, g):
     v = coords_of(g)
     if v.shape[0] != basis.triplet.dim:
         raise DimensionError("vector does not match the model dimension")
-    return CoefVector(basis.transform.matrix.conj().T @ v)
+    return CoefVector(_product(_adjoint(basis.transform.left), v))
+
+
+def transport_residuals(basis):
+    """(|T Xi - I|, |Z - T^H|, |T^H T Xi - Z|), each the largest entry:
+    the identities `make_riesz_basis` builds in, at their roundoff."""
+    t, xi, z = basis.transform.left, basis.fam.xi, _dual_of(basis.fam)
+    return (max_deviation(_product(t, xi)), max_deviation(z, _adjoint(t)),
+            max_deviation(_product(_product(_adjoint(t), t), xi), z))
 
 
 def coefficient_seminorm(fam, f):
-    """l2 mass of the dual pairings: (sum_k |<zeta_k, f>|^2)^{1/2}.
-
-    For a transported basis this equals ||T f||, which is what makes the
-    coefficient functionals jointly continuous.
-    """
+    """l2 mass of the dual pairings, (sum_k |<zeta_k, f>|^2)^{1/2}, which
+    is ||T f|| for a transported basis."""
     return float(np.linalg.norm(analysis(fam, f)))
 
 
@@ -119,28 +117,26 @@ class MetricCheckResult:
 def metric_operator_check(fam, samples=50, seed=0, positivity_tol=1e-8):
     """Build S with S xi_k = zeta_k and test the equivalent formulations.
 
-    S is Z Xi^+ (the minimal linear extension at truncation; a singular
-    family is rejected).  The quadratic form <S f, f> must reproduce the
-    squared coefficient mass of f = sum a_k xi_k, and the coefficient
-    seminorm must be dominated by some ladder level.  Level constants are
-    computed exactly as scaled singular values rather than sampled, so the
-    chosen level is a guarantee, not an estimate.
+    S is Z Xi^+ (a singular family is rejected).  The quadratic form
+    <S f, f> must reproduce the squared coefficient mass of f = sum a_k
+    xi_k, and some ladder level must dominate the coefficient seminorm;
+    the level constants are exact scaled singular values, not samples.
     """
-    z = fam.require_dual()
-    xi = fam.family
-    pinv, rank = fam.inverse
+    z = _dual_of(fam)
+    xi = fam.xi
+    pinv, rank = fam.pinv_rank
     if rank == 0 or rank < fam.size:
         raise InjectivityError("family matrix is singular; S is not determined")
     metric = make_linear_map(z, fam.triplet, pairs=((1, -1),),
-                             right=pinv.conj().T)
+                             right=_adjoint(pinv))
 
     # Row t holds re a and im a of sample t: the stream order of drawing
     # the samples one by one.
     draws = np.random.default_rng(seed).standard_normal(
         (int(samples), 2, fam.size))
     a = draws[:, 0] + 1j * draws[:, 1]
-    f = a @ xi.T
-    form = np.sum(f.conj() * ((f @ pinv.T) @ z.T), axis=1)
+    f = _product(a, xi.T)
+    form = np.sum(f.conj() * _product(_product(f, pinv.T), z.T), axis=1)
     mass = np.sum(np.abs(a) ** 2, axis=1)
     worst = float(np.max(np.abs(form - mass), initial=0.0))
 
@@ -196,8 +192,7 @@ def range_membership(basis_rule, psi_rule, ladder):
         psi = coords_of(psi_rule(n))
         res = dual_analysis(basis.fam, psi)
         h = res.coefficients  # preimage coordinates sum_k <psi, xi_k> e_k
-        defect = float(np.linalg.norm(
-            basis.transform.matrix.conj().T @ h - psi))
+        defect = float(np.linalg.norm(adjoint_action(basis, h).coords - psi))
         sq_sums.append(res.sq_sum)
         defects.append(defect)
     if len(ladder) >= 2:
@@ -213,15 +208,11 @@ def range_membership(basis_rule, psi_rule, ladder):
 # -- strictness -------------------------------------------------------------
 
 def strictness_constants(triplet, family_matrix):
-    """Exact two-sided constants of a family at one truncation.
-
-    Returns (lower, upper): lower is the squared smallest singular value
-    of scale(1) @ Xi (how far coefficient mass is dominated by the level-1
-    seminorm of the sum), upper maps each level q to the squared largest
-    singular value of scale(q) @ Xi.  A scaled family or a constant that
-    overflows raises ContinuityError.
-    """
-    x = np.asarray(family_matrix, dtype=complex)
+    """Exact two-sided constants (lower, upper) of a family: lower is the
+    squared smallest singular value of scale(1) @ Xi, upper maps each
+    level q to the squared largest one of scale(q) @ Xi.  Overflow raises
+    ContinuityError."""
+    x = _as_map(family_matrix)
     if x.shape[1] > x.shape[0]:
         raise DimensionError("more columns than the dimension supports")
     squares = {}
@@ -277,7 +268,7 @@ def strictness_report(basis_rule, ladder):
         if isinstance(item, tuple):
             tri, mat = item
         else:
-            tri, mat = item.triplet, item.fam.family
+            tri, mat = item.triplet, item.fam.xi
         lo, up = strictness_constants(tri, mat)
         lowers.append(lo)
         for q, val in up.items():
@@ -314,12 +305,8 @@ def with_strictness(basis, report):
 # -- Hilbert triplet realization --------------------------------------------
 
 def realized_grams(basis):
-    """(+1, -1) Gram matrices of family and dual in the realized triplet.
-
-    The +1 inner product is <T . , T .>; with T xi_n = e_n the family
-    Gram is the identity, and the dual is orthonormal in the -1 inner
-    product <|T|^{-1} . , |T|^{-1} .>.
-    """
+    """(+1, -1) Gram matrices of family and dual in the realized triplet,
+    under <T . , T .> and <|T|^{-1} . , |T|^{-1} .>: both the identity."""
     t = basis.transform.matrix
     xi = basis.fam.family
     z = basis.fam.require_dual()
@@ -332,12 +319,10 @@ def realized_grams(basis):
 def hilbert_triplet_realization(basis, gram_tol=1e-8):
     """Collapse a strict basis's ladder onto a single Hilbert triplet.
 
-    The returned triplet's level-1 seminorm is ||T f||: weights are the
-    singular values of T with the right-singular-vector frame attached.
-    Only a basis carrying a strict ladder verdict may be realized; the
-    +-1 Gram identities of family and dual are verified on the way out.
-    Weights may fall below 1 when sigma_min(T) < 1 (the +1 norm is then
-    equivalent to, not pointwise above, the Hilbert norm).
+    The triplet's level-1 seminorm is ||T f||: the weights are the
+    singular values of T (below 1 when sigma_min(T) < 1) in its
+    right-singular-vector frame, read from the dense T.  Only a strict
+    basis may be realized; the +-1 Gram identities are verified.
     """
     if basis.strict != "strict":
         raise StateError(
@@ -347,9 +332,7 @@ def hilbert_triplet_realization(basis, gram_tol=1e-8):
     triplet = WeightedTriplet(t.shape[0], s, 1, vh.conj().T,
                               check_weights=False)
     g_plus, g_minus = realized_grams(basis)
-    eye = np.eye(t.shape[0])
-    defect = max(float(np.max(np.abs(g_plus - eye))),
-                 float(np.max(np.abs(g_minus - eye))))
+    defect = max(max_deviation(g_plus), max_deviation(g_minus))
     if not defect <= gram_tol:
         raise ValidationError(
             f"realized Gram identities violated (defect {defect:.2e})")

@@ -2,25 +2,25 @@
 
 A family is an N x M matrix whose columns are the candidate basis
 vectors; an optional dual matrix of the same shape carries the
-biorthogonal partner sequence living on the dual side of the triplet.
-All operators built here (analysis, synthesis, frame operator, factor
-maps, partial sums) are finite matrices, and continuity across the
-seminorm ladder is certified by largest singular values of weight-scaled
-matrices.  Maps of rank at most M are kept as their thin N x M factors
-and certified from them, so no N x N array is formed on the way.
-Nothing is mutated: checks that recover a dual hand back an augmented
-copy of the family.
+biorthogonal partner sequence on the dual side of the triplet.  Every
+operator built here is a finite matrix, certified across the seminorm
+ladder by the largest singular value of its weight-scaled form.  Maps of
+rank at most M are kept as their thin N x M factors, and a map that a
+model builder declares diagonal stays a `Diagonal`, which the helpers
+below (`_product`, `_adjoint`, `max_deviation`, `singular_values`,
+`pseudo_inverse`) take in O(N); so no N x N array is formed on the way.
+Nothing is mutated: checks that recover a dual return a new family.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .errors import (ContinuityError, DimensionError, LevelError,
                      MissingDualError, ValidationError)
-from .triplet import CoefVector, WeightedTriplet, coords_of, pairing
+from .triplet import CoefVector, Diagonal, WeightedTriplet, coords_of, pairing
 
 #: Relative cutoff below the largest singular value under which singular
 #: values count as zero (pseudo-inverses, rank decisions, injectivity).
@@ -40,46 +40,61 @@ _CHUNK_COLUMNS = 2048
 _CHUNK_ELEMENTS = 2 ** 23
 
 
+def _as_map(a):
+    """A `Diagonal` as it is, anything else as a complex ndarray."""
+    return a if isinstance(a, Diagonal) else np.asarray(a, dtype=complex)
+
+
+def _adjoint(a):
+    """A^H; a real Diagonal is its own adjoint."""
+    return a if isinstance(a, Diagonal) else a.conj().T
+
+
+def _product(a, b):
+    """a @ b, where a Diagonal scales the rows of an array on its right or
+    the last axis of one on its left.  Each entry then has one nonzero
+    term, so it equals the BLAS product of the dense matrices bit for bit.
+    """
+    if isinstance(a, Diagonal):
+        if isinstance(b, Diagonal):
+            return Diagonal(a.d * b.d)
+        return a.d.reshape((-1,) + (1,) * (np.ndim(b) - 1)) * b
+    if isinstance(b, Diagonal):
+        return a * b.d
+    return a @ b
+
+
+def _leading(a, n):
+    """The first n columns of a map; all of them as held."""
+    return a if n == a.shape[1] else np.asarray(a)[:, :n]
+
+
+def max_deviation(a, b=None):
+    """Largest entry of |a - b|, with b the identity when omitted; 0 for
+    an empty map.  Either side may be a Diagonal."""
+    if isinstance(a, Diagonal) and (b is None or isinstance(b, Diagonal)):
+        gap = a.d - (1.0 if b is None else b.d)
+    else:
+        gap = np.asarray(a) - (np.eye(a.shape[0]) if b is None
+                               else np.asarray(b))
+    return float(np.max(np.abs(gap), initial=0.0))
+
+
 def _require_finite(from_level, to_level, *arrays):
-    if not all(np.isfinite(a).all() for a in arrays):
+    if not all(np.isfinite(a.d if isinstance(a, Diagonal) else a).all()
+               for a in arrays):
         raise ContinuityError(
             f"non-finite values in the scaled operator between levels "
             f"{from_level} -> {to_level}")
 
 
-def _real_diagonal(a):
-    """The diagonal of a square array as a real vector, or None.
-
-    None unless every off-diagonal entry and every imaginary part is
-    exactly 0 and every diagonal entry is finite; the check costs O(N^2).
-    Such a matrix has its singular values, pseudo-inverse and products in
-    closed form, and the kernels below take them from `d` directly.
-    """
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        return None
-    if np.iscomplexobj(a):
-        if a.imag.any():
-            return None
-        a = a.real
-    d = a.diagonal()
-    if np.count_nonzero(a) != np.count_nonzero(d) or \
-            not np.isfinite(d).all():
-        return None
-    return d.copy()
-
-
 def singular_values(matrix):
-    """Singular values of a matrix, largest first.
-
-    A real diagonal matrix gives sorted |d| without LAPACK: the exact
-    values, which LAPACK also returns bit for bit on the package's
-    diagonal models (see `_real_diagonal`).
-    """
-    a = np.asarray(matrix)
-    d = _real_diagonal(a)
-    if d is not None:
-        return np.sort(np.abs(d))[::-1]
-    return np.linalg.svd(a, compute_uv=False)
+    """Singular values of a matrix, largest first; a Diagonal gives its
+    sorted |d|, which LAPACK also returns bit for bit on the dense matrices
+    of the package's diagonal models."""
+    if isinstance(matrix, Diagonal):
+        return np.sort(np.abs(matrix.d))[::-1]
+    return np.linalg.svd(np.asarray(matrix), compute_uv=False)
 
 
 def certificate_norm(matrix, triplet, from_level, to_level, right=None):
@@ -89,22 +104,19 @@ def certificate_norm(matrix, triplet, from_level, to_level, right=None):
     negative levels address the dual side, so e.g. (from=1, to=-1)
     certifies a map from the smooth space into the level-1 dual.
 
-    Without `right`, A is the square `matrix` and is scaled on both
-    sides.  With `right`, A = matrix @ right^H is a map of rank at most
-    M given by two N x M factors B and C, and the certificate is
-    sigma_max((S_to B)(S_-from C)^H).  For M < N that equals
-    sigma_max(R_B R_C^H) with R_B, R_C the triangular factors of reduced
-    QRs of the scaled factors, so only N x M and M x M arrays are formed;
-    factors at least as wide as N are multiplied out instead, which is
-    cheaper than the two QRs.
+    With `right`, A = matrix @ right^H is given by two N x M factors B
+    and C, and the certificate is sigma_max((S_to B)(S_-from C)^H).  For
+    M < N that is sigma_max(R_B R_C^H), R_B and R_C the triangular
+    factors of reduced QRs of the scaled factors, so only N x M and M x M
+    arrays are formed; square factors are multiplied out instead.
     """
-    a = np.asarray(matrix, dtype=complex)
+    a = _as_map(matrix)
     # Overflow is reported by _require_finite, not by numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         left = triplet.scale(to_level, a)
         if right is None:
             # A S = (S A^H)^H because every scaling is Hermitian.
-            prod = triplet.scale(-from_level, left.conj().T).conj().T
+            prod = _adjoint(triplet.scale(-from_level, _adjoint(left)))
         else:
             c = triplet.scale(-from_level, right)
             _require_finite(from_level, to_level, left, c)
@@ -112,33 +124,31 @@ def certificate_norm(matrix, triplet, from_level, to_level, right=None):
                 prod = (np.linalg.qr(left, mode="r")
                         @ np.linalg.qr(c, mode="r").conj().T)
             else:
-                prod = left @ c.conj().T
+                prod = _product(left, _adjoint(c))
     _require_finite(from_level, to_level, prod)
-    if not prod.size:
+    if 0 in prod.shape:
         return 0.0
     return float(singular_values(prod)[0])
 
 
 @dataclass(frozen=True)
 class LinearMap:
-    """Map together with estimated operator norms between levels.
+    """Map with its certificate: (from_level, to_level) -> operator norm.
 
-    A dense map is stored in `left`.  A map of rank at most M is stored
-    as its thin factors, A = left @ right^H with both N x M, and the
-    dense `matrix` is only formed when a caller reads it.  The
-    certificate maps (from_level, to_level) pairs to the largest
-    singular value of the correspondingly scaled map.
+    A square map is held in `left`, an array or a Diagonal; a map of rank
+    at most M as its N x M factors, A = left @ right^H.  The dense
+    `matrix` is only formed when a caller reads it.
     """
 
-    left: np.ndarray
+    left: np.ndarray | Diagonal
     certificate: dict
-    right: np.ndarray | None = None
+    right: np.ndarray | Diagonal | None = None
 
     @cached_property
     def matrix(self):
         if self.right is None:
-            return self.left
-        return self.left @ self.right.conj().T
+            return np.asarray(self.left)
+        return np.asarray(_product(self.left, _adjoint(self.right)))
 
     @property
     def shape(self):
@@ -153,8 +163,8 @@ def make_linear_map(matrix, triplet, pairs=((0, 0),), right=None):
     The map is `matrix`, or matrix @ right^H when the factor `right`
     is given (see `certificate_norm`).
     """
-    a = np.asarray(matrix, dtype=complex)
-    c = None if right is None else np.asarray(right, dtype=complex)
+    a = _as_map(matrix)
+    c = None if right is None else _as_map(right)
     cert = {}
     for fr, to in pairs:
         value = certificate_norm(a, triplet, fr, to, right=c)
@@ -165,39 +175,60 @@ def make_linear_map(matrix, triplet, pairs=((0, 0),), right=None):
     return LinearMap(a, cert, c)
 
 
+class DenseView:
+    """Dataclass field kept as given, an array or a Diagonal, in the
+    attribute `held` that the kernels read; the field itself reads back
+    as an ndarray.  A `default` makes the field optional."""
+
+    def __init__(self, held, *default):
+        self.held, self.default = held, default
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            if self.default:
+                return self.default[0]
+            raise AttributeError(self.held)  # a field without a default
+        value = getattr(obj, self.held)
+        return None if value is None else np.asarray(value)
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.held] = value
+
+
 @dataclass(frozen=True)
 class SequenceFamily:
     """Candidate basis columns with an optional dual family.
 
-    family : ndarray, N x M columns xi_n (all nonzero)
+    family : N x M columns xi_n (all nonzero), an array or a Diagonal
     triplet : the weighted model the columns live in
-    dual : ndarray or None, N x M columns zeta_n on the dual side
+    dual : None or N x M columns zeta_n on the dual side, likewise
 
-    Two results are memoised on the instance, so every check that needs
-    them shares one SVD: `inverse`, the pair (Xi^+, rank) at RANK_RTOL,
-    and the per-level `dual_level_norm` values.  `dataclasses.replace`
-    builds a new instance, so a copy with another dual starts empty.
+    The kernels read the maps as held, in `xi` and `zeta`.  Memoised, so
+    every check shares one SVD: `pinv_rank`, the pair (Xi^+, rank) at
+    RANK_RTOL, and the per-level `dual_level_norm` values; a copy made by
+    `dataclasses.replace` starts empty.
     """
 
-    family: np.ndarray
+    family: np.ndarray = DenseView("xi")
     triplet: WeightedTriplet
-    dual: np.ndarray | None = None
+    dual: np.ndarray | None = DenseView("zeta", None)
     _dual_norms: dict = field(default_factory=dict, init=False, repr=False,
                               compare=False)
 
     def __post_init__(self):
-        fam = np.asarray(self.family, dtype=complex)
-        if fam.ndim != 2:
+        fam = _as_map(self.xi)
+        if len(fam.shape) != 2:
             raise DimensionError("family must be a 2-d array of columns")
         if fam.shape[0] != self.triplet.dim:
             raise DimensionError(
                 f"family rows {fam.shape[0]} do not match model dimension "
                 f"{self.triplet.dim}")
-        if not fam.any(axis=0).all():
+        nonzero = fam.d != 0 if isinstance(fam, Diagonal) else fam.any(axis=0)
+        if not nonzero.all():
             raise ValidationError("family columns must be nonzero")
-        dual = self.dual
+        dual = self.zeta
         if dual is not None:
-            dual = np.asarray(dual, dtype=complex)
+            dual = _as_map(dual)
             if dual.shape != fam.shape:
                 raise DimensionError("dual must match the family's shape")
         object.__setattr__(self, "family", fam)
@@ -205,31 +236,40 @@ class SequenceFamily:
 
     @property
     def dim(self):
-        return int(self.family.shape[0])
+        return int(self.xi.shape[0])
 
     @property
     def size(self):
-        return int(self.family.shape[1])
+        return int(self.xi.shape[1])
 
     def require_dual(self):
-        if self.dual is None:
-            raise MissingDualError("this diagnostic needs the dual family")
-        return self.dual
+        return np.asarray(_dual_of(self))
+
+    @cached_property
+    def pinv_rank(self):
+        """(Xi^+, rank) from `pseudo_inverse` at RANK_RTOL, taken on first
+        read; a shared array pseudo-inverse is read-only."""
+        pinv, rank = pseudo_inverse(self.xi)
+        if isinstance(pinv, np.ndarray):
+            pinv.flags.writeable = False
+        return pinv, rank
 
     @cached_property
     def inverse(self):
-        """(Xi^+, rank) from `pseudo_inverse` at RANK_RTOL, taken on first
-        read; the shared pseudo-inverse is read-only."""
-        pinv, rank = pseudo_inverse(self.family)
-        pinv.flags.writeable = False
-        return pinv, rank
+        """`pinv_rank` with Xi^+ as a read-only ndarray."""
+        pinv, rank = self.pinv_rank
+        return np.asarray(pinv), rank
+
+
+def _dual_of(fam):
+    """The dual as held; MissingDualError when the family has none."""
+    if fam.zeta is None:
+        raise MissingDualError("this diagnostic needs the dual family")
+    return fam.zeta
 
 
 def _kept_inverse(s):
-    """(1/s where |s| passes the cutoff and 0 elsewhere, kept count).
-
-    Values at or below RANK_RTOL times the largest |s| count as zero.
-    """
+    """(1/s where |s| > RANK_RTOL max|s| and 0 elsewhere, kept count)."""
     top = np.max(np.abs(s)) if s.size else 0.0
     keep = np.abs(s) > (RANK_RTOL * top if top > 0 else np.inf)
     inv = np.zeros_like(s)
@@ -238,17 +278,13 @@ def _kept_inverse(s):
 
 
 def pseudo_inverse(matrix):
-    """(A^+, rank) of an N x M matrix from one thin SVD.
-
-    Singular values at or below RANK_RTOL times the largest count as
-    zero, so A^+ is the minimal-norm inverse; an injective A has rank M.
-    A real diagonal A is inverted entry by entry under the same cutoff.
-    """
+    """(A^+, rank) of an N x M matrix from one thin SVD, with singular
+    values at or below RANK_RTOL times the largest counted as zero; a
+    Diagonal is inverted entry by entry into a Diagonal."""
+    if isinstance(matrix, Diagonal):
+        inv, rank = _kept_inverse(matrix.d)
+        return Diagonal(inv), rank
     a = np.asarray(matrix, dtype=complex)
-    d = _real_diagonal(a)
-    if d is not None:
-        inv, rank = _kept_inverse(d)
-        return np.diag(inv).astype(complex), rank
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     inv, rank = _kept_inverse(s)
     return (vh.conj().T * inv) @ u.conj().T, rank
@@ -258,13 +294,10 @@ def pseudo_inverse(matrix):
 
 def biorthogonality_residual(fam):
     """max over (n, k) of |<zeta_n, xi_k> - delta_nk|."""
-    z = fam.require_dual()
-    m = fam.size
-    if m == 0:
-        return 0.0
+    z = _dual_of(fam)
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = fam.family.conj().T @ z  # (k, n) entry equals <zeta_n, xi_k>
-        res = float(np.max(np.abs(gram - np.eye(m))))
+        # The (k, n) entry of Xi^H Z equals <zeta_n, xi_k>.
+        res = max_deviation(_product(_adjoint(fam.xi), z))
     if not np.isfinite(res):
         raise ValidationError(
             "non-finite biorthogonality residual: the family-dual pairings "
@@ -273,11 +306,9 @@ def biorthogonality_residual(fam):
 
 
 def is_tainted(fam):
-    """Whether the biorthogonality residual exceeds BIORTH_TOL.
-
-    Tainted families stay usable: the flag is data, not an error.
-    """
-    if fam.dual is None:
+    """Whether the biorthogonality residual exceeds BIORTH_TOL; tainted
+    families stay usable, the flag is data, not an error."""
+    if fam.zeta is None:
         return False
     return biorthogonality_residual(fam) > BIORTH_TOL
 
@@ -286,44 +317,48 @@ def is_tainted(fam):
 
 def analysis(fam, eta):
     """Coefficient map eta -> {conj(<zeta_k, eta>)}_k as a length-M array."""
-    z = fam.require_dual()
+    z = _dual_of(fam)
     v = coords_of(eta)
     if v.shape[0] != fam.dim:
         raise DimensionError("analysis input does not match the model dimension")
-    return z.conj().T @ v
+    return _product(_adjoint(z), v)
 
 
 def synthesis(fam, a):
     """sum_k a_k zeta_k, landing on the dual side."""
-    z = fam.require_dual()
+    z = _dual_of(fam)
     a = np.atleast_1d(np.asarray(a, dtype=complex))
     if a.shape[0] != fam.size:
         raise DimensionError("synthesis needs one coefficient per dual vector")
-    return CoefVector(z @ a)
+    return CoefVector(_product(z, a))
 
 
 def frame_operator(fam):
-    """Composition synthesis . analysis: eta -> sum_k conj(<zeta_k, eta>) zeta_k.
-
-    The matrix is Z Z^H, a positive map from the smooth side into the
-    dual; it is kept as the factor pair (Z, Z) and its (1, -1)
-    continuity certificate is attached.
-    """
-    z = fam.require_dual()
+    """Synthesis after analysis, eta -> sum_k conj(<zeta_k, eta>) zeta_k:
+    the positive map Z Z^H, kept as the factor pair (Z, Z) with its
+    (1, -1) certificate."""
+    z = _dual_of(fam)
     return make_linear_map(z, fam.triplet, pairs=((1, -1),), right=z)
+
+
+def dual_row_masses(fam):
+    """sum_n |zeta_n[k]|^2 for each k, the quadratic form <S e_k, e_k> of
+    the frame operator S = Z Z^H on the canonical directions."""
+    z = _dual_of(fam)
+    if isinstance(z, Diagonal):
+        return z.d ** 2
+    return np.sum(z.real ** 2 + z.imag ** 2, axis=1)
 
 
 # -- Bessel-type bounds ------------------------------------------------------
 
 def dual_level_norm(fam, j):
     """sigma_max(scale(-j) Z), the norm of a -> sum_k a_k zeta_k from l2
-    into level -j (level 0 is the Hilbert space), from the thin N x M
-    array scale(-j) Z.  Its square is the level-j Bessel bound.  The
-    value is memoised per family and level, so the Bessel bounds and the
-    metric level constants share one SVD per level."""
+    into level -j; its square is the level-j Bessel bound.  Memoised per
+    family and level, for the Bessel bounds and metric level constants."""
     norms = fam._dual_norms
     if j not in norms:
-        z = fam.require_dual()
+        z = _dual_of(fam)
         s = singular_values(fam.triplet.scale(-j, z))
         norms[j] = float(s[0]) if s.size else 0.0
     return norms[j]
@@ -335,15 +370,10 @@ def _check_level(fam, j):
 
 
 def bessel_bound(fam, j):
-    """Supremum of sum_k |<zeta_k, eta>|^2 over the level-j unit ball.
-
-    Computed exactly at truncation as the squared `dual_level_norm`, the
-    largest singular value of Z^H scale(-j).  Finiteness of these
-    per-level suprema across a dimension ladder is the model's Bessel-type
-    verdict; bounded sets are represented by the seminorm-level balls
-    throughout.  A square that overflows raises ContinuityError.
-    """
-    fam.require_dual()
+    """Supremum of sum_k |<zeta_k, eta>|^2 over the level-j unit ball:
+    the squared `dual_level_norm`, exact at truncation.  A square that
+    overflows raises ContinuityError."""
+    _dual_of(fam)
     _check_level(fam, j)
     norm = dual_level_norm(fam, j)
     bound = norm * norm
@@ -366,25 +396,28 @@ def bessel_bound_lanczos(fam, j, tol, seed):
     residual <= tol (1 + theta), on an invariant subspace (beta_k = 0)
     or at k = M.  A non-finite product raises ContinuityError.
     """
-    z = fam.require_dual()
+    z = _dual_of(fam)
     _check_level(fam, j)
     m = fam.size
     if m == 0:
         return 0.0, 0.0, 0
     s = fam.triplet.scale(-j, z)
-    s_h = s.conj().T
+    s_h = _adjoint(s)
     real, imag = np.random.default_rng(seed).standard_normal((2, m))
     v = real + 1j * imag
     v /= np.linalg.norm(v)
-    # Row k is the k-th Lanczos vector; rows past the current step are
-    # never written.
-    basis = np.empty((m, m), dtype=complex)
+    # Row k is the k-th Lanczos vector; the rows double when they run
+    # out, so memory follows the steps taken, and rows past the current
+    # step are never read.
+    basis = np.empty((min(m, 16), m), dtype=complex)
     alpha, beta = [], []
     for k in range(m):
+        if k == basis.shape[0]:
+            basis = np.concatenate([basis, np.empty_like(basis[:m - k])])
         basis[k] = v
         # Overflow is reported below, not by numpy warnings.
         with np.errstate(over="ignore", invalid="ignore"):
-            w = s_h @ (s @ v)
+            w = _product(s_h, _product(s, v))
         if not np.isfinite(w).all():
             raise ContinuityError(
                 f"non-finite values in the level-{j} Bessel products")
@@ -407,14 +440,11 @@ def bessel_bound_sampled(fam, j, samples=10000, seed=0):
     """Brute-force companion of `bessel_bound` over random unit-ball points.
 
     The Rayleigh ratio |A u|^2 / |u|^2 of a circular Gaussian point u keeps
-    its law under every unitary change of coordinates, so a point is drawn
-    only in the coordinates A = scale(-j, Z)^H sees: c in C^r, r =
-    min(M, N), in the orthonormal factor Q of the reduced QR of
-    scale(-j, Z), and the squared norm of its remainder orthogonal to Q, a
-    chi-square with 2 (N - r) degrees of freedom (0 when Q spans C^N).
-
-    Never exceeds the singular value answer; for families whose scaled
-    dual is an isometry every sample attains it.
+    its law under unitary changes of coordinates, so a point is drawn only
+    where A = scale(-j, Z)^H sees it: c in C^r, r = min(M, N), in the
+    reduced QR factor Q of scale(-j, Z), plus the squared norm of its
+    remainder orthogonal to Q, a chi-square with 2 (N - r) degrees of
+    freedom.  Never exceeds the singular value answer.
     """
     z = fam.require_dual()
     _check_level(fam, j)
@@ -451,16 +481,13 @@ def _squared_images(op_re, op_im, u_re, u_im):
 
 
 def bessel_factor(fam):
-    """The map sending e_n to zeta_n (zero columns beyond the family size).
-
-    Continuity from the Hilbert space into the level-1 dual is certified;
-    its certificate squared reproduces the level-1 Bessel bound, the
-    finite-size face of the factorization property.  The map Z E_M^H is
-    kept as the factor pair (Z, E_M), E_M the first M canonical columns.
-    """
-    z = fam.require_dual()
-    return make_linear_map(z, fam.triplet, pairs=((0, -1),),
-                           right=np.eye(fam.dim, fam.size))
+    """The map Z E_M^H sending e_n to zeta_n, kept as the factor pair
+    (Z, E_M), E_M the first M canonical columns.  Its (0, -1) certificate
+    squared reproduces the level-1 Bessel bound (factorization)."""
+    z = _dual_of(fam)
+    n, m = z.shape
+    e_m = Diagonal(np.ones(n)) if n == m else np.eye(n, m)
+    return make_linear_map(z, fam.triplet, pairs=((0, -1),), right=e_m)
 
 
 # -- Riesz-Fischer-type check ------------------------------------------------
@@ -470,10 +497,8 @@ class RieszFischerResult:
     """Outcome of the flattening check S xi_n = e_n.
 
     ok : the family admits a continuous flattening at this truncation
-    flatten : minimal-norm S = E_M Xi^+ (least-squares solution when
-        rank-deficient), kept as the factor pair (E_M, (Xi^+)^H)
-    residual : max |(S Xi - E)_{ij}| against the target columns e_1..e_M,
-        which is max |Xi^+ Xi - I_M| because S Xi = E_M Xi^+ Xi
+    flatten : minimal-norm S = E_M Xi^+, kept as the factors (E_M, (Xi^+)^H)
+    residual : max |Xi^+ Xi - I_M|, the defect of S Xi = E_M Xi^+ Xi
     rank : numerical rank of the family
     family : input family, with the recovered dual attached when ok
     note : provenance of the dual / reason for failure
@@ -490,22 +515,22 @@ class RieszFischerResult:
 def riesz_fischer_check(fam):
     """Look for a continuous map S sending each xi_n to e_n.
 
-    At truncation such a map exists iff the family has full column rank;
-    rank deficiency is a negative verdict, not an exception.  S is the
-    minimal-norm choice built from the pseudo-inverse, the dual columns
-    are zeta_k = S^H e_k, and biorthogonality of the recovered dual holds
-    by construction.  Other duals exist whenever the family is not total;
-    the result says so in its note.
+    At truncation it exists iff the family has full column rank (a
+    negative verdict otherwise, not an exception).  S is the minimal-norm
+    E_M Xi^+, and the recovered dual zeta_k = S^H e_k is biorthogonal by
+    construction; other duals exist when the family is not total.
     """
-    xi = fam.family
+    xi = fam.xi
     n, m = xi.shape
-    pinv, rank = fam.inverse
-    residual = float(np.max(np.abs(pinv @ xi - np.eye(m)))) if m else 0.0
-    flatten = make_linear_map(np.eye(n, m), fam.triplet, pairs=((1, 0),),
-                              right=pinv.conj().T)
+    pinv, rank = fam.pinv_rank
+    residual = max_deviation(_product(pinv, xi))
+    e_m = Diagonal(np.ones(n)) if n == m else np.eye(n, m)
+    flatten = make_linear_map(e_m, fam.triplet, pairs=((1, 0),),
+                              right=_adjoint(pinv))
     ok = rank == m
     if ok:
-        out = fam if fam.dual is not None else replace(fam, dual=pinv.conj().T)
+        out = fam if fam.zeta is not None else \
+            SequenceFamily(xi, fam.triplet, dual=_adjoint(pinv))
         note = ("minimal-norm dual recovered; other duals exist when the "
                 "family is not total")
     else:
@@ -518,14 +543,9 @@ def riesz_fischer_check(fam):
 
 @dataclass(frozen=True)
 class DualAnalysisResult:
-    """Pairings of a dual vector against the family.
-
-    coefficients : {<phi, xi_k>}_k
-    sq_sum : squared l2 mass of the coefficients (the domain-membership
-        quantity whose ladder growth is diagnosed elsewhere)
-    rank, surjective : column rank of the family; full rank makes the map
-        onto the coefficient space at this truncation
-    """
+    """Pairings {<phi, xi_k>}_k of a dual vector against the family, their
+    squared l2 mass, the family's column rank and whether it is full
+    (the map is then onto the coefficient space)."""
 
     coefficients: np.ndarray
     sq_sum: float
@@ -538,8 +558,8 @@ def dual_analysis(fam, phi):
     v = coords_of(phi)
     if v.shape[0] != fam.dim:
         raise DimensionError("dual-analysis input does not match the model")
-    coeffs = fam.family.conj().T @ v
-    rank = fam.inverse[1]
+    coeffs = _product(_adjoint(fam.xi), v)
+    rank = fam.pinv_rank[1]
     return DualAnalysisResult(coeffs, float(np.sum(np.abs(coeffs) ** 2)),
                               rank, rank == fam.size)
 
@@ -548,7 +568,7 @@ def dual_analysis(fam, phi):
 
 def _order_input(fam, n, x):
     """The dual and the coordinates of x for an expansion of order n."""
-    z = fam.require_dual()
+    z = _dual_of(fam)
     if not 0 <= n <= fam.size:
         raise DimensionError(f"expansion order {n} outside [0, {fam.size}]")
     v = coords_of(x)
@@ -560,37 +580,54 @@ def _order_input(fam, n, x):
 def partial_sum(fam, f, n):
     """S_n f = sum_{k<=n} conj(<zeta_k, f>) xi_k, a vector on the smooth side."""
     z, v = _order_input(fam, n, f)
-    return CoefVector(fam.family[:, :n] @ (z[:, :n].conj().T @ v))
+    return CoefVector(_product(_leading(fam.xi, n),
+                               _product(_adjoint(_leading(z, n)), v)))
 
 
 def partial_sum_adjoint(fam, psi, n):
     """Adjoint action sum_{k<=n} <psi, xi_k> zeta_k on the dual side."""
     z, p = _order_input(fam, n, psi)
-    return CoefVector(z[:, :n] @ (fam.family[:, :n].conj().T @ p))
+    return CoefVector(_product(_leading(z, n),
+                               _product(_adjoint(_leading(fam.xi, n)), p)))
 
 
 def weak_expansion_residual(fam, psi, f, n):
-    """|<psi, f> - sum_{k<=n} <psi, xi_k> <zeta_k, f>|.
-
-    The order-n defect of the weak expansion; it vanishes at n = M for an
-    exactly biorthogonal full-rank square family.
-    """
+    """|<psi, f> - sum_{k<=n} <psi, xi_k> <zeta_k, f>|, the order-n defect
+    of the weak expansion (0 at n = M for a biorthogonal square family)."""
     z, v = _order_input(fam, n, f)
     p = coords_of(psi)
-    a = fam.family[:, :n].conj().T @ p          # <psi, xi_k>
-    b = np.conj(z[:, :n].conj().T @ v)          # <zeta_k, f>
+    a = _product(_adjoint(_leading(fam.xi, n)), p)   # <psi, xi_k>
+    b = np.conj(_product(_adjoint(_leading(z, n)), v))  # <zeta_k, f>
     return float(abs(pairing(p, v) - np.sum(a * b)))
+
+
+def partial_sum_residuals(fam, f):
+    """||f - S_n f|| for n = 0..M, the reconstruction ladder.
+
+    For a Diagonal family S_n f keeps the coordinates a_k xi_k, k < n, so
+    the squared residual is a prefix sum of |f_k - a_k xi_k|^2 plus a
+    suffix sum of |f_k|^2, both of nonnegative terms.
+    """
+    z, v = _order_input(fam, fam.size, f)
+    a = _product(_adjoint(z), v)
+    out = [float(np.linalg.norm(v))]
+    if isinstance(fam.xi, Diagonal):
+        near = np.cumsum(np.abs(v - a * fam.xi.d) ** 2)
+        far = np.cumsum(np.abs(v[::-1]) ** 2)[::-1]
+        return out + np.sqrt(near + np.append(far[1:], 0.0)).tolist()
+    # Row n of the running sum of the a_k xi_k^T is (S_{n+1} f)^T.
+    work = a[:, None] * fam.xi.T
+    np.cumsum(work, axis=0, out=work)
+    np.subtract(v, work, out=work)
+    return out + np.linalg.norm(work, axis=1).tolist()
 
 
 # -- partial-sum domination probe -------------------------------------------
 
 @dataclass(frozen=True)
 class SchauderProbeResult:
-    """Smallest level dominating earlier partial sums, with the evidence.
-
-    q_level is None when even the top level failed DOMINATION_FACTOR;
-    per_level records the worst observed ratio for every candidate level.
-    """
+    """Smallest level dominating earlier partial sums (None when even the
+    top level fails DOMINATION_FACTOR), with each level's worst ratio."""
 
     q_level: int | None
     worst_ratio: float | None
@@ -601,10 +638,9 @@ def schauder_inequality_probe(fam, p_level, trials, seed):
     """Randomized partial-sum domination probe.
 
     Draws coefficient vectors and split points (n, n+m), each kind in one
-    array call, and records, per candidate level q, the worst ratio
-    p_{p_level}(shorter sum) / p_q(longer sum).  Reported is the smallest
-    q whose worst ratio stays below DOMINATION_FACTOR.  The seed is
-    mandatory so that reports reproduce bit for bit.
+    array call, and records per level q the worst ratio
+    p_{p_level}(shorter sum) / p_q(longer sum).  The seed is mandatory so
+    that reports reproduce bit for bit.
     """
     tri = fam.triplet
     if not 0 <= p_level <= tri.levels:
@@ -622,7 +658,7 @@ def schauder_inequality_probe(fam, p_level, trials, seed):
     cols = np.arange(m)
     coeffs = np.concatenate([np.where(cols < n[:, None], c, 0.0),
                              np.where(cols < (n + extra)[:, None], c, 0.0)])
-    sums = coeffs @ fam.family.T  # row t is the partial sum (Xi c)^T
+    sums = _product(coeffs, fam.xi.T)  # row t is the partial sum (Xi c)^T
     pu, pv_at_p = np.split(tri.seminorm(sums.T, p_level), 2)
     worst = {}
     for q in range(tri.levels + 1):

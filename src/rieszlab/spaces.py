@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DimensionError, SupportError, ValidationError
 from .riesz import make_riesz_basis, strictness_report, with_strictness
 from .sequences import SequenceFamily
-from .triplet import WeightedTriplet
+from .triplet import Diagonal, WeightedTriplet
 
 #: Spectral-mass fraction allowed in the top third of the frequency band.
 ALIASING_TOL = 1e-10
@@ -228,36 +228,25 @@ def sobolev_multiplier(grid, order, f):
 
 
 def sobolev_triplet(grid):
-    """Weighted triplet whose level-1 norm is ||(I - d^2/dx^2)^{1/2} f||.
-
-    Weights are (1 + y^2)^{1/2} over the FFT frequencies and the frame is
-    the inverse unitary DFT, applied by FFT, so the scaling acts
-    diagonally in frequency coordinates while level 0 stays the
-    quadrature L2 norm.
-    """
+    """Weighted triplet whose level-1 norm is ||(I - d^2/dx^2)^{1/2} f||:
+    weights (1 + y^2)^{1/2} over the FFT frequencies in the DFT frame."""
     weights = np.sqrt(1.0 + grid.angular_frequencies ** 2)
     return WeightedTriplet.fourier(weights, 1)
 
 
 def sobolev_basis(grid, count):
-    """Family xi_n = (I - d^2/dx^2)^{-1/2} phi_n over the Sobolev triplet.
-
-    The dual columns are (I - d^2/dx^2)^{+1/2} phi_n, so biorthogonality
-    reduces to near-orthonormality of the Hermite quadrature Gram.  Each
-    construction is verified by applying the forward multiplier and
-    comparing with phi_n in the quadrature norm; every xi_n has Hilbert
-    norm strictly below its Hermite source (the multiplier contracts all
-    nonzero frequencies).
-    """
+    """Family xi_n = (I - d^2/dx^2)^{-1/2} phi_n over the Sobolev triplet,
+    with dual (I - d^2/dx^2)^{+1/2} phi_n; see `sobolev_model`."""
     return sobolev_model(grid, count)[0]
 
 
 def sobolev_model(grid, count, support_tol=SUPPORT_TOL):
     """(family, hermite, round_trip): `sobolev_basis` with the sampled
     phi_n as columns and the worst quadrature-norm defect of the multiplier
-    round trip phi_n -> xi_n -> phi_n, for diagnostics to reuse.  A defect
-    above CONSTRUCTION_TOL raises; `support_tol` bounds each phi_n's
-    window-support residual as in `hermite_values`."""
+    round trip phi_n -> xi_n -> phi_n, for diagnostics to reuse.  Since the
+    dual is the forward multiplier of phi_n, biorthogonality reduces to
+    the Hermite quadrature Gram.  A defect above CONSTRUCTION_TOL raises;
+    `support_tol` bounds each phi_n's window-support residual."""
     phis = hermite_values(grid, count, support_tol)
     scale = np.sqrt(grid.spacing)
     low = sobolev_multiplier(grid, -1.0, phis)
@@ -282,19 +271,16 @@ def number_operator_rule(levels):
     def rule(n):
         w = np.arange(1, n + 1, dtype=float)
         tri = WeightedTriplet(n, w, levels)
-        return make_riesz_basis(np.diag(w).astype(complex), tri)
+        return make_riesz_basis(Diagonal(w), tri)
 
     return rule
 
 
 def number_operator_model(dim, levels=1, ladder=(8, 16, 32, 64)):
-    """Diagonal model: weights w_k = k, transform T = diag(k).
-
-    The transported family is xi_k = e_k / k with dual zeta_k = k e_k.
-    Its strictness verdict is attached from a built-in ladder report: a
-    single level gives a strict ladder (all constants 1 up to roundoff),
-    two or more levels make the top-level constant grow like N^2.
-    """
+    """Diagonal model: weights w_k = k, transform T = diag(k), family
+    xi_k = e_k / k and dual zeta_k = k e_k, all held as Diagonals.  The
+    attached ladder verdict is strict at one level (all constants 1) and
+    non-strict from two (the top-level constant grows like N^2)."""
     rule = number_operator_rule(levels)
     basis = rule(int(dim))
     report = strictness_report(rule, ladder)
@@ -302,13 +288,10 @@ def number_operator_model(dim, levels=1, ladder=(8, 16, 32, 64)):
 
 
 def schwartz_hermite_model(dim, levels=1):
-    """Coefficient-space model of rapidly decreasing Hermite expansions.
-
-    Weights w_k = k on the coefficients; the canonical family is the
-    identity and is its own dual, so biorthogonality is exact and the
-    level-1 Bessel bound is 1 (attained on the first coordinate).
-    """
+    """Coefficient-space model of rapidly decreasing Hermite expansions:
+    weights w_k = k, and the identity family, held as a Diagonal, is its
+    own dual, so biorthogonality is exact and the level-1 Bessel bound 1."""
     w = np.arange(1, int(dim) + 1, dtype=float)
     tri = WeightedTriplet(int(dim), w, levels)
-    eye = np.eye(int(dim), dtype=complex)
-    return tri, SequenceFamily(eye, tri, dual=eye.copy())
+    ones = np.ones(int(dim))
+    return tri, SequenceFamily(Diagonal(ones), tri, dual=Diagonal(ones))

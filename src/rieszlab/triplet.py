@@ -3,25 +3,21 @@
 The model fixes a truncation dimension N, a weight vector w with entries
 >= 1 and a ladder of J seminorm levels.  Vectors are complex coefficient
 arrays against the canonical orthonormal basis; level j carries the
-seminorm ``p_j(f) = ||diag(w)^j f||_2`` (level 0 is the plain Hilbert
-norm), the dual side carries ``||diag(w)^{-j} .||_2`` and the duality
-pairing extends the inner product sesquilinearly.  Signed levels address
-both sides at once: +j lives on the smooth side, -j on its dual.
+seminorm ``p_j(f) = ||diag(w)^j f||_2``, level -j the dual norm
+``||diag(w)^{-j} .||_2``, and the duality pairing extends the inner
+product sesquilinearly.
 
-An optional unitary frame Q rotates the model so that the weights act
-diagonally in the coordinates Q^H f; graph-norm constructions and
-polar-decomposition realizations produce such rotated triplets, and the
-Sobolev grid model rotates by the unitary DFT.  Frames are applied, not
-stored as scaling matrices: `WeightedTriplet.scale(j, X)` computes
-Q diag(w^j) Q^H X as an element-wise product in the canonical model, as
-an FFT pair for the DFT frame and as two thin products for a dense
-frame, so no N x N matrix is built unless a caller asks for the dense
-reference `scale_matrix`.  All values are immutable and every operation
-is pure.
+An optional unitary frame Q (graph norms, realizations, the DFT of the
+Sobolev grid) makes the weights act on the coordinates Q^H f.  Frames are
+applied, not stored as scaling matrices: `WeightedTriplet.scale(j, X)`
+computes Q diag(w^j) Q^H X element-wise, by FFT or by two thin products,
+and a map declared as a real `Diagonal` scales in O(N).  All values are
+immutable and every operation is pure.
 """
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,6 +49,37 @@ class CoefVector:
 
     def __len__(self):
         return int(self.coords.shape[0])
+
+
+@dataclass(frozen=True, eq=False)
+class Diagonal:
+    """Real diagonal N x N map diag(d), held as its length-N vector `d`.
+
+    Model builders declare diagonal maps with it, and the kernels work on
+    `d` in O(N); `dense`, or `np.asarray`, forms the read-only complex
+    N x N matrix on first read.
+    """
+
+    d: np.ndarray
+
+    def __post_init__(self):
+        d = np.array(self.d, dtype=float)  # a complex vector is refused
+        if d.ndim != 1:
+            raise DimensionError("a Diagonal holds a 1-d vector")
+        d.flags.writeable = False
+        object.__setattr__(self, "d", d)
+
+    shape = property(lambda self: self.d.shape * 2)
+    T = property(lambda self: self)  # a diagonal is its own transpose
+
+    @cached_property
+    def dense(self):
+        a = np.diag(self.d.astype(complex))
+        a.flags.writeable = False
+        return a
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.dense, dtype=dtype, copy=copy)
 
 
 def coords_of(x):
@@ -147,12 +174,8 @@ class WeightedTriplet:
 
     @classmethod
     def fourier(cls, weights, levels=1):
-        """Triplet rotated by the inverse unitary DFT, applied by FFT.
-
-        The weights act on the frequency coordinates
-        ``fft(f, norm="ortho")``, so every scaling is a Fourier multiplier
-        and the frame costs O(N log N) per column instead of N^2 storage.
-        """
+        """Triplet rotated by the inverse unitary DFT, applied by FFT: the
+        weights act on the coordinates ``fft(f, norm="ortho")``."""
         w = np.asarray(weights, dtype=float)
         return cls(int(w.shape[0]), w, levels, _DFT_FRAME)
 
@@ -185,15 +208,18 @@ class WeightedTriplet:
     def scale(self, j, x):
         """Apply the level-j scaling Q diag(w^j) Q^H to x.
 
-        x is a vector or an N x K array whose columns are scaled.
-        Negative j addresses the dual side; j = 0 is the identity.  This
-        is the kernel of every certificate: the scaling is applied, never
-        stored, so thin N x K inputs cost O(N K) work and memory (times
-        log N for the DFT frame, times N for a dense frame).
+        x is a vector, an N x K array whose columns are scaled, or a
+        `Diagonal`, which stays one in the canonical model.  Negative j
+        addresses the dual side; j = 0 is the identity.  The scaling is
+        applied, never stored, so thin N x K inputs cost O(N K) work and
+        memory (times log N for the DFT frame, times N for a dense frame).
         """
         if not -self.levels <= j <= self.levels:
             raise LevelError(
                 f"level {j} outside the ladder [-{self.levels}, {self.levels}]")
+        if isinstance(x, Diagonal) and self.frame is None and \
+                x.shape[0] == self.dim:
+            return Diagonal(self.weights ** j * x.d)
         x = np.asarray(x, dtype=complex)
         if x.ndim == 0 or x.shape[0] != self.dim:
             raise DimensionError(
@@ -204,11 +230,7 @@ class WeightedTriplet:
         return self._from_frame(d * self._to_frame(x))
 
     def scale_matrix(self, j):
-        """Dense N x N matrix Q diag(w^j) Q^H of the level-j scaling.
-
-        A reference for tests and small models; the diagnostics apply
-        `scale` to thin arrays instead.
-        """
+        """Dense N x N matrix Q diag(w^j) Q^H: a reference for tests."""
         return self.scale(j, np.eye(self.dim))
 
     # -- norms --------------------------------------------------------------
@@ -240,12 +262,8 @@ class WeightedTriplet:
 
 
 def pairing(phi, f):
-    """Duality pairing <phi, f>: linear in phi, conjugate-linear in f.
-
-    Restricted to two Hilbert-labeled vectors this is the inner product;
-    on (dual, smooth) pairs it is the sesquilinear extension the whole
-    model is built on.
-    """
+    """Duality pairing <phi, f>: linear in phi, conjugate-linear in f; the
+    inner product, extended sesquilinearly to (dual, smooth) pairs."""
     p = coords_of(phi)
     v = coords_of(f)
     if p.shape != v.shape:

@@ -213,6 +213,23 @@ class TestDeterminism:
             reports.append(out.read_bytes())
         assert reports[0] == reports[1]
 
+    @pytest.mark.parametrize("argv, config", [
+        (["pseudo-hermitian", "--dim", "8"], {"pseudo": {"psi_seed": None}}),
+        (["pseudo-hermitian", "--dim", "8"], {"pseudo": {"N_ladder": None}}),
+        (["example", "--example", "hermite"], {"model": {"size": None}}),
+        (["full-report", "--example", "number-op"], {"model": {"size": None}}),
+    ], ids=["psi_seed", "N_ladder", "hermite-size", "number-op-size"])
+    def test_null_config_value_is_the_default(self, tmp_path, argv, config):
+        cfg = tmp_path / "null.json"
+        cfg.write_text(json.dumps(config))
+        reports = []
+        for extra in ([], ["--config", str(cfg)]):
+            out = tmp_path / f"r{len(extra)}.json"
+            assert main(argv + ["--seed", "0", "--no-timing", "--out",
+                                str(out)] + extra) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
     def test_spelled_out_model_defaults_share_the_hash(self, tmp_path):
         argv = ["full-report", "--example", "number-op", "--seed", "0"]
         docs = [run_json(tmp_path, argv + extra, f"n{len(extra)}.json")

@@ -1,26 +1,32 @@
-"""Real diagonal matrices take their SVD results in closed form.
+"""Diagonal maps against the dense LAPACK and BLAS reference.
 
-`sequences._real_diagonal` routes the singular values and
-pseudo-inverses of a real diagonal matrix around LAPACK.  Patching it to
-return None gives the dense reference, and every value here must equal
-that reference with `==`.  On the package's diagonal models (entries
-+-k^j, in any order, with signs and exact zeros) and on power-of-two
-magnitudes from 2^-498 to 2^498 (about 1e-150 to 1e150), LAPACK returns
-the exact sorted |d| and signed permutations.
+The number-operator, Schwartz and pseudo-Hermitian builders declare their
+maps as `Diagonal`s, and the kernels take those in O(N).  The reference
+here is the same map as a dense `np.diag(d)` array, which takes LAPACK
+and BLAS, and every value must equal it with `==`.  On the package's
+diagonal models (entries +-k^j, in any order, with signs and exact zeros)
+and on power-of-two magnitudes from 2^-498 to 2^498 (about 1e-150 to
+1e150), LAPACK returns the exact sorted |d| and signed permutations, and
+each entry of a product with a diagonal has one nonzero term.
 
 Elsewhere LAPACK itself rounds: it rescales a matrix whose largest entry
 lies outside its safe range by a factor that need not be a power of two,
 and its divide-and-conquer singular vectors (N > 25) are not exact
 permutations for general entries.  There the closed form is the exact
 answer and LAPACK is within a few ulp of it; `test_generic_diagonals`
-bounds that gap.
+bounds that gap.  A real diagonal loaded from a file is such a dense
+array, so it takes LAPACK.
 """
+import json
+
 import numpy as np
 import pytest
 
 import rieszlab.cli as cli
-from rieszlab import WeightedTriplet, certificate_norm, sequences
-from rieszlab.sequences import pseudo_inverse, singular_values
+from rieszlab import WeightedTriplet, certificate_norm, hamiltonian, spaces
+from rieszlab.sequences import (_product, max_deviation, pseudo_inverse,
+                                singular_values)
+from rieszlab.triplet import Diagonal
 
 SIZES = [1, 2, 8, 64, 256]
 
@@ -48,88 +54,78 @@ KINDS = ["k^2-signs", "1/k-shuffled", "k^-2-zeros", "pow2-wide", "1e150-k",
          "1e-150-k"]
 
 
-@pytest.fixture
-def shortcuts(monkeypatch):
-    """Counts the matrices that took the closed form."""
-    taken = []
-    real_diagonal = sequences._real_diagonal
-
-    def counting(a):
-        d = real_diagonal(a)
-        taken.append(d is not None)
-        return d
-
-    monkeypatch.setattr(sequences, "_real_diagonal", counting)
-    return taken
-
-
-def dense(monkeypatch, kernel, *args, **kwargs):
-    """`kernel` on the LAPACK and BLAS path."""
-    with monkeypatch.context() as m:
-        m.setattr(sequences, "_real_diagonal", lambda a: None)
-        return kernel(*args, **kwargs)
+def dense_diag(d):
+    return np.diag(np.asarray(d, dtype=float)).astype(complex)
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("n", SIZES)
-def test_kernels_equal_lapack(monkeypatch, shortcuts, n, kind):
-    d = model_diagonal(n, kind, np.random.default_rng(n))
-    a = np.diag(d).astype(complex)
-    s = singular_values(a)
-    assert np.array_equal(s, dense(monkeypatch, singular_values, a))
+def test_kernels_equal_lapack(n, kind):
+    rng = np.random.default_rng(n)
+    d = model_diagonal(n, kind, rng)
+    diag, a = Diagonal(d), dense_diag(d)
+    s = singular_values(diag)
+    assert np.array_equal(s, singular_values(a))
     assert np.array_equal(s, np.sort(np.abs(d))[::-1])
-    pinv, rank = pseudo_inverse(a)
-    ref_pinv, ref_rank = dense(monkeypatch, pseudo_inverse, a)
-    assert rank == ref_rank and np.array_equal(pinv, ref_pinv)
+    pinv, rank = pseudo_inverse(diag)
+    ref_pinv, ref_rank = pseudo_inverse(a)
+    assert isinstance(pinv, Diagonal)
+    assert rank == ref_rank and np.array_equal(np.asarray(pinv), ref_pinv)
     if kind == "k^-2-zeros" and n > 1:
         assert rank == n - (n + 1) // 3
+    # Products with one nonzero term per entry give the BLAS bits.
+    x = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    assert np.array_equal(np.asarray(_product(diag, pinv)), a @ ref_pinv)
+    assert np.array_equal(_product(diag, x), a @ x)
+    assert np.array_equal(_product(x.T, diag), x.T @ a)
+    assert max_deviation(_product(pinv, diag)) == \
+        float(np.max(np.abs(ref_pinv @ a - np.eye(n))))
     # Power-of-two weights keep the scaled power-of-two entries exact.
     weights = 2.0 ** (np.arange(n) % 3) if kind == "pow2-wide" \
         else np.arange(1.0, n + 1)
     tri = WeightedTriplet(n, weights, 2)
     for fr, to in [(0, 0), (1, -1), (2, 0), (-1, 1)]:
-        assert certificate_norm(a, tri, fr, to) == \
-            dense(monkeypatch, certificate_norm, a, tri, fr, to)
-    assert shortcuts and all(shortcuts)
+        assert certificate_norm(diag, tri, fr, to) == \
+            certificate_norm(a, tri, fr, to)
 
 
 @pytest.mark.parametrize("n", [8, 64, 256])
-def test_generic_diagonals(monkeypatch, shortcuts, n):
+def test_generic_diagonals(n):
     rng = np.random.default_rng(7)
     d = rng.standard_normal(n) * 10.0 ** rng.integers(-150, 151, n)
     d[::5] = 0.0
-    a = np.diag(d).astype(complex)
-    s = singular_values(a)
+    diag, a = Diagonal(d), dense_diag(d)
+    s = singular_values(diag)
     assert np.array_equal(s, np.sort(np.abs(d))[::-1])
-    np.testing.assert_allclose(s, dense(monkeypatch, singular_values, a),
+    np.testing.assert_allclose(s, singular_values(a),
                                rtol=8 * np.finfo(float).eps, atol=0)
-    pinv, rank = pseudo_inverse(a)
-    ref_pinv, ref_rank = dense(monkeypatch, pseudo_inverse, a)
+    pinv, rank = pseudo_inverse(diag)
+    ref_pinv, ref_rank = pseudo_inverse(a)
     assert rank == ref_rank
     kept = np.abs(d) > 1e-12 * np.max(np.abs(d))
-    assert np.array_equal(np.diag(pinv)[kept], 1.0 / d[kept])
-    np.testing.assert_allclose(pinv, ref_pinv, rtol=8 * np.finfo(float).eps,
-                               atol=0)
+    assert np.array_equal(pinv.d[kept], 1.0 / d[kept])
+    np.testing.assert_allclose(np.asarray(pinv), ref_pinv,
+                               rtol=8 * np.finfo(float).eps, atol=0)
 
 
 @pytest.mark.parametrize("case", ["complex-phase", "off-diagonal",
-                                  "non-square", "non-finite"])
+                                  "non-square", "non-finite",
+                                  "real-diagonal"])
 def test_other_matrices_take_lapack(monkeypatch, case):
     n = 8
-    a = np.diag(np.arange(1.0, n + 1)).astype(complex)
+    a = dense_diag(np.arange(1.0, n + 1))
     if case == "complex-phase":
         a[3, 3] = 4j
     elif case == "off-diagonal":
         a[0, 5] = 1e-300
     elif case == "non-square":
         a = a[:, :5]
-    else:
+    elif case == "non-finite":
         a[2, 2] = np.inf
     calls = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd",
                         lambda *args, **kw: calls.append(1) or svd(*args, **kw))
-    assert sequences._real_diagonal(a) is None
     if case != "non-finite":
         singular_values(a)
     pseudo_inverse(a)
@@ -138,34 +134,73 @@ def test_other_matrices_take_lapack(monkeypatch, case):
 
 def test_real_dtype_and_empty_matrices():
     d = np.array([3.0, -1.0, 0.0])
-    assert np.array_equal(sequences._real_diagonal(np.diag(d)), d)
-    assert sequences._real_diagonal(np.zeros((0, 0))).size == 0
+    diag = Diagonal(d)
+    assert np.array_equal(diag.d, d) and diag.shape == (3, 3)
+    assert diag.T is diag and np.array_equal(np.asarray(diag), np.diag(d))
+    with pytest.raises(ValueError):
+        diag.dense[0, 0] = 1.0
+    empty = Diagonal(np.zeros(0))
+    assert empty.shape == (0, 0) and singular_values(empty).size == 0
     assert singular_values(np.zeros((0, 0), dtype=complex)).size == 0
-    pinv, rank = pseudo_inverse(np.zeros((0, 0)))
-    assert pinv.shape == (0, 0) and rank == 0
-    pinv, rank = pseudo_inverse(np.zeros((3, 3)))
-    assert rank == 0 and not pinv.any()
+    for zeros in (np.zeros((0, 0)), empty):
+        pinv, rank = pseudo_inverse(zeros)
+        assert np.asarray(pinv).shape == (0, 0) and rank == 0
+    for zeros in (np.zeros((3, 3)), Diagonal(np.zeros(3))):
+        pinv, rank = pseudo_inverse(zeros)
+        assert rank == 0 and not np.asarray(pinv).any()
+    assert max_deviation(empty) == 0.0
 
 
-@pytest.mark.parametrize("argv", [
+ARGV = [
     ["full-report", "--example", "number-op", "--dim", "8"],
     ["full-report", "--example", "number-op", "--dim", "256", "--levels",
      "2"],
     ["full-report", "--example", "schwartz", "--dim", "16", "--levels", "3"],
     ["pseudo-hermitian", "--dim", "32"],
     ["pseudo-hermitian", "--dim", "256"],
-], ids=["number-op-N8", "number-op-N256-L2", "schwartz-N16-L3",
-        "pseudo-hermitian-N32", "pseudo-hermitian-N256"])
-def test_reports_equal_the_dense_reference(tmp_path, monkeypatch, capsys,
-                                           shortcuts, argv):
+]
+IDS = ["number-op-N8", "number-op-N256-L2", "schwartz-N16-L3",
+       "pseudo-hermitian-N32", "pseudo-hermitian-N256"]
+
+#: Records whose summation order differs between the two paths: the
+#: reconstruction ladder takes prefix and suffix sums for a Diagonal.
+REORDERED = {"reconstruction": ("residuals", "ratios")}
+
+
+@pytest.mark.parametrize("argv", ARGV, ids=IDS)
+def test_reports_equal_the_dense_reference(tmp_path, monkeypatch, argv):
     argv = argv + ["--seed", "3", "--no-timing"]
 
     def report(name):
         out = tmp_path / name
-        code = cli.main(argv + ["--out", str(out)])
-        return code, out.read_bytes(), capsys.readouterr()
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        return out.read_bytes()
 
     fast = report("fast.json")
-    assert any(shortcuts)
-    reference = dense(monkeypatch, report, "dense.json")
-    assert fast[0] == 0 and reference == fast
+    # The builders declare np.diag arrays instead, which take the dense
+    # kernels everywhere.
+    for module in (spaces, hamiltonian, cli):
+        monkeypatch.setattr(module, "Diagonal", dense_diag)
+    reference = report("dense.json")
+    if fast == reference:
+        return
+    docs = [json.loads(raw) for raw in (fast, reference)]
+    for doc_fast, doc_ref in zip(*(d["sections"] for d in docs)):
+        for key in REORDERED.get(doc_ref["name"], ()):
+            np.testing.assert_allclose(doc_fast["records"].pop(key),
+                                       doc_ref["records"].pop(key),
+                                       rtol=1e-12, atol=0)
+    assert docs[0] == docs[1]
+
+
+@pytest.mark.parametrize("argv", [ARGV[1], ARGV[2], ARGV[4]],
+                         ids=[IDS[1], IDS[2], IDS[4]])
+def test_reports_never_form_the_dense_view(monkeypatch, capsys, argv):
+    # The level-1 number-op report realizes its strict triplet from the
+    # dense transform; the others must not read any Diagonal densely.
+    def refuse(self):
+        raise AssertionError("a report formed an N x N Diagonal")
+
+    monkeypatch.setattr(Diagonal, "dense", property(refuse))
+    assert cli.main(argv + ["--seed", "3", "--no-timing"]) == 0
+    capsys.readouterr()

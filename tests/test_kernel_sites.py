@@ -3,8 +3,8 @@ never on the way to the Lanczos Bessel check.
 
 No linter runs in this project, so this stands in for a banned-call
 rule: singular values go through `sequences.singular_values` and
-inverses through `sequences.pseudo_inverse`, which take real diagonal
-matrices in closed form.  A new direct call would skip that shortcut.
+inverses through `sequences.pseudo_inverse`, which take a `Diagonal`
+in closed form.  A new direct call would skip that shortcut.
 `riesz.hilbert_triplet_realization` needs the singular vectors of a
 transform and keeps its own call.  A matrix 2-norm, `norm(a, 2)` or
 `norm(a, ord=2)`, is an SVD too and counts as a call.
@@ -12,6 +12,10 @@ transform and keeps its own call.  A matrix 2-norm, `norm(a, 2)` or
 `sequences.bessel_bound_lanczos` is held to the SVD certificate of the
 Bessel bound, so neither it nor a helper of its module that it calls
 may name the certificate's kernels.
+
+Diagonal structure is declared by the model builders as a `Diagonal`,
+never rediscovered: no code of the package counts nonzeros or names the
+retired `_real_diagonal` scan.
 """
 import ast
 import pathlib
@@ -114,3 +118,33 @@ def test_the_check_follows_helpers_of_the_module(tmp_path):
                     "    return _top(fam.family) + dual_level_norm(fam, j)\n")
     assert reached_names(path, "kernel") & CERTIFICATE == \
         {"svd", "dual_level_norm"}
+
+
+#: Names of a structure scan, which a declared Diagonal makes unneeded.
+SCANS = {"count_nonzero", "_real_diagonal"}
+
+
+def scan_sites(path):
+    """`module:line` for every name or attribute in SCANS in the file."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {f"{path.stem}:{node.lineno}" for node in ast.walk(tree)
+            if (node.id if isinstance(node, ast.Name) else
+                getattr(node, "attr", None)) in SCANS
+            or isinstance(node, ast.ImportFrom)
+            and any(alias.name in SCANS for alias in node.names)}
+
+
+def test_no_code_rediscovers_diagonal_structure():
+    assert set().union(*(scan_sites(p) for p in PACKAGE.glob("*.py"))) == set()
+
+
+def test_the_check_sees_a_structure_scan(tmp_path):
+    path = tmp_path / "extra.py"
+    path.write_text("import numpy as np\nfrom numpy import count_nonzero\n"
+                    "from .sequences import _real_diagonal\n\n\n"
+                    "def scan(a):\n"
+                    "    return np.count_nonzero(a) + count_nonzero(a)\n\n\n"
+                    "def old(seq, a):\n"
+                    "    return seq._real_diagonal(a)\n\n\n"
+                    "def fine(a):\n    return np.nonzero(a)\n")
+    assert scan_sites(path) == {f"extra:{line}" for line in (2, 3, 7, 11)}

@@ -265,8 +265,8 @@ def test_number_op_report_draws_once_and_saves_four_svds(tmp_path,
     assert {name: count for (where, name), count in drawn.items()
             if where == "bessel"} == {"standard_normal": 2 * 2 * 16}
     assert kernels[0] == 54 - 4
-    # Every matrix of the number-op model is a real diagonal, so none of
-    # them reaches LAPACK.
+    # The number-op model declares every map a Diagonal, so none of them
+    # reaches LAPACK.
     assert svds[0] == 0
 
 

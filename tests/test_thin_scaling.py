@@ -6,7 +6,8 @@ is rebuilt as a dense matrix from the frame the test constructs itself,
 and each certificate, bound, Gram matrix and strictness constant is
 recomputed the slow way; the two must agree to 1e-12.  A grid at
 P = 2^14 then checks that the thin path never allocates a P x P array,
-and one at P = 2^16 that the sampled Bessel draws stay within budget.
+a number-operator report at N = 8192 that its Diagonal maps stay O(N),
+and a grid at P = 2^16 that the sampled Bessel draws stay within budget.
 """
 import contextlib
 import io
@@ -271,6 +272,23 @@ def test_no_square_array_at_large_grid():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2 ** 20
+
+
+def test_number_op_report_fits_in_linear_memory(capsys):
+    # The number-operator model is diagonal throughout: one N x N array
+    # at N = 8192 would take 512 MiB (1 GiB complex).
+    tracemalloc.start()
+    try:
+        with address_space_headroom(1 << 30):
+            code = main(["full-report", "--example", "number-op", "--dim",
+                         "8192", "--levels", "2", "--seed", "0",
+                         "--no-timing"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0, capsys.readouterr().err
+    capsys.readouterr()
+    assert peak < 512 * 2 ** 20
 
 
 def test_sampled_bessel_chunks_fit_a_memory_budget():
