@@ -26,13 +26,15 @@ def main():
     print(f"spectrum residual:   {spectrum_residual(pair):.3e}")
     print(f"non-normality:       {nonnormality(pair.hamiltonian):.3e}")
 
-    rng = np.random.default_rng(args.seed)
-    worst = 0.0
-    for _ in range(args.pairs):
-        xi = rng.standard_normal(args.dim) + 1j * rng.standard_normal(args.dim)
-        eta = rng.standard_normal(args.dim) + 1j * rng.standard_normal(args.dim)
-        worst = max(worst, weak_similarity_residual(
-            pair, xi / np.linalg.norm(xi), eta / np.linalg.norm(eta)))
+    # Row t holds re xi, im xi, re eta and im eta of pair t, the stream
+    # order of drawing the pairs one by one.
+    draws = np.random.default_rng(args.seed).standard_normal(
+        (args.pairs, 4, args.dim))
+    units = draws[:, 0::2] + 1j * draws[:, 1::2]
+    units /= np.linalg.norm(units, axis=2, keepdims=True)
+    xi, eta = units.transpose(1, 2, 0)
+    worst = float(np.max(weak_similarity_residual(pair, xi, eta),
+                         initial=0.0))
     print(f"weak similarity, worst of {args.pairs} pairs: {worst:.3e}")
 
     trend = density_diagnostic(lambda n: demo_pair(n, psi_seed=args.seed),

@@ -16,7 +16,8 @@ from .errors import (ConfigError, ContinuityError, DimensionError,
                      ValidationError)
 from .hamiltonian import (HamiltonianPair, build_pair, build_selfadjoint,
                           demo_pair, density_diagnostic, eigen_residual,
-                          nonnormality, random_unitary, spectrum_residual,
+                          hermitian_defect, nonnormality, random_unitary,
+                          spectrum_residual,
                           weak_similarity_residual)
 from .reportio import (DiagnosticsReport, Section, Verdict, config_digest,
                        load_complex_matrix, render_csv, render_json,
@@ -56,6 +57,7 @@ __all__ = [
     "certificate_norm", "coefficient_seminorm", "config_digest", "coords_of",
     "demo_pair", "density_diagnostic", "dual_analysis", "eigen_residual",
     "frame_operator", "graph_norm_triplet", "hermite_gram", "hermite_grid",
+    "hermitian_defect",
     "hermite_values", "hilbert_triplet_realization",
     "is_tainted", "level_gram", "load_complex_matrix", "make_linear_map",
     "make_riesz_basis", "metric_operator_check", "nonnormality",

@@ -24,8 +24,8 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, RieszLabError
 from .hamiltonian import (HamiltonianPair, demo_pair, density_diagnostic,
-                          eigen_residual, nonnormality, spectrum_residual,
-                          weak_similarity_residual)
+                          eigen_residual, hermitian_defect, nonnormality,
+                          spectrum_residual, weak_similarity_residual)
 from .reportio import (DiagnosticsReport, SCHEMA_VERSION, Section, Verdict,
                        config_digest, load_complex_matrix, render_csv,
                        render_json, save_report)
@@ -255,9 +255,10 @@ def load_config_file(path):
             kw[key] = raw[key]
     if "model" in raw:
         kw.update(_group_dict(raw, "model", _MODEL_KEYS))
+    # A null leaves its key unset here as in every other block.
     if "inputs" in raw:
         inputs = _group_dict(raw, "inputs", _INPUT_KEYS)
-        kw["inputs"] = {k: str(v) for k, v in inputs.items()}
+        kw["inputs"] = {k: str(v) for k, v in inputs.items() if v is not None}
     if "pseudo" in raw:
         kw["pseudo"] = _group_dict(raw, "pseudo", set(PSEUDO_DEFAULTS))
     if "tolerances" in raw:
@@ -266,10 +267,9 @@ def load_config_file(path):
         kw["tolerances"] = dict(raw["tolerances"])
     if "output" in raw:
         out = _group_dict(raw, "output", {"path", "format"})
-        if "path" in out:
-            kw["out"] = str(out["path"])
-        if "format" in out:
-            kw["fmt"] = str(out["format"])
+        for key, name in (("path", "out"), ("format", "fmt")):
+            if out.get(key) is not None:
+                kw[name] = str(out[key])
     return kw
 
 
@@ -465,8 +465,9 @@ def _pf(ok):
     return "pass" if ok else "fail"
 
 
-def _at_most(name, key, value, tol):
-    return Verdict(name, _pf(value <= tol), {key: value, "tolerance": tol})
+def _at_most(name, key, value, tol, **evidence):
+    return Verdict(name, _pf(value <= tol),
+                   {key: value, "tolerance": tol, **evidence})
 
 
 def _biorthogonality_section(bundle, cfg):
@@ -698,14 +699,16 @@ def _sobolev_section(bundle, cfg):
 def _spectral_section(bundle, cfg):
     pair = bundle.pair
     tol = cfg.tolerances
-    eig = eigen_residual(pair)
+    eigen = eigen_residual(pair)
     spec = spectrum_residual(pair)
-    records = {"eigen_residual": eig, "spectrum_residual": spec,
-               "degenerate": pair.degenerate,
+    defect = hermitian_defect(pair)
+    records = {"eigen_residual": eigen, "spectrum_residual": spec,
+               "hermitian_defect": defect, "degenerate": pair.degenerate,
                "nonnormality": nonnormality(pair.hamiltonian)}
     return records, [
-        _at_most("eigenpairs", "eigen_residual", eig, tol["eigen"]),
-        _at_most("real-spectrum", "spectrum_residual", spec, tol["spectrum"])]
+        _at_most("eigenpairs", "eigen_residual", eigen, tol["eigen"]),
+        _at_most("real-spectrum", "spectrum_residual", spec, tol["spectrum"],
+                 hermitian_defect=defect)]
 
 
 def _similarity_section(bundle, cfg):

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import (ConfigError, DimensionError, ParseError,
                      ValidationError)
 
-SCHEMA_VERSION = "1.2"
+SCHEMA_VERSION = "1.3"
 
 VERDICTS = ("pass", "fail", "strict", "non-strict", "inconclusive", "tainted")
 

@@ -669,6 +669,30 @@ class TestConfigFile:
         cfg.write_text("{not json")
         assert main(["bessel", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("block, key", [
+        ("output", "path"), ("output", "format"), ("inputs", "transform"),
+        ("inputs", "vector"),
+    ])
+    def test_null_output_or_input_is_unset(self, tmp_path, monkeypatch,
+                                           capsys, block, key):
+        monkeypatch.chdir(tmp_path)
+        save_complex_matrix(tmp_path / "fam.csv", np.diag([1.0, 2.0, 4.0]))
+        save_complex_matrix(tmp_path / "dual.csv", np.diag([1.0, 0.5, 0.25]))
+        argv = ["reconstruct", "--family", "fam.csv", "--dual", "dual.csv",
+                "--no-timing"]
+        cfg = tmp_path / "null.json"
+        cfg.write_text(json.dumps({block: {key: None}}))
+        outputs = []
+        for extra in ([], ["--config", str(cfg)]):
+            assert main(argv + extra) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            outputs.append(captured.out)
+        assert outputs[0] == outputs[1]
+        jsonschema.validate(json.loads(outputs[0]), SCHEMA)
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["dual.csv", "fam.csv", "null.json"]
+
 
 class TestOutputFormats:
     def test_csv_format(self, tmp_path):

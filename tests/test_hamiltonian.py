@@ -1,15 +1,19 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
+import rieszlab.cli as cli
+import rieszlab.hamiltonian as hamiltonian
 from rieszlab import (DimensionError, InjectivityError, ValidationError,
                       build_pair, build_selfadjoint, demo_pair,
-                      density_diagnostic, eigen_residual, nonnormality,
-                      pairing, random_unitary, spectrum_residual,
-                      weak_similarity_residual)
+                      density_diagnostic, eigen_residual, hermitian_defect,
+                      nonnormality, pairing, random_unitary,
+                      spectrum_residual, weak_similarity_residual)
 
 from conftest import random_vector
+from test_batched_kernels import pairs
 
 LADDER = (8, 16, 32, 64)
 
@@ -187,6 +191,106 @@ class TestResiduals:
         bad = dataclasses.replace(
             pair, hamiltonian=pair.hamiltonian + 0.25 * np.eye(6))
         assert spectrum_residual(bad) == pytest.approx(0.25, abs=1e-8)
+
+
+def matching_distance(pair):
+    """The general eigensolver's reference: eig(H) sorted by real part
+    against the sorted declared spectrum, worst distance in the plane."""
+    ev = np.linalg.eigvals(pair.hamiltonian)
+    ev = ev[np.argsort(ev.real)]
+    return float(np.max(np.abs(ev - np.sort(pair.eigenvalues))))
+
+
+def perturbed(pair, delta, seed):
+    """H + delta E for a seeded real Gaussian E."""
+    e = np.random.default_rng(seed).standard_normal((pair.dim, pair.dim))
+    return dataclasses.replace(pair, hamiltonian=pair.hamiltonian + delta * e)
+
+
+def complex_pair(dim, psi_seed=7):
+    """The demo pair with its eigenvalues 1 and 2 turned into the complex
+    pair 1.5 +- i sqrt(3)/2 by the block [[1, 1], [-1, 2]] in the psi
+    basis; the declared spectrum stays 1..N."""
+    pair = demo_pair(dim, psi_seed)
+    block = np.zeros((dim, dim))
+    block[0, 1], block[1, 0] = 1.0, -1.0
+    psi, t = pair.eigenvectors_sa, pair.transform
+    extra = np.linalg.solve(t, psi @ block @ psi.conj().T @ t)
+    return dataclasses.replace(pair, hamiltonian=pair.hamiltonian + extra)
+
+
+class TestSpectrumCertificate:
+    """The Hermitian route through T H T^{-1} against the general
+    non-Hermitian eigensolver, which the package no longer calls."""
+
+    @pytest.mark.parametrize("dim", [8, 32, 256])
+    @pytest.mark.parametrize("psi_seed", [7, 12345, 99])
+    def test_demo_pair_agrees_with_the_eigensolver(self, dim, psi_seed):
+        pair = demo_pair(dim, psi_seed)
+        value, reference = spectrum_residual(pair), matching_distance(pair)
+        assert max(value, reference) <= 1e-8
+        assert abs(value - reference) <= 1e-10
+
+    def test_dense_transform_agrees_with_the_eigensolver(self):
+        pair = pairs()["dense-48"]
+        value, reference = spectrum_residual(pair), matching_distance(pair)
+        assert max(value, reference) <= 1e-8
+        assert abs(value - reference) <= 1e-10
+        assert hermitian_defect(pair) <= 1e-12
+
+    @pytest.mark.parametrize("delta", [1e-3, 1e-6])
+    @pytest.mark.parametrize("dim, seed", [(6, 0), (8, 1), (32, 2)])
+    def test_bound_covers_a_non_hermitian_perturbation(self, delta, dim,
+                                                       seed):
+        bad = perturbed(demo_pair(dim), delta, seed)
+        reference = matching_distance(bad)
+        assert reference > 0.1 * delta
+        assert spectrum_residual(bad) >= reference
+        assert hermitian_defect(bad) > 0.1 * delta
+
+    def test_shift_leaves_the_similar_matrix_hermitian(self):
+        pair = demo_pair(6)
+        assert spectrum_residual(pair) < 1e-12
+        # The copy does not inherit the memoised certificate of `pair`.
+        bad = dataclasses.replace(
+            pair, hamiltonian=pair.hamiltonian + 0.25 * np.eye(6))
+        assert spectrum_residual(bad) == pytest.approx(0.25, abs=1e-8)
+        assert hermitian_defect(bad) < 1e-12
+        assert matching_distance(bad) == pytest.approx(0.25, abs=1e-8)
+
+    def test_complex_pair_is_far_from_the_declared_spectrum(self):
+        bad = complex_pair(8)
+        reference = matching_distance(bad)
+        assert reference == pytest.approx(np.sqrt(0.25 + 0.75), abs=1e-8)
+        assert spectrum_residual(bad) >= reference
+        assert hermitian_defect(bad) > 0.5
+
+    def test_spectral_section_forms_the_similar_matrix_once(self,
+                                                            monkeypatch):
+        pair, inverses = demo_pair(16), []
+        inverse = hamiltonian.pseudo_inverse
+        monkeypatch.setattr(hamiltonian, "pseudo_inverse",
+                            lambda t: inverses.append(t) or inverse(t))
+        records, _ = cli._spectral_section(
+            cli.ModelBundle("pseudo-hermitian", pair=pair),
+            cli.RunConfig("pseudo-hermitian", seed=0))
+        assert len(inverses) == 1
+        assert records["spectrum_residual"] == spectrum_residual(pair)
+        assert records["hermitian_defect"] == hermitian_defect(pair)
+
+    def test_complex_pair_fails_real_spectrum_in_the_report(
+            self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "demo_pair", complex_pair)
+        assert cli.main(["pseudo-hermitian", "--dim", "8", "--seed", "0",
+                         "--no-timing"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        spectral = next(s for s in doc["sections"] if s["name"] == "spectral")
+        real = next(v for v in spectral["verdicts"]
+                    if v["name"] == "real-spectrum")
+        assert real["verdict"] == "fail"
+        assert real["evidence"]["hermitian_defect"] == \
+            spectral["records"]["hermitian_defect"] > 0.5
+        assert real["evidence"]["spectrum_residual"] >= 1.0
 
 
 class TestNonnormality:

@@ -16,6 +16,11 @@ may name the certificate's kernels.
 Diagonal structure is declared by the model builders as a `Diagonal`,
 never rediscovered: no code of the package counts nonzeros or names the
 retired `_real_diagonal` scan.
+
+The real spectrum of a pseudo-Hermitian pair is certified through the
+Hermitian similarity T H T^{-1}, so no code of the package names the
+general non-Hermitian eigensolvers `eig` and `eigvals`; the Hermitian
+`eigh` and `eigvalsh` stay allowed.
 """
 import ast
 import pathlib
@@ -123,19 +128,28 @@ def test_the_check_follows_helpers_of_the_module(tmp_path):
 #: Names of a structure scan, which a declared Diagonal makes unneeded.
 SCANS = {"count_nonzero", "_real_diagonal"}
 
+#: The general non-Hermitian eigensolvers.
+GENERAL_EIG = {"eig", "eigvals"}
 
-def scan_sites(path):
-    """`module:line` for every name or attribute in SCANS in the file."""
+
+def name_sites(path, names):
+    """`module:line` for every name, attribute or imported name of the
+    file that is in `names`."""
     tree = ast.parse(path.read_text(), filename=str(path))
     return {f"{path.stem}:{node.lineno}" for node in ast.walk(tree)
             if (node.id if isinstance(node, ast.Name) else
-                getattr(node, "attr", None)) in SCANS
+                getattr(node, "attr", None)) in names
             or isinstance(node, ast.ImportFrom)
-            and any(alias.name in SCANS for alias in node.names)}
+            and any(alias.name in names for alias in node.names)}
+
+
+def package_sites(names):
+    return set().union(*(name_sites(p, names)
+                         for p in PACKAGE.glob("*.py")))
 
 
 def test_no_code_rediscovers_diagonal_structure():
-    assert set().union(*(scan_sites(p) for p in PACKAGE.glob("*.py"))) == set()
+    assert package_sites(SCANS) == set()
 
 
 def test_the_check_sees_a_structure_scan(tmp_path):
@@ -147,4 +161,19 @@ def test_the_check_sees_a_structure_scan(tmp_path):
                     "def old(seq, a):\n"
                     "    return seq._real_diagonal(a)\n\n\n"
                     "def fine(a):\n    return np.nonzero(a)\n")
-    assert scan_sites(path) == {f"extra:{line}" for line in (2, 3, 7, 11)}
+    assert name_sites(path, SCANS) == {f"extra:{line}"
+                                       for line in (2, 3, 7, 11)}
+
+
+def test_no_code_calls_a_general_eigensolver():
+    assert package_sites(GENERAL_EIG) == set()
+
+
+def test_the_check_sees_a_general_eigensolver(tmp_path):
+    path = tmp_path / "extra.py"
+    path.write_text("import numpy as np\nfrom numpy.linalg import eig\n\n\n"
+                    "def spectrum(a):\n"
+                    "    return np.linalg.eigvals(a) + eig(a)[0]\n\n\n"
+                    "def hermitian(a):\n"
+                    "    return np.linalg.eigvalsh(a) + np.linalg.eigh(a)[0]\n")
+    assert name_sites(path, GENERAL_EIG) == {"extra:2", "extra:6"}
