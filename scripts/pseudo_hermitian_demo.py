@@ -9,8 +9,8 @@ import argparse
 
 import numpy as np
 
-from rieszlab import (demo_pair, density_diagnostic, eigen_residual,
-                      nonnormality, spectrum_residual,
+from rieszlab import (demo_pair, demo_transform, density_diagnostic,
+                      eigen_residual, nonnormality, spectrum_residual,
                       weak_similarity_residual)
 
 
@@ -37,8 +37,7 @@ def main():
                          initial=0.0))
     print(f"weak similarity, worst of {args.pairs} pairs: {worst:.3e}")
 
-    trend = density_diagnostic(lambda n: demo_pair(n, psi_seed=args.seed),
-                               (8, 16, 32, 64))
+    trend = density_diagnostic(demo_transform, (8, 16, 32, 64))
     print(f"||T^H e_N|| over ladder {trend.ladder}: {trend.norms}")
     print(f"trend: {trend.flag} (slope {trend.slope:.3f})")
 

@@ -15,9 +15,9 @@ from .errors import (ConfigError, ContinuityError, DimensionError,
                      ParseError, RieszLabError, StateError, SupportError,
                      ValidationError)
 from .hamiltonian import (HamiltonianPair, build_pair, build_selfadjoint,
-                          demo_pair, density_diagnostic, eigen_residual,
-                          hermitian_defect, nonnormality, random_unitary,
-                          spectrum_residual,
+                          demo_pair, demo_transform, density_diagnostic,
+                          eigen_residual, hermitian_defect, nonnormality,
+                          random_unitary, spectrum_residual,
                           weak_similarity_residual)
 from .reportio import (DiagnosticsReport, Section, Verdict, config_digest,
                        load_complex_matrix, render_csv, render_json,
@@ -52,10 +52,10 @@ __all__ = [
     "StateError", "SupportError", "ValidationError", "Verdict",
     "WeightedTriplet", "adjoint_action", "aliasing_fraction", "analysis",
     "bessel_bound", "bessel_bound_lanczos", "bessel_bound_sampled",
-    "bessel_factor",
-    "biorthogonality_residual", "build_pair", "build_selfadjoint",
-    "certificate_norm", "coefficient_seminorm", "config_digest", "coords_of",
-    "demo_pair", "density_diagnostic", "dual_analysis", "eigen_residual",
+    "bessel_factor", "biorthogonality_residual", "build_pair",
+    "build_selfadjoint", "certificate_norm", "coefficient_seminorm",
+    "config_digest", "coords_of", "demo_pair", "demo_transform",
+    "density_diagnostic", "dual_analysis", "eigen_residual",
     "frame_operator", "graph_norm_triplet", "hermite_gram", "hermite_grid",
     "hermitian_defect",
     "hermite_values", "hilbert_triplet_realization",

@@ -15,17 +15,17 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
-from functools import partial
 
 import numpy as np
 
 from . import __version__
 from .errors import ConfigError, RieszLabError
-from .hamiltonian import (HamiltonianPair, demo_pair, density_diagnostic,
-                          eigen_residual, hermitian_defect, nonnormality,
-                          spectrum_residual, weak_similarity_residual)
+from .hamiltonian import (HamiltonianPair, demo_pair, demo_transform,
+                          density_diagnostic, eigen_residual,
+                          hermitian_defect, nonnormality, spectrum_residual,
+                          weak_similarity_residual)
 from .reportio import (DiagnosticsReport, SCHEMA_VERSION, Section, Verdict,
                        config_digest, load_complex_matrix, render_csv,
                        render_json, save_report)
@@ -361,7 +361,7 @@ class ModelBundle:
     round-trip defect its construction measured.  The ladder rule feeds
     trend diagnostics and may return (triplet, matrix) pairs for families
     truncated by column count; the pseudo-Hermitian command resolves to
-    its pair, with a rule building the pair of each ladder dimension.
+    its pair, with the rule of its transform at each ladder dimension.
     """
 
     label: str
@@ -388,9 +388,8 @@ def _rule_weights(rule, n):
 
 def resolve_model(cfg):
     if cfg.command == "pseudo-hermitian":
-        pair_rule = partial(demo_pair, psi_seed=cfg.pseudo["psi_seed"])
-        return ModelBundle("pseudo-hermitian", ladder_rule=pair_rule,
-                           pair=pair_rule(cfg.dim))
+        return ModelBundle("pseudo-hermitian", ladder_rule=demo_transform,
+                           pair=demo_pair(cfg.dim, cfg.pseudo["psi_seed"]))
     if cfg.example is not None:
         return _resolve_example(cfg)
     if "transform" in cfg.inputs:
@@ -704,7 +703,8 @@ def _spectral_section(bundle, cfg):
     defect = hermitian_defect(pair)
     records = {"eigen_residual": eigen, "spectrum_residual": spec,
                "hermitian_defect": defect, "degenerate": pair.degenerate,
-               "nonnormality": nonnormality(pair.hamiltonian)}
+               "nonnormality": nonnormality(pair.hamiltonian,
+                                            tol["equality"], cfg.seed)}
     return records, [
         _at_most("eigenpairs", "eigen_residual", eigen, tol["eigen"]),
         _at_most("real-spectrum", "spectrum_residual", spec, tol["spectrum"],
@@ -728,8 +728,7 @@ def _similarity_section(bundle, cfg):
 
 def _admissibility_section(bundle, cfg):
     trend = density_diagnostic(bundle.ladder_rule, cfg.pseudo["N_ladder"])
-    records = {"ladder": trend.ladder, "norms": trend.norms,
-               "slope": trend.slope, "flag": trend.flag}
+    records = asdict(trend)
     return records, [Verdict(
         "dual-density-trend",
         "pass" if trend.flag in ("growing", "benign") else "inconclusive",

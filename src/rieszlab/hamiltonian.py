@@ -20,8 +20,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionError, InjectivityError, ValidationError
-from .sequences import (DenseView, _adjoint, _as_map, _product, max_deviation,
-                        pseudo_inverse)
+from .sequences import (DenseView, _adjoint, _as_map, _lanczos_top, _product,
+                        max_deviation, pseudo_inverse)
 from .trends import classify_growth, loglog_slope
 from .triplet import Diagonal, coords_of
 
@@ -178,14 +178,24 @@ def spectrum_residual(pair):
     return gap + defect
 
 
-def nonnormality(matrix):
-    """Spectral norm of the commutator [A, A^H]; zero iff A is normal.
+def nonnormality(matrix, tol=1e-12, seed=0):
+    """Spectral norm of the commutator C = [A, A^H]; zero iff A is normal.
 
-    The commutator is Hermitian, so its norm is its largest |eigenvalue|.
-    """
+    C is Hermitian, so ||C||_2^2 is the top eigenvalue of C^2, which the
+    seeded Lanczos kernel of the Bessel check takes, to `tol`, from
+    products C v = A (A^H v) - A^H (A v) alone: no N x N product or
+    eigensolve."""
     a = np.asarray(matrix, dtype=complex)
-    c = a @ a.conj().T - a.conj().T @ a
-    return float(np.max(np.abs(np.linalg.eigvalsh(c))))
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionError("non-normality needs a square matrix")
+    a_h = a.conj().T
+
+    def commute(v):
+        return a @ (a_h @ v) - a_h @ (a @ v)
+
+    ritz = _lanczos_top(lambda v: commute(commute(v)), a.shape[0], tol,
+                        seed, "the commutator products")[0]
+    return float(np.sqrt(max(ritz, 0.0)))
 
 
 @dataclass(frozen=True)
@@ -203,9 +213,9 @@ class DensityTrend:
     flag: str
 
 
-def density_diagnostic(pair_rule, ladder):
-    """Trend of ||T^H e_N|| over a ladder of dimensions N, one pair from
-    `pair_rule(N)` each.  The last canonical vector e_N exposes the
+def density_diagnostic(transform_rule, ladder):
+    """Trend of ||T^H e_N|| over a ladder of dimensions N, one map T from
+    `transform_rule(N)` each.  The last canonical vector e_N exposes the
     largest singular directions of diagonal-style transforms.  A clearly
     growing trend is flagged "growing" (the probe directions leave every
     bounded admissibility ball), a bounded one "benign".
@@ -215,23 +225,23 @@ def density_diagnostic(pair_rule, ladder):
         raise ValidationError("empty ladder")
     norms = []
     for n in ladder:
-        pair = pair_rule(n)
-        eta = np.zeros(pair.dim, dtype=complex)
+        t = _as_map(transform_rule(n))
+        eta = np.zeros(t.shape[0], dtype=complex)
         eta[-1] = 1.0
-        norms.append(float(np.linalg.norm(_product(_adjoint(pair.t), eta))))
-    if len(ladder) >= 2:
-        slope = loglog_slope(ladder, norms)
-        cls = classify_growth(slope)
-        flag = {"growing": "growing", "bounded": "benign"}.get(cls,
-                                                               "inconclusive")
-    else:
-        slope, flag = None, "inconclusive"
+        norms.append(float(np.linalg.norm(_product(_adjoint(t), eta))))
+    slope = loglog_slope(ladder, norms) if len(ladder) >= 2 else None
+    cls = None if slope is None else classify_growth(slope)
+    flag = {"growing": "growing", "bounded": "benign"}.get(cls, "inconclusive")
     return DensityTrend(ladder, tuple(norms), slope, flag)
 
 
+def demo_transform(dim):
+    """The reference intertwining map T = diag(1..N)."""
+    return Diagonal(np.arange(1, int(dim) + 1, dtype=float))
+
+
 def demo_pair(dim, psi_seed=7):
-    """Reference pair: T = diag(1..N), seeded random unitary psi,
+    """Reference pair: T = `demo_transform(dim)`, seeded random unitary psi,
     eigenvalues 1..N.  Non-normal for generic psi, spectrum exactly known."""
-    lam = np.arange(1, int(dim) + 1, dtype=float)
-    psi = random_unitary(int(dim), psi_seed)
-    return build_pair(lam, psi, Diagonal(lam))
+    return build_pair(np.arange(1, int(dim) + 1, dtype=float),
+                      random_unitary(int(dim), psi_seed), demo_transform(dim))

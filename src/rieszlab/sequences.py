@@ -382,33 +382,24 @@ def bessel_bound(fam, j):
     return bound
 
 
-def bessel_bound_lanczos(fam, j, tol, seed):
-    """(ritz, residual, steps): the level-j Bessel bound attained by Lanczos.
-
-    Runs Lanczos with full reorthogonalization on the M x M operator
-    S^H S, S = scale(-j, Z), from one seeded complex start vector, and
-    touches S only through products with S and S^H, so it shares no
-    step with the SVD behind `bessel_bound`.  After step k, `ritz` is
-    the top eigenvalue theta of the k x k tridiagonal and `residual` the
-    bound beta_k |e_k^T y| on |S^H S x - theta x| for its Ritz vector x;
-    an eigenvalue of S^H S lies within `residual` of `ritz`, and Ritz
-    values never exceed the largest one.  The iteration stops once
-    residual <= tol (1 + theta), on an invariant subspace (beta_k = 0)
-    or at k = M.  A non-finite product raises ContinuityError.
-    """
-    z = _dual_of(fam)
-    _check_level(fam, j)
-    m = fam.size
+def _lanczos_top(apply, m, tol, seed, what):
+    """(ritz, residual, steps) for the top eigenvalue of a positive
+    semidefinite M x M operator A, seen only through `apply(v)` = A v, by
+    Lanczos with full reorthogonalization from one seeded complex start
+    vector.  After step k, `ritz` is the top eigenvalue theta of the k x k
+    tridiagonal and `residual` the bound beta_k |e_k^T y| on
+    |A x - theta x| for its Ritz vector x; an eigenvalue of A lies within
+    `residual` of `ritz`, and Ritz values never exceed the largest one.
+    The iteration stops once residual <= tol (1 + theta), on an invariant
+    subspace (beta_k = 0) or at k = M.  A non-finite product raises
+    ContinuityError naming `what`."""
     if m == 0:
         return 0.0, 0.0, 0
-    s = fam.triplet.scale(-j, z)
-    s_h = _adjoint(s)
     real, imag = np.random.default_rng(seed).standard_normal((2, m))
     v = real + 1j * imag
     v /= np.linalg.norm(v)
-    # Row k is the k-th Lanczos vector; the rows double when they run
-    # out, so memory follows the steps taken, and rows past the current
-    # step are never read.
+    # Row k is the k-th Lanczos vector; the rows double when they run out,
+    # so memory follows the steps taken (later rows are never read).
     basis = np.empty((min(m, 16), m), dtype=complex)
     alpha, beta = [], []
     for k in range(m):
@@ -417,23 +408,33 @@ def bessel_bound_lanczos(fam, j, tol, seed):
         basis[k] = v
         # Overflow is reported below, not by numpy warnings.
         with np.errstate(over="ignore", invalid="ignore"):
-            w = _product(s_h, _product(s, v))
+            w = apply(v)
         if not np.isfinite(w).all():
-            raise ContinuityError(
-                f"non-finite values in the level-{j} Bessel products")
+            raise ContinuityError(f"non-finite values in {what}")
         alpha.append(np.vdot(v, w).real)
         done = basis[:k + 1]
         for _ in range(2):  # twice is enough for orthogonality
             w -= (done.conj() @ w) @ done
         beta.append(float(np.linalg.norm(w)))
-        tri = (np.diag(alpha) + np.diag(beta[:-1], 1)
-               + np.diag(beta[:-1], -1))
+        tri = np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1)
         theta, y = np.linalg.eigh(tri)
         ritz, residual = float(theta[-1]), beta[-1] * float(abs(y[-1, -1]))
         if residual <= tol * (1 + ritz) or beta[-1] == 0.0:
             break
         v = w / beta[-1]
     return ritz, residual, k + 1
+
+
+def bessel_bound_lanczos(fam, j, tol, seed):
+    """(ritz, residual, steps) of `_lanczos_top` on S^H S, S = scale(-j, Z):
+    the level-j Bessel bound attained from products with S and S^H alone,
+    so sharing no step with the SVD behind `bessel_bound`."""
+    z = _dual_of(fam)
+    _check_level(fam, j)
+    s = fam.triplet.scale(-j, z)
+    s_h = _adjoint(s)
+    return _lanczos_top(lambda v: _product(s_h, _product(s, v)), fam.size,
+                        tol, seed, f"the level-{j} Bessel products")
 
 
 def bessel_bound_sampled(fam, j, samples=10000, seed=0):

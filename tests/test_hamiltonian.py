@@ -6,11 +6,12 @@ import pytest
 
 import rieszlab.cli as cli
 import rieszlab.hamiltonian as hamiltonian
-from rieszlab import (DimensionError, InjectivityError, ValidationError,
-                      build_pair, build_selfadjoint, demo_pair,
-                      density_diagnostic, eigen_residual, hermitian_defect,
-                      nonnormality, pairing, random_unitary,
-                      spectrum_residual, weak_similarity_residual)
+from rieszlab import (ContinuityError, DimensionError, InjectivityError,
+                      ValidationError, build_pair, build_selfadjoint,
+                      demo_pair, demo_transform, density_diagnostic,
+                      eigen_residual, hermitian_defect, nonnormality, pairing,
+                      random_unitary, spectrum_residual,
+                      weak_similarity_residual)
 
 from conftest import random_vector
 from test_batched_kernels import pairs
@@ -293,22 +294,84 @@ class TestSpectrumCertificate:
         assert real["evidence"]["spectrum_residual"] >= 1.0
 
 
+def commutator_norm(a):
+    """Reference ||[A, A^H]||_2: the largest |eigenvalue| of the dense
+    Hermitian commutator."""
+    a = np.asarray(a, dtype=complex)
+    c = a @ a.conj().T - a.conj().T @ a
+    return float(np.max(np.abs(np.linalg.eigvalsh(c)), initial=0.0))
+
+
+def jordan_block(n):
+    return np.eye(n, k=1)
+
+
 class TestNonnormality:
     def test_normal_matrices_vanish(self):
         assert nonnormality(np.diag([1.0, 2.0, 3.0])) == 0.0
         assert nonnormality(random_unitary(5, seed=0)) < 1e-12
 
+    @pytest.mark.parametrize("a", [
+        np.diag([-3.0, 0.5, 2.0, 7.0]), np.eye(6)[[2, 0, 5, 1, 3, 4]],
+        np.zeros((5, 5)), np.ones((1, 1)), np.zeros((0, 0))],
+        ids=["real-diagonal", "permutation", "zero", "scalar", "empty"])
+    def test_exactly_normal_matrices_give_exactly_zero(self, a):
+        assert nonnormality(a) == 0.0 == commutator_norm(a)
+
     def test_jordan_block_is_nonnormal(self):
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
         assert nonnormality(a) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [3, 16])
+    def test_jordan_block_agrees_with_the_eigensolver(self, n):
+        a = jordan_block(n)
+        assert nonnormality(a) == pytest.approx(commutator_norm(a),
+                                                rel=1e-12, abs=0)
+
     def test_demo_pair_is_genuinely_nonnormal(self):
         assert nonnormality(demo_pair(32).hamiltonian) > 0.1
+
+    @pytest.mark.parametrize("psi_seed", [7, 12345, 99])
+    @pytest.mark.parametrize("dim", [8, 32, 256])
+    def test_demo_pair_agrees_with_the_eigensolver(self, dim, psi_seed):
+        h = demo_pair(dim, psi_seed).hamiltonian
+        assert nonnormality(h) == pytest.approx(commutator_norm(h),
+                                                rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_dense_complex_matrix_agrees_with_the_eigensolver(self, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((48, 48)) + 1j * rng.standard_normal((48, 48))
+        assert nonnormality(a, seed=seed) == pytest.approx(
+            commutator_norm(a), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_matrix_is_a_continuity_error(self, bad):
+        a = demo_pair(6).hamiltonian.copy()
+        a[2, 4] = bad
+        with pytest.raises(ContinuityError):
+            nonnormality(a)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (4,), (2, 2, 2)])
+    def test_non_square_matrix_is_a_dimension_error(self, shape):
+        with pytest.raises(DimensionError):
+            nonnormality(np.ones(shape))
+
+    def test_spectral_section_passes_the_run_tolerance_and_seed(
+            self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "nonnormality",
+                            lambda a, tol, seed: seen.append((tol, seed)))
+        cfg = cli.RunConfig("pseudo-hermitian", seed=5,
+                            tolerances={"equality": 1e-9})
+        cli._spectral_section(
+            cli.ModelBundle("pseudo-hermitian", pair=demo_pair(8)), cfg)
+        assert seen == [(1e-9, 5)]
 
 
 class TestDensityDiagnostic:
     def test_diagonal_transform_grows(self):
-        res = density_diagnostic(demo_pair, LADDER)
+        res = density_diagnostic(demo_transform, LADDER)
         # probe = last canonical vector, so the norm is sigma_max = N
         assert res.norms == pytest.approx(LADDER)
         assert res.flag == "growing"
@@ -316,22 +379,42 @@ class TestDensityDiagnostic:
         assert res.ladder == LADDER
 
     def test_identity_transform_is_benign(self):
-        def rule(n):
-            lam = np.arange(1.0, n + 1)
-            return build_pair(lam, random_unitary(n, seed=1), np.eye(n))
-
-        res = density_diagnostic(rule, LADDER)
+        res = density_diagnostic(lambda n: np.eye(n), LADDER)
         assert res.flag == "benign"
         assert res.norms == pytest.approx((1.0,) * 4)
 
     def test_single_point_inconclusive(self):
-        res = density_diagnostic(demo_pair, (8,))
+        res = density_diagnostic(demo_transform, (8,))
         assert res.flag == "inconclusive"
         assert res.slope is None
 
     def test_empty_ladder_rejected(self):
         with pytest.raises(ValidationError):
-            density_diagnostic(demo_pair, ())
+            density_diagnostic(demo_transform, ())
+
+    def test_report_builds_one_pair_and_one_unitary(self, monkeypatch,
+                                                     capsys):
+        # The default ladder (8, 16, 32) reads transforms only; building
+        # a pair per rung took four pairs and four unitaries.
+        calls = {"demo_pair": 0, "random_unitary": 0}
+
+        def counted(module, name):
+            inner = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(cli, "demo_pair")
+        counted(hamiltonian, "random_unitary")
+        assert cli.main(["pseudo-hermitian", "--dim", "8", "--seed", "0",
+                         "--no-timing"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert calls == {"demo_pair": 1, "random_unitary": 1}
+        admissibility = next(s for s in doc["sections"]
+                             if s["name"] == "admissibility")
+        assert admissibility["records"]["ladder"] == [8, 16, 32]
 
 
 class TestDemoPair:
@@ -347,3 +430,4 @@ class TestDemoPair:
         assert pair.dim == 5
         assert np.allclose(pair.transform, np.diag(np.arange(1.0, 6.0)))
         assert np.allclose(pair.eigenvalues, np.arange(1.0, 6.0))
+        assert np.array_equal(pair.t.d, demo_transform(5).d)

@@ -10,8 +10,12 @@ transform and keeps its own call.  A matrix 2-norm, `norm(a, 2)` or
 `norm(a, ord=2)`, is an SVD too and counts as a call.
 
 `sequences.bessel_bound_lanczos` is held to the SVD certificate of the
-Bessel bound, so neither it nor a helper of its module that it calls
-may name the certificate's kernels.
+Bessel bound, so neither it, nor the Lanczos kernel `_lanczos_top` it
+shares with `hamiltonian.nonnormality`, nor a helper of their modules
+that they call may name the certificate's kernels.  `nonnormality`
+takes the commutator norm from that kernel's products alone, so it
+reaches no dense eigensolver or SVD of the N x N commutator; the kernel's
+`eigh` of its k x k tridiagonal stays allowed.
 
 Diagonal structure is declared by the model builders as a `Diagonal`,
 never rediscovered: no code of the package counts nonzeros or names the
@@ -110,9 +114,39 @@ def reached_names(path, function):
     return names
 
 
+def lanczos_reach(path, function):
+    """`reached_names` of the function, plus those of the shared Lanczos
+    kernel of `sequences` when the function names it."""
+    reached = reached_names(path, function)
+    assert "_lanczos_top" in reached
+    return reached | reached_names(PACKAGE / "sequences.py", "_lanczos_top")
+
+
 def test_lanczos_check_reaches_no_certificate_kernel():
-    reached = reached_names(PACKAGE / "sequences.py", "bessel_bound_lanczos")
-    assert "_check_level" in reached and not reached & CERTIFICATE
+    bessel = lanczos_reach(PACKAGE / "sequences.py", "bessel_bound_lanczos")
+    commutator = lanczos_reach(PACKAGE / "hamiltonian.py", "nonnormality")
+    assert "_check_level" in bessel
+    assert not (bessel | commutator) & CERTIFICATE
+
+
+#: Dense eigensolvers and SVDs, which would see the whole commutator.
+DENSE_SOLVERS = {"eigvalsh", "eigvals", "eig", "svd", "singular_values"}
+
+
+def test_nonnormality_reaches_no_dense_eigensolver():
+    reached = lanczos_reach(PACKAGE / "hamiltonian.py", "nonnormality")
+    assert "eigh" in reached and not reached & DENSE_SOLVERS
+
+
+def test_the_check_sees_a_dense_eigensolver(tmp_path):
+    path = tmp_path / "extra.py"
+    path.write_text("import numpy as np\n\n\n"
+                    "def _top(c):\n    return np.linalg.eigvalsh(c)[-1]\n\n\n"
+                    "def _ritz(t):\n    return np.linalg.eigh(t)[0][-1]\n\n\n"
+                    "def norm(a):\n"
+                    "    c = a @ a.conj().T - a.conj().T @ a\n"
+                    "    return _top(c) + _ritz(c[:2, :2])\n")
+    assert reached_names(path, "norm") & DENSE_SOLVERS == {"eigvalsh"}
 
 
 def test_the_check_follows_helpers_of_the_module(tmp_path):
