@@ -425,7 +425,7 @@ def _file_triplet(cfg, dim):
 
 
 def _resolve_example(cfg):
-    dim, levels = cfg.dim, cfg.levels
+    dim, levels, tol = cfg.dim, cfg.levels, cfg.tolerances
     if cfg.example == "number-op":
         _, basis = number_operator_model(dim, levels, cfg.ladder)
         return ModelBundle("number-op", basis.fam, basis,
@@ -440,12 +440,11 @@ def _resolve_example(cfg):
         return ModelBundle("schwartz", fam, ladder_rule=rule)
     if cfg.example == "hermite":
         grid, hermite = hermite_grid(dim, cfg.half_width, cfg.size,
-                                     cfg.tolerances["support"])
+                                     tol["support"], tol["aliasing"])
         return ModelBundle("hermite", grid=grid, hermite=hermite)
     # sobolev, the last of EXAMPLES
     grid = LineGrid(cfg.half_width, cfg.size)
-    fam, hermite, round_trip = sobolev_model(grid, dim,
-                                             cfg.tolerances["support"])
+    fam, hermite, round_trip = sobolev_model(grid, dim, tol["support"])
 
     def truncation(m):
         if m > fam.size:
@@ -568,7 +567,7 @@ def _strictness_section(bundle, cfg):
                    "upper_slopes": report.upper_slopes, "note": report.note}
     else:
         fam = bundle.require_family()
-        lower, upper = strictness_constants(fam.triplet, fam.xi)
+        lower, upper = strictness_constants(fam.triplet, fam.family)
         verdict = "inconclusive"
         records = {"dimension": fam.dim, "lower": lower, "upper": upper,
                    "note": "single truncation cannot exhibit a trend"}

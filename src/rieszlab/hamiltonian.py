@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionError, InjectivityError, ValidationError
-from .sequences import (DenseView, _adjoint, _as_map, _lanczos_top, _product,
+from .sequences import (_adjoint, _as_map, _lanczos_top, _product,
                         max_deviation, pseudo_inverse)
 from .trends import classify_growth, loglog_slope
 from .triplet import Diagonal, coords_of
@@ -35,20 +35,20 @@ class HamiltonianPair:
 
     hamiltonian : H = T^{-1} H_sa T
     selfadjoint : H_sa, Hermitian with spectrum `eigenvalues`
-    transform : the intertwining map T, held in `t` as an array or a
-        Diagonal, and read back as an ndarray
+    transform : the intertwining map T, held as declared, an array or a
+        Diagonal; `np.asarray` gives the dense view
     eigenvalues : real spectrum shared by both operators
     eigenvectors_sa : unitary columns psi_k of H_sa
     eigenvectors : columns xi_k = T^{-1} psi_k of H
     degenerate : repeated eigenvalues were supplied (accepted, flagged)
 
     Memoised: `certificate`, which both spectral readers share; a copy
-    made by `dataclasses.replace` starts without it.
+    made by `dataclasses.replace` keeps the held T and starts without it.
     """
 
     hamiltonian: np.ndarray
     selfadjoint: np.ndarray
-    transform: np.ndarray = DenseView("t")
+    transform: np.ndarray | Diagonal
     eigenvalues: np.ndarray
     eigenvectors_sa: np.ndarray
     eigenvectors: np.ndarray
@@ -62,8 +62,8 @@ class HamiltonianPair:
     def certificate(self):
         """(max_k |eigvalsh(M)_k - sort(lambda)_k|, ||K||_F) for the
         Hermitian and skew parts M, K of S = T H T^{-1}."""
-        tinv, _ = pseudo_inverse(self.t)
-        s = _product(_product(self.t, self.hamiltonian), tinv)
+        tinv, _ = pseudo_inverse(self.transform)
+        s = _product(_product(self.transform, self.hamiltonian), tinv)
         sh = s.conj().T
         gap = np.abs(np.linalg.eigvalsh((s + sh) / 2.0)
                      - np.sort(self.eigenvalues))
@@ -137,7 +137,7 @@ def weak_similarity_residual(pair, xi, eta):
     x, e = coords_of(xi).T, coords_of(eta).T
     if x.shape != e.shape or x.shape[-1] != pair.dim:
         raise DimensionError("vector pairs do not match the pair dimension")
-    t = pair.t
+    t = pair.transform
     lhs = np.sum(_product(e, _adjoint(t).T).conj() * (x @ pair.hamiltonian.T),
                  axis=-1)
     rhs = np.sum((e @ pair.selfadjoint.T).conj() * _product(x, t.T), axis=-1)

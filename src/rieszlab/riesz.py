@@ -53,6 +53,8 @@ def make_riesz_basis(transform, triplet):
     The identities T Xi = I, Z = T^H and T^H T Xi = Z hold by
     construction up to the inversion's roundoff.
     """
+    if isinstance(transform, LinearMap) and transform.right is None:
+        transform = transform.left  # as held, so a Diagonal stays one
     a = _as_map(getattr(transform, "matrix", transform))
     if len(a.shape) != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError("the transform must be square")
@@ -79,7 +81,7 @@ def adjoint_action(basis, g):
 def transport_residuals(basis):
     """(|T Xi - I|, |Z - T^H|, |T^H T Xi - Z|), each the largest entry:
     the identities `make_riesz_basis` builds in, at their roundoff."""
-    t, xi, z = basis.transform.left, basis.fam.xi, _dual_of(basis.fam)
+    t, xi, z = basis.transform.left, basis.fam.family, _dual_of(basis.fam)
     return (max_deviation(_product(t, xi)), max_deviation(z, _adjoint(t)),
             max_deviation(_product(_product(_adjoint(t), t), xi), z))
 
@@ -123,7 +125,7 @@ def metric_operator_check(fam, samples=50, seed=0, positivity_tol=1e-8):
     the level constants are exact scaled singular values, not samples.
     """
     z = _dual_of(fam)
-    xi = fam.xi
+    xi = fam.family
     pinv, rank = fam.pinv_rank
     if rank == 0 or rank < fam.size:
         raise InjectivityError("family matrix is singular; S is not determined")
@@ -268,7 +270,7 @@ def strictness_report(basis_rule, ladder):
         if isinstance(item, tuple):
             tri, mat = item
         else:
-            tri, mat = item.triplet, item.fam.xi
+            tri, mat = item.triplet, item.fam.family
         lo, up = strictness_constants(tri, mat)
         lowers.append(lo)
         for q, val in up.items():
@@ -308,8 +310,8 @@ def realized_grams(basis):
     """(+1, -1) Gram matrices of family and dual in the realized triplet,
     under <T . , T .> and <|T|^{-1} . , |T|^{-1} .>: both the identity."""
     t = basis.transform.matrix
-    xi = basis.fam.family
-    z = basis.fam.require_dual()
+    xi = np.asarray(basis.fam.family)
+    z = np.asarray(_dual_of(basis.fam))
     txi = t @ xi
     g_plus = txi.conj().T @ txi
     g_minus = z.conj().T @ np.linalg.solve(t.conj().T @ t, z)

@@ -175,26 +175,6 @@ def make_linear_map(matrix, triplet, pairs=((0, 0),), right=None):
     return LinearMap(a, cert, c)
 
 
-class DenseView:
-    """Dataclass field kept as given, an array or a Diagonal, in the
-    attribute `held` that the kernels read; the field itself reads back
-    as an ndarray.  A `default` makes the field optional."""
-
-    def __init__(self, held, *default):
-        self.held, self.default = held, default
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            if self.default:
-                return self.default[0]
-            raise AttributeError(self.held)  # a field without a default
-        value = getattr(obj, self.held)
-        return None if value is None else np.asarray(value)
-
-    def __set__(self, obj, value):
-        obj.__dict__[self.held] = value
-
-
 @dataclass(frozen=True)
 class SequenceFamily:
     """Candidate basis columns with an optional dual family.
@@ -203,20 +183,21 @@ class SequenceFamily:
     triplet : the weighted model the columns live in
     dual : None or N x M columns zeta_n on the dual side, likewise
 
-    The kernels read the maps as held, in `xi` and `zeta`.  Memoised, so
-    every check shares one SVD: `pinv_rank`, the pair (Xi^+, rank) at
-    RANK_RTOL, and the per-level `dual_level_norm` values; a copy made by
-    `dataclasses.replace` starts empty.
+    Both maps are held as declared, and `np.asarray` gives the dense view.
+    Memoised, so every check shares one SVD: `pinv_rank`, the pair
+    (Xi^+, rank) at RANK_RTOL, and the per-level `dual_level_norm` values;
+    a copy made by `dataclasses.replace` keeps the maps and starts with
+    empty memos.
     """
 
-    family: np.ndarray = DenseView("xi")
+    family: np.ndarray | Diagonal
     triplet: WeightedTriplet
-    dual: np.ndarray | None = DenseView("zeta", None)
+    dual: np.ndarray | Diagonal | None = None
     _dual_norms: dict = field(default_factory=dict, init=False, repr=False,
                               compare=False)
 
     def __post_init__(self):
-        fam = _as_map(self.xi)
+        fam = _as_map(self.family)
         if len(fam.shape) != 2:
             raise DimensionError("family must be a 2-d array of columns")
         if fam.shape[0] != self.triplet.dim:
@@ -226,7 +207,7 @@ class SequenceFamily:
         nonzero = fam.d != 0 if isinstance(fam, Diagonal) else fam.any(axis=0)
         if not nonzero.all():
             raise ValidationError("family columns must be nonzero")
-        dual = self.zeta
+        dual = self.dual
         if dual is not None:
             dual = _as_map(dual)
             if dual.shape != fam.shape:
@@ -236,36 +217,27 @@ class SequenceFamily:
 
     @property
     def dim(self):
-        return int(self.xi.shape[0])
+        return int(self.family.shape[0])
 
     @property
     def size(self):
-        return int(self.xi.shape[1])
-
-    def require_dual(self):
-        return np.asarray(_dual_of(self))
+        return int(self.family.shape[1])
 
     @cached_property
     def pinv_rank(self):
         """(Xi^+, rank) from `pseudo_inverse` at RANK_RTOL, taken on first
         read; a shared array pseudo-inverse is read-only."""
-        pinv, rank = pseudo_inverse(self.xi)
+        pinv, rank = pseudo_inverse(self.family)
         if isinstance(pinv, np.ndarray):
             pinv.flags.writeable = False
         return pinv, rank
 
-    @cached_property
-    def inverse(self):
-        """`pinv_rank` with Xi^+ as a read-only ndarray."""
-        pinv, rank = self.pinv_rank
-        return np.asarray(pinv), rank
-
 
 def _dual_of(fam):
     """The dual as held; MissingDualError when the family has none."""
-    if fam.zeta is None:
+    if fam.dual is None:
         raise MissingDualError("this diagnostic needs the dual family")
-    return fam.zeta
+    return fam.dual
 
 
 def _kept_inverse(s):
@@ -297,7 +269,7 @@ def biorthogonality_residual(fam):
     z = _dual_of(fam)
     with np.errstate(over="ignore", invalid="ignore"):
         # The (k, n) entry of Xi^H Z equals <zeta_n, xi_k>.
-        res = max_deviation(_product(_adjoint(fam.xi), z))
+        res = max_deviation(_product(_adjoint(fam.family), z))
     if not np.isfinite(res):
         raise ValidationError(
             "non-finite biorthogonality residual: the family-dual pairings "
@@ -308,7 +280,7 @@ def biorthogonality_residual(fam):
 def is_tainted(fam):
     """Whether the biorthogonality residual exceeds BIORTH_TOL; tainted
     families stay usable, the flag is data, not an error."""
-    if fam.zeta is None:
+    if fam.dual is None:
         return False
     return biorthogonality_residual(fam) > BIORTH_TOL
 
@@ -447,7 +419,7 @@ def bessel_bound_sampled(fam, j, samples=10000, seed=0):
     remainder orthogonal to Q, a chi-square with 2 (N - r) degrees of
     freedom.  Never exceeds the singular value answer.
     """
-    z = fam.require_dual()
+    z = np.asarray(_dual_of(fam))
     _check_level(fam, j)
     s = fam.triplet.scale(-j, z)
     q = np.linalg.qr(s)[0]
@@ -521,7 +493,7 @@ def riesz_fischer_check(fam):
     E_M Xi^+, and the recovered dual zeta_k = S^H e_k is biorthogonal by
     construction; other duals exist when the family is not total.
     """
-    xi = fam.xi
+    xi = fam.family
     n, m = xi.shape
     pinv, rank = fam.pinv_rank
     residual = max_deviation(_product(pinv, xi))
@@ -530,7 +502,7 @@ def riesz_fischer_check(fam):
                               right=_adjoint(pinv))
     ok = rank == m
     if ok:
-        out = fam if fam.zeta is not None else \
+        out = fam if fam.dual is not None else \
             SequenceFamily(xi, fam.triplet, dual=_adjoint(pinv))
         note = ("minimal-norm dual recovered; other duals exist when the "
                 "family is not total")
@@ -559,7 +531,7 @@ def dual_analysis(fam, phi):
     v = coords_of(phi)
     if v.shape[0] != fam.dim:
         raise DimensionError("dual-analysis input does not match the model")
-    coeffs = _product(_adjoint(fam.xi), v)
+    coeffs = _product(_adjoint(fam.family), v)
     rank = fam.pinv_rank[1]
     return DualAnalysisResult(coeffs, float(np.sum(np.abs(coeffs) ** 2)),
                               rank, rank == fam.size)
@@ -581,7 +553,7 @@ def _order_input(fam, n, x):
 def partial_sum(fam, f, n):
     """S_n f = sum_{k<=n} conj(<zeta_k, f>) xi_k, a vector on the smooth side."""
     z, v = _order_input(fam, n, f)
-    return CoefVector(_product(_leading(fam.xi, n),
+    return CoefVector(_product(_leading(fam.family, n),
                                _product(_adjoint(_leading(z, n)), v)))
 
 
@@ -589,7 +561,7 @@ def partial_sum_adjoint(fam, psi, n):
     """Adjoint action sum_{k<=n} <psi, xi_k> zeta_k on the dual side."""
     z, p = _order_input(fam, n, psi)
     return CoefVector(_product(_leading(z, n),
-                               _product(_adjoint(_leading(fam.xi, n)), p)))
+                               _product(_adjoint(_leading(fam.family, n)), p)))
 
 
 def weak_expansion_residual(fam, psi, f, n):
@@ -597,7 +569,7 @@ def weak_expansion_residual(fam, psi, f, n):
     of the weak expansion (0 at n = M for a biorthogonal square family)."""
     z, v = _order_input(fam, n, f)
     p = coords_of(psi)
-    a = _product(_adjoint(_leading(fam.xi, n)), p)   # <psi, xi_k>
+    a = _product(_adjoint(_leading(fam.family, n)), p)   # <psi, xi_k>
     b = np.conj(_product(_adjoint(_leading(z, n)), v))  # <zeta_k, f>
     return float(abs(pairing(p, v) - np.sum(a * b)))
 
@@ -612,12 +584,12 @@ def partial_sum_residuals(fam, f):
     z, v = _order_input(fam, fam.size, f)
     a = _product(_adjoint(z), v)
     out = [float(np.linalg.norm(v))]
-    if isinstance(fam.xi, Diagonal):
-        near = np.cumsum(np.abs(v - a * fam.xi.d) ** 2)
+    if isinstance(fam.family, Diagonal):
+        near = np.cumsum(np.abs(v - a * fam.family.d) ** 2)
         far = np.cumsum(np.abs(v[::-1]) ** 2)[::-1]
         return out + np.sqrt(near + np.append(far[1:], 0.0)).tolist()
     # Row n of the running sum of the a_k xi_k^T is (S_{n+1} f)^T.
-    work = a[:, None] * fam.xi.T
+    work = a[:, None] * fam.family.T
     np.cumsum(work, axis=0, out=work)
     np.subtract(v, work, out=work)
     return out + np.linalg.norm(work, axis=1).tolist()
@@ -659,7 +631,7 @@ def schauder_inequality_probe(fam, p_level, trials, seed):
     cols = np.arange(m)
     coeffs = np.concatenate([np.where(cols < n[:, None], c, 0.0),
                              np.where(cols < (n + extra)[:, None], c, 0.0)])
-    sums = _product(coeffs, fam.xi.T)  # row t is the partial sum (Xi c)^T
+    sums = _product(coeffs, fam.family.T)  # row t is the partial sum (Xi c)^T
     pu, pv_at_p = np.split(tri.seminorm(sums.T, p_level), 2)
     worst = {}
     for q in range(tri.levels + 1):
@@ -674,4 +646,4 @@ def schauder_inequality_probe(fam, p_level, trials, seed):
 def level_gram(fam, j):
     """Gram matrix of the family columns in the level-j inner product."""
     x = fam.triplet.scale(j, fam.family)
-    return x.conj().T @ x
+    return np.asarray(_product(_adjoint(x), x))

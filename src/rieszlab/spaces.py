@@ -179,13 +179,14 @@ def aliasing_fraction(grid, values):
     return float(np.sum(np.abs(spec[high]) ** 2)) / total
 
 
-def hermite_grid(count, half_width=None, points=1024, support_tol=SUPPORT_TOL):
+def hermite_grid(count, half_width=None, points=1024, support_tol=SUPPORT_TOL,
+                 aliasing_tol=ALIASING_TOL):
     """(grid, columns): a grid on which the first `count` Hermite
     functions are well resolved, and their `hermite_values` columns on it.
 
     Starts from the default window rule and the requested point count,
     doubling the points (up to 2^16) while any basis column leaves more
-    than ALIASING_TOL of its spectral mass in the top third of the
+    than `aliasing_tol` of its spectral mass in the top third of the
     band.  Support failures (a column's window-support residual above
     `support_tol`) are not fixed by refinement and propagate.
     """
@@ -195,7 +196,7 @@ def hermite_grid(count, half_width=None, points=1024, support_tol=SUPPORT_TOL):
         grid = LineGrid(hw, p)
         vals = hermite_values(grid, count, support_tol)
         worst = max(aliasing_fraction(grid, vals[:, n]) for n in range(count))
-        if worst <= ALIASING_TOL:
+        if worst <= aliasing_tol:
             return grid, vals
         if 2 * p > _MAX_POINTS:
             raise SupportError(

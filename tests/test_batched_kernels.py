@@ -74,8 +74,8 @@ def loop_probe(fam, p_level, trials, seed):
     for t in range(trials):
         c = real[t] + 1j * imag[t]
         n, extra = int(splits[t]), int(extras[t])
-        u = fam.family[:, :n] @ c[:n]
-        v = fam.family[:, :n + extra] @ c[:n + extra]
+        u = np.asarray(fam.family)[:, :n] @ c[:n]
+        v = np.asarray(fam.family)[:, :n + extra] @ c[:n + extra]
         pu = tri.seminorm(u, p_level)
         for q in worst:
             pv = tri.seminorm(v, q)
@@ -89,8 +89,8 @@ def loop_probe(fam, p_level, trials, seed):
 
 def loop_positivity(fam, samples, seed):
     """Worst |<S f, f> - sum |a|^2| over f = Xi a, one sample at a time."""
-    z, xi = fam.dual, fam.family
-    pinv = fam.inverse[0]
+    z, xi = np.asarray(fam.dual), np.asarray(fam.family)
+    pinv = np.asarray(fam.pinv_rank[0])
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(samples):
@@ -110,8 +110,9 @@ def loop_similarity(pair, count, seed):
         eta = rng.standard_normal(pair.dim) + 1j * rng.standard_normal(pair.dim)
         xi /= np.linalg.norm(xi)
         eta /= np.linalg.norm(eta)
-        lhs = pairing(pair.hamiltonian @ xi, pair.transform.conj().T @ eta)
-        rhs = pairing(pair.transform @ xi, pair.selfadjoint @ eta)
+        t = np.asarray(pair.transform)
+        lhs = pairing(pair.hamiltonian @ xi, t.conj().T @ eta)
+        rhs = pairing(t @ xi, pair.selfadjoint @ eta)
         worst = max(worst, abs(lhs - rhs))
     return worst, rng
 
@@ -202,7 +203,7 @@ def test_positivity_takes_the_loop_samples(fam, seed):
     rng = np.random.default_rng(6)
     shift = rng.standard_normal(fam.dual.shape) \
         + 1j * rng.standard_normal(fam.dual.shape)
-    off = replace(fam, dual=fam.dual + 1e-3 * shift)
+    off = replace(fam, dual=np.asarray(fam.dual) + 1e-3 * shift)
     loop, _ = loop_positivity(off, 50, seed)
     assert loop > 1e-3
     assert metric_operator_check(off, seed=seed).positivity == \

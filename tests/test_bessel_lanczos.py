@@ -32,7 +32,7 @@ FAMILIES = {
 
 
 def dense_top_eigenvalue(fam, j):
-    s = fam.triplet.scale(-j, fam.dual)
+    s = fam.triplet.scale(-j, np.asarray(fam.dual))
     return float(np.linalg.eigvalsh(s.conj().T @ s)[-1])
 
 

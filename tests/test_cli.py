@@ -538,6 +538,18 @@ def test_support_tolerance_admits_a_narrow_sobolev_window(tmp_path):
         <= 1e-12
 
 
+def test_aliasing_tolerance_sets_the_hermite_grid(tmp_path):
+    # The worst fraction is 0.47 at 64 points and 1.7e-9 at 128; the
+    # default 1e-10 takes 256.
+    argv = ["example", "--example", "hermite", "--size", "64", "--seed", "1"]
+    loose = run_json(tmp_path, argv + ["--tolerance", "aliasing=1e-2"])
+    records = section(loose, "hermite-values")["records"]
+    assert records["grid_points"] == 128
+    assert 1e-10 < records["worst_aliasing_fraction"] <= 1e-2
+    default = run_json(tmp_path, argv, "default.json")
+    assert section(default, "hermite-values")["records"]["grid_points"] == 256
+
+
 def count_calls(monkeypatch, names):
     """Count calls of each named function, wherever a rieszlab module
     binds it, since the CLI and the models call helpers by name."""

@@ -18,12 +18,14 @@ bounds that gap.  A real diagonal loaded from a file is such a dense
 array, so it takes LAPACK.
 """
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import rieszlab.cli as cli
-from rieszlab import WeightedTriplet, certificate_norm, hamiltonian, spaces
+from rieszlab import (WeightedTriplet, certificate_norm, hamiltonian,
+                      make_riesz_basis, spaces)
 from rieszlab.sequences import (_product, max_deviation, pseudo_inverse,
                                 singular_values)
 from rieszlab.triplet import Diagonal
@@ -130,6 +132,38 @@ def test_other_matrices_take_lapack(monkeypatch, case):
         singular_values(a)
     pseudo_inverse(a)
     assert len(calls) == (1 if case == "non-finite" else 2)
+
+
+def count_svd(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *args, **kw: calls.append(1) or svd(*args, **kw))
+    return calls
+
+
+def test_replace_keeps_the_held_maps(monkeypatch):
+    _, basis = spaces.number_operator_model(16, 2)
+    fam, pair = basis.fam, hamiltonian.demo_pair(256)
+    copy = replace(fam)
+    assert copy.family is fam.family and copy.dual is fam.dual
+    assert replace(pair).transform is pair.transform
+    again = replace(basis)
+    assert again.transform is basis.transform and again.fam is fam
+    value = hamiltonian.spectrum_residual(pair)
+    calls = count_svd(monkeypatch)
+    assert hamiltonian.spectrum_residual(replace(pair)) == value
+    assert calls == []
+
+
+def test_rebuild_from_a_held_diagonal_map_skips_lapack(monkeypatch):
+    tri, basis = spaces.number_operator_model(16)
+    calls = count_svd(monkeypatch)
+    again = make_riesz_basis(basis.transform, tri)
+    assert calls == []
+    assert isinstance(again.fam.family, Diagonal)
+    assert np.array_equal(again.fam.family.d, basis.fam.family.d)
+    assert np.array_equal(again.fam.dual.d, basis.fam.dual.d)
 
 
 def test_real_dtype_and_empty_matrices():

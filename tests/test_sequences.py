@@ -9,10 +9,11 @@ from rieszlab import (ContinuityError, DimensionError, LevelError,
                       bessel_bound_sampled, bessel_factor,
                       biorthogonality_residual, certificate_norm, coords_of,
                       dual_analysis, frame_operator, is_tainted, level_gram,
-                      make_linear_map, make_riesz_basis, pairing, partial_sum,
+                      make_linear_map, make_riesz_basis,
+                      number_operator_model, pairing, partial_sum,
                       partial_sum_adjoint, riesz_fischer_check,
-                      schauder_inequality_probe, synthesis,
-                      weak_expansion_residual)
+                      schauder_inequality_probe, schwartz_hermite_model,
+                      synthesis, weak_expansion_residual)
 from rieszlab.sequences import pseudo_inverse
 
 from conftest import random_vector, well_conditioned_transform
@@ -67,7 +68,7 @@ class TestFamilyConstruction:
         tri = WeightedTriplet(2, np.ones(2))
         fam = SequenceFamily(np.eye(2), tri)
         with pytest.raises(MissingDualError):
-            fam.require_dual()
+            bessel_bound_sampled(fam, 1, samples=1)
         assert not is_tainted(fam)
 
 
@@ -446,6 +447,16 @@ class TestLevelGram:
         fam, _ = transported(rng, 5, levels=2)
         g = level_gram(fam, 2)
         assert np.max(np.abs(g - g.conj().T)) < 1e-14
+
+    @pytest.mark.parametrize("model", ["number-op", "schwartz"])
+    def test_declared_diagonal_equals_the_dense_gram(self, model):
+        fam = (number_operator_model(16, 2)[1].fam if model == "number-op"
+               else schwartz_hermite_model(16, 2)[1])
+        for j in range(fam.triplet.levels + 1):
+            x = fam.triplet.scale(j, np.asarray(fam.family))
+            gram = level_gram(fam, j)
+            assert isinstance(gram, np.ndarray)
+            assert gram.shape == (16, 16) and (gram == x.conj().T @ x).all()
 
 
 def test_duality_estimate_through_coefficients(rng):

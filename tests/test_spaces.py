@@ -275,7 +275,7 @@ class TestNumberOperatorModel:
         tri, basis = number_operator_model(4, levels=2)
         assert basis.strict == "non-strict"
         for k in range(4):
-            xi = basis.fam.family[:, k]
+            xi = np.asarray(basis.fam.family)[:, k]
             assert tri.seminorm(xi, 2) == pytest.approx(k + 1.0, rel=1e-12)
 
     def test_dimension_one(self):
