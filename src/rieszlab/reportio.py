@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 from dataclasses import dataclass, field
 
@@ -24,32 +25,28 @@ VERDICTS = ("pass", "fail", "strict", "non-strict", "inconclusive", "tainted")
 
 # -- complex matrix CSV ------------------------------------------------------
 
-def _csv_rows(path):
-    """(line, stripped cells) for each CSV row of a file.  An unreadable
-    file is a ConfigError and malformed CSV a ParseError."""
+def _csv_rows(path, text):
+    """(line, stripped cells) for each CSV row of `text`, the contents of
+    `path`.  Malformed CSV is a ParseError."""
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            for lineno, row in enumerate(reader, start=1):
-                yield lineno, [c.strip() for c in row]
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
+        for lineno, row in enumerate(reader, start=1):
+            yield lineno, [c.strip() for c in row]
     except csv.Error as exc:
         raise ParseError(path, reader.line_num, 1, str(exc)) from exc
 
 
-def load_complex_matrix(path, expected_shape=None):
-    """Read a complex matrix stored row-major with (re, im) column pairs.
+def _parse_rows(path, text):
+    """The (re, im) float array of `text`, parsed row by row.
 
     A single leading non-numeric row is treated as a header.  Parse
-    failures, non-finite cells included, report file, line and column; a
-    shape mismatch names the file.
+    failures, non-finite cells included, report file, line and column.
     """
     rows = []
     linenos = []
     width = None
     first_data_line = True
-    for lineno, cells in _csv_rows(path):
+    for lineno, cells in _csv_rows(path, text):
         if not cells or all(c == "" for c in cells):
             continue
         parsed = []
@@ -87,6 +84,32 @@ def load_complex_matrix(path, expected_shape=None):
         row, col = np.argwhere(bad)[0]
         raise ParseError(path, linenos[row], int(col) + 1,
                          f"non-finite value: {float(arr[row, col])!r}")
+    return arr
+
+
+def load_complex_matrix(path, expected_shape=None):
+    """Read a complex matrix stored row-major with (re, im) column pairs.
+
+    A plain numeric file is parsed in one `np.loadtxt` pass; any other
+    file (a header, blank text, quoting, odd or ragged widths, non-finite
+    cells) goes to `_parse_rows`, which gives the errors with file, line
+    and column.  A shape mismatch names the file.
+    """
+    try:
+        with open(path, newline="") as fh:
+            text = "".join(fh)  # line reads: decode errors as csv saw them
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    arr = None
+    if text.strip():  # loadtxt warns on empty input
+        try:
+            arr = np.loadtxt(io.StringIO(text), delimiter=",", comments=None,
+                             ndmin=2, dtype=float)
+        except ValueError:
+            pass
+    if (arr is None or not arr.size or arr.shape[1] % 2
+            or not np.isfinite(arr).all()):
+        arr = _parse_rows(path, text)
     mat = arr[:, 0::2] + 1j * arr[:, 1::2]
     if expected_shape is not None and mat.shape != tuple(expected_shape):
         raise DimensionError(
@@ -216,8 +239,6 @@ def render_csv(report):
             for k in sorted(ev):
                 lines.append([s.name, "verdict", v.name, k,
                               json.dumps(ev[k], sort_keys=True)])
-    import io
-
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerows(lines)

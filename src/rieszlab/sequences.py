@@ -241,11 +241,16 @@ def _dual_of(fam):
 
 
 def _kept_inverse(s):
-    """(1/s where |s| > RANK_RTOL max|s| and 0 elsewhere, kept count)."""
+    """(1/s where |s| > RANK_RTOL max|s| and 0 elsewhere, kept count).  A
+    reciprocal that overflows raises ContinuityError."""
     top = np.max(np.abs(s)) if s.size else 0.0
     keep = np.abs(s) > (RANK_RTOL * top if top > 0 else np.inf)
     inv = np.zeros_like(s)
-    inv[keep] = 1.0 / s[keep]
+    with np.errstate(over="ignore"):
+        inv[keep] = 1.0 / s[keep]
+    if not np.isfinite(inv).all():
+        raise ContinuityError("the pseudo-inverse overflows: smallest kept "
+                              f"singular value {np.min(np.abs(s[keep])):.3g}")
     return inv, int(np.sum(keep))
 
 

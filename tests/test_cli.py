@@ -464,6 +464,18 @@ def test_overflowing_strictness_constants_are_an_error(capsys, argv):
     assert "non-finite values in the scaled operator" in refusal(argv, capsys)
 
 
+@pytest.mark.parametrize("argv", [
+    ["reconstruct"], ["bessel", "--seed", "0"], ["strictness"],
+    ["check-biorthogonal"]], ids=lambda argv: argv[0])
+def test_overflowing_pseudo_inverse_is_an_error(tmp_path, capsys, argv):
+    # A one-to-one transform with subnormal singular values: 1/s overflows.
+    path = tmp_path / "t.csv"
+    path.write_text("1e-310,0,0,0\n0,0,1e-310,0\n")
+    assert refusal(argv + ["--transform", str(path)], capsys) == (
+        "error: the pseudo-inverse overflows: smallest kept singular value "
+        "1e-310\n")
+
+
 SOBOLEV_STRICTNESS = ["strictness", "--example", "sobolev", "--seed", "0"]
 
 

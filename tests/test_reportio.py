@@ -1,15 +1,18 @@
+import csv
 import json
 import pathlib
+import warnings
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rieszlab import (DiagnosticsReport, DimensionError, LineGrid, ParseError,
-                      SampledFunction, Section, ValidationError, Verdict,
-                      config_digest, load_complex_matrix, render_csv,
-                      render_json, save_complex_matrix, save_function_csv,
-                      save_report)
+from rieszlab import (ConfigError, DiagnosticsReport, DimensionError,
+                      LineGrid, ParseError, RieszLabError, SampledFunction,
+                      Section, ValidationError, Verdict, config_digest,
+                      load_complex_matrix, render_csv, render_json, reportio,
+                      save_complex_matrix, save_function_csv, save_report)
 from rieszlab.reportio import SCHEMA_VERSION, jsonify
 
 from conftest import random_vector
@@ -122,6 +125,130 @@ class TestComplexMatrixCsv:
         x0, re0, im0 = (float(c) for c in text[1].split(","))
         assert x0 == grid.nodes[0]
         assert complex(re0, im0) == f.values[0]
+
+
+# -- the one-pass route against the row-by-row reader ----------------------
+
+# Derandomized, so every run tries the same files and a failure reproduces.
+DIFFERENTIAL = settings(max_examples=200, deadline=None, derandomize=True)
+
+
+def outcome(load, path):
+    """(shape, bytes) of the matrix `load` returns, or the class and text
+    of the error it raises.  Any warning fails the call."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            mat = load(path)
+        except RieszLabError as exc:
+            return type(exc), str(exc)
+    return mat.shape, mat.tobytes()
+
+
+def row_route(path):
+    """The matrix `_parse_rows` reads from the file's text."""
+    with open(path, newline="") as fh:
+        arr = reportio._parse_rows(path, "".join(fh))
+    return arr[:, 0::2] + 1j * arr[:, 1::2]
+
+
+def assert_routes_agree(path, text):
+    path.write_bytes(text.encode())
+    assert outcome(load_complex_matrix, path) == outcome(row_route, path)
+
+
+EDGE_FILES = {
+    "numeric": "1.0,-0.0,2.5,1e-300\n-3,+4, 5e2 ,\t6\t\n",
+    "header": "re,im\n1.0,2.0\n",
+    "header-only": "re,im\n",
+    "quoted-cell": '"1.5",0\n2,3\n',
+    "blank-lines": "\n1,2\n\n3,4\n\n",
+    "whitespace-lines": "  \n1,2\n\t\n3,4\n \n",
+    "crlf": "1,2\r\n3,4\r\n",
+    "bare-cr": "1,2\r3,4\r",
+    "underscore": "1_0,2\n",
+    "comment-line": "1,2\n# note\n3,4\n",
+    "hash-in-cell": "1,2#3,4\n",
+    "trailing-comma": "1,2,\n",
+    "trailing-comma-twice": "1,2,\n3,4,\n",
+    "nan": "1,2\n3,nan\n",
+    "minus-inf": "-inf,0\n",
+    "overflow": "1,2\n1e400,0\n",
+    "odd": "1,2,3\n",
+    "single-column": "1\n2\n",
+    "ragged": "1,2\n1,2,3,4\n",
+    "empty": "",
+    "blank": "\n \n\t\n",
+    "commas-only": ",,\n",
+}
+
+
+@pytest.mark.parametrize("text", EDGE_FILES.values(), ids=EDGE_FILES.keys())
+def test_routes_agree_on_edge_files(tmp_path, text):
+    assert_routes_agree(tmp_path / "mat.csv", text)
+
+
+NUMBERS = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+AWKWARD = st.sampled_from(["", "  ", " 1.5 ", "+2", "-0", "1e-400", "1_0",
+                           '"3"', "nan", "-inf", "1e400", "re", "0x10",
+                           "\t4\t", "1#2", "# 1", "1,2", "1,2,3"])
+EXTRA_LINES = st.sampled_from(["", " ", "re,im", "1,2,", ",", "# note"])
+
+
+@st.composite
+def csv_files(draw):
+    """A numeric table of (re, im) pairs, with a few cells, lines and line
+    ends swapped for ones near the edge of the one-pass route."""
+    width = 2 * draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(NUMBERS, min_size=width, max_size=width),
+                         min_size=1, max_size=4))
+    for _ in range(draw(st.integers(0, 2))):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, width - 1))] = draw(AWKWARD)
+    lines = [",".join(row) for row in rows]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(EXTRA_LINES))
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    return "".join(line + draw(ends) for line in lines)
+
+
+@DIFFERENTIAL
+@given(text=csv_files())
+def test_routes_agree_on_generated_files(tmp_path_factory, text):
+    assert_routes_agree(tmp_path_factory.mktemp("csv") / "mat.csv", text)
+
+
+@pytest.mark.parametrize("offset", [0, 20_000])
+def test_undecodable_file_is_a_config_error(tmp_path, offset):
+    path = tmp_path / "mat.csv"
+    path.write_bytes(b"1.0,2.0\n" * (offset // 8) + b"1.0,\xff\n")
+    # The text a row-by-row read of the open file fails with.
+    with open(path, newline="") as fh, pytest.raises(UnicodeDecodeError) \
+            as decode:
+        list(csv.reader(fh))
+    assert outcome(load_complex_matrix, path) == (
+        ConfigError, f"cannot read {path}: {decode.value}")
+
+
+def test_saved_matrix_takes_the_one_pass_route(tmp_path, monkeypatch, rng):
+    calls = []
+    parse_rows = reportio._parse_rows
+
+    def counted(*args):
+        calls.append(args)
+        return parse_rows(*args)
+
+    monkeypatch.setattr(reportio, "_parse_rows", counted)
+    mat = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+    mat[0, :3] = [-0.0, 1e-300 - 1e300j, 5e-324]
+    path = tmp_path / "mat.csv"
+    save_complex_matrix(path, mat)
+    assert np.array_equal(load_complex_matrix(path), mat)
+    assert calls == []
+    # A header line sends the same numbers to the row reader.
+    path.write_text("re,im\n" + path.read_text())
+    assert np.array_equal(load_complex_matrix(path), mat)
+    assert len(calls) == 1
 
 
 class TestJsonify:

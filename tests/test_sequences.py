@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from rieszlab import (ContinuityError, DimensionError, LevelError,
                       schauder_inequality_probe, schwartz_hermite_model,
                       synthesis, weak_expansion_residual)
 from rieszlab.sequences import pseudo_inverse
+from rieszlab.triplet import Diagonal
 
 from conftest import random_vector, well_conditioned_transform
 
@@ -488,6 +490,20 @@ def test_pseudo_inverse_drops_tiny_singular_values(rng):
     assert rank == 2
     assert np.max(np.abs(pinv - np.linalg.pinv(b, rcond=1e-12))) < 1e-12
     assert pseudo_inverse(np.zeros((3, 2)))[1] == 0
+
+
+@pytest.mark.parametrize("matrix", [Diagonal(np.full(3, 1e-310)),
+                                    np.diag([1e-310, 1e-310])],
+                         ids=["diagonal", "dense"])
+def test_overflowing_pseudo_inverse_is_refused(matrix):
+    # Subnormal singular values are kept (the cutoff is relative) and
+    # their reciprocals overflow.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails
+        with pytest.raises(ContinuityError) as err:
+            pseudo_inverse(matrix)
+    assert str(err.value) == ("the pseudo-inverse overflows: smallest kept "
+                              "singular value 1e-310")
 
 
 def test_flattening_certificate_controls_coefficients(rng):
