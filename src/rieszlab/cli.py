@@ -12,6 +12,8 @@ may compute them in any order, and the command fixes assembly order.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import json
 import sys
 import time
@@ -54,6 +56,7 @@ SEEDED = frozenset({"bessel", "example", "pseudo-hermitian", "full-report"})
 EXAMPLES = ("number-op", "schwartz", "hermite", "sobolev")
 WEIGHT_RULES = ("ones", "linear", "quadratic")
 DEFAULT_LADDER = (8, 16, 32, 64)
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc mallopt(3) keys
 
 #: Random draws per report: partial-sum probe trials, weak-similarity pairs.
 SCHAUDER_TRIALS = 200
@@ -809,7 +812,19 @@ def run(cfg):
     return DiagnosticsReport(meta, sections)
 
 
+@functools.cache
+def _keep_freed_arrays():
+    """Reuse freed array memory rather than page-fault it back in."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # not glibc: keep defaults
+        return
+    mallopt(M_MMAP_THRESHOLD, 4 << 20)
+    mallopt(M_TRIM_THRESHOLD, 16 << 20)
+
+
 def main(argv=None):
+    _keep_freed_arrays()
     try:
         cfg = config_from_args(build_parser().parse_args(argv))
         report = run(cfg)

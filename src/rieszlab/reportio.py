@@ -97,7 +97,7 @@ def load_complex_matrix(path, expected_shape=None):
     """
     try:
         with open(path, newline="") as fh:
-            text = "".join(fh)  # line reads: decode errors as csv saw them
+            text = fh.read()  # one decode: errors name the file offset
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     arr = None

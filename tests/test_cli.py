@@ -1,3 +1,4 @@
+import ctypes
 import dataclasses
 import json
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from rieszlab import save_complex_matrix
-from rieszlab.cli import SECTIONS, RunConfig, main
+from rieszlab.cli import SECTIONS, RunConfig, _keep_freed_arrays, main
 from rieszlab.reportio import jsonify
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -620,6 +621,69 @@ def test_memory_failure_is_an_error_line(monkeypatch, capsys):
     out = capsys.readouterr()
     assert out.err == "error: out of memory\n" and out.out == ""
     assert "Traceback" not in out.err
+
+
+def has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+# Runs `main` three times in one process and prints the minor page faults
+# of the third run, then the first run's report.
+FAULT_PROBE = """
+import contextlib, io, resource, sys
+from rieszlab.cli import main
+reports = []
+for _ in range(3):
+    out = io.StringIO()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with contextlib.redirect_stdout(out):
+        assert main(sys.argv[1:]) == 0
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    reports.append(out.getvalue())
+print(faults)
+sys.stdout.write(reports[0])
+"""
+
+
+@pytest.mark.skipif(not has_mallopt(), reason="C library has no mallopt")
+def test_repeated_report_reuses_freed_array_memory(capsys):
+    pytest.importorskip("resource")
+    argv = ["full-report", "--example", "sobolev", "--dim", "10", "--size",
+            "1024", "--seed", "0", "--no-timing"]
+    proc = subprocess.run([sys.executable, "-c", FAULT_PROBE, *argv],
+                          capture_output=True, text=True, env=SRC_ENV)
+    assert proc.returncode == 0, proc.stderr
+    faults, report = proc.stdout.split("\n", 1)
+    # The default thresholds unmap the report's 160 KiB panels when they
+    # are freed: a few hundred faults per report.
+    assert int(faults) <= 64
+    assert main(argv) == 0
+    assert report == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("lookup_error", [OSError, AttributeError])
+def test_missing_mallopt_leaves_the_report_unchanged(monkeypatch, capsys,
+                                                     request, lookup_error):
+    argv = ["strictness", "--example", "number-op", "--dim", "4",
+            "--no-timing"]
+    assert main(argv) == 0
+    expected = capsys.readouterr()
+    lookups = []
+
+    def libc(name):
+        lookups.append(name)
+        if lookup_error is OSError:
+            raise OSError("no C library")
+        return object()  # a C library without mallopt
+
+    monkeypatch.setattr(ctypes, "CDLL", libc)
+    _keep_freed_arrays.cache_clear()
+    request.addfinalizer(_keep_freed_arrays.cache_clear)
+    assert main(argv) == 0
+    assert lookups == [None] and capsys.readouterr() == expected
 
 
 class TestPseudoHermitian:

@@ -1,4 +1,3 @@
-import csv
 import json
 import pathlib
 import warnings
@@ -222,10 +221,11 @@ def test_routes_agree_on_generated_files(tmp_path_factory, text):
 def test_undecodable_file_is_a_config_error(tmp_path, offset):
     path = tmp_path / "mat.csv"
     path.write_bytes(b"1.0,2.0\n" * (offset // 8) + b"1.0,\xff\n")
-    # The text a row-by-row read of the open file fails with.
+    # The text a whole-file decode fails with, naming the file offset.
     with open(path, newline="") as fh, pytest.raises(UnicodeDecodeError) \
             as decode:
-        list(csv.reader(fh))
+        fh.read()
+    assert decode.value.start == offset + 4
     assert outcome(load_complex_matrix, path) == (
         ConfigError, f"cannot read {path}: {decode.value}")
 
