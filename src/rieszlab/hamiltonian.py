@@ -20,8 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionError, InjectivityError, ValidationError
-from .sequences import (_adjoint, _as_map, _lanczos_top, _product,
-                        max_deviation, pseudo_inverse)
+from .sequences import _as_map, _lanczos_top, max_deviation, pseudo_inverse
 from .trends import classify_growth, loglog_slope
 from .triplet import Diagonal, coords_of
 
@@ -63,7 +62,7 @@ class HamiltonianPair:
         """(max_k |eigvalsh(M)_k - sort(lambda)_k|, ||K||_F) for the
         Hermitian and skew parts M, K of S = T H T^{-1}."""
         tinv, _ = pseudo_inverse(self.transform)
-        s = _product(_product(self.transform, self.hamiltonian), tinv)
+        s = self.transform @ self.hamiltonian @ tinv
         sh = s.conj().T
         gap = np.abs(np.linalg.eigvalsh((s + sh) / 2.0)
                      - np.sort(self.eigenvalues))
@@ -120,8 +119,7 @@ def build_pair(eigenvalues, eigenvectors, transform):
     lam = np.real(eigenvalues).astype(float).ravel()
     psi = np.asarray(eigenvectors, dtype=complex)
     degenerate = bool(np.any(np.diff(np.sort(lam)) < 1e-12))
-    h = _product(_product(tinv, hsa), t)
-    return HamiltonianPair(h, hsa, t, lam, psi, _product(tinv, psi),
+    return HamiltonianPair(tinv @ hsa @ t, hsa, t, lam, psi, tinv @ psi,
                            degenerate)
 
 
@@ -138,9 +136,8 @@ def weak_similarity_residual(pair, xi, eta):
     if x.shape != e.shape or x.shape[-1] != pair.dim:
         raise DimensionError("vector pairs do not match the pair dimension")
     t = pair.transform
-    lhs = np.sum(_product(e, _adjoint(t).T).conj() * (x @ pair.hamiltonian.T),
-                 axis=-1)
-    rhs = np.sum((e @ pair.selfadjoint.T).conj() * _product(x, t.T), axis=-1)
+    lhs = np.sum((e @ t.conj()).conj() * (x @ pair.hamiltonian.T), axis=-1)
+    rhs = np.sum((e @ pair.selfadjoint.T).conj() * (x @ t.T), axis=-1)
     res = np.abs(lhs - rhs)
     return float(res) if res.ndim == 0 else res
 
@@ -228,7 +225,7 @@ def density_diagnostic(transform_rule, ladder):
         t = _as_map(transform_rule(n))
         eta = np.zeros(t.shape[0], dtype=complex)
         eta[-1] = 1.0
-        norms.append(float(np.linalg.norm(_product(_adjoint(t), eta))))
+        norms.append(float(np.linalg.norm(t.conj().T @ eta)))
     slope = loglog_slope(ladder, norms) if len(ladder) >= 2 else None
     cls = None if slope is None else classify_growth(slope)
     flag = {"growing": "growing", "bounded": "benign"}.get(cls, "inconclusive")

@@ -17,10 +17,10 @@ import numpy as np
 
 from .errors import DimensionError, InjectivityError, StateError, ValidationError
 from .sequences import (BIORTH_TOL, DOMINATION_FACTOR, LinearMap,
-                        SequenceFamily, _adjoint, _as_map, _dual_of, _product,
-                        _require_finite, analysis, biorthogonality_residual,
-                        dual_analysis, dual_level_norm, make_linear_map,
-                        max_deviation, pseudo_inverse, singular_values)
+                        SequenceFamily, _as_map, _dual_of, _require_finite,
+                        analysis, biorthogonality_residual, dual_analysis,
+                        dual_level_norm, make_linear_map, max_deviation,
+                        pseudo_inverse, singular_values)
 from .trends import MIN_LADDER_POINTS, classify_growth, loglog_slope
 from .triplet import CoefVector, WeightedTriplet, coords_of
 
@@ -65,7 +65,7 @@ def make_riesz_basis(transform, triplet):
         raise InjectivityError(
             f"transform is singular at this truncation (rank {rank} of "
             f"{a.shape[1]})")
-    fam = SequenceFamily(xi, triplet, dual=_adjoint(a))
+    fam = SequenceFamily(xi, triplet, dual=a.conj().T)
     tmap = make_linear_map(a, triplet, pairs=((1, 0),))
     return RieszBasis(tmap, fam, triplet)
 
@@ -75,15 +75,15 @@ def adjoint_action(basis, g):
     v = coords_of(g)
     if v.shape[0] != basis.triplet.dim:
         raise DimensionError("vector does not match the model dimension")
-    return CoefVector(_product(_adjoint(basis.transform.left), v))
+    return CoefVector(basis.transform.left.conj().T @ v)
 
 
 def transport_residuals(basis):
     """(|T Xi - I|, |Z - T^H|, |T^H T Xi - Z|), each the largest entry:
     the identities `make_riesz_basis` builds in, at their roundoff."""
     t, xi, z = basis.transform.left, basis.fam.family, _dual_of(basis.fam)
-    return (max_deviation(_product(t, xi)), max_deviation(z, _adjoint(t)),
-            max_deviation(_product(_product(_adjoint(t), t), xi), z))
+    return (max_deviation(t @ xi), max_deviation(z, t.conj().T),
+            max_deviation(t.conj().T @ t @ xi, z))
 
 
 def coefficient_seminorm(fam, f):
@@ -125,20 +125,19 @@ def metric_operator_check(fam, samples=50, seed=0, positivity_tol=1e-8):
     the level constants are exact scaled singular values, not samples.
     """
     z = _dual_of(fam)
-    xi = fam.family
     pinv, rank = fam.pinv_rank
     if rank == 0 or rank < fam.size:
         raise InjectivityError("family matrix is singular; S is not determined")
     metric = make_linear_map(z, fam.triplet, pairs=((1, -1),),
-                             right=_adjoint(pinv))
+                             right=pinv.conj().T)
 
     # Row t holds re a and im a of sample t: the stream order of drawing
     # the samples one by one.
     draws = np.random.default_rng(seed).standard_normal(
         (int(samples), 2, fam.size))
     a = draws[:, 0] + 1j * draws[:, 1]
-    f = _product(a, xi.T)
-    form = np.sum(f.conj() * _product(_product(f, pinv.T), z.T), axis=1)
+    f = a @ fam.family.T
+    form = np.sum(f.conj() * (f @ pinv.T @ z.T), axis=1)
     mass = np.sum(np.abs(a) ** 2, axis=1)
     worst = float(np.max(np.abs(form - mass), initial=0.0))
 

@@ -6,9 +6,10 @@ biorthogonal partner sequence on the dual side of the triplet.  Every
 operator built here is a finite matrix, certified across the seminorm
 ladder by the largest singular value of its weight-scaled form.  Maps of
 rank at most M are kept as their thin N x M factors, and a map that a
-model builder declares diagonal stays a `Diagonal`, which the helpers
-below (`_product`, `_adjoint`, `max_deviation`, `singular_values`,
-`pseudo_inverse`) take in O(N); so no N x N array is formed on the way.
+model builder declares diagonal stays a `Diagonal`, which multiplies
+itself in O(N) under `@` and `.conj().T`, and which `max_deviation`,
+`singular_values` and `pseudo_inverse` take in closed form; so no N x N
+array is formed on the way.
 Nothing is mutated: checks that recover a dual return a new family.
 """
 from __future__ import annotations
@@ -45,28 +46,19 @@ def _as_map(a):
     return a if isinstance(a, Diagonal) else np.asarray(a, dtype=complex)
 
 
-def _adjoint(a):
-    """A^H; a real Diagonal is its own adjoint."""
-    return a if isinstance(a, Diagonal) else a.conj().T
-
-
-def _product(a, b):
-    """a @ b, where a Diagonal scales the rows of an array on its right or
-    the last axis of one on its left.  Each entry then has one nonzero
-    term, so it equals the BLAS product of the dense matrices bit for bit.
-    """
-    if isinstance(a, Diagonal):
-        if isinstance(b, Diagonal):
-            return Diagonal(a.d * b.d)
-        return a.d.reshape((-1,) + (1,) * (np.ndim(b) - 1)) * b
-    if isinstance(b, Diagonal):
-        return a * b.d
-    return a @ b
-
-
 def _leading(a, n):
-    """The first n columns of a map; all of them as held."""
-    return a if n == a.shape[1] else np.asarray(a)[:, :n]
+    """The first n columns of a map, all of them as held; a Diagonal gives
+    its N x n block without forming the N x N matrix."""
+    if isinstance(a, Diagonal) and n < a.shape[1]:
+        block = np.zeros((a.shape[0], n), dtype=complex)
+        np.fill_diagonal(block, a.d[:n])
+        return block
+    return a if n == a.shape[1] else a[:, :n]
+
+
+def _canonical_columns(n, m):
+    """E_M, the n x m identity block, a Diagonal when square."""
+    return Diagonal(np.ones(n)) if n == m else np.eye(n, m)
 
 
 def max_deviation(a, b=None):
@@ -116,7 +108,7 @@ def certificate_norm(matrix, triplet, from_level, to_level, right=None):
         left = triplet.scale(to_level, a)
         if right is None:
             # A S = (S A^H)^H because every scaling is Hermitian.
-            prod = _adjoint(triplet.scale(-from_level, _adjoint(left)))
+            prod = triplet.scale(-from_level, left.conj().T).conj().T
         else:
             c = triplet.scale(-from_level, right)
             _require_finite(from_level, to_level, left, c)
@@ -124,7 +116,7 @@ def certificate_norm(matrix, triplet, from_level, to_level, right=None):
                 prod = (np.linalg.qr(left, mode="r")
                         @ np.linalg.qr(c, mode="r").conj().T)
             else:
-                prod = _product(left, _adjoint(c))
+                prod = left @ c.conj().T
     _require_finite(from_level, to_level, prod)
     if 0 in prod.shape:
         return 0.0
@@ -146,9 +138,8 @@ class LinearMap:
 
     @cached_property
     def matrix(self):
-        if self.right is None:
-            return np.asarray(self.left)
-        return np.asarray(_product(self.left, _adjoint(self.right)))
+        return np.asarray(self.left if self.right is None
+                          else self.left @ self.right.conj().T)
 
     @property
     def shape(self):
@@ -274,7 +265,7 @@ def biorthogonality_residual(fam):
     z = _dual_of(fam)
     with np.errstate(over="ignore", invalid="ignore"):
         # The (k, n) entry of Xi^H Z equals <zeta_n, xi_k>.
-        res = max_deviation(_product(_adjoint(fam.family), z))
+        res = max_deviation(fam.family.conj().T @ z)
     if not np.isfinite(res):
         raise ValidationError(
             "non-finite biorthogonality residual: the family-dual pairings "
@@ -298,7 +289,7 @@ def analysis(fam, eta):
     v = coords_of(eta)
     if v.shape[0] != fam.dim:
         raise DimensionError("analysis input does not match the model dimension")
-    return _product(_adjoint(z), v)
+    return z.conj().T @ v
 
 
 def synthesis(fam, a):
@@ -307,7 +298,7 @@ def synthesis(fam, a):
     a = np.atleast_1d(np.asarray(a, dtype=complex))
     if a.shape[0] != fam.size:
         raise DimensionError("synthesis needs one coefficient per dual vector")
-    return CoefVector(_product(z, a))
+    return CoefVector(z @ a)
 
 
 def frame_operator(fam):
@@ -409,8 +400,8 @@ def bessel_bound_lanczos(fam, j, tol, seed):
     z = _dual_of(fam)
     _check_level(fam, j)
     s = fam.triplet.scale(-j, z)
-    s_h = _adjoint(s)
-    return _lanczos_top(lambda v: _product(s_h, _product(s, v)), fam.size,
+    s_h = s.conj().T
+    return _lanczos_top(lambda v: s_h @ (s @ v), fam.size,
                         tol, seed, f"the level-{j} Bessel products")
 
 
@@ -463,9 +454,8 @@ def bessel_factor(fam):
     (Z, E_M), E_M the first M canonical columns.  Its (0, -1) certificate
     squared reproduces the level-1 Bessel bound (factorization)."""
     z = _dual_of(fam)
-    n, m = z.shape
-    e_m = Diagonal(np.ones(n)) if n == m else np.eye(n, m)
-    return make_linear_map(z, fam.triplet, pairs=((0, -1),), right=e_m)
+    return make_linear_map(z, fam.triplet, pairs=((0, -1),),
+                           right=_canonical_columns(*z.shape))
 
 
 # -- Riesz-Fischer-type check ------------------------------------------------
@@ -501,14 +491,13 @@ def riesz_fischer_check(fam):
     xi = fam.family
     n, m = xi.shape
     pinv, rank = fam.pinv_rank
-    residual = max_deviation(_product(pinv, xi))
-    e_m = Diagonal(np.ones(n)) if n == m else np.eye(n, m)
-    flatten = make_linear_map(e_m, fam.triplet, pairs=((1, 0),),
-                              right=_adjoint(pinv))
+    residual = max_deviation(pinv @ xi)
+    flatten = make_linear_map(_canonical_columns(n, m), fam.triplet,
+                              pairs=((1, 0),), right=pinv.conj().T)
     ok = rank == m
     if ok:
         out = fam if fam.dual is not None else \
-            SequenceFamily(xi, fam.triplet, dual=_adjoint(pinv))
+            SequenceFamily(xi, fam.triplet, dual=pinv.conj().T)
         note = ("minimal-norm dual recovered; other duals exist when the "
                 "family is not total")
     else:
@@ -536,7 +525,7 @@ def dual_analysis(fam, phi):
     v = coords_of(phi)
     if v.shape[0] != fam.dim:
         raise DimensionError("dual-analysis input does not match the model")
-    coeffs = _product(_adjoint(fam.family), v)
+    coeffs = fam.family.conj().T @ v
     rank = fam.pinv_rank[1]
     return DualAnalysisResult(coeffs, float(np.sum(np.abs(coeffs) ** 2)),
                               rank, rank == fam.size)
@@ -558,15 +547,13 @@ def _order_input(fam, n, x):
 def partial_sum(fam, f, n):
     """S_n f = sum_{k<=n} conj(<zeta_k, f>) xi_k, a vector on the smooth side."""
     z, v = _order_input(fam, n, f)
-    return CoefVector(_product(_leading(fam.family, n),
-                               _product(_adjoint(_leading(z, n)), v)))
+    return CoefVector(_leading(fam.family, n) @ (_leading(z, n).conj().T @ v))
 
 
 def partial_sum_adjoint(fam, psi, n):
     """Adjoint action sum_{k<=n} <psi, xi_k> zeta_k on the dual side."""
     z, p = _order_input(fam, n, psi)
-    return CoefVector(_product(_leading(z, n),
-                               _product(_adjoint(_leading(fam.family, n)), p)))
+    return CoefVector(_leading(z, n) @ (_leading(fam.family, n).conj().T @ p))
 
 
 def weak_expansion_residual(fam, psi, f, n):
@@ -574,8 +561,8 @@ def weak_expansion_residual(fam, psi, f, n):
     of the weak expansion (0 at n = M for a biorthogonal square family)."""
     z, v = _order_input(fam, n, f)
     p = coords_of(psi)
-    a = _product(_adjoint(_leading(fam.family, n)), p)   # <psi, xi_k>
-    b = np.conj(_product(_adjoint(_leading(z, n)), v))  # <zeta_k, f>
+    a = _leading(fam.family, n).conj().T @ p  # <psi, xi_k>
+    b = np.conj(_leading(z, n).conj().T @ v)  # <zeta_k, f>
     return float(abs(pairing(p, v) - np.sum(a * b)))
 
 
@@ -587,7 +574,7 @@ def partial_sum_residuals(fam, f):
     suffix sum of |f_k|^2, both of nonnegative terms.
     """
     z, v = _order_input(fam, fam.size, f)
-    a = _product(_adjoint(z), v)
+    a = z.conj().T @ v
     out = [float(np.linalg.norm(v))]
     if isinstance(fam.family, Diagonal):
         near = np.cumsum(np.abs(v - a * fam.family.d) ** 2)
@@ -636,7 +623,7 @@ def schauder_inequality_probe(fam, p_level, trials, seed):
     cols = np.arange(m)
     coeffs = np.concatenate([np.where(cols < n[:, None], c, 0.0),
                              np.where(cols < (n + extra)[:, None], c, 0.0)])
-    sums = _product(coeffs, fam.family.T)  # row t is the partial sum (Xi c)^T
+    sums = coeffs @ fam.family.T  # row t is the partial sum (Xi c)^T
     pu, pv_at_p = np.split(tri.seminorm(sums.T, p_level), 2)
     worst = {}
     for q in range(tri.levels + 1):
@@ -651,4 +638,4 @@ def schauder_inequality_probe(fam, p_level, trials, seed):
 def level_gram(fam, j):
     """Gram matrix of the family columns in the level-j inner product."""
     x = fam.triplet.scale(j, fam.family)
-    return np.asarray(_product(_adjoint(x), x))
+    return np.asarray(x.conj().T @ x)

@@ -55,12 +55,15 @@ class CoefVector:
 class Diagonal:
     """Real diagonal N x N map diag(d), held as its length-N vector `d`.
 
-    Model builders declare diagonal maps with it, and the kernels work on
-    `d` in O(N); `dense`, or `np.asarray`, forms the read-only complex
-    N x N matrix on first read.
+    Model builders declare diagonal maps with it.  `.T` and `.conj()` are
+    the map itself, and `@` scales the rows of an array on its right or
+    the last axis of one on its left in O(N), each entry equal to the BLAS
+    product of the dense matrices bit for bit; NumPy's ufuncs refuse it.
+    `dense`, or `np.asarray`, forms the read-only complex N x N matrix.
     """
 
     d: np.ndarray
+    __array_ufunc__ = None  # so `array @ Diagonal` calls __rmatmul__
 
     def __post_init__(self):
         d = np.array(self.d, dtype=float)  # a complex vector is refused
@@ -71,6 +74,19 @@ class Diagonal:
 
     shape = property(lambda self: self.d.shape * 2)
     T = property(lambda self: self)  # a diagonal is its own transpose
+    conj = T.fget  # and, being real, its own conjugate
+
+    def __matmul__(self, other):
+        if np.shape(other)[:1] != self.d.shape:
+            raise DimensionError("Diagonal @ x: x has the wrong row count")
+        if isinstance(other, Diagonal):
+            return Diagonal(self.d * other.d)
+        return self.d.reshape((-1,) + (1,) * (np.ndim(other) - 1)) * other
+
+    def __rmatmul__(self, other):
+        if np.shape(other)[-1:] != self.d.shape:
+            raise DimensionError("x @ Diagonal: x has the wrong last axis")
+        return other * self.d
 
     @cached_property
     def dense(self):

@@ -18,16 +18,19 @@ bounds that gap.  A real diagonal loaded from a file is such a dense
 array, so it takes LAPACK.
 """
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import rieszlab.cli as cli
-from rieszlab import (WeightedTriplet, certificate_norm, hamiltonian,
-                      make_riesz_basis, spaces)
-from rieszlab.sequences import (_product, max_deviation, pseudo_inverse,
-                                singular_values)
+from rieszlab import (SequenceFamily, WeightedTriplet, certificate_norm,
+                      hamiltonian, make_riesz_basis, spaces)
+from rieszlab.errors import DimensionError
+from rieszlab.sequences import (max_deviation, partial_sum,
+                                partial_sum_adjoint, pseudo_inverse,
+                                singular_values, weak_expansion_residual)
 from rieszlab.triplet import Diagonal
 
 SIZES = [1, 2, 8, 64, 256]
@@ -77,11 +80,16 @@ def test_kernels_equal_lapack(n, kind):
         assert rank == n - (n + 1) // 3
     # Products with one nonzero term per entry give the BLAS bits.
     x = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
-    assert np.array_equal(np.asarray(_product(diag, pinv)), a @ ref_pinv)
-    assert np.array_equal(_product(diag, x), a @ x)
-    assert np.array_equal(_product(x.T, diag), x.T @ a)
-    assert max_deviation(_product(pinv, diag)) == \
+    assert np.array_equal(np.asarray(diag @ pinv), a @ ref_pinv)
+    assert np.array_equal(diag @ x, a @ x)
+    assert np.array_equal(x.T @ diag, x.T @ a)
+    assert max_deviation(pinv @ diag) == \
         float(np.max(np.abs(ref_pinv @ a - np.eye(n))))
+    # A lone vector on either side, as the Lanczos and weak-similarity
+    # kernels multiply it.
+    v = x[:, 0]
+    assert np.array_equal(diag @ v, a @ v)
+    assert np.array_equal(v @ diag, v @ a)
     # Power-of-two weights keep the scaled power-of-two entries exact.
     weights = 2.0 ** (np.arange(n) % 3) if kind == "pow2-wide" \
         else np.arange(1.0, n + 1)
@@ -164,6 +172,71 @@ def test_rebuild_from_a_held_diagonal_map_skips_lapack(monkeypatch):
     assert isinstance(again.fam.family, Diagonal)
     assert np.array_equal(again.fam.family.d, basis.fam.family.d)
     assert np.array_equal(again.fam.dual.d, basis.fam.dual.d)
+
+
+def test_products_of_diagonals_stay_diagonal():
+    a, b = Diagonal([2.0, -3.0, 0.5]), Diagonal([-1.0, 4.0, 0.0])
+    prod = a @ b
+    assert isinstance(prod, Diagonal)
+    assert np.array_equal(prod.d, [-2.0, -12.0, 0.0])
+    assert np.array_equal(np.asarray(prod), np.asarray(a) @ np.asarray(b))
+    assert a.conj().T is a and a.T.conj() is a
+
+
+def test_products_check_the_shapes():
+    diag = Diagonal(np.arange(1.0, 4.0))
+    for other in (np.ones((2, 3)), np.ones(2), Diagonal(np.ones(1)), 2.0):
+        with pytest.raises(DimensionError):
+            diag @ other
+    for other in (np.ones((3, 2)), np.ones(2)):
+        with pytest.raises(DimensionError):
+            other @ diag
+
+
+def test_ufuncs_refuse_a_diagonal():
+    # An element-wise ufunc would broadcast the dense N x N matrix, which
+    # is not an operation on the map.
+    diag = Diagonal(np.arange(1.0, 4.0))
+    with pytest.raises(TypeError):
+        np.ones(3) * diag
+    with pytest.raises(TypeError):
+        diag + np.ones(3)
+    with pytest.raises(TypeError):
+        np.abs(diag)
+    assert "dense" not in diag.__dict__
+
+
+def short_expansions(fam, order, seed=1):
+    rng = np.random.default_rng(seed)
+    f, psi = rng.standard_normal((2, fam.dim)) \
+        + 1j * rng.standard_normal((2, fam.dim))
+    return (partial_sum(fam, f, order).coords,
+            partial_sum_adjoint(fam, psi, order).coords,
+            weak_expansion_residual(fam, psi, f, order))
+
+
+def test_short_expansions_never_form_the_dense_view():
+    fam = spaces.number_operator_model(4096)[1].fam
+    tracemalloc.start()
+    try:
+        short_expansions(fam, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The two N x 8 blocks take 1 MiB, an N x N complex matrix 256 MiB.
+    assert peak < 4 * 2 ** 20
+    assert "dense" not in fam.family.__dict__
+    assert "dense" not in fam.dual.__dict__
+
+
+@pytest.mark.parametrize("order", [0, 1, 8, 255, 256])
+def test_short_expansions_equal_the_dense_family(order):
+    fam = spaces.number_operator_model(256)[1].fam
+    dense = SequenceFamily(dense_diag(fam.family.d), fam.triplet,
+                           dual=dense_diag(fam.dual.d))
+    for got, want in zip(short_expansions(fam, order),
+                         short_expansions(dense, order)):
+        assert np.array_equal(got, want)
 
 
 def test_real_dtype_and_empty_matrices():

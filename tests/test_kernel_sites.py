@@ -19,7 +19,9 @@ reaches no dense eigensolver or SVD of the N x N commutator; the kernel's
 
 Diagonal structure is declared by the model builders as a `Diagonal`,
 never rediscovered: no code of the package counts nonzeros or names the
-retired `_real_diagonal` scan.
+retired `_real_diagonal` scan.  A `Diagonal` multiplies itself under `@`
+and `.conj().T`, so no code names the retired dispatch helpers
+`_product` and `_adjoint` either.
 
 The real spectrum of a pseudo-Hermitian pair is certified through the
 Hermitian similarity T H T^{-1}, so no code of the package names the
@@ -162,17 +164,22 @@ def test_the_check_follows_helpers_of_the_module(tmp_path):
 #: Names of a structure scan, which a declared Diagonal makes unneeded.
 SCANS = {"count_nonzero", "_real_diagonal"}
 
+#: Product and adjoint dispatch, which `Diagonal.__matmul__` and
+#: `Diagonal.conj` replace.
+DISPATCH = {"_product", "_adjoint"}
+
 #: The general non-Hermitian eigensolvers.
 GENERAL_EIG = {"eig", "eigvals"}
 
 
 def name_sites(path, names):
-    """`module:line` for every name, attribute or imported name of the
-    file that is in `names`."""
+    """`module:line` for every name, attribute, defined function or
+    imported name of the file that is in `names`."""
     tree = ast.parse(path.read_text(), filename=str(path))
     return {f"{path.stem}:{node.lineno}" for node in ast.walk(tree)
             if (node.id if isinstance(node, ast.Name) else
                 getattr(node, "attr", None)) in names
+            or isinstance(node, ast.FunctionDef) and node.name in names
             or isinstance(node, ast.ImportFrom)
             and any(alias.name in names for alias in node.names)}
 
@@ -197,6 +204,20 @@ def test_the_check_sees_a_structure_scan(tmp_path):
                     "def fine(a):\n    return np.nonzero(a)\n")
     assert name_sites(path, SCANS) == {f"extra:{line}"
                                        for line in (2, 3, 7, 11)}
+
+
+def test_no_code_names_the_retired_dispatch_helpers():
+    assert package_sites(DISPATCH) == set()
+
+
+def test_the_check_sees_a_dispatch_helper(tmp_path):
+    path = tmp_path / "extra.py"
+    path.write_text("from .sequences import _adjoint\n\n\n"
+                    "def _product(a, b):\n    return a @ b\n\n\n"
+                    "def gram(seq, x):\n"
+                    "    return _product(_adjoint(x), seq._product(x, x))\n\n\n"
+                    "def fine(x):\n    return x.conj().T @ x\n")
+    assert name_sites(path, DISPATCH) == {"extra:1", "extra:4", "extra:9"}
 
 
 def test_no_code_calls_a_general_eigensolver():
