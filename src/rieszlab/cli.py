@@ -31,9 +31,9 @@ from .hamiltonian import (HamiltonianPair, demo_pair, demo_transform,
 from .reportio import (DiagnosticsReport, SCHEMA_VERSION, Section, Verdict,
                        config_digest, load_complex_matrix, render_csv,
                        render_json, save_report)
-from .riesz import (hilbert_triplet_realization, make_riesz_basis,
-                    metric_operator_check, strictness_constants,
-                    strictness_report, transport_residuals)
+from .riesz import (_realized, make_riesz_basis, metric_operator_check,
+                    strictness_constants, strictness_report,
+                    transport_residuals)
 from .sequences import (BIORTH_TOL, DOMINATION_FACTOR, SequenceFamily,
                         bessel_bound, bessel_bound_lanczos, bessel_factor,
                         biorthogonality_residual, dual_row_masses,
@@ -595,13 +595,15 @@ def _realization_section(bundle, cfg):
     if basis.strict != "strict":
         note = f"needs a strict ladder verdict, have {basis.strict}"
         return {"note": note}, [Verdict("collapse-to-hilbert-triplet",
-                                        "inconclusive", {"strict": 0})]
+                                        "inconclusive",
+                                        {"strict": basis.strict})]
     gram_tol = cfg.tolerances["gram"]
-    tri = hilbert_triplet_realization(basis, gram_tol=gram_tol)
+    tri, defect, _ = _realized(basis)
     records = {"weight_min": float(np.min(tri.weights)),
                "weight_max": float(np.max(tri.weights))}
-    return records, [Verdict("collapse-to-hilbert-triplet", "pass",
-                             {**records, "gram_tolerance": gram_tol})]
+    return records, [Verdict(
+        "collapse-to-hilbert-triplet", _pf(defect <= gram_tol),
+        {**records, "gram_defect": defect, "gram_tolerance": gram_tol})]
 
 
 def _reconstruct_section(bundle, cfg):

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import (ConfigError, DimensionError, ParseError,
                      ValidationError)
 
-SCHEMA_VERSION = "1.3"
+SCHEMA_VERSION = "1.4"
 
 VERDICTS = ("pass", "fail", "strict", "non-strict", "inconclusive", "tainted")
 

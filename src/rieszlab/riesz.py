@@ -22,7 +22,7 @@ from .sequences import (BIORTH_TOL, DOMINATION_FACTOR, LinearMap,
                         dual_level_norm, make_linear_map, max_deviation,
                         pseudo_inverse, singular_values)
 from .trends import MIN_LADDER_POINTS, classify_growth, loglog_slope
-from .triplet import CoefVector, WeightedTriplet, coords_of
+from .triplet import CoefVector, Diagonal, WeightedTriplet, coords_of
 
 
 @dataclass(frozen=True)
@@ -305,35 +305,42 @@ def with_strictness(basis, report):
 
 # -- Hilbert triplet realization --------------------------------------------
 
+def _realized(basis):
+    """(triplet, Gram defect, (+1, -1) Grams) of the collapse: the triplet
+    whose level-1 seminorm is ||T f||, from T as held, and the Grams of
+    family and dual that its own `scale` gives, (S_1 Xi)^H (S_1 Xi) and
+    (S_-1 Z)^H (S_-1 Z), both the identity."""
+    t = basis.transform.left
+    if isinstance(t, Diagonal):  # |T| = diag(|d|): the canonical model
+        tri = WeightedTriplet(t.shape[0], np.abs(t.d), 1, check_weights=False)
+    else:
+        _, s, vh = np.linalg.svd(t)
+        tri = WeightedTriplet(t.shape[0], s, 1, vh.conj().T,
+                              check_weights=False)
+    grams = tuple(y.conj().T @ y for y in (tri.scale(1, basis.fam.family),
+                                           tri.scale(-1, _dual_of(basis.fam))))
+    return tri, max(map(max_deviation, grams)), grams
+
+
 def realized_grams(basis):
     """(+1, -1) Gram matrices of family and dual in the realized triplet,
     under <T . , T .> and <|T|^{-1} . , |T|^{-1} .>: both the identity."""
-    t = basis.transform.matrix
-    xi = np.asarray(basis.fam.family)
-    z = np.asarray(_dual_of(basis.fam))
-    txi = t @ xi
-    g_plus = txi.conj().T @ txi
-    g_minus = z.conj().T @ np.linalg.solve(t.conj().T @ t, z)
-    return g_plus, g_minus
+    return tuple(np.asarray(g) for g in _realized(basis)[2])
 
 
 def hilbert_triplet_realization(basis, gram_tol=1e-8):
     """Collapse a strict basis's ladder onto a single Hilbert triplet.
 
-    The triplet's level-1 seminorm is ||T f||: the weights are the
-    singular values of T (below 1 when sigma_min(T) < 1) in its
-    right-singular-vector frame, read from the dense T.  Only a strict
-    basis may be realized; the +-1 Gram identities are verified.
+    The triplet's level-1 seminorm is ||T f||.  A `Diagonal` T = diag(d)
+    realizes to the canonical triplet with weights |d|; any other T to
+    its singular values (below 1 when sigma_min(T) < 1) in its
+    right-singular-vector frame.  Only a strict basis may be realized, and
+    the +-1 Gram identities are checked through the triplet's `scale`.
     """
     if basis.strict != "strict":
         raise StateError(
             f"realization needs a strict ladder verdict, have {basis.strict!r}")
-    t = basis.transform.matrix
-    _, s, vh = np.linalg.svd(t)
-    triplet = WeightedTriplet(t.shape[0], s, 1, vh.conj().T,
-                              check_weights=False)
-    g_plus, g_minus = realized_grams(basis)
-    defect = max(max_deviation(g_plus), max_deviation(g_minus))
+    triplet, defect, _ = _realized(basis)
     if not defect <= gram_tol:
         raise ValidationError(
             f"realized Gram identities violated (defect {defect:.2e})")

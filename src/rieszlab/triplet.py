@@ -7,12 +7,12 @@ seminorm ``p_j(f) = ||diag(w)^j f||_2``, level -j the dual norm
 ``||diag(w)^{-j} .||_2``, and the duality pairing extends the inner
 product sesquilinearly.
 
-An optional unitary frame Q (graph norms, realizations, the DFT of the
-Sobolev grid) makes the weights act on the coordinates Q^H f.  Frames are
-applied, not stored as scaling matrices: `WeightedTriplet.scale(j, X)`
-computes Q diag(w^j) Q^H X element-wise, by FFT or by two thin products,
-and a map declared as a real `Diagonal` scales in O(N).  All values are
-immutable and every operation is pure.
+An optional unitary frame Q (graph norms, realizations of a dense
+transform, the DFT of the Sobolev grid) makes the weights act on the
+coordinates Q^H f.  Frames are applied, not stored as scaling matrices:
+`WeightedTriplet.scale(j, X)` computes Q diag(w^j) Q^H X element-wise, by
+FFT or by two thin products, and a map declared as a real `Diagonal`
+scales in O(N).  All values are immutable and every operation is pure.
 """
 from __future__ import annotations
 

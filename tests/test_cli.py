@@ -11,7 +11,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from rieszlab import save_complex_matrix
+from rieszlab import Diagonal, SequenceFamily, cli, save_complex_matrix
 from rieszlab.cli import SECTIONS, RunConfig, _keep_freed_arrays, main
 from rieszlab.reportio import jsonify
 
@@ -305,6 +305,42 @@ class TestNumberOpReports:
         for expected in ("construction", "biorthogonality", "strictness",
                          "frame-operator", "riesz-fischer", "reconstruction"):
             assert expected in names
+
+    def test_realization_reports_its_gram_defect(self, tmp_path):
+        doc = run_json(tmp_path, ["full-report", "--example", "number-op",
+                                  "--dim", "64", "--seed", "0"])
+        (collapse,) = section(doc, "triplet-realization")["verdicts"]
+        assert collapse["verdict"] == "pass"
+        assert collapse["evidence"]["gram_defect"] <= \
+            collapse["evidence"]["gram_tolerance"]
+
+    def test_realization_fails_inside_the_report(self, tmp_path,
+                                                  monkeypatch):
+        model = cli.number_operator_model
+
+        def doubled(dim, levels, ladder):
+            # The strict basis with every family column doubled, held as
+            # a Diagonal: the +1 Gram becomes 4 I.
+            tri, basis = model(dim, levels, ladder)
+            twice = Diagonal(np.full(dim, 2.0))
+            fam = SequenceFamily(basis.fam.family @ twice, tri,
+                                 dual=basis.fam.dual)
+            return tri, dataclasses.replace(basis, fam=fam)
+
+        monkeypatch.setattr(cli, "number_operator_model", doubled)
+        doc = run_json(tmp_path, ["full-report", "--example", "number-op",
+                                  "--dim", "8", "--seed", "0"])
+        (collapse,) = section(doc, "triplet-realization")["verdicts"]
+        assert collapse["verdict"] == "fail"
+        assert collapse["evidence"]["gram_defect"] == pytest.approx(3.0)
+
+    def test_unrealized_collapse_carries_the_ladder_verdict(self, tmp_path):
+        doc = run_json(tmp_path, ["full-report", "--example", "number-op",
+                                  "--dim", "8", "--levels", "2",
+                                  "--seed", "0"])
+        (collapse,) = section(doc, "triplet-realization")["verdicts"]
+        assert collapse["verdict"] == "inconclusive"
+        assert collapse["evidence"] == {"strict": "non-strict"}
 
 
 class TestReconstruct:
@@ -610,7 +646,8 @@ def failing(exc):
 def test_linear_algebra_failure_is_an_error_line(monkeypatch, capsys):
     monkeypatch.setattr(np.linalg, "svd", failing(
         np.linalg.LinAlgError("SVD did not converge")))
-    assert main(["full-report", "--example", "number-op", "--seed", "1"]) == 2
+    assert main(["full-report", "--example", "sobolev", "--dim", "4",
+                 "--size", "256", "--seed", "1"]) == 2
     err = capsys.readouterr().err
     assert err == "error: linear algebra failure: SVD did not converge\n"
 

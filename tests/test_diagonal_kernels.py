@@ -300,11 +300,8 @@ def test_reports_equal_the_dense_reference(tmp_path, monkeypatch, argv):
     assert docs[0] == docs[1]
 
 
-@pytest.mark.parametrize("argv", [ARGV[1], ARGV[2], ARGV[4]],
-                         ids=[IDS[1], IDS[2], IDS[4]])
+@pytest.mark.parametrize("argv", ARGV, ids=IDS)
 def test_reports_never_form_the_dense_view(monkeypatch, capsys, argv):
-    # The level-1 number-op report realizes its strict triplet from the
-    # dense transform; the others must not read any Diagonal densely.
     def refuse(self):
         raise AssertionError("a report formed an N x N Diagonal")
 

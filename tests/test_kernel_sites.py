@@ -5,8 +5,8 @@ No linter runs in this project, so this stands in for a banned-call
 rule: singular values go through `sequences.singular_values` and
 inverses through `sequences.pseudo_inverse`, which take a `Diagonal`
 in closed form.  A new direct call would skip that shortcut.
-`riesz.hilbert_triplet_realization` needs the singular vectors of a
-transform and keeps its own call.  A matrix 2-norm, `norm(a, 2)` or
+`riesz._realized` needs the singular vectors of a dense transform and
+keeps its own call.  A matrix 2-norm, `norm(a, 2)` or
 `norm(a, ord=2)`, is an SVD too and counts as a call.
 
 `sequences.bessel_bound_lanczos` is held to the SVD certificate of the
@@ -34,7 +34,7 @@ import pathlib
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "rieszlab"
 
 ALLOWED = {"sequences.singular_values", "sequences.pseudo_inverse",
-           "riesz.hilbert_triplet_realization"}
+           "riesz._realized"}
 
 #: The certificate's kernels, which the Lanczos check must not reach.
 CERTIFICATE = {"singular_values", "pseudo_inverse", "dual_level_norm",

@@ -4,19 +4,22 @@ import warnings
 import numpy as np
 import pytest
 
-from rieszlab import (ContinuityError, DimensionError, InjectivityError,
-                      SequenceFamily,
+from rieszlab import (ContinuityError, Diagonal, DimensionError,
+                      InjectivityError, SequenceFamily,
                       StateError, ValidationError, WeightedTriplet,
                       adjoint_action, coefficient_seminorm, coords_of,
                       hilbert_triplet_realization, make_riesz_basis,
                       metric_operator_check, range_membership, realized_grams,
                       strictness_constants, strictness_report,
                       with_strictness)
+from rieszlab.cli import DEFAULT_TOLERANCES
+from rieszlab.riesz import _realized
 from rieszlab.trends import classify_growth, loglog_slope
 
 from conftest import random_vector, well_conditioned_transform
 
 LADDER = (8, 16, 32, 64)
+GRAM_TOL = DEFAULT_TOLERANCES["gram"]
 
 
 def number_op_basis(n, levels=1):
@@ -290,37 +293,57 @@ class TestStrictnessReport:
 
 
 class TestRealization:
-    def strict_number_op(self, n=6):
+    def strict_number_ops(self, n=6):
+        """The strict number-operator basis with T held both ways:
+        Diagonal(k), realized in closed form, and np.diag(k), by SVD."""
         report = strictness_report(number_op_basis, LADDER)
-        return with_strictness(number_op_basis(n), report)
+        k = np.arange(1.0, n + 1)
+        return [with_strictness(make_riesz_basis(t, WeightedTriplet(n, k)),
+                                report) for t in (Diagonal(k), np.diag(k))]
 
     def test_weights_are_singular_values(self):
-        tri = hilbert_triplet_realization(self.strict_number_op(6))
-        assert np.allclose(np.sort(tri.weights), np.arange(1.0, 7.0),
-                           atol=1e-12)
+        for basis in self.strict_number_ops(6):
+            tri = hilbert_triplet_realization(basis)
+            assert np.allclose(np.sort(tri.weights), np.arange(1.0, 7.0),
+                               atol=1e-12)
 
     def test_level_one_seminorm_is_transformed_norm(self, rng):
-        basis = self.strict_number_op(6)
-        tri = hilbert_triplet_realization(basis)
-        t = basis.transform.matrix
-        for _ in range(20):
-            f = random_vector(rng, 6)
-            assert tri.seminorm(f, 1) == \
-                pytest.approx(float(np.linalg.norm(t @ f)), rel=1e-12)
+        for basis in self.strict_number_ops(6):
+            tri = hilbert_triplet_realization(basis)
+            t = basis.transform.matrix
+            for _ in range(20):
+                f = random_vector(rng, 6)
+                assert tri.seminorm(f, 1) == \
+                    pytest.approx(float(np.linalg.norm(t @ f)), rel=1e-12)
 
     def test_realized_grams_are_identities(self):
-        basis = self.strict_number_op(6)
-        g_plus, g_minus = realized_grams(basis)
-        eye = np.eye(6)
-        assert np.max(np.abs(g_plus - eye)) < 1e-9
-        assert np.max(np.abs(g_minus - eye)) < 1e-9
+        for basis in self.strict_number_ops(6):
+            g_plus, g_minus = realized_grams(basis)
+            eye = np.eye(6)
+            assert np.max(np.abs(g_plus - eye)) < 1e-9
+            assert np.max(np.abs(g_minus - eye)) < 1e-9
 
     def test_dual_vectors_normalized_in_realized_dual_norm(self):
-        basis = self.strict_number_op(6)
-        tri = hilbert_triplet_realization(basis)
-        for k in range(6):
-            zeta = basis.fam.dual[:, k]
-            assert tri.dual_norm(zeta, 1) == pytest.approx(1.0, rel=1e-10)
+        for basis in self.strict_number_ops(6):
+            tri = hilbert_triplet_realization(basis)
+            for k in range(6):
+                zeta = np.asarray(basis.fam.dual)[:, k]
+                assert tri.dual_norm(zeta, 1) == pytest.approx(1.0, rel=1e-10)
+
+    @pytest.mark.parametrize("d", [np.arange(1.0, n + 1) for n in
+                                   (1, 8, 64, 256)]
+                             + [np.array([-3.0, 1.0, -0.5, 2.0, 7.25])],
+                             ids=["N1", "N8", "N64", "N256", "negative"])
+    def test_closed_form_matches_the_dense_route(self, d):
+        n = d.size
+        realized = [_realized(dataclasses.replace(
+            make_riesz_basis(t, WeightedTriplet(n, np.ones(n))),
+            strict="strict")) for t in (Diagonal(d), np.diag(d))]
+        (closed, closed_defect, _), (dense, dense_defect, _) = realized
+        assert closed.frame is None and dense.frame is not None
+        np.testing.assert_array_equal(np.sort(closed.weights),
+                                      np.sort(dense.weights))
+        assert max(closed_defect, dense_defect) <= GRAM_TOL
 
     def test_random_transported_basis_realizes(self, rng):
         n = 6
@@ -341,12 +364,13 @@ class TestRealization:
             hilbert_triplet_realization(basis)
 
     def test_corrupted_family_rejected(self):
-        basis = self.strict_number_op(4)
-        fam = SequenceFamily(2.0 * basis.fam.family, basis.triplet,
-                             dual=basis.fam.dual)
-        bad = dataclasses.replace(basis, fam=fam)
-        with pytest.raises(ValidationError):
-            hilbert_triplet_realization(bad)
+        for basis in self.strict_number_ops(4):
+            # Every column doubled, the family held as before.
+            fam = SequenceFamily(basis.fam.family @ Diagonal(np.full(4, 2.0)),
+                                 basis.triplet, dual=basis.fam.dual)
+            bad = dataclasses.replace(basis, fam=fam)
+            with pytest.raises(ValidationError):
+                hilbert_triplet_realization(bad)
 
 
 class TestTrendHelpers:

@@ -274,14 +274,16 @@ def test_no_square_array_at_large_grid():
     assert peak < 64 * 2 ** 20
 
 
-def test_number_op_report_fits_in_linear_memory(capsys):
-    # The number-operator model is diagonal throughout: one N x N array
-    # at N = 8192 would take 512 MiB (1 GiB complex).
+@pytest.mark.parametrize("levels", ["1", "2"], ids=["L1", "L2"])
+def test_number_op_report_fits_in_linear_memory(capsys, levels):
+    # The number-operator model is diagonal throughout, its level-1
+    # triplet realization too: one N x N array at N = 8192 would take
+    # 512 MiB (1 GiB complex).
     tracemalloc.start()
     try:
         with address_space_headroom(1 << 30):
             code = main(["full-report", "--example", "number-op", "--dim",
-                         "8192", "--levels", "2", "--seed", "0",
+                         "8192", "--levels", levels, "--seed", "0",
                          "--no-timing"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
