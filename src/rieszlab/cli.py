@@ -169,29 +169,17 @@ class RunConfig:
     def canonical(self):
         """Digest-relevant view: every resolved field that shapes the
         diagnostics, so two runs share a digest exactly when they compute
-        the same model.
+        the same model.  Its keys are the config file's top-level and
+        `model` keys, so a key declared there enters the digest.
 
         Output path, format and the timing switch do not affect any
         computed number, so the same run written twice stays byte
         identical.
         """
-        return {
-            "command": self.command,
-            "example": self.example,
-            "model": {
-                "dim": self.dim,
-                "levels": self.levels,
-                "size": self.size,
-                "half_width": self.half_width,
-                "weights": self.weights,
-                "weight_rule": self.weight_rule,
-                "ladder": self.ladder,
-            },
-            "inputs": self.inputs,
-            "pseudo": self.pseudo,
-            "seed": self.seed,
-            "tolerances": self.tolerances,
-        }
+        top = sorted(_TOP_KEYS - {"model", "output", "no_timing"})
+        return {**{key: getattr(self, key) for key in top},
+                "model": {key: getattr(self, key)
+                          for key in sorted(_MODEL_KEYS)}}
 
 
 def _check_int(value, name, low):
@@ -736,8 +724,7 @@ def _admissibility_section(bundle, cfg):
     return records, [Verdict(
         "dual-density-trend",
         "pass" if trend.flag in ("growing", "benign") else "inconclusive",
-        {"slope": trend.slope if trend.slope is not None else 0.0,
-         "ladder": trend.ladder})]
+        {"slope": trend.slope, "ladder": trend.ladder})]
 
 
 # Section name -> builder(bundle, cfg), which returns (records, verdicts).

@@ -190,8 +190,10 @@ def nonnormality(matrix, tol=1e-12, seed=0):
     def commute(v):
         return a @ (a_h @ v) - a_h @ (a @ v)
 
+    # An absolute stop: a matrix normal up to roundoff stops within a few
+    # steps on a value near 0 instead of taking N of them.
     ritz = _lanczos_top(lambda v: commute(commute(v)), a.shape[0], tol,
-                        seed, "the commutator products")[0]
+                        seed, "the commutator products", absolute=True)[0]
     return float(np.sqrt(max(ritz, 0.0)))
 
 

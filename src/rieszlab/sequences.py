@@ -350,7 +350,7 @@ def bessel_bound(fam, j):
     return bound
 
 
-def _lanczos_top(apply, m, tol, seed, what):
+def _lanczos_top(apply, m, tol, seed, what, absolute=False):
     """(ritz, residual, steps) for the top eigenvalue of a positive
     semidefinite M x M operator A, seen only through `apply(v)` = A v, by
     Lanczos with full reorthogonalization from one seeded complex start
@@ -358,9 +358,12 @@ def _lanczos_top(apply, m, tol, seed, what):
     tridiagonal and `residual` the bound beta_k |e_k^T y| on
     |A x - theta x| for its Ritz vector x; an eigenvalue of A lies within
     `residual` of `ritz`, and Ritz values never exceed the largest one.
-    The iteration stops once residual <= tol (1 + theta), on an invariant
-    subspace (beta_k = 0) or at k = M.  A non-finite product raises
-    ContinuityError naming `what`."""
+    The iteration stops once residual <= tol (min(theta, 1) + theta), on
+    an invariant subspace (beta_k = 0) or at k = M.  That is tol (1 +
+    theta) from theta = 1 up and relative below, so a Ritz value far
+    below 1 is not taken for converged while it still lies near a smaller
+    eigenvalue; `absolute` keeps tol (1 + theta) throughout.  A non-finite
+    product raises ContinuityError naming `what`."""
     if m == 0:
         return 0.0, 0.0, 0
     real, imag = np.random.default_rng(seed).standard_normal((2, m))
@@ -387,7 +390,8 @@ def _lanczos_top(apply, m, tol, seed, what):
         tri = np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1)
         theta, y = np.linalg.eigh(tri)
         ritz, residual = float(theta[-1]), beta[-1] * float(abs(y[-1, -1]))
-        if residual <= tol * (1 + ritz) or beta[-1] == 0.0:
+        floor = 1.0 if absolute else min(ritz, 1.0)
+        if residual <= tol * (floor + ritz) or beta[-1] == 0.0:
             break
         v = w / beta[-1]
     return ritz, residual, k + 1

@@ -246,7 +246,9 @@ class WeightedTriplet:
         return self._from_frame(d * self._to_frame(x))
 
     def scale_matrix(self, j):
-        """Dense N x N matrix Q diag(w^j) Q^H: a reference for tests."""
+        """Dense N x N matrix Q diag(w^j) Q^H.  No report calls it: it
+        stays because the benchmark tracer (`perfbench/tracer.py`) wraps
+        it by name for its `triplet.scale_matrix_*` figures."""
         return self.scale(j, np.eye(self.dim))
 
     # -- norms --------------------------------------------------------------

@@ -3,10 +3,10 @@ replaced.
 
 The partial-sum domination probe, the reconstruction ladder, the metric
 positivity samples and the weak-similarity pairs each take one batched
-array computation.  Each is compared here with a per-sample reference
-loop: the same random variates in the same order (the generator ends in
-the same state), the same verdict inputs, and residuals at the loop's
-roundoff.  The call counts at the end keep the
+array computation.  Each is compared here with its per-sample reference
+loop from `reference.py`: the same random variates in the same order
+(the generator ends in the same state), the same verdict inputs, and
+residuals at the loop's roundoff.  The call counts at the end keep the
 batching from sliding back into one kernel call per sample.
 """
 from dataclasses import replace
@@ -15,29 +15,16 @@ import numpy as np
 import pytest
 
 import rieszlab.cli as cli
-from rieszlab import (WeightedTriplet, build_pair, demo_pair,
-                      metric_operator_check, pairing, partial_sum,
+from rieszlab import (WeightedTriplet, metric_operator_check,
                       random_unitary, schauder_inequality_probe)
-from rieszlab.sequences import DOMINATION_FACTOR
 
-from conftest import well_conditioned_transform
-from test_shared_work import CASES, transform_family
-
-
-FAMILIES = {**CASES, "transform-64": transform_family}
+from reference import (CASES, loop_positivity, loop_probe, loop_residuals,
+                       loop_similarity, pairs)
 
 
-@pytest.fixture(params=sorted(FAMILIES), scope="module")
+@pytest.fixture(params=sorted(CASES), scope="module")
 def fam(request):
-    return FAMILIES[request.param]()
-
-
-def pairs():
-    """The demo pair and a pair around a dense random transform."""
-    rng = np.random.default_rng(3)
-    dense = build_pair(np.linspace(-1.0, 1.0, 48), random_unitary(48, seed=4),
-                       well_conditioned_transform(rng, 48))
-    return {"demo-64": demo_pair(64), "dense-48": dense}
+    return CASES[request.param]()
 
 
 def the_generator(monkeypatch, run):
@@ -55,66 +42,6 @@ def the_generator(monkeypatch, run):
 
 def same_state(a, b):
     return a.bit_generator.state == b.bit_generator.state
-
-
-# -- the reference loops -----------------------------------------------------
-
-def loop_probe(fam, p_level, trials, seed):
-    """The probe's four array draws (real parts, imaginary parts, split
-    points, extra lengths), then two matrix-vector sums and one seminorm
-    per level and trial."""
-    tri = fam.triplet
-    rng = np.random.default_rng(seed)
-    m = fam.size
-    real = rng.standard_normal((trials, m))
-    imag = rng.standard_normal((trials, m))
-    splits = rng.integers(1, m + 1, size=trials)
-    extras = rng.integers(0, m - splits + 1)
-    worst = {q: 0.0 for q in range(tri.levels + 1)}
-    for t in range(trials):
-        c = real[t] + 1j * imag[t]
-        n, extra = int(splits[t]), int(extras[t])
-        u = np.asarray(fam.family)[:, :n] @ c[:n]
-        v = np.asarray(fam.family)[:, :n + extra] @ c[:n + extra]
-        pu = tri.seminorm(u, p_level)
-        for q in worst:
-            pv = tri.seminorm(v, q)
-            if pv > 0.0:
-                worst[q] = max(worst[q], pu / pv)
-            elif pu > 0.0:
-                worst[q] = np.inf
-    q_level = next((q for q in worst if worst[q] <= DOMINATION_FACTOR), None)
-    return q_level, worst, rng
-
-
-def loop_positivity(fam, samples, seed):
-    """Worst |<S f, f> - sum |a|^2| over f = Xi a, one sample at a time."""
-    z, xi = np.asarray(fam.dual), np.asarray(fam.family)
-    pinv = np.asarray(fam.pinv_rank[0])
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        a = rng.standard_normal(fam.size) + 1j * rng.standard_normal(fam.size)
-        f = xi @ a
-        worst = max(worst, abs(pairing(z @ (pinv @ f), f)
-                               - float(np.sum(np.abs(a) ** 2))))
-    return worst, rng
-
-
-def loop_similarity(pair, count, seed):
-    """Worst weak-similarity residual over unit pairs, one at a time."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(count):
-        xi = rng.standard_normal(pair.dim) + 1j * rng.standard_normal(pair.dim)
-        eta = rng.standard_normal(pair.dim) + 1j * rng.standard_normal(pair.dim)
-        xi /= np.linalg.norm(xi)
-        eta /= np.linalg.norm(eta)
-        t = np.asarray(pair.transform)
-        lhs = pairing(pair.hamiltonian @ xi, t.conj().T @ eta)
-        rhs = pairing(t @ xi, pair.selfadjoint @ eta)
-        worst = max(worst, abs(lhs - rhs))
-    return worst, rng
 
 
 # -- the draws ---------------------------------------------------------------
@@ -146,7 +73,7 @@ def test_probe_matches_the_loop(monkeypatch, fam, seed):
 
 
 def test_probe_below_the_top_level_matches_the_loop(monkeypatch):
-    fam = FAMILIES["schwartz-L3"]()
+    fam = CASES["schwartz-L3"]()
     res, rng = the_generator(
         monkeypatch, lambda: schauder_inequality_probe(fam, 1, 80, 4))
     q_level, worst, loop_rng = loop_probe(fam, 1, 80, 4)
@@ -158,8 +85,7 @@ def test_reconstruction_matches_the_loop(fam):
     sec = cli.Section("reconstruction", *cli._reconstruct_section(
         cli.ModelBundle("family", fam), cli.RunConfig("reconstruct")))
     f = (2.0 ** -np.arange(1, fam.dim + 1)).astype(complex)
-    loop = [float(np.linalg.norm(f - partial_sum(fam, f, n).coords))
-            for n in range(fam.size + 1)]
+    loop = loop_residuals(fam, f)
     residuals = sec.records["residuals"]
     assert len(residuals) == fam.size + 1
     assert np.max(np.abs(np.subtract(residuals, loop))) <= 1e-12

@@ -3,9 +3,11 @@
 `bessel_bound_lanczos` reaches the top eigenvalue of S^H S, S the
 level's scaled dual, through products with S and S^H only, and the
 `bessel` section holds it to the SVD certificate from both sides.  Here
-the kernel is compared with `eigvalsh` of the M x M Gram written out in
-the test, and the verdict is shown to fail when the certificate is off
-by one part in a million either way, or when the kernel returns NaN.
+the kernel is compared with `eigvalsh` of the M x M Gram of the dense
+scaled dual (`reference.dense_top_eigenvalue`), and the verdict is shown
+to pass on a bound near the tolerance and to fail when the certificate
+is off by one part in a million either way, or when the kernel returns
+NaN.
 """
 import json
 import warnings
@@ -14,26 +16,13 @@ import numpy as np
 import pytest
 
 import rieszlab.cli as cli
-from rieszlab import (ContinuityError, LevelError, LineGrid, SequenceFamily,
+from rieszlab import (ContinuityError, LevelError, SequenceFamily,
                       WeightedTriplet, bessel_bound, bessel_bound_lanczos,
                       bessel_bound_sampled, number_operator_model,
-                      save_complex_matrix, sobolev_basis)
+                      save_complex_matrix)
 
 from conftest import well_conditioned_transform
-from test_shared_work import CASES
-
-EQ = cli.DEFAULT_TOLERANCES["equality"]
-
-FAMILIES = {
-    **CASES,
-    "number-op-N256-L2": lambda: number_operator_model(256, 2)[1].fam,
-    "sobolev-P1024": lambda: sobolev_basis(LineGrid(20.0, 1024), 10),
-}
-
-
-def dense_top_eigenvalue(fam, j):
-    s = fam.triplet.scale(-j, np.asarray(fam.dual))
-    return float(np.linalg.eigvalsh(s.conj().T @ s)[-1])
+from reference import CASES, EQ, FAMILIES, dense_top_eigenvalue
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
@@ -122,6 +111,21 @@ def test_verdict_fails_when_the_bound_moves(tmp_path, monkeypatch, name):
             m.setattr(cli, "bessel_bound",
                       lambda fam, j: factor * bessel_bound(fam, j))
             assert lanczos_verdict(tmp_path, argv) == "fail"
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_verdict_passes_on_a_bound_near_the_tolerance(tmp_path, seed):
+    # Bound 2e-12, second eigenvalue 1e-18, equality tolerance 1e-12: a
+    # stop at residual <= tol (1 + ritz) took one step and a Ritz value
+    # far below the bound at seeds 1, 2 and 7.
+    save_complex_matrix(tmp_path / "family.csv", np.eye(2))
+    save_complex_matrix(tmp_path / "dual.csv", np.diag([np.sqrt(2.0), 1e-3]))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": {"weights": [1e6, 1e6]}}))
+    argv = ["bessel", "--family", str(tmp_path / "family.csv"), "--dual",
+            str(tmp_path / "dual.csv"), "--config", str(config),
+            "--seed", str(seed)]
+    assert lanczos_verdict(tmp_path, argv) == "pass"
 
 
 @pytest.mark.parametrize("slot", [0, 1])

@@ -13,7 +13,7 @@ import pytest
 
 from rieszlab import Diagonal, SequenceFamily, cli, save_complex_matrix
 from rieszlab.cli import SECTIONS, RunConfig, _keep_freed_arrays, main
-from rieszlab.reportio import jsonify
+from rieszlab.reportio import config_digest, jsonify
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SCHEMA = json.loads((ROOT / "docs" / "report_schema.json").read_text())
@@ -256,6 +256,23 @@ class TestDeterminism:
         assert set(flat) == names and len(model) + len(canon) == len(names)
         for name in names:
             assert jsonify(flat[name]) == jsonify(getattr(cfg, name)), name
+
+    @pytest.mark.parametrize("kwargs, digest", [
+        ({"command": "bessel", "weights": (1e6, 1e6), "seed": 1,
+          "inputs": {"family": "f.csv", "dual": "d.csv"},
+          "tolerances": {"equality": 1e-9}, "out": "r.csv", "fmt": "csv",
+          "no_timing": True},
+         "a2f1250ecdd9fe4cfdd267b3296e6ff7c9fa27c74989cc7d60acbf2dbc99bd6e"),
+        ({"command": "example", "example": "hermite", "dim": 6, "levels": 2,
+          "size": 256, "half_width": 7.5, "weight_rule": "linear",
+          "ladder": (4, 8, 16), "seed": 2,
+          "pseudo": {"N_ladder": [8, 16], "psi_seed": 5}},
+         "6fcf3b2aa216542f2910a9d094bb4b75eea3c0112a7b2dbf72c701f041616740"),
+    ], ids=["bessel-inputs", "hermite-model"])
+    def test_config_hash_is_stable(self, kwargs, digest):
+        # Digests taken from the hand-written canonical() that the key sets
+        # replaced, over every top-level and model key between them.
+        assert config_digest(RunConfig(**kwargs).canonical()) == digest
 
     def test_timing_fields_optional(self, tmp_path):
         out = tmp_path / "t.json"
@@ -747,6 +764,17 @@ class TestPseudoHermitian:
         doc = run_json(tmp_path, ["pseudo-hermitian", "--config", str(cfg)])
         adm = section(doc, "admissibility")
         assert adm["records"]["ladder"] == [4, 8, 16, 32]
+
+    def test_one_point_ladder_has_no_slope(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"pseudo": {"N_ladder": [8]}}))
+        doc = run_json(tmp_path, ["pseudo-hermitian", "--seed", "2",
+                                  "--config", str(cfg)])
+        adm = section(doc, "admissibility")
+        [verdict] = adm["verdicts"]
+        assert adm["records"]["slope"] is None
+        assert verdict["evidence"]["slope"] is None
+        assert verdict["verdict"] == "inconclusive"
 
     def test_unknown_pseudo_key(self, tmp_path):
         cfg = tmp_path / "run.json"

@@ -15,9 +15,10 @@ from hypothesis import given, settings, strategies as st
 from rieszlab import save_complex_matrix
 from rieszlab.cli import EXAMPLES, main
 
-# Derandomized, so every run tries the same examples and a failure
-# reproduces; open-ended fuzzing is a run with derandomize=False.
-FUZZ = settings(max_examples=60, deadline=None, derandomize=True)
+# Derandomized by the suite profile (conftest.py), so every run tries the
+# same examples and a failure reproduces; open-ended fuzzing is a run
+# with derandomize=False.
+FUZZ = settings(max_examples=60)
 
 # Input paths a config may name, resolved in the example's directory.
 FILES = {"GOOD": "good.csv", "MISSING": "missing.csv", "DIR": "."}

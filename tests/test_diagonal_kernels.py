@@ -2,12 +2,13 @@
 
 The number-operator, Schwartz and pseudo-Hermitian builders declare their
 maps as `Diagonal`s, and the kernels take those in O(N).  The reference
-here is the same map as a dense `np.diag(d)` array, which takes LAPACK
-and BLAS, and every value must equal it with `==`.  On the package's
-diagonal models (entries +-k^j, in any order, with signs and exact zeros)
-and on power-of-two magnitudes from 2^-498 to 2^498 (about 1e-150 to
-1e150), LAPACK returns the exact sorted |d| and signed permutations, and
-each entry of a product with a diagonal has one nonzero term.
+here is the same map as a dense `np.diag(d)` array
+(`reference.dense_diag`), which takes LAPACK and BLAS, and every value
+must equal it with `==`.  On the package's diagonal models (entries
++-k^j, in any order, with signs and exact zeros) and on power-of-two
+magnitudes from 2^-498 to 2^498 (about 1e-150 to 1e150), LAPACK returns
+the exact sorted |d| and signed permutations, and each entry of a
+product with a diagonal has one nonzero term.
 
 Elsewhere LAPACK itself rounds: it rescales a matrix whose largest entry
 lies outside its safe range by a factor that need not be a power of two,
@@ -16,6 +17,12 @@ permutations for general entries.  There the closed form is the exact
 answer and LAPACK is within a few ulp of it; `test_generic_diagonals`
 bounds that gap.  A real diagonal loaded from a file is such a dense
 array, so it takes LAPACK.
+
+The whole reports are run a second and a third time with one structure
+made dense: the Diagonal maps as `np.diag` arrays, which must give the
+same bytes apart from the reordered sums of the reconstruction ladder,
+and the triplet scaling as the dense Q diag(w^j) Q^H of `reference.py`,
+which must give the same verdicts and records within 1e-12.
 """
 import json
 import tracemalloc
@@ -32,6 +39,8 @@ from rieszlab.sequences import (max_deviation, partial_sum,
                                 partial_sum_adjoint, pseudo_inverse,
                                 singular_values, weak_expansion_residual)
 from rieszlab.triplet import Diagonal
+
+from reference import TOL, dense_diag, reference_scale
 
 SIZES = [1, 2, 8, 64, 256]
 
@@ -57,10 +66,6 @@ def model_diagonal(n, kind, rng):
 
 KINDS = ["k^2-signs", "1/k-shuffled", "k^-2-zeros", "pow2-wide", "1e150-k",
          "1e-150-k"]
-
-
-def dense_diag(d):
-    return np.diag(np.asarray(d, dtype=float)).astype(complex)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -118,6 +123,14 @@ def test_generic_diagonals(n):
                                rtol=8 * np.finfo(float).eps, atol=0)
 
 
+def count_svd(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *args, **kw: calls.append(1) or svd(*args, **kw))
+    return calls
+
+
 @pytest.mark.parametrize("case", ["complex-phase", "off-diagonal",
                                   "non-square", "non-finite",
                                   "real-diagonal"])
@@ -132,22 +145,11 @@ def test_other_matrices_take_lapack(monkeypatch, case):
         a = a[:, :5]
     elif case == "non-finite":
         a[2, 2] = np.inf
-    calls = []
-    svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd",
-                        lambda *args, **kw: calls.append(1) or svd(*args, **kw))
+    calls = count_svd(monkeypatch)
     if case != "non-finite":
         singular_values(a)
     pseudo_inverse(a)
     assert len(calls) == (1 if case == "non-finite" else 2)
-
-
-def count_svd(monkeypatch):
-    calls = []
-    svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd",
-                        lambda *args, **kw: calls.append(1) or svd(*args, **kw))
-    return calls
 
 
 def test_replace_keeps_the_held_maps(monkeypatch):
@@ -258,53 +260,84 @@ def test_real_dtype_and_empty_matrices():
     assert max_deviation(empty) == 0.0
 
 
-ARGV = [
-    ["full-report", "--example", "number-op", "--dim", "8"],
-    ["full-report", "--example", "number-op", "--dim", "256", "--levels",
-     "2"],
-    ["full-report", "--example", "schwartz", "--dim", "16", "--levels", "3"],
-    ["pseudo-hermitian", "--dim", "32"],
-    ["pseudo-hermitian", "--dim", "256"],
-]
-IDS = ["number-op-N8", "number-op-N256-L2", "schwartz-N16-L3",
-       "pseudo-hermitian-N32", "pseudo-hermitian-N256"]
+#: The reports whose builders declare Diagonal maps come first; the others
+#: run on a DFT, a Hermite or a canonical two-level triplet.
+REPORTS = {
+    "number-op-N8": "full-report --example number-op --dim 8 --seed 3",
+    "number-op-N256-L2":
+        "full-report --example number-op --dim 256 --levels 2 --seed 3",
+    "schwartz-N16-L3":
+        "full-report --example schwartz --dim 16 --levels 3 --seed 3",
+    "pseudo-hermitian-N32": "pseudo-hermitian --dim 32 --seed 3",
+    "pseudo-hermitian-N256": "pseudo-hermitian --dim 256 --seed 3",
+    "number-op-N8-L2":
+        "full-report --example number-op --dim 8 --levels 2 --seed 4",
+    "schwartz-N8": "full-report --example schwartz --dim 8 --seed 4",
+    "hermite-N6": "full-report --example hermite --dim 6 --seed 4",
+    "sobolev-N6-P256":
+        "full-report --example sobolev --dim 6 --size 256 --seed 4",
+}
+DIAGONAL_REPORTS = list(REPORTS)[:5]
 
 #: Records whose summation order differs between the two paths: the
 #: reconstruction ladder takes prefix and suffix sums for a Diagonal.
 REORDERED = {"reconstruction": ("residuals", "ratios")}
 
 
-@pytest.mark.parametrize("argv", ARGV, ids=IDS)
-def test_reports_equal_the_dense_reference(tmp_path, monkeypatch, argv):
-    argv = argv + ["--seed", "3", "--no-timing"]
+def assert_records_agree(fast, dense, path="report"):
+    """Equal keys, lengths and non-float values; floats within 1e-12."""
+    if isinstance(dense, dict):
+        assert set(fast) == set(dense), path
+        for key in dense:
+            assert_records_agree(fast[key], dense[key], f"{path}/{key}")
+    elif isinstance(dense, list):
+        assert len(fast) == len(dense), path
+        for i, (a, b) in enumerate(zip(fast, dense)):
+            assert_records_agree(a, b, f"{path}[{i}]")
+    elif isinstance(dense, float):
+        assert abs(fast - dense) <= TOL * max(1.0, abs(dense)), path
+    else:
+        assert fast == dense, path
 
-    def report(name):
-        out = tmp_path / name
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_reports_equal_the_dense_reference(tmp_path, monkeypatch, name):
+    """Each report again with one structure made dense: Diagonal maps as
+    np.diag arrays, which take LAPACK and BLAS everywhere, must give the
+    same bytes; the triplet scaling as the dense Q diag(w^j) Q^H the same
+    verdict words and records within 1e-12."""
+    argv = REPORTS[name].split() + ["--no-timing"]
+
+    def report(label):
+        out = tmp_path / f"{label}.json"
         assert cli.main(argv + ["--out", str(out)]) == 0
         return out.read_bytes()
 
-    fast = report("fast.json")
-    # The builders declare np.diag arrays instead, which take the dense
-    # kernels everywhere.
-    for module in (spaces, hamiltonian, cli):
-        monkeypatch.setattr(module, "Diagonal", dense_diag)
-    reference = report("dense.json")
-    if fast == reference:
-        return
-    docs = [json.loads(raw) for raw in (fast, reference)]
-    for doc_fast, doc_ref in zip(*(d["sections"] for d in docs)):
-        for key in REORDERED.get(doc_ref["name"], ()):
-            np.testing.assert_allclose(doc_fast["records"].pop(key),
-                                       doc_ref["records"].pop(key),
-                                       rtol=1e-12, atol=0)
-    assert docs[0] == docs[1]
+    fast = report("fast")
+    with monkeypatch.context() as m:
+        for module in (spaces, hamiltonian, cli):
+            m.setattr(module, "Diagonal", dense_diag)
+        diagonal = report("dense-diagonal")
+    if fast != diagonal:
+        docs = [json.loads(raw) for raw in (fast, diagonal)]
+        for doc_fast, doc_ref in zip(*(d["sections"] for d in docs)):
+            for key in REORDERED.get(doc_ref["name"], ()):
+                np.testing.assert_allclose(doc_fast["records"].pop(key),
+                                           doc_ref["records"].pop(key),
+                                           rtol=1e-12, atol=0)
+        assert docs[0] == docs[1]
+    monkeypatch.setattr(WeightedTriplet, "scale", reference_scale)
+    fast, scaled = (json.loads(raw) for raw in (fast, report("dense-scale")))
+    assert [v["verdict"] for s in fast["sections"] for v in s["verdicts"]] \
+        == [v["verdict"] for s in scaled["sections"] for v in s["verdicts"]]
+    assert_records_agree(fast, scaled)
 
 
-@pytest.mark.parametrize("argv", ARGV, ids=IDS)
-def test_reports_never_form_the_dense_view(monkeypatch, capsys, argv):
+@pytest.mark.parametrize("name", DIAGONAL_REPORTS)
+def test_reports_never_form_the_dense_view(monkeypatch, capsys, name):
     def refuse(self):
         raise AssertionError("a report formed an N x N Diagonal")
 
     monkeypatch.setattr(Diagonal, "dense", property(refuse))
-    assert cli.main(argv + ["--seed", "3", "--no-timing"]) == 0
+    assert cli.main(REPORTS[name].split() + ["--no-timing"]) == 0
     capsys.readouterr()

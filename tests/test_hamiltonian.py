@@ -14,7 +14,7 @@ from rieszlab import (ContinuityError, DimensionError, InjectivityError,
                       weak_similarity_residual)
 
 from conftest import random_vector
-from test_batched_kernels import pairs
+from reference import commutator_norm, matching_distance, pairs
 
 LADDER = (8, 16, 32, 64)
 
@@ -194,14 +194,6 @@ class TestResiduals:
         assert spectrum_residual(bad) == pytest.approx(0.25, abs=1e-8)
 
 
-def matching_distance(pair):
-    """The general eigensolver's reference: eig(H) sorted by real part
-    against the sorted declared spectrum, worst distance in the plane."""
-    ev = np.linalg.eigvals(pair.hamiltonian)
-    ev = ev[np.argsort(ev.real)]
-    return float(np.max(np.abs(ev - np.sort(pair.eigenvalues))))
-
-
 def perturbed(pair, delta, seed):
     """H + delta E for a seeded real Gaussian E."""
     e = np.random.default_rng(seed).standard_normal((pair.dim, pair.dim))
@@ -292,14 +284,6 @@ class TestSpectrumCertificate:
         assert real["evidence"]["hermitian_defect"] == \
             spectral["records"]["hermitian_defect"] > 0.5
         assert real["evidence"]["spectrum_residual"] >= 1.0
-
-
-def commutator_norm(a):
-    """Reference ||[A, A^H]||_2: the largest |eigenvalue| of the dense
-    Hermitian commutator."""
-    a = np.asarray(a, dtype=complex)
-    c = a @ a.conj().T - a.conj().T @ a
-    return float(np.max(np.abs(np.linalg.eigvalsh(c)), initial=0.0))
 
 
 def jordan_block(n):

@@ -128,8 +128,9 @@ class TestComplexMatrixCsv:
 
 # -- the one-pass route against the row-by-row reader ----------------------
 
-# Derandomized, so every run tries the same files and a failure reproduces.
-DIFFERENTIAL = settings(max_examples=200, deadline=None, derandomize=True)
+# Derandomized by the suite profile (conftest.py), so every run tries the
+# same files and a failure reproduces.
+DIFFERENTIAL = settings(max_examples=200)
 
 
 def outcome(load, path):

@@ -3,10 +3,11 @@ import importlib.util
 import pathlib
 import sys
 
-import numpy as np
 import pytest
 
 from rieszlab import demo_pair
+
+from reference import commutator_norm
 
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
@@ -45,9 +46,7 @@ def test_pseudo_hermitian_demo(monkeypatch, capsys):
     assert value_after(lines, "weak similarity, worst of 5 pairs:") <= 1e-10
     # The printed non-normality is the dense eigensolver's, to the digits
     # shown.
-    h = demo_pair(8, psi_seed=7).hamiltonian
-    c = h @ h.conj().T - h.conj().T @ h
-    reference = float(np.max(np.abs(np.linalg.eigvalsh(c))))
+    reference = commutator_norm(demo_pair(8, psi_seed=7).hamiltonian)
     assert value_after(lines, "non-normality:") == pytest.approx(
         float(f"{reference:.3e}"), rel=1e-12, abs=0)
     assert "over ladder (8, 16, 32, 64): (8.0, 16.0, 32.0, 64.0)" in lines[4]

@@ -1,4 +1,3 @@
-import dataclasses
 import warnings
 
 import numpy as np

@@ -7,9 +7,10 @@ against fresh SVDs, and the report's SVD count is pinned.
 
 `bessel_bound_sampled` draws each random point only in the coordinates
 the level operator sees: the row space of the level's scaled dual, the
-stream of `reference_row_space`, with which it agrees bit for bit.  The
-law of its sup is checked against the full complex Gaussian stream of
-`reference_sampled` by a two-sample Kolmogorov-Smirnov test.
+stream of `reference.reference_row_space`, with which it agrees bit for
+bit.  The law of its sup is checked against the full complex Gaussian
+stream of `reference.reference_sampled` by a two-sample
+Kolmogorov-Smirnov test.
 """
 from dataclasses import replace
 
@@ -19,111 +20,12 @@ from scipy.stats import ks_2samp
 
 import rieszlab.cli as cli
 from rieszlab import hamiltonian, riesz, sequences
-from rieszlab import (InjectivityError, LineGrid, SequenceFamily,
-                      WeightedTriplet, bessel_bound, bessel_bound_sampled,
-                      graph_norm_triplet, make_riesz_basis,
-                      metric_operator_check, number_operator_model,
-                      riesz_fischer_check, schwartz_hermite_model,
-                      sobolev_basis)
+from rieszlab import (InjectivityError, SequenceFamily, WeightedTriplet,
+                      bessel_bound, bessel_bound_sampled,
+                      metric_operator_check, riesz_fischer_check)
 from rieszlab.sequences import dual_level_norm, pseudo_inverse
 
-from conftest import well_conditioned_transform
-
-
-def chunk_columns(dim):
-    """Points per chunk of `dim` coordinates, from the package's limits as
-    they are when called."""
-    return min(sequences._CHUNK_COLUMNS,
-               max(1, sequences._CHUNK_ELEMENTS // dim))
-
-
-def reference_sampled(fam, j, samples=10000, seed=0):
-    """The per-level sampler: a stream of its own and four real products,
-    the imaginary part of the scaled dual included even when it is 0."""
-    op = fam.triplet.scale(-j, np.asarray(fam.dual)).conj().T
-    op_re = np.ascontiguousarray(op.real)
-    op_im = np.ascontiguousarray(op.imag)
-    rng = np.random.default_rng(seed)
-    cols = chunk_columns(fam.dim)
-    best, left = 0.0, samples
-    while left > 0:
-        m = min(left, cols)
-        u_re = rng.standard_normal((fam.dim, m))
-        u_im = rng.standard_normal((fam.dim, m))
-        out_re = op_re @ u_re - op_im @ u_im
-        out_im = op_re @ u_im + op_im @ u_re
-        num = np.sum(out_re ** 2 + out_im ** 2, axis=0)
-        den = np.sum(u_re ** 2 + u_im ** 2, axis=0)
-        best = max(best, float(np.max(num / den)))
-        left -= m
-    return best
-
-
-def reference_row_space(fam, j, samples=10000, seed=0):
-    """The per-level sampler in the row space: a point is c in C^r, r =
-    min(M, N), in the reduced QR factor Q of the level's scaled dual
-    scale(-j, Z), seen through four real products with scale(-j, Z)^H Q,
-    the imaginary part included even when it is 0, and its remainder
-    orthogonal to Q adds a chi-square with 2 (N - r) degrees of freedom to
-    the squared norm."""
-    s = fam.triplet.scale(-j, np.asarray(fam.dual))
-    q = np.linalg.qr(s)[0]
-    r = q.shape[1]
-    op = s.conj().T @ q
-    op_re = np.ascontiguousarray(op.real)
-    op_im = np.ascontiguousarray(op.imag)
-    rng = np.random.default_rng(seed)
-    cols = chunk_columns(r)
-    best, left = 0.0, samples
-    while left > 0:
-        m = min(left, cols)
-        u_re = rng.standard_normal((r, m))
-        u_im = rng.standard_normal((r, m))
-        out_re = op_re @ u_re - op_im @ u_im
-        out_im = op_re @ u_im + op_im @ u_re
-        num = np.sum(out_re ** 2 + out_im ** 2, axis=0)
-        den = np.sum(u_re ** 2 + u_im ** 2, axis=0)
-        den += 2.0 * rng.standard_gamma(fam.dim - r, m)
-        best = max(best, float(np.max(num / den)))
-        left -= m
-    return best
-
-
-def graph_norm_family():
-    """Dense complex frame with two levels, around a random transform."""
-    rng = np.random.default_rng(5)
-    n = 20
-    frame = graph_norm_triplet(rng.standard_normal((n, n))
-                               + 1j * rng.standard_normal((n, n))).frame
-    tri = WeightedTriplet(n, np.linspace(1.0, 3.0, n), 2, frame)
-    return make_riesz_basis(well_conditioned_transform(rng, n), tri).fam
-
-
-def real_thin_family():
-    """Real N = 40, M = 4 family on the canonical two-level triplet: every
-    scaled dual, and so every row-space operator, is real."""
-    rng = np.random.default_rng(8)
-    n = 40
-    xi = rng.standard_normal((n, 4))
-    tri = WeightedTriplet(n, np.linspace(1.0, 3.0, n), 2)
-    return SequenceFamily(xi, tri, dual=xi @ np.linalg.inv(xi.T @ xi))
-
-
-def transform_family(n=64):
-    """A dense transported basis, as a transform file gives it."""
-    rng = np.random.default_rng(11)
-    tri = WeightedTriplet(n, np.linspace(1.0, 4.0, n), 2)
-    return make_riesz_basis(well_conditioned_transform(rng, n), tri).fam
-
-
-CASES = {
-    "number-op-L2": lambda: number_operator_model(16, 2)[1].fam,
-    "schwartz-L3": lambda: schwartz_hermite_model(12, 3)[1],
-    "sobolev-P256": lambda: sobolev_basis(LineGrid(20.0, 256), 10),
-    "graph-norm-L2": graph_norm_family,
-    "real-thin-L2": real_thin_family,
-    "transform-64": transform_family,
-}
+from reference import CASES, reference_row_space, reference_sampled
 
 
 @pytest.fixture(params=sorted(CASES))

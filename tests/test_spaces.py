@@ -1,24 +1,17 @@
-import math
-
 import numpy as np
 import pytest
-from scipy.special import eval_hermite
 
 from rieszlab import (DimensionError, LineGrid, SampledFunction, SupportError,
-                      ValidationError, WeightedTriplet, aliasing_fraction,
-                      bessel_bound, biorthogonality_residual, hermite_gram,
-                      hermite_grid, hermite_values, level_gram,
-                      number_operator_model, schwartz_hermite_model,
-                      sobolev_basis, sobolev_multiplier, sobolev_triplet)
+                      ValidationError, aliasing_fraction, bessel_bound,
+                      biorthogonality_residual, hermite_gram, hermite_grid,
+                      hermite_values, level_gram, number_operator_model,
+                      schwartz_hermite_model, sobolev_basis,
+                      sobolev_multiplier, sobolev_triplet)
 from rieszlab.spaces import default_half_width, from_coef, to_coef
 
+from reference import reference_hermite
+
 GRID = LineGrid(20.0, 256)
-
-
-def reference_hermite(n, x):
-    """Physicists' Hermite polynomial from scipy, normalized to L2(R)."""
-    norm = math.sqrt(2.0 ** n * math.factorial(n) * math.sqrt(math.pi))
-    return eval_hermite(n, x) * np.exp(-0.5 * x * x) / norm
 
 
 class TestLineGrid:

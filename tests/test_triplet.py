@@ -7,6 +7,7 @@ from rieszlab import (CoefVector, DimensionError, LevelError, ValidationError,
                       WeightedTriplet, coords_of, graph_norm_triplet, pairing)
 
 from conftest import random_vector
+from reference import framed_triplets
 
 W4 = WeightedTriplet(4, (1.0, 2.0, 3.0, 4.0), levels=2)
 E = np.eye(4)
@@ -51,15 +52,6 @@ class TestSeminorm:
             W4.seminorm(np.ones((5, 3)), 1)
         with pytest.raises(DimensionError):
             W4.seminorm(np.ones((3, 4)), 1)
-
-
-def framed_triplets(n, rng):
-    """The three kinds of frame: canonical, unitary DFT and dense."""
-    w = np.linspace(1.0, 3.0, n)
-    frame = graph_norm_triplet(rng.standard_normal((n, n))).frame
-    return {"canonical": WeightedTriplet(n, w, 2),
-            "dft": WeightedTriplet.fourier(w, 2),
-            "dense": WeightedTriplet(n, w, 2, frame)}
 
 
 class TestSeminormColumns:
