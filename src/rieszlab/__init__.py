@@ -38,14 +38,13 @@ from .spaces import (LineGrid, SampledFunction, aliasing_fraction,
                      hermite_gram, hermite_grid, hermite_values,
                      number_operator_model, schwartz_hermite_model,
                      sobolev_basis, sobolev_multiplier, sobolev_triplet)
-from .triplet import (CoefVector, Diagonal, WeightedTriplet, coords_of,
+from .triplet import (Diagonal, WeightedTriplet, coords_of,
                       graph_norm_triplet, pairing)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoefVector", "ConfigError", "ContinuityError", "Diagonal",
-    "DiagnosticsReport",
+    "ConfigError", "ContinuityError", "Diagonal", "DiagnosticsReport",
     "DimensionError", "HamiltonianPair", "InjectivityError", "LevelError",
     "LineGrid", "LinearMap", "MissingDualError", "ParseError", "RieszBasis",
     "RieszLabError", "SampledFunction", "Section", "SequenceFamily",

@@ -37,8 +37,8 @@ from .riesz import (_realized, make_riesz_basis, metric_operator_check,
 from .sequences import (BIORTH_TOL, DOMINATION_FACTOR, SequenceFamily,
                         bessel_bound, bessel_bound_lanczos, bessel_factor,
                         biorthogonality_residual, dual_row_masses,
-                        frame_operator, level_gram, max_deviation,
-                        partial_sum, partial_sum_residuals,
+                        frame_operator, level_gram, make_linear_map,
+                        max_deviation, partial_sum, partial_sum_residuals,
                         riesz_fischer_check, schauder_inequality_probe,
                         weak_expansion_residual)
 from .spaces import (ALIASING_TOL, CONSTRUCTION_TOL, SUPPORT_TOL, LineGrid,
@@ -473,10 +473,11 @@ def _biorthogonality_section(bundle, cfg):
 def _construction_section(bundle, cfg):
     basis = bundle.basis
     r_txi, r_dual, r_chain = transport_residuals(basis)
+    cert = make_linear_map(basis.transform, basis.triplet, pairs=((1, 0),))
     records = {"transform_times_family": r_txi,
                "dual_vs_adjoint": r_dual,
                "metric_chain": r_chain,
-               "continuity_certificate": basis.transform.certificate}
+               "continuity_certificate": cert.certificate}
     worst = max(r_txi, r_dual, r_chain)
     return records, [_at_most("transported-identities", "worst_residual",
                               worst, cfg.tolerances["composition"])]
@@ -608,7 +609,7 @@ def _reconstruct_section(bundle, cfg):
     weak = weak_expansion_residual(fam, np.ones(fam.dim), f, fam.size)
     records = {"residuals": residuals, "ratios": ratios,
                "weak_expansion_residual": weak}
-    final = float(np.linalg.norm(f - partial_sum(fam, f, fam.size).coords))
+    final = float(np.linalg.norm(f - partial_sum(fam, f, fam.size)))
     if final <= tol["reconstruction"]:
         verdict = "pass"
     elif fam.size < fam.dim:

@@ -22,40 +22,42 @@ from .sequences import (BIORTH_TOL, DOMINATION_FACTOR, LinearMap,
                         dual_level_norm, make_linear_map, max_deviation,
                         pseudo_inverse, singular_values)
 from .trends import MIN_LADDER_POINTS, classify_growth, loglog_slope
-from .triplet import CoefVector, Diagonal, WeightedTriplet, coords_of
+from .triplet import Diagonal, WeightedTriplet, coords_of
 
 
 @dataclass(frozen=True)
 class RieszBasis:
-    """A transported basis: transform T, family/dual pair, and its triplet.
+    """A transported basis: the transform T as declared, a complex ndarray
+    or a `Diagonal`, and the family xi_n = T^{-1} e_n with its dual
+    zeta_n = T^H e_n; `triplet` is the family's.
 
     `strict` is a tri-state ladder verdict ("strict", "non-strict",
     "inconclusive"); fresh constructions start inconclusive because a
     single truncation cannot decide the dichotomy.
     """
 
-    transform: LinearMap
+    transform: np.ndarray | Diagonal
     fam: SequenceFamily
-    triplet: WeightedTriplet
     strict: str = "inconclusive"
 
     def __post_init__(self):
         if self.strict not in ("strict", "non-strict", "inconclusive"):
             raise ValidationError(f"unknown strictness verdict {self.strict!r}")
 
+    triplet = property(lambda self: self.fam.triplet)
+
 
 def make_riesz_basis(transform, triplet):
     """Build the basis xi_n = T^{-1} e_n with dual zeta_n = T^H e_n.
 
-    `transform` is a square injective map T (an ndarray, a Diagonal, which
-    gives Diagonal family and dual, or a LinearMap), rejected when its
-    rank falls short; its (1 -> 0) certificate is taken in `triplet`.
-    The identities T Xi = I, Z = T^H and T^H T Xi = Z hold by
-    construction up to the inversion's roundoff.
+    `transform` is a square injective map T in `triplet`'s dimension, an
+    array-like or a `Diagonal`, which gives Diagonal family and dual; it
+    is held as declared and rejected when its rank falls short.  The
+    identities T Xi = I, Z = T^H and T^H T Xi = Z hold by construction up
+    to the inversion's roundoff.  The basis carries no certificate of T;
+    `make_linear_map(basis.transform, triplet, pairs=((1, 0),))` takes one.
     """
-    if isinstance(transform, LinearMap) and transform.right is None:
-        transform = transform.left  # as held, so a Diagonal stays one
-    a = _as_map(getattr(transform, "matrix", transform))
+    a = _as_map(transform)
     if len(a.shape) != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError("the transform must be square")
     if a.shape[0] != triplet.dim:
@@ -65,9 +67,7 @@ def make_riesz_basis(transform, triplet):
         raise InjectivityError(
             f"transform is singular at this truncation (rank {rank} of "
             f"{a.shape[1]})")
-    fam = SequenceFamily(xi, triplet, dual=a.conj().T)
-    tmap = make_linear_map(a, triplet, pairs=((1, 0),))
-    return RieszBasis(tmap, fam, triplet)
+    return RieszBasis(a, SequenceFamily(xi, triplet, dual=a.conj().T))
 
 
 def adjoint_action(basis, g):
@@ -75,13 +75,13 @@ def adjoint_action(basis, g):
     v = coords_of(g)
     if v.shape[0] != basis.triplet.dim:
         raise DimensionError("vector does not match the model dimension")
-    return CoefVector(basis.transform.left.conj().T @ v)
+    return basis.transform.conj().T @ v
 
 
 def transport_residuals(basis):
     """(|T Xi - I|, |Z - T^H|, |T^H T Xi - Z|), each the largest entry:
     the identities `make_riesz_basis` builds in, at their roundoff."""
-    t, xi, z = basis.transform.left, basis.fam.family, _dual_of(basis.fam)
+    t, xi, z = basis.transform, basis.fam.family, _dual_of(basis.fam)
     return (max_deviation(t @ xi), max_deviation(z, t.conj().T),
             max_deviation(t.conj().T @ t @ xi, z))
 
@@ -193,7 +193,7 @@ def range_membership(basis_rule, psi_rule, ladder):
         psi = coords_of(psi_rule(n))
         res = dual_analysis(basis.fam, psi)
         h = res.coefficients  # preimage coordinates sum_k <psi, xi_k> e_k
-        defect = float(np.linalg.norm(adjoint_action(basis, h).coords - psi))
+        defect = float(np.linalg.norm(adjoint_action(basis, h) - psi))
         sq_sums.append(res.sq_sum)
         defects.append(defect)
     if len(ladder) >= 2:
@@ -310,7 +310,7 @@ def _realized(basis):
     whose level-1 seminorm is ||T f||, from T as held, and the Grams of
     family and dual that its own `scale` gives, (S_1 Xi)^H (S_1 Xi) and
     (S_-1 Z)^H (S_-1 Z), both the identity."""
-    t = basis.transform.left
+    t = basis.transform
     if isinstance(t, Diagonal):  # |T| = diag(|d|): the canonical model
         tri = WeightedTriplet(t.shape[0], np.abs(t.d), 1, check_weights=False)
     else:

@@ -2,14 +2,16 @@
 
 A family is an N x M matrix whose columns are the candidate basis
 vectors; an optional dual matrix of the same shape carries the
-biorthogonal partner sequence on the dual side of the triplet.  Every
-operator built here is a finite matrix, certified across the seminorm
-ladder by the largest singular value of its weight-scaled form.  Maps of
-rank at most M are kept as their thin N x M factors, and a map that a
-model builder declares diagonal stays a `Diagonal`, which multiplies
-itself in O(N) under `@` and `.conj().T`, and which `max_deviation`,
-`singular_values` and `pseudo_inverse` take in closed form; so no N x N
-array is formed on the way.
+biorthogonal partner sequence on the dual side of the triplet.  Vectors
+are plain complex coordinate arrays: expansions and syntheses return
+1-D arrays, read on whichever side the norm or pairing applied to them
+names.  Every operator built here is a finite matrix, certified across
+the seminorm ladder by the largest singular value of its weight-scaled
+form.  Maps of rank at most M are kept as their thin N x M factors, and
+a map that a model builder declares diagonal stays a `Diagonal`, which
+multiplies itself in O(N) under `@` and `.conj().T`, and which
+`max_deviation`, `singular_values` and `pseudo_inverse` take in closed
+form; so no N x N array is formed on the way.
 Nothing is mutated: checks that recover a dual return a new family.
 """
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .errors import (ContinuityError, DimensionError, LevelError,
                      MissingDualError, ValidationError)
-from .triplet import CoefVector, Diagonal, WeightedTriplet, coords_of, pairing
+from .triplet import Diagonal, WeightedTriplet, coords_of, pairing
 
 #: Relative cutoff below the largest singular value under which singular
 #: values count as zero (pseudo-inverses, rank decisions, injectivity).
@@ -298,7 +300,7 @@ def synthesis(fam, a):
     a = np.atleast_1d(np.asarray(a, dtype=complex))
     if a.shape[0] != fam.size:
         raise DimensionError("synthesis needs one coefficient per dual vector")
-    return CoefVector(z @ a)
+    return z @ a
 
 
 def frame_operator(fam):
@@ -551,13 +553,13 @@ def _order_input(fam, n, x):
 def partial_sum(fam, f, n):
     """S_n f = sum_{k<=n} conj(<zeta_k, f>) xi_k, a vector on the smooth side."""
     z, v = _order_input(fam, n, f)
-    return CoefVector(_leading(fam.family, n) @ (_leading(z, n).conj().T @ v))
+    return _leading(fam.family, n) @ (_leading(z, n).conj().T @ v)
 
 
 def partial_sum_adjoint(fam, psi, n):
     """Adjoint action sum_{k<=n} <psi, xi_k> zeta_k on the dual side."""
     z, p = _order_input(fam, n, psi)
-    return CoefVector(_leading(z, n) @ (_leading(fam.family, n).conj().T @ p))
+    return _leading(z, n) @ (_leading(fam.family, n).conj().T @ p)
 
 
 def weak_expansion_residual(fam, psi, f, n):

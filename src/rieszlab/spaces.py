@@ -144,7 +144,8 @@ def hermite_values(grid, count, support_tol=SUPPORT_TOL):
         raise ValidationError("need at least one basis function")
     x = grid.nodes
     out = np.empty((grid.points, count))
-    out[:, 0] = np.pi ** -0.25 * np.exp(-0.5 * x * x)
+    with np.errstate(over="ignore"):  # exp(-inf) = 0 is exact
+        out[:, 0] = np.pi ** -0.25 * np.exp(-0.5 * x * x)
     if count > 1:
         out[:, 1] = np.sqrt(2.0) * x * out[:, 0]
     for n in range(1, count - 1):
@@ -247,8 +248,15 @@ def sobolev_model(grid, count, support_tol=SUPPORT_TOL):
     round trip phi_n -> xi_n -> phi_n, for diagnostics to reuse.  Since the
     dual is the forward multiplier of phi_n, biorthogonality reduces to
     the Hermite quadrature Gram.  A defect above CONSTRUCTION_TOL raises;
-    `support_tol` bounds each phi_n's window-support residual."""
+    `support_tol` bounds each phi_n's window-support residual, and a phi_n
+    that underflows to 0 on every node raises SupportError."""
     phis = hermite_values(grid, count, support_tol)
+    zero = np.flatnonzero(~phis.any(axis=0))
+    if zero.size:
+        raise SupportError(
+            f"half width {grid.half_width:g} is too wide for {grid.points} "
+            f"points: basis function {zero[0]} is 0 on every node (spacing "
+            f"{grid.spacing:.3g})")
     scale = np.sqrt(grid.spacing)
     low = sobolev_multiplier(grid, -1.0, phis)
     defects = scale * np.linalg.norm(sobolev_multiplier(grid, 1.0, low) - phis,

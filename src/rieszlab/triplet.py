@@ -30,27 +30,6 @@ _WEIGHT_SLACK = 1e-9
 _DFT_FRAME = "unitary-dft"
 
 
-@dataclass(frozen=True)
-class CoefVector:
-    """Coefficient vector against the canonical orthonormal basis.
-
-    At finite truncation every vector lies in all three spaces, so the
-    vector carries no space of its own: the norm or pairing applied to it
-    says which side it is read on.
-    """
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        coords = np.atleast_1d(np.asarray(self.coords, dtype=complex))
-        if coords.ndim != 1:
-            raise DimensionError("coefficient vectors are one-dimensional")
-        object.__setattr__(self, "coords", coords)
-
-    def __len__(self):
-        return int(self.coords.shape[0])
-
-
 @dataclass(frozen=True, eq=False)
 class Diagonal:
     """Real diagonal N x N map diag(d), held as its length-N vector `d`.
@@ -99,15 +78,15 @@ class Diagonal:
 
 
 def coords_of(x):
-    """Complex coordinate array of a CoefVector or any array-like."""
-    if isinstance(x, CoefVector):
-        return x.coords
+    """Complex coordinate array, at least one-dimensional, of an
+    array-like."""
     return np.atleast_1d(np.asarray(x, dtype=complex))
 
 
 def _unitary_defect(q):
-    # Full check up to a few hundred dims, randomized probe beyond that
-    # so large FFT frames stay cheap to validate.
+    # Full check up to a few hundred dims, randomized probe beyond that so
+    # large dense frames (graph norms, the realization of a dense T) stay
+    # cheap to validate; DFT frames take `_fft_defect` instead.
     n = q.shape[0]
     if n <= 256:
         return float(np.max(np.abs(q.conj().T @ q - np.eye(n))))

@@ -587,6 +587,29 @@ def test_overflowing_grid_spacing_is_refused(capsys, example):
         "error: half width 1e+308 overflows the grid spacing\n")
 
 
+@pytest.mark.parametrize("example, err", [
+    ("hermite", "aliasing check keeps failing at 65536 points (worst "
+                "fraction 3.33e-01)"),
+    ("sobolev", "half width 1e+200 is too wide for 1024 points: basis "
+                "function 1 is 0 on every node (spacing 1.95e+197)"),
+], ids=["hermite", "sobolev"])
+def test_huge_half_width_is_refused_without_a_warning(capsys, example, err):
+    # The squared nodes overflow; exp(-inf) = 0 needs no warning.
+    argv = ["example", "--example", example, "--seed", "0",
+            "--half-width", "1e200"]
+    assert refusal(argv, capsys) == f"error: {err}\n"
+
+
+def test_sobolev_grid_too_coarse_for_phi_1_is_refused(capsys):
+    # At spacing 39 the envelope exp(-x^2/2) underflows on every node but
+    # x = 0, where phi_1 = sqrt(2) x phi_0 vanishes.
+    argv = ["example", "--example", "sobolev", "--seed", "0",
+            "--half-width", "2e4"]
+    assert refusal(argv, capsys) == (
+        "error: half width 20000 is too wide for 1024 points: basis "
+        "function 1 is 0 on every node (spacing 39.1)\n")
+
+
 def test_support_tolerance_bounds_the_hermite_window(capsys):
     argv = ["full-report", "--example", "hermite", "--seed", "1",
             "--tolerance", "support=1e-300"]

@@ -212,8 +212,8 @@ def short_expansions(fam, order, seed=1):
     rng = np.random.default_rng(seed)
     f, psi = rng.standard_normal((2, fam.dim)) \
         + 1j * rng.standard_normal((2, fam.dim))
-    return (partial_sum(fam, f, order).coords,
-            partial_sum_adjoint(fam, psi, order).coords,
+    return (partial_sum(fam, f, order),
+            partial_sum_adjoint(fam, psi, order),
             weak_expansion_residual(fam, psi, f, order))
 
 

@@ -21,7 +21,8 @@ Diagonal structure is declared by the model builders as a `Diagonal`,
 never rediscovered: no code of the package counts nonzeros or names the
 retired `_real_diagonal` scan.  A `Diagonal` multiplies itself under `@`
 and `.conj().T`, so no code names the retired dispatch helpers
-`_product` and `_adjoint` either.
+`_product` and `_adjoint` either.  Expansions return plain coordinate
+arrays, so no code names the retired wrapper `CoefVector`.
 
 The real spectrum of a pseudo-Hermitian pair is certified through the
 Hermitian similarity T H T^{-1}, so no code of the package names the
@@ -168,18 +169,23 @@ SCANS = {"count_nonzero", "_real_diagonal"}
 #: `Diagonal.conj` replace.
 DISPATCH = {"_product", "_adjoint"}
 
+#: The coefficient wrapper that expansions returned before they returned
+#: arrays.
+WRAPPER = {"CoefVector"}
+
 #: The general non-Hermitian eigensolvers.
 GENERAL_EIG = {"eig", "eigvals"}
 
 
 def name_sites(path, names):
-    """`module:line` for every name, attribute, defined function or
-    imported name of the file that is in `names`."""
+    """`module:line` for every name, attribute, defined function or class
+    or imported name of the file that is in `names`."""
     tree = ast.parse(path.read_text(), filename=str(path))
     return {f"{path.stem}:{node.lineno}" for node in ast.walk(tree)
             if (node.id if isinstance(node, ast.Name) else
                 getattr(node, "attr", None)) in names
-            or isinstance(node, ast.FunctionDef) and node.name in names
+            or isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name in names
             or isinstance(node, ast.ImportFrom)
             and any(alias.name in names for alias in node.names)}
 
@@ -218,6 +224,20 @@ def test_the_check_sees_a_dispatch_helper(tmp_path):
                     "    return _product(_adjoint(x), seq._product(x, x))\n\n\n"
                     "def fine(x):\n    return x.conj().T @ x\n")
     assert name_sites(path, DISPATCH) == {"extra:1", "extra:4", "extra:9"}
+
+
+def test_no_code_names_the_retired_coefficient_wrapper():
+    assert package_sites(WRAPPER) == set()
+
+
+def test_the_check_sees_a_coefficient_wrapper(tmp_path):
+    path = tmp_path / "extra.py"
+    path.write_text("from . import triplet\nfrom .triplet import CoefVector\n"
+                    "\n\nclass CoefVector:\n    pass\n\n\n"
+                    "def wrap(x):\n"
+                    "    return CoefVector(x), triplet.CoefVector(x)\n\n\n"
+                    "def fine(x):\n    return x.coords\n")
+    assert name_sites(path, WRAPPER) == {"extra:2", "extra:5", "extra:10"}
 
 
 def test_no_code_calls_a_general_eigensolver():

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from rieszlab import (ContinuityError, Diagonal, DimensionError,
-                      InjectivityError, SequenceFamily,
+                      InjectivityError, RieszBasis, SequenceFamily,
                       StateError, ValidationError, WeightedTriplet,
                       adjoint_action, coefficient_seminorm, coords_of,
-                      hilbert_triplet_realization, make_riesz_basis,
-                      metric_operator_check, range_membership, realized_grams,
-                      strictness_constants, strictness_report,
-                      with_strictness)
+                      hilbert_triplet_realization, make_linear_map,
+                      make_riesz_basis, metric_operator_check,
+                      range_membership, realized_grams, strictness_constants,
+                      strictness_report, with_strictness)
 from rieszlab.cli import DEFAULT_TOLERANCES
 from rieszlab.riesz import _realized
 from rieszlab.trends import classify_growth, loglog_slope
@@ -50,10 +50,22 @@ class TestMakeRieszBasis:
         with pytest.raises(ValidationError):
             dataclasses.replace(basis, strict="maybe")
 
-    def test_continuity_certificate_attached(self):
+    def test_continuity_certificate_of_the_transform(self):
         basis = number_op_basis(4)
         # ||T f|| over the level-1 ball of w = (1..4): T cancels the scale
-        assert basis.transform.certificate[(1, 0)] == pytest.approx(1.0)
+        cert = make_linear_map(basis.transform, basis.triplet,
+                               pairs=((1, 0),)).certificate
+        assert cert == {(1, 0): pytest.approx(1.0)}
+
+    def test_transform_is_held_as_declared(self):
+        d = Diagonal(np.arange(1.0, 5.0))
+        tri = WeightedTriplet(4, d.d)
+        assert make_riesz_basis(d, tri).transform is d
+        t = np.diag(np.arange(1.0, 5.0)).astype(complex)
+        basis = make_riesz_basis(t, tri)
+        assert basis.transform is t and basis.triplet is basis.fam.triplet
+        fields = [f.name for f in dataclasses.fields(RieszBasis)]
+        assert fields == ["transform", "fam", "strict"]
 
     def test_singular_transform_rejected(self):
         tri = WeightedTriplet(3, np.ones(3))
@@ -310,7 +322,7 @@ class TestRealization:
     def test_level_one_seminorm_is_transformed_norm(self, rng):
         for basis in self.strict_number_ops(6):
             tri = hilbert_triplet_realization(basis)
-            t = basis.transform.matrix
+            t = basis.transform
             for _ in range(20):
                 f = random_vector(rng, 6)
                 assert tri.seminorm(f, 1) == \

@@ -22,9 +22,11 @@ import rieszlab.cli as cli
 from rieszlab import hamiltonian, riesz, sequences
 from rieszlab import (InjectivityError, SequenceFamily, WeightedTriplet,
                       bessel_bound, bessel_bound_sampled,
-                      metric_operator_check, riesz_fischer_check)
+                      metric_operator_check, riesz_fischer_check,
+                      save_complex_matrix)
 from rieszlab.sequences import dual_level_norm, pseudo_inverse
 
+from conftest import well_conditioned_transform
 from reference import CASES, reference_row_space, reference_sampled
 
 
@@ -136,7 +138,7 @@ def counting_draws(monkeypatch, section=(None,)):
 
 def test_number_op_report_draws_once_and_saves_four_svds(tmp_path,
                                                         monkeypatch):
-    section, kernels, svds = [None], [0], [0]
+    section, kernels, svds, scales = [None], [0], [0], [0]
     svd = np.linalg.svd
     drawn = counting_draws(monkeypatch, section)
 
@@ -153,6 +155,8 @@ def test_number_op_report_draws_once_and_saves_four_svds(tmp_path,
         return builder
 
     monkeypatch.setattr(np.linalg, "svd", counting(svds, svd))
+    monkeypatch.setattr(WeightedTriplet, "scale",
+                        counting(scales, WeightedTriplet.scale))
     # The two SVD kernels are bound by name wherever they are imported.
     for kernel in (sequences.singular_values, sequences.pseudo_inverse):
         wrapper = counting(kernels, kernel)
@@ -163,13 +167,32 @@ def test_number_op_report_draws_once_and_saves_four_svds(tmp_path,
         monkeypatch.setitem(cli.SECTIONS, name, tracked(name, build))
     report_bytes(tmp_path, NUMBER_OP, "counted.json")
     # One complex Lanczos start vector of M = 16 entries per level.
-    # Per-section pseudo-inverses and dual-level norms took 54 SVDs.
+    # Per-section pseudo-inverses and dual-level norms would take 54 SVDs;
+    # the memos save four.  Of the nine bases (the model and two four-rung
+    # ladders) none certifies its T: only `construction`, the one section
+    # that reads it, certifies the model's, with one SVD and two scalings,
+    # where a certificate per basis took 50 SVDs and 55 scalings.
     assert {name: count for (where, name), count in drawn.items()
             if where == "bessel"} == {"standard_normal": 2 * 2 * 16}
-    assert kernels[0] == 54 - 4
+    assert kernels[0] == 42
+    assert scales[0] == 39
     # The number-op model declares every map a Diagonal, so none of them
     # reaches LAPACK.
     assert svds[0] == 0
+
+
+def test_transform_reconstruction_takes_one_svd(tmp_path, monkeypatch):
+    # The pseudo-inverse of T is the only SVD: a basis carries no
+    # certificate of T, which `reconstruct` does not read.
+    path = tmp_path / "transform.csv"
+    save_complex_matrix(path, well_conditioned_transform(
+        np.random.default_rng(3), 64))
+    calls, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *a, **k: calls.append(1) or svd(*a, **k))
+    report_bytes(tmp_path, ["reconstruct", "--transform", str(path),
+                            "--no-timing"], "reconstruct.json")
+    assert len(calls) == 1
 
 
 # -- the stream --------------------------------------------------------------

@@ -21,13 +21,13 @@ import pytest
 from rieszlab import (LineGrid, SequenceFamily, WeightedTriplet,
                       bessel_bound, bessel_bound_lanczos,
                       bessel_bound_sampled, bessel_factor, frame_operator,
-                      level_gram, make_riesz_basis, riesz_fischer_check,
-                      sobolev_basis, strictness_constants)
+                      level_gram, riesz_fischer_check, sobolev_basis,
+                      strictness_constants)
 from rieszlab.cli import main
 
 from reference import (TOL, THIN_CASES, check_bessel, check_certificates,
                        check_grams, check_inverse, check_norms, check_scale,
-                       close, dense_certificate, dense_scaling)
+                       close, dense_scaling)
 
 
 @pytest.fixture(params=sorted(THIN_CASES))
@@ -53,13 +53,6 @@ class TestAgainstDenseReference:
         s1 = np.linalg.svd(x, compute_uv=False)
         assert close(strictness_constants(case.triplet, case.family)[0],
                      s1[-1] ** 2)
-
-    def test_square_transform_certificate(self):
-        fam = THIN_CASES["graph-norm-square"]()
-        t = fam.dual.conj().T
-        basis = make_riesz_basis(t, fam.triplet)
-        assert close(basis.transform.certificate[(1, 0)],
-                     dense_certificate(t, fam.triplet, 1, 0))
 
     def test_fourier_frame_two_levels(self):
         rng = np.random.default_rng(5)

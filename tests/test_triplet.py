@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rieszlab import (CoefVector, DimensionError, LevelError, ValidationError,
+from rieszlab import (DimensionError, LevelError, ValidationError,
                       WeightedTriplet, coords_of, graph_norm_triplet, pairing)
 
 from conftest import random_vector
@@ -151,12 +151,11 @@ class TestConstruction:
             WeightedTriplet(2, (1.0, 2.0), frame=np.array([[1.0, 1.0],
                                                            [0.0, 1.0]]))
 
-    def test_coefvector_coords(self):
-        v = CoefVector([1.0, 2.0])
-        assert len(v) == 2
-        with pytest.raises(DimensionError):
-            CoefVector(np.ones((2, 2)))
-        assert coords_of(v) is v.coords
+    def test_coords_of_gives_a_complex_array(self):
+        v = coords_of([1.0, 2.0])
+        assert v.dtype == complex and v.shape == (2,)
+        assert coords_of(3.0).shape == (1,)
+        assert coords_of(v) is v
 
 
 class TestScaleMatrix:
