@@ -42,10 +42,10 @@ from .sequences import (BIORTH_TOL, DOMINATION_FACTOR, SequenceFamily,
                         riesz_fischer_check, schauder_inequality_probe,
                         weak_expansion_residual)
 from .spaces import (ALIASING_TOL, CONSTRUCTION_TOL, SUPPORT_TOL, LineGrid,
-                     aliasing_fraction, default_half_width, hermite_grid,
-                     number_operator_model, number_operator_rule,
-                     schwartz_hermite_model, sobolev_model, sobolev_multiplier)
-from .triplet import Diagonal, WeightedTriplet
+                     default_half_width, hermite_grid, number_operator_model,
+                     number_operator_rule, schwartz_hermite_model,
+                     sobolev_model, sobolev_multiplier)
+from .triplet import WeightedTriplet
 
 COMMANDS = ("check-biorthogonal", "frame-report", "bessel", "riesz-fischer",
             "strictness", "reconstruct", "example", "pseudo-hermitian",
@@ -347,12 +347,13 @@ class ModelBundle:
     """Everything a section builder may need, resolved once per run.
 
     Coefficient-space models fill the family (and the basis when a
-    transform exists); function-space examples add the grid and the
-    Hermite columns sampled on it, and the Sobolev example also the
-    round-trip defect its construction measured.  The ladder rule feeds
-    trend diagnostics and may return (triplet, matrix) pairs for families
-    truncated by column count; the pseudo-Hermitian command resolves to
-    its pair, with the rule of its transform at each ladder dimension.
+    transform exists); function-space examples add the grid, the Hermite
+    columns sampled on it and their worst aliasing fraction, and the
+    Sobolev example also the round-trip defect its construction measured.
+    The ladder rule feeds trend diagnostics and may return (triplet,
+    matrix) pairs for families truncated by column count; the
+    pseudo-Hermitian command resolves to its pair, with the rule of its
+    transform at each ladder dimension.
     """
 
     label: str
@@ -361,6 +362,7 @@ class ModelBundle:
     ladder_rule: object | None = None
     grid: LineGrid | None = None
     hermite: np.ndarray | None = None
+    aliasing: float | None = None
     round_trip: float | None = None
     pair: HamiltonianPair | None = None
 
@@ -425,17 +427,18 @@ def _resolve_example(cfg):
         _, fam = schwartz_hermite_model(dim, levels)
 
         def rule(n):
-            t = WeightedTriplet(n, np.arange(1, n + 1, dtype=float), levels)
-            return t, Diagonal(np.ones(n))
+            tri, rung = schwartz_hermite_model(n, levels)
+            return tri, rung.family
 
         return ModelBundle("schwartz", fam, ladder_rule=rule)
+    # Both function-space examples take the grid one rule decides.
+    grid, hermite, aliasing = hermite_grid(dim, cfg.half_width, cfg.size,
+                                           tol["support"], tol["aliasing"])
     if cfg.example == "hermite":
-        grid, hermite = hermite_grid(dim, cfg.half_width, cfg.size,
-                                     tol["support"], tol["aliasing"])
-        return ModelBundle("hermite", grid=grid, hermite=hermite)
+        return ModelBundle("hermite", grid=grid, hermite=hermite,
+                           aliasing=aliasing)
     # sobolev, the last of EXAMPLES
-    grid = LineGrid(cfg.half_width, cfg.size)
-    fam, hermite, round_trip = sobolev_model(grid, dim, tol["support"])
+    fam, round_trip = sobolev_model(grid, hermite)
 
     def truncation(m):
         if m > fam.size:
@@ -445,7 +448,8 @@ def _resolve_example(cfg):
         return fam.triplet, fam.family[:, :m]
 
     return ModelBundle("sobolev", fam, ladder_rule=truncation, grid=grid,
-                       hermite=hermite, round_trip=round_trip)
+                       hermite=hermite, aliasing=aliasing,
+                       round_trip=round_trip)
 
 
 # -- section builders --------------------------------------------------------
@@ -624,8 +628,15 @@ def _reconstruct_section(bundle, cfg):
          "weak_expansion_residual": weak})]
 
 
+def _grid_records(bundle):
+    """The grid decision both function-space sections record."""
+    return {"worst_aliasing_fraction": bundle.aliasing,
+            "grid_points": bundle.grid.points,
+            "half_width": bundle.grid.half_width}
+
+
 def _hermite_section(bundle, cfg):
-    grid, vals = bundle.grid, bundle.hermite
+    grid, vals, alias = bundle.grid, bundle.hermite, bundle.aliasing
     count = cfg.dim
     tol = cfg.tolerances
     idx = int(np.argmin(np.abs(grid.nodes)))
@@ -637,14 +648,10 @@ def _hermite_section(bundle, cfg):
     rec = max(float(np.max(np.abs(vals[:, n] - closed[n])))
               for n in range(min(count, 3)))
     gram_defect = max_deviation(grid.spacing * (vals.T @ vals))
-    alias = max(aliasing_fraction(grid, vals[:, n]) for n in range(count))
     records = {"value_at_zero_0": float(at0[0]),
                "value_at_zero_1": float(at0[1]) if count > 1 else None,
                "closed_form_residual": rec,
-               "gram_defect": gram_defect,
-               "worst_aliasing_fraction": alias,
-               "grid_points": grid.points,
-               "half_width": grid.half_width}
+               "gram_defect": gram_defect, **_grid_records(bundle)}
     return records, [
         Verdict("recurrence-vs-closed-forms",
                 _pf(rec <= tol["equality"]
@@ -673,7 +680,7 @@ def _sobolev_section(bundle, cfg):
                "hermite_gram_defect": gram_defect,
                "modified_gram_defect": mod_defect,
                "lower_constant": lower,
-               "upper_constants": upper}
+               "upper_constants": upper, **_grid_records(bundle)}
     window = tol["constants_window"]
     in_window = (abs(lower - 1.0) <= window
                  and abs(upper[top] - 1.0) <= window)

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import (ConfigError, DimensionError, ParseError,
                      ValidationError)
 
-SCHEMA_VERSION = "1.4"
+SCHEMA_VERSION = "1.5"
 
 VERDICTS = ("pass", "fail", "strict", "non-strict", "inconclusive", "tainted")
 

@@ -6,8 +6,9 @@ discrete Fourier transform is exact on band-limited data and the
 multiplier (1 + y^2)^{s/2} realizes (I - d^2/dx^2)^{s/2} spectrally.
 Quadrature on the grid is the rectangle rule, which is exponentially
 accurate for smooth decaying functions; all accuracy claims are checked,
-not assumed: every constructor verifies its support, aliasing and
-round-trip tolerances and raises or doubles the grid when they fail.
+not assumed: `hermite_values` checks support, `hermite_grid` aliasing
+(doubling the grid while it fails) and `sobolev_model` the round trip,
+and each raises when its check cannot be met.
 """
 from __future__ import annotations
 
@@ -138,7 +139,8 @@ def hermite_values(grid, count, support_tol=SUPPORT_TOL):
         phi_1 = sqrt(2) x phi_0,
         phi_{n+1} = sqrt(2/(n+1)) x phi_n - sqrt(n/(n+1)) phi_{n-1},
     which is stable in the function normalization (no factorial blow-up).
-    Each column's window-support residual must stay below `support_tol`.
+    Each column's window-support residual must stay below `support_tol`,
+    and a column that underflows to 0 on every node raises SupportError.
     """
     if count < 1:
         raise ValidationError("need at least one basis function")
@@ -157,6 +159,12 @@ def hermite_values(grid, count, support_tol=SUPPORT_TOL):
             raise SupportError(
                 f"half width {grid.half_width:g} too small for basis "
                 f"function {n} (window-support residual {res:.2e})")
+    zero = np.flatnonzero(~out.any(axis=0))
+    if zero.size:
+        raise SupportError(
+            f"half width {grid.half_width:g} is too wide for {grid.points} "
+            f"points: basis function {zero[0]} is 0 on every node (spacing "
+            f"{grid.spacing:.3g})")
     return out
 
 
@@ -182,14 +190,16 @@ def aliasing_fraction(grid, values):
 
 def hermite_grid(count, half_width=None, points=1024, support_tol=SUPPORT_TOL,
                  aliasing_tol=ALIASING_TOL):
-    """(grid, columns): a grid on which the first `count` Hermite
-    functions are well resolved, and their `hermite_values` columns on it.
+    """(grid, columns, aliasing): a grid on which the first `count` Hermite
+    functions are well resolved, their `hermite_values` columns on it, and
+    the worst aliasing fraction among those columns.
 
     Starts from the default window rule and the requested point count,
     doubling the points (up to 2^16) while any basis column leaves more
     than `aliasing_tol` of its spectral mass in the top third of the
-    band.  Support failures (a column's window-support residual above
-    `support_tol`) are not fixed by refinement and propagate.
+    band.  Support and zero-column failures of `hermite_values` propagate
+    without refinement.  Both function-space examples take their grid
+    from here.
     """
     hw = default_half_width(count) if half_width is None else float(half_width)
     p = int(points)
@@ -198,11 +208,11 @@ def hermite_grid(count, half_width=None, points=1024, support_tol=SUPPORT_TOL,
         vals = hermite_values(grid, count, support_tol)
         worst = max(aliasing_fraction(grid, vals[:, n]) for n in range(count))
         if worst <= aliasing_tol:
-            return grid, vals
+            return grid, vals, worst
         if 2 * p > _MAX_POINTS:
             raise SupportError(
-                f"aliasing check keeps failing at {p} points "
-                f"(worst fraction {worst:.2e})")
+                f"half width {hw:g} is too wide for {p} points: the aliasing "
+                f"check keeps failing (worst fraction {worst:.2e})")
         p *= 2
 
 
@@ -238,25 +248,18 @@ def sobolev_triplet(grid):
 
 def sobolev_basis(grid, count):
     """Family xi_n = (I - d^2/dx^2)^{-1/2} phi_n over the Sobolev triplet,
-    with dual (I - d^2/dx^2)^{+1/2} phi_n; see `sobolev_model`."""
-    return sobolev_model(grid, count)[0]
+    with dual (I - d^2/dx^2)^{+1/2} phi_n, on the caller's grid; see
+    `sobolev_model`."""
+    return sobolev_model(grid, hermite_values(grid, count))[0]
 
 
-def sobolev_model(grid, count, support_tol=SUPPORT_TOL):
-    """(family, hermite, round_trip): `sobolev_basis` with the sampled
-    phi_n as columns and the worst quadrature-norm defect of the multiplier
+def sobolev_model(grid, phis):
+    """(family, round_trip): `sobolev_basis` built from the Hermite columns
+    `phis` sampled on `grid`, as `hermite_values` or `hermite_grid` hand
+    them over, and the worst quadrature-norm defect of the multiplier
     round trip phi_n -> xi_n -> phi_n, for diagnostics to reuse.  Since the
     dual is the forward multiplier of phi_n, biorthogonality reduces to
-    the Hermite quadrature Gram.  A defect above CONSTRUCTION_TOL raises;
-    `support_tol` bounds each phi_n's window-support residual, and a phi_n
-    that underflows to 0 on every node raises SupportError."""
-    phis = hermite_values(grid, count, support_tol)
-    zero = np.flatnonzero(~phis.any(axis=0))
-    if zero.size:
-        raise SupportError(
-            f"half width {grid.half_width:g} is too wide for {grid.points} "
-            f"points: basis function {zero[0]} is 0 on every node (spacing "
-            f"{grid.spacing:.3g})")
+    the Hermite quadrature Gram.  A defect above CONSTRUCTION_TOL raises."""
     scale = np.sqrt(grid.spacing)
     low = sobolev_multiplier(grid, -1.0, phis)
     defects = scale * np.linalg.norm(sobolev_multiplier(grid, 1.0, low) - phis,
@@ -269,7 +272,7 @@ def sobolev_model(grid, count, support_tol=SUPPORT_TOL):
             f"(defect {defects[n]:.2e})")
     dual = scale * sobolev_multiplier(grid, 1.0, phis)
     fam = SequenceFamily(scale * low, sobolev_triplet(grid), dual=dual)
-    return fam, phis, float(np.max(defects))
+    return fam, float(np.max(defects))
 
 
 # -- coefficient-space models ------------------------------------------------

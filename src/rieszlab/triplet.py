@@ -86,26 +86,14 @@ def coords_of(x):
 def _unitary_defect(q):
     # Full check up to a few hundred dims, randomized probe beyond that so
     # large dense frames (graph norms, the realization of a dense T) stay
-    # cheap to validate; DFT frames take `_fft_defect` instead.
+    # cheap to validate.  The DFT frame is unitary by construction and is
+    # accepted by name.
     n = q.shape[0]
     if n <= 256:
         return float(np.max(np.abs(q.conj().T @ q - np.eye(n))))
     rng = np.random.default_rng(0)
     x = rng.standard_normal((n, 8)) + 1j * rng.standard_normal((n, 8))
     return float(np.max(np.abs(q.conj().T @ (q @ x) - x)) / np.max(np.abs(x)))
-
-
-def _fft_defect(n):
-    # The FFT pair is unitary by construction; the probe pins the
-    # normalization: Q^H Q x = x and ||Q x|| = ||x|| on random columns.
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal((n, 8)) + 1j * rng.standard_normal((n, 8))
-    qx = np.fft.ifft(x, axis=0, norm="ortho")
-    back = np.fft.fft(qx, axis=0, norm="ortho")
-    norms = np.linalg.norm(x, axis=0)
-    return max(float(np.max(np.abs(back - x)) / np.max(np.abs(x))),
-               float(np.max(np.abs(np.linalg.norm(qx, axis=0) - norms)
-                            / norms)))
 
 
 @dataclass(frozen=True)
@@ -156,14 +144,14 @@ class WeightedTriplet:
         if isinstance(frame, str):
             if frame != _DFT_FRAME:
                 raise ValidationError(f"unknown frame {frame!r}")
-            defect = _fft_defect(self.dim)
         elif frame is not None:
             frame = np.asarray(frame, dtype=complex)
             if frame.shape != (self.dim, self.dim):
                 raise DimensionError("frame must be square of the model dimension")
             defect = _unitary_defect(frame)
-        if frame is not None and not defect <= 1e-8:
-            raise ValidationError(f"frame is not unitary (defect {defect:.2e})")
+            if not defect <= 1e-8:
+                raise ValidationError(
+                    f"frame is not unitary (defect {defect:.2e})")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "frame", frame)
 

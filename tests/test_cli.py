@@ -587,17 +587,25 @@ def test_overflowing_grid_spacing_is_refused(capsys, example):
         "error: half width 1e+308 overflows the grid spacing\n")
 
 
-@pytest.mark.parametrize("example, err", [
-    ("hermite", "aliasing check keeps failing at 65536 points (worst "
-                "fraction 3.33e-01)"),
-    ("sobolev", "half width 1e+200 is too wide for 1024 points: basis "
-                "function 1 is 0 on every node (spacing 1.95e+197)"),
-], ids=["hermite", "sobolev"])
-def test_huge_half_width_is_refused_without_a_warning(capsys, example, err):
-    # The squared nodes overflow; exp(-inf) = 0 needs no warning.
+@pytest.mark.parametrize("example", ["hermite", "sobolev"])
+def test_huge_half_width_is_refused_without_a_warning(capsys, example):
+    # The squared nodes overflow; exp(-inf) = 0 needs no warning.  Both
+    # examples refuse the zero column before any grid is doubled.
     argv = ["example", "--example", example, "--seed", "0",
             "--half-width", "1e200"]
-    assert refusal(argv, capsys) == f"error: {err}\n"
+    assert refusal(argv, capsys) == (
+        "error: half width 1e+200 is too wide for 1024 points: basis "
+        "function 1 is 0 on every node (spacing 1.95e+197)\n")
+
+
+@pytest.mark.parametrize("example", ["hermite", "sobolev"])
+def test_unresolvable_window_names_its_half_width(capsys, example):
+    # The one column is a spike at x = 0, which no doubling resolves.
+    argv = ["example", "--example", example, "--dim", "1", "--seed", "0",
+            "--half-width", "1e200"]
+    assert refusal(argv, capsys) == (
+        "error: half width 1e+200 is too wide for 65536 points: the "
+        "aliasing check keeps failing (worst fraction 3.33e-01)\n")
 
 
 def test_sobolev_grid_too_coarse_for_phi_1_is_refused(capsys):
@@ -639,6 +647,36 @@ def test_aliasing_tolerance_sets_the_hermite_grid(tmp_path):
     assert section(default, "hermite-values")["records"]["grid_points"] == 256
 
 
+GRID_KEYS = ("grid_points", "half_width", "worst_aliasing_fraction")
+
+
+@pytest.mark.parametrize("extra, points", [
+    ([], 1024),
+    (["--size", "64"], 256),
+    (["--size", "64", "--tolerance", "aliasing=1e-2"], 128),
+], ids=["default", "size-64", "size-64-loose"])
+def test_both_function_examples_take_the_same_grid(tmp_path, extra, points):
+    grids = []
+    for example, name in (("hermite", "hermite-values"),
+                          ("sobolev", "sobolev-family")):
+        doc = run_json(tmp_path, ["example", "--example", example, "--seed",
+                                  "0"] + extra, f"{example}.json")
+        records = section(doc, name)["records"]
+        grids.append({key: records[key] for key in GRID_KEYS})
+    assert grids[0] == grids[1]
+    assert grids[0]["grid_points"] == points
+
+
+def test_sobolev_report_on_a_doubled_grid_passes(tmp_path):
+    # At its 64 requested points the family failed its modified Gram and
+    # level constants and tainted its pairings; the grid rule takes 256.
+    doc = run_json(tmp_path, ["full-report", "--example", "sobolev",
+                              "--size", "64", "--seed", "0"])
+    words = verdicts(doc)
+    assert "fail" not in words and "tainted" not in words
+    assert section(doc, "sobolev-family")["records"]["grid_points"] == 256
+
+
 def count_calls(monkeypatch, names):
     """Count calls of each named function, wherever a rieszlab module
     binds it, since the CLI and the models call helpers by name."""
@@ -661,20 +699,25 @@ def count_calls(monkeypatch, names):
 
 
 def test_sobolev_report_verifies_its_construction_once(tmp_path, monkeypatch):
-    counts = count_calls(monkeypatch, ("hermite_values", "sobolev_multiplier"))
+    counts = count_calls(monkeypatch, ("hermite_values", "aliasing_fraction",
+                                       "sobolev_multiplier"))
     run_json(tmp_path, ["full-report", "--example", "sobolev", "--size",
                         "256", "--seed", "1"])
-    # The model samples the Hermite columns once and hands them, with its
-    # round-trip defect, to the section: one multiplier pair for the round
+    # The grid rule samples the ten Hermite columns once, measures their
+    # aliasing once and hands both to the model and the section; the model
+    # hands its round-trip defect on: one multiplier pair for the round
     # trip, one for the dual and one for the section's construction check.
-    assert counts == {"hermite_values": 1, "sobolev_multiplier": 4}
+    assert counts == {"hermite_values": 1, "aliasing_fraction": 10,
+                      "sobolev_multiplier": 4}
 
 
 def test_hermite_report_samples_the_columns_once(tmp_path, monkeypatch):
-    counts = count_calls(monkeypatch, ("hermite_values",))
-    run_json(tmp_path, ["full-report", "--example", "hermite", "--seed", "0"])
-    # The grid search hands the columns it checked to the section.
-    assert counts == {"hermite_values": 1}
+    counts = count_calls(monkeypatch, ("hermite_values", "aliasing_fraction"))
+    run_json(tmp_path, ["full-report", "--example", "hermite", "--dim", "10",
+                        "--seed", "0"])
+    # The grid search hands the columns it checked, and their worst
+    # aliasing fraction, to the section.
+    assert counts == {"hermite_values": 1, "aliasing_fraction": 10}
 
 
 def failing(exc):

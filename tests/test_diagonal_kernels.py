@@ -315,7 +315,7 @@ def test_reports_equal_the_dense_reference(tmp_path, monkeypatch, name):
 
     fast = report("fast")
     with monkeypatch.context() as m:
-        for module in (spaces, hamiltonian, cli):
+        for module in (spaces, hamiltonian):
             m.setattr(module, "Diagonal", dense_diag)
         diagonal = report("dense-diagonal")
     if fast != diagonal:

@@ -24,6 +24,12 @@ and `.conj().T`, so no code names the retired dispatch helpers
 `_product` and `_adjoint` either.  Expansions return plain coordinate
 arrays, so no code names the retired wrapper `CoefVector`.
 
+A line grid is decided in one place, `spaces.hermite_grid`, for both
+function-space examples: the CLI constructs no `LineGrid` and names
+neither the sampler `hermite_values` nor the `aliasing_fraction` check.
+The unitary DFT frame is accepted by name, so no code names the retired
+runtime self-test `_fft_defect`.
+
 The real spectrum of a pseudo-Hermitian pair is certified through the
 Hermitian similarity T H T^{-1}, so no code of the package names the
 general non-Hermitian eigensolvers `eig` and `eigvals`; the Hermitian
@@ -173,6 +179,13 @@ DISPATCH = {"_product", "_adjoint"}
 #: arrays.
 WRAPPER = {"CoefVector"}
 
+#: The sampler and the check that only `spaces.hermite_grid` runs for a
+#: report.
+GRID_DECISION = {"hermite_values", "aliasing_fraction"}
+
+#: The runtime self-test of numpy's FFT normalization.
+FFT_TEST = {"_fft_defect"}
+
 #: The general non-Hermitian eigensolvers.
 GENERAL_EIG = {"eig", "eigvals"}
 
@@ -238,6 +251,48 @@ def test_the_check_sees_a_coefficient_wrapper(tmp_path):
                     "    return CoefVector(x), triplet.CoefVector(x)\n\n\n"
                     "def fine(x):\n    return x.coords\n")
     assert name_sites(path, WRAPPER) == {"extra:2", "extra:5", "extra:10"}
+
+
+def grid_sites(path):
+    """`module:line` for every `LineGrid` construction and every name of
+    `GRID_DECISION` in the file."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    built = {f"{path.stem}:{node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and (getattr(node.func, "id", None)
+                  or getattr(node.func, "attr", None)) == "LineGrid"}
+    return built | name_sites(path, GRID_DECISION)
+
+
+def test_the_cli_decides_no_grid():
+    assert grid_sites(PACKAGE / "cli.py") == set()
+
+
+def test_the_check_sees_a_grid_decision(tmp_path):
+    path = tmp_path / "extra.py"
+    path.write_text("from . import spaces\nfrom .spaces import LineGrid\n"
+                    "from .spaces import hermite_values\n\n\n"
+                    "def grid(cfg):\n"
+                    "    return LineGrid(cfg.half_width, cfg.size)\n\n\n"
+                    "def alias(grid, v):\n"
+                    "    g = spaces.LineGrid(1.0, 8)\n"
+                    "    return spaces.aliasing_fraction(grid, v), g\n\n\n"
+                    "def fine(grid: LineGrid):\n    return grid.points\n")
+    assert grid_sites(path) == {f"extra:{line}" for line in (3, 7, 11, 12)}
+
+
+def test_no_code_names_the_retired_fft_self_test():
+    assert package_sites(FFT_TEST) == set()
+
+
+def test_the_check_sees_an_fft_self_test(tmp_path):
+    path = tmp_path / "extra.py"
+    path.write_text("from .triplet import _fft_defect\n\n\n"
+                    "def _fft_defect(n):\n    return 0.0\n\n\n"
+                    "def check(tri):\n"
+                    "    return _fft_defect(tri.dim)\n\n\n"
+                    "def fine(x):\n    return x\n")
+    assert name_sites(path, FFT_TEST) == {"extra:1", "extra:4", "extra:9"}
 
 
 def test_no_code_calls_a_general_eigensolver():

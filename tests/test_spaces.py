@@ -135,20 +135,26 @@ class TestHermiteGrid:
             2.0 * np.sqrt(2001.0))
 
     def test_coarse_start_doubles_until_resolved(self):
-        grid, _ = hermite_grid(10, points=4)
+        grid, _, worst = hermite_grid(10, points=4)
         assert grid.points > 4
         vals = hermite_values(grid, 10)
-        worst = max(aliasing_fraction(grid, vals[:, n]) for n in range(10))
+        assert worst == max(aliasing_fraction(grid, vals[:, n])
+                            for n in range(10))
         assert worst <= 1e-10
 
     def test_adequate_start_is_kept(self):
-        grid, _ = hermite_grid(10, points=1024)
+        grid, _, _ = hermite_grid(10, points=1024)
         assert grid.points == 1024
         assert grid.half_width == 20.0
 
     def test_support_failure_propagates(self):
         with pytest.raises(SupportError):
             hermite_grid(10, half_width=2.0)
+
+    def test_zero_column_is_refused_before_doubling(self):
+        with pytest.raises(SupportError, match="for 1024 points: basis "
+                           "function 1 is 0 on every node"):
+            hermite_grid(10, half_width=2e4)
 
 
 class TestSobolevMultiplier:
@@ -252,6 +258,12 @@ class TestSobolevBasis:
     def test_level_one_bessel_bound_near_one(self):
         fam = sobolev_basis(GRID, 6)
         assert bessel_bound(fam, 1) == pytest.approx(1.0, abs=1e-6)
+
+    def test_keeps_the_callers_grid(self):
+        # No aliasing rule doubles it; the 64-point reference models
+        # rely on that.
+        fam = sobolev_basis(LineGrid(20.0, 64), 6)
+        assert fam.dim == 64 and fam.size == 6
 
 
 class TestNumberOperatorModel:
