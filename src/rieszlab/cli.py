@@ -29,8 +29,8 @@ from .hamiltonian import (HamiltonianPair, demo_pair, demo_transform,
                           hermitian_defect, nonnormality, spectrum_residual,
                           weak_similarity_residual)
 from .reportio import (DiagnosticsReport, SCHEMA_VERSION, Section, Verdict,
-                       config_digest, load_complex_matrix, render_csv,
-                       render_json, save_report)
+                       config_digest, load_complex_matrix, render_report,
+                       save_report)
 from .riesz import (_realized, make_riesz_basis, metric_operator_check,
                     strictness_constants, strictness_report,
                     transport_residuals)
@@ -81,7 +81,7 @@ DEFAULT_TOLERANCES = {
 }
 
 # The pseudo-Hermitian knobs and their defaults.
-PSEUDO_DEFAULTS = {"psi_seed": 7, "N_ladder": (8, 16, 32)}
+PSEUDO_DEFAULTS = {"psi_seed": 7}
 
 
 @dataclass
@@ -91,9 +91,9 @@ class RunConfig:
     `dim` is the model dimension for coefficient-space models and the
     family size for function-space examples; `size` is the grid point
     count.  All randomized probes consume the single `seed`.  Construction
-    validates every field and then resolves the ones left unset (`dim`,
-    `levels`, `size`, `half_width` and the `pseudo` knobs; None, a JSON
-    null, is unset), so each field holds the value the run uses.
+    validates every field and then resolves the ones left unset (None, a
+    JSON null, is unset), so each field holds the value the run uses.
+    `ladder` feeds every trend diagnostic: strictness and admissibility.
     """
 
     command: str
@@ -103,8 +103,8 @@ class RunConfig:
     size: int | None = None
     half_width: float | None = None
     weights: tuple | None = None
-    weight_rule: str = "ones"
-    ladder: tuple = DEFAULT_LADDER
+    weight_rule: str | None = None
+    ladder: tuple | None = None
     inputs: dict = field(default_factory=dict)
     pseudo: dict = field(default_factory=dict)
     seed: int | None = None
@@ -122,9 +122,23 @@ class RunConfig:
                 + ", ".join(EXAMPLES))
         if self.fmt not in ("json", "csv"):
             raise ConfigError(f"unknown report format {self.fmt!r}")
+        if self.weight_rule is None:
+            self.weight_rule = "ones"
         if self.weight_rule not in WEIGHT_RULES:
             raise ConfigError(f"unknown weight rule {self.weight_rule!r}")
-        self.ladder = _checked_ladder(self.ladder, "ladder")
+        if self.ladder is None:
+            self.ladder = DEFAULT_LADDER
+        try:
+            ladder = tuple(self.ladder)
+        except TypeError as exc:
+            raise ConfigError("ladder must be a list of integers") from exc
+        if not ladder or None in ladder:
+            raise ConfigError("ladder needs positive dimensions")
+        for n in ladder:
+            _check_int(n, "ladder entry", 1)
+        if any(b <= a for a, b in zip(ladder, ladder[1:])):
+            raise ConfigError("ladder must be strictly increasing")
+        self.ladder = ladder
         for name, low in (("seed", 0), ("dim", 1), ("levels", 1),
                           ("size", 1)):
             _check_int(getattr(self, name), name, low)
@@ -136,41 +150,37 @@ class RunConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(
                 f"half width and weights must be numbers: {exc}") from exc
-        unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
-        if unknown:
-            raise ConfigError(
-                "unknown tolerance keys: " + ", ".join(sorted(unknown)))
+        _check_keys(self.tolerances, "tolerance", DEFAULT_TOLERANCES)
         self.tolerances = {**DEFAULT_TOLERANCES,
                            **{k: _checked_tolerance(k, v)
                               for k, v in self.tolerances.items()}}
+        _check_keys(self.pseudo, "pseudo", PSEUDO_DEFAULTS)
         self.pseudo = {**PSEUDO_DEFAULTS, **{
             k: v for k, v in self.pseudo.items() if v is not None}}
         _check_int(self.pseudo["psi_seed"], "psi_seed", 0)
-        self.pseudo["N_ladder"] = _checked_ladder(self.pseudo["N_ladder"],
-                                                  "N_ladder")
         if self.seed is None and self.command in SEEDED:
             raise ConfigError(
                 f"command {self.command!r} draws random probes and needs "
                 "an explicit --seed")
         if self.command in ("example", "full-report") and self.example is None:
             raise ConfigError("choose an example with --example")
+        grid = self.example in ("hermite", "sobolev")  # they read the window
         if self.dim is None:
             self.dim = (32 if self.command == "pseudo-hermitian"
-                        else 10 if self.example in ("hermite", "sobolev")
-                        else 8)
+                        else 10 if grid else 8)
         if self.levels is None:
             self.levels = 2 if self.example == "schwartz" else 1
         if self.size is None:
             self.size = 1024
         if self.half_width is None:
-            self.half_width = (default_half_width(self.dim)
-                               if self.example == "hermite" else 20.0)
+            self.half_width = default_half_width(self.dim) if grid else 20.0
 
     def canonical(self):
-        """Digest-relevant view: every resolved field that shapes the
-        diagnostics, so two runs share a digest exactly when they compute
-        the same model.  Its keys are the config file's top-level and
-        `model` keys, so a key declared there enters the digest.
+        """Digest-relevant view: every resolved field, whether the command
+        reads it or not, so two runs that compute the same model from
+        different settings of an unread field get different digests.  Its
+        keys are the config file's top-level and `model` keys, so a key
+        declared there enters the digest.
 
         Output path, format and the timing switch do not affect any
         computed number, so the same run written twice stays byte
@@ -203,18 +213,10 @@ def _checked_tolerance(key, value):
     return tol
 
 
-def _checked_ladder(values, name):
-    try:
-        ladder = tuple(values)
-    except TypeError as exc:
-        raise ConfigError(f"{name} must be a list of integers") from exc
-    if not ladder or None in ladder:
-        raise ConfigError(f"{name} needs positive dimensions")
-    for n in ladder:
-        _check_int(n, f"{name} entry", 1)
-    if any(b <= a for a, b in zip(ladder, ladder[1:])):
-        raise ConfigError(f"{name} must be strictly increasing")
-    return ladder
+def _check_keys(block, name, allowed):
+    unknown = set(block) - set(allowed)
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: " + ", ".join(sorted(unknown)))
 
 
 # -- configuration loading ---------------------------------------------------
@@ -237,25 +239,18 @@ def load_config_file(path):
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(raw) - _TOP_KEYS
-    if unknown:
-        raise ConfigError("unknown config keys: " + ", ".join(sorted(unknown)))
-    kw = {}
-    for key in ("command", "example", "seed", "no_timing"):
-        if key in raw:
-            kw[key] = raw[key]
+    _check_keys(raw, "config", _TOP_KEYS)
+    kw = {key: raw[key] for key in ("command", "example", "seed", "no_timing")
+          if key in raw}
     if "model" in raw:
         kw.update(_group_dict(raw, "model", _MODEL_KEYS))
     # A null leaves its key unset here as in every other block.
     if "inputs" in raw:
         inputs = _group_dict(raw, "inputs", _INPUT_KEYS)
         kw["inputs"] = {k: str(v) for k, v in inputs.items() if v is not None}
-    if "pseudo" in raw:
-        kw["pseudo"] = _group_dict(raw, "pseudo", set(PSEUDO_DEFAULTS))
-    if "tolerances" in raw:
-        if not isinstance(raw["tolerances"], dict):
-            raise ConfigError("'tolerances' must be an object")
-        kw["tolerances"] = dict(raw["tolerances"])
+    for name in ("pseudo", "tolerances"):  # RunConfig checks their keys
+        if name in raw:
+            kw[name] = _group_dict(raw, name)
     if "output" in raw:
         out = _group_dict(raw, "output", {"path", "format"})
         for key, name in (("path", "out"), ("format", "fmt")):
@@ -264,14 +259,12 @@ def load_config_file(path):
     return kw
 
 
-def _group_dict(raw, name, allowed):
+def _group_dict(raw, name, allowed=None):
     block = raw[name]
     if not isinstance(block, dict):
         raise ConfigError(f"{name!r} must be an object")
-    unknown = set(block) - allowed
-    if unknown:
-        raise ConfigError(
-            f"unknown {name} keys: " + ", ".join(sorted(unknown)))
+    if allowed is not None:
+        _check_keys(block, name, allowed)
     return dict(block)
 
 
@@ -374,11 +367,6 @@ class ModelBundle:
         return self.family
 
 
-def _rule_weights(rule, n):
-    k = np.arange(1, n + 1, dtype=float)
-    return {"ones": np.ones(n), "linear": k, "quadratic": k ** 2}[rule]
-
-
 def resolve_model(cfg):
     if cfg.command == "pseudo-hermitian":
         return ModelBundle("pseudo-hermitian", ladder_rule=demo_transform,
@@ -413,7 +401,8 @@ def _file_triplet(cfg, dim):
             raise ConfigError(
                 f"{dim} weights needed for the loaded model, got {w.shape[0]}")
     else:
-        w = _rule_weights(cfg.weight_rule, dim)
+        k = np.arange(1, dim + 1, dtype=float)
+        w = {"ones": k ** 0, "linear": k, "quadratic": k ** 2}[cfg.weight_rule]
     return WeightedTriplet(dim, w, cfg.levels)
 
 
@@ -727,7 +716,7 @@ def _similarity_section(bundle, cfg):
 
 
 def _admissibility_section(bundle, cfg):
-    trend = density_diagnostic(bundle.ladder_rule, cfg.pseudo["N_ladder"])
+    trend = density_diagnostic(bundle.ladder_rule, cfg.ladder)
     records = asdict(trend)
     return records, [Verdict(
         "dual-density-trend",
@@ -828,9 +817,7 @@ def main(argv=None):
         if cfg.out:
             save_report(report, cfg.out, cfg.fmt)
         else:
-            text = render_json(report) if cfg.fmt == "json" \
-                else render_csv(report)
-            sys.stdout.write(text)
+            sys.stdout.write(render_report(report, cfg.fmt))
     except RieszLabError as exc:
         message = str(exc)
     # Failures of the numeric kernels end like a refused input, untraced.

@@ -245,13 +245,17 @@ def render_csv(report):
     return buf.getvalue()
 
 
-def save_report(report, path, fmt="json"):
+def render_report(report, fmt="json"):
+    """The report's text in format `fmt`, "json" or "csv"."""
     if fmt == "json":
-        text = render_json(report)
-    elif fmt == "csv":
-        text = render_csv(report)
-    else:
-        raise ValidationError(f"unknown report format {fmt!r}")
+        return render_json(report)
+    if fmt == "csv":
+        return render_csv(report)
+    raise ValidationError(f"unknown report format {fmt!r}")
+
+
+def save_report(report, path, fmt="json"):
+    text = render_report(report, fmt)
     with open(path, "w") as fh:
         fh.write(text)
 

@@ -7,8 +7,9 @@ multiplier (1 + y^2)^{s/2} realizes (I - d^2/dx^2)^{s/2} spectrally.
 Quadrature on the grid is the rectangle rule, which is exponentially
 accurate for smooth decaying functions; all accuracy claims are checked,
 not assumed: `hermite_values` checks support, `hermite_grid` aliasing
-(doubling the grid while it fails) and `sobolev_model` the round trip,
-and each raises when its check cannot be met.
+and zero columns (doubling the grid while either fails) and
+`sobolev_model` the round trip, and each raises when its check cannot
+be met.
 """
 from __future__ import annotations
 
@@ -139,8 +140,8 @@ def hermite_values(grid, count, support_tol=SUPPORT_TOL):
         phi_1 = sqrt(2) x phi_0,
         phi_{n+1} = sqrt(2/(n+1)) x phi_n - sqrt(n/(n+1)) phi_{n-1},
     which is stable in the function normalization (no factorial blow-up).
-    Each column's window-support residual must stay below `support_tol`,
-    and a column that underflows to 0 on every node raises SupportError.
+    Each column's window-support residual must stay below `support_tol`;
+    a coarse grid may leave a column 0 on every node (see `hermite_grid`).
     """
     if count < 1:
         raise ValidationError("need at least one basis function")
@@ -159,13 +160,17 @@ def hermite_values(grid, count, support_tol=SUPPORT_TOL):
             raise SupportError(
                 f"half width {grid.half_width:g} too small for basis "
                 f"function {n} (window-support residual {res:.2e})")
-    zero = np.flatnonzero(~out.any(axis=0))
+    return out
+
+
+def _refuse_zero_columns(grid, vals):
+    """Raise SupportError when a sampled column is 0 on every node."""
+    zero = np.flatnonzero(~vals.any(axis=0))
     if zero.size:
         raise SupportError(
             f"half width {grid.half_width:g} is too wide for {grid.points} "
             f"points: basis function {zero[0]} is 0 on every node (spacing "
             f"{grid.spacing:.3g})")
-    return out
 
 
 def hermite_gram(grid, count):
@@ -195,11 +200,11 @@ def hermite_grid(count, half_width=None, points=1024, support_tol=SUPPORT_TOL,
     the worst aliasing fraction among those columns.
 
     Starts from the default window rule and the requested point count,
-    doubling the points (up to 2^16) while any basis column leaves more
-    than `aliasing_tol` of its spectral mass in the top third of the
-    band.  Support and zero-column failures of `hermite_values` propagate
-    without refinement.  Both function-space examples take their grid
-    from here.
+    doubling the points (up to 2^16) while any basis column is 0 on every
+    node or leaves more than `aliasing_tol` of its spectral mass in the
+    top third of the band.  Support failures of `hermite_values`
+    propagate without refinement.  Both function-space examples take
+    their grid from here.
     """
     hw = default_half_width(count) if half_width is None else float(half_width)
     p = int(points)
@@ -207,9 +212,10 @@ def hermite_grid(count, half_width=None, points=1024, support_tol=SUPPORT_TOL,
         grid = LineGrid(hw, p)
         vals = hermite_values(grid, count, support_tol)
         worst = max(aliasing_fraction(grid, vals[:, n]) for n in range(count))
-        if worst <= aliasing_tol:
+        if worst <= aliasing_tol and vals.any(axis=0).all():
             return grid, vals, worst
         if 2 * p > _MAX_POINTS:
+            _refuse_zero_columns(grid, vals)
             raise SupportError(
                 f"half width {hw:g} is too wide for {p} points: the aliasing "
                 f"check keeps failing (worst fraction {worst:.2e})")
@@ -249,8 +255,10 @@ def sobolev_triplet(grid):
 def sobolev_basis(grid, count):
     """Family xi_n = (I - d^2/dx^2)^{-1/2} phi_n over the Sobolev triplet,
     with dual (I - d^2/dx^2)^{+1/2} phi_n, on the caller's grid; see
-    `sobolev_model`."""
-    return sobolev_model(grid, hermite_values(grid, count))[0]
+    `sobolev_model`.  A column 0 on every node is refused."""
+    phis = hermite_values(grid, count)
+    _refuse_zero_columns(grid, phis)
+    return sobolev_model(grid, phis)[0]
 
 
 def sobolev_model(grid, phis):

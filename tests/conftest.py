@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -29,3 +31,27 @@ def random_vector(rng, n):
 @pytest.fixture
 def rng():
     return np.random.default_rng(2024)
+
+
+def count_calls(monkeypatch, names, owners=None):
+    """Count the calls of each named function: returns a dict name -> count
+    that grows as the test runs.  Each owner (a module, class or namespace)
+    that binds a name gets it wrapped; by default every loaded rieszlab
+    module, since the package calls its helpers by the name it imports."""
+    counts = dict.fromkeys(names, 0)
+    if owners is None:
+        owners = [module for name, module in list(sys.modules.items())
+                  if name.split(".")[0] == "rieszlab"]
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for owner in owners:
+        for name in names:
+            if hasattr(owner, name):
+                monkeypatch.setattr(owner, name,
+                                    counting(name, getattr(owner, name)))
+    return counts

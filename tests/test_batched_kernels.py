@@ -18,6 +18,7 @@ import rieszlab.cli as cli
 from rieszlab import (WeightedTriplet, metric_operator_check,
                       random_unitary, schauder_inequality_probe)
 
+from conftest import count_calls
 from reference import (CASES, loop_positivity, loop_probe, loop_residuals,
                        loop_similarity, pairs)
 
@@ -152,15 +153,6 @@ def test_weak_similarity_takes_the_loop_pairs(name, seed):
 
 # -- call counts -------------------------------------------------------------
 
-def count_calls(monkeypatch, owner, name, calls):
-    kernel = getattr(owner, name)
-
-    def wrapper(*args, **kwargs):
-        calls[name] = calls.get(name, 0) + 1
-        return kernel(*args, **kwargs)
-    monkeypatch.setattr(owner, name, wrapper)
-
-
 def run_report(tmp_path, argv):
     out = tmp_path / "report.json"
     assert cli.main(argv + ["--no-timing", "--out", str(out)]) == 0
@@ -168,9 +160,8 @@ def run_report(tmp_path, argv):
 
 def test_number_op_report_batches_the_probe_and_the_ladder(tmp_path,
                                                           monkeypatch):
-    calls = {}
-    count_calls(monkeypatch, WeightedTriplet, "seminorm", calls)
-    count_calls(monkeypatch, cli, "partial_sum", calls)
+    calls = count_calls(monkeypatch, ("seminorm", "partial_sum"),
+                        (WeightedTriplet, cli))
     levels = 2
     run_report(tmp_path, ["full-report", "--example", "number-op", "--dim",
                           "256", "--levels", str(levels), "--seed", "0"])
@@ -183,7 +174,6 @@ def test_number_op_report_batches_the_probe_and_the_ladder(tmp_path,
 
 def test_pseudo_hermitian_report_takes_one_similarity_call(tmp_path,
                                                           monkeypatch):
-    calls = {}
-    count_calls(monkeypatch, cli, "weak_similarity_residual", calls)
+    calls = count_calls(monkeypatch, ("weak_similarity_residual",), (cli,))
     run_report(tmp_path, ["pseudo-hermitian", "--dim", "256", "--seed", "0"])
     assert calls == {"weak_similarity_residual": 1}

@@ -11,9 +11,12 @@ import jsonschema
 import numpy as np
 import pytest
 
-from rieszlab import Diagonal, SequenceFamily, cli, save_complex_matrix
+from rieszlab import (ConfigError, Diagonal, SequenceFamily, cli,
+                      save_complex_matrix)
 from rieszlab.cli import SECTIONS, RunConfig, _keep_freed_arrays, main
 from rieszlab.reportio import config_digest, jsonify
+
+from conftest import count_calls
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SCHEMA = json.loads((ROOT / "docs" / "report_schema.json").read_text())
@@ -204,8 +207,8 @@ class TestDeterminism:
     def test_spelled_out_pseudo_defaults_give_the_same_report(self,
                                                               tmp_path):
         cfg = tmp_path / "pseudo.json"
-        cfg.write_text(json.dumps(
-            {"pseudo": {"psi_seed": 7, "N_ladder": [8, 16, 32]}}))
+        cfg.write_text(json.dumps({"model": {"ladder": [8, 16, 32, 64]},
+                                   "pseudo": {"psi_seed": 7}}))
         reports = []
         for extra in ([], ["--config", str(cfg)]):
             out = tmp_path / f"p{len(extra)}.json"
@@ -216,10 +219,13 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("argv, config", [
         (["pseudo-hermitian", "--dim", "8"], {"pseudo": {"psi_seed": None}}),
-        (["pseudo-hermitian", "--dim", "8"], {"pseudo": {"N_ladder": None}}),
+        (["pseudo-hermitian", "--dim", "8"], {"model": {"ladder": None}}),
+        (["full-report", "--example", "number-op"],
+         {"model": {"weight_rule": None}}),
         (["example", "--example", "hermite"], {"model": {"size": None}}),
         (["full-report", "--example", "number-op"], {"model": {"size": None}}),
-    ], ids=["psi_seed", "N_ladder", "hermite-size", "number-op-size"])
+    ], ids=["psi_seed", "ladder", "weight_rule", "hermite-size",
+            "number-op-size"])
     def test_null_config_value_is_the_default(self, tmp_path, argv, config):
         cfg = tmp_path / "null.json"
         cfg.write_text(json.dumps(config))
@@ -262,16 +268,18 @@ class TestDeterminism:
           "inputs": {"family": "f.csv", "dual": "d.csv"},
           "tolerances": {"equality": 1e-9}, "out": "r.csv", "fmt": "csv",
           "no_timing": True},
-         "a2f1250ecdd9fe4cfdd267b3296e6ff7c9fa27c74989cc7d60acbf2dbc99bd6e"),
+         "aa19429caecd0523ab7cf89fa87521ce3efed34d1f0d0471d3df097d05435376"),
         ({"command": "example", "example": "hermite", "dim": 6, "levels": 2,
           "size": 256, "half_width": 7.5, "weight_rule": "linear",
           "ladder": (4, 8, 16), "seed": 2,
-          "pseudo": {"N_ladder": [8, 16], "psi_seed": 5}},
-         "6fcf3b2aa216542f2910a9d094bb4b75eea3c0112a7b2dbf72c701f041616740"),
+          "pseudo": {"psi_seed": 5}},
+         "7f71dd6eddd1a69dbdd652ee44b1033511c7cb549ad264518549fb0682242b8b"),
     ], ids=["bessel-inputs", "hermite-model"])
     def test_config_hash_is_stable(self, kwargs, digest):
-        # Digests taken from the hand-written canonical() that the key sets
-        # replaced, over every top-level and model key between them.
+        # Digests over every top-level and model key between them, taken
+        # from the hand-written canonical() that the key sets replaced and
+        # retaken when the ladder knob left the resolved pseudo block,
+        # which enters every digest.
         assert config_digest(RunConfig(**kwargs).canonical()) == digest
 
     def test_timing_fields_optional(self, tmp_path):
@@ -476,8 +484,7 @@ BESSEL = ["bessel", "--example", "number-op", "--seed", "0"]
                  id="ladder-float"),
     pytest.param(BESSEL, {"model": {"ladder": [True, 16, 32, 64]}},
                  id="ladder-bool"),
-    pytest.param(PSEUDO, {"pseudo": {"N_ladder": [8.9, 16, 32]}},
-                 id="N_ladder-float"),
+    pytest.param(PSEUDO, {"pseudo": {"psi_seed": 7.5}}, id="psi_seed-float"),
 ])
 def test_bad_config_value_is_a_config_error(tmp_path, capsys, argv, config):
     if config is not None:
@@ -590,12 +597,13 @@ def test_overflowing_grid_spacing_is_refused(capsys, example):
 @pytest.mark.parametrize("example", ["hermite", "sobolev"])
 def test_huge_half_width_is_refused_without_a_warning(capsys, example):
     # The squared nodes overflow; exp(-inf) = 0 needs no warning.  Both
-    # examples refuse the zero column before any grid is doubled.
+    # examples double the grid while a column is 0 on every node, and
+    # refuse the zero column at the cap.
     argv = ["example", "--example", example, "--seed", "0",
             "--half-width", "1e200"]
     assert refusal(argv, capsys) == (
-        "error: half width 1e+200 is too wide for 1024 points: basis "
-        "function 1 is 0 on every node (spacing 1.95e+197)\n")
+        "error: half width 1e+200 is too wide for 65536 points: basis "
+        "function 1 is 0 on every node (spacing 3.05e+195)\n")
 
 
 @pytest.mark.parametrize("example", ["hermite", "sobolev"])
@@ -610,12 +618,14 @@ def test_unresolvable_window_names_its_half_width(capsys, example):
 
 def test_sobolev_grid_too_coarse_for_phi_1_is_refused(capsys):
     # At spacing 39 the envelope exp(-x^2/2) underflows on every node but
-    # x = 0, where phi_1 = sqrt(2) x phi_0 vanishes.
+    # x = 0, where phi_1 = sqrt(2) x phi_0 vanishes.  Doubling gives every
+    # column a nonzero node, but even 65,536 points (spacing 0.61) leave
+    # phi_9 aliased.
     argv = ["example", "--example", "sobolev", "--seed", "0",
             "--half-width", "2e4"]
     assert refusal(argv, capsys) == (
-        "error: half width 20000 is too wide for 1024 points: basis "
-        "function 1 is 0 on every node (spacing 39.1)\n")
+        "error: half width 20000 is too wide for 65536 points: the "
+        "aliasing check keeps failing (worst fraction 4.61e-01)\n")
 
 
 def test_support_tolerance_bounds_the_hermite_window(capsys):
@@ -675,27 +685,6 @@ def test_sobolev_report_on_a_doubled_grid_passes(tmp_path):
     words = verdicts(doc)
     assert "fail" not in words and "tainted" not in words
     assert section(doc, "sobolev-family")["records"]["grid_points"] == 256
-
-
-def count_calls(monkeypatch, names):
-    """Count calls of each named function, wherever a rieszlab module
-    binds it, since the CLI and the models call helpers by name."""
-    counts = dict.fromkeys(names, 0)
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for modname, module in list(sys.modules.items()):
-        if modname.split(".")[0] != "rieszlab":
-            continue
-        for name in names:
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name,
-                                    counting(name, getattr(module, name)))
-    return counts
 
 
 def test_sobolev_report_verifies_its_construction_once(tmp_path, monkeypatch):
@@ -824,18 +813,16 @@ class TestPseudoHermitian:
         cfg.write_text(json.dumps({
             "command": "pseudo-hermitian",
             "seed": 2,
-            "model": {"dim": 8},
-            "pseudo": {"psi_seed": 9, "N_ladder": [4, 8, 16, 32]},
+            "model": {"dim": 8, "ladder": [4, 8, 16, 32]},
+            "pseudo": {"psi_seed": 9},
         }))
         doc = run_json(tmp_path, ["pseudo-hermitian", "--config", str(cfg)])
         adm = section(doc, "admissibility")
         assert adm["records"]["ladder"] == [4, 8, 16, 32]
 
     def test_one_point_ladder_has_no_slope(self, tmp_path):
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"pseudo": {"N_ladder": [8]}}))
         doc = run_json(tmp_path, ["pseudo-hermitian", "--seed", "2",
-                                  "--config", str(cfg)])
+                                  "--ladder", "8"])
         adm = section(doc, "admissibility")
         [verdict] = adm["verdicts"]
         assert adm["records"]["slope"] is None
@@ -849,6 +836,9 @@ class TestPseudoHermitian:
             "pseudo": {"gamma": 1.0},
         }))
         assert main(["pseudo-hermitian", "--config", str(cfg)]) == 2
+        # RunConfig itself refuses it, as it refuses an unknown tolerance.
+        with pytest.raises(ConfigError, match="^unknown pseudo keys: gamma$"):
+            RunConfig("pseudo-hermitian", seed=2, pseudo={"gamma": 1.0})
 
 
 class TestConfigFile:
@@ -928,6 +918,16 @@ class TestOutputFormats:
                      "--no-timing"]) == 0
         doc = json.loads(capsys.readouterr().out)
         jsonschema.validate(doc, SCHEMA)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_stdout_and_file_carry_the_same_bytes(self, tmp_path, capsys,
+                                                  fmt):
+        argv = ["strictness", "--example", "number-op", "--dim", "4",
+                "--format", fmt, "--no-timing"]
+        out = tmp_path / f"r.{fmt}"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out.read_text()
 
 
 def test_module_entry_point(tmp_path):

@@ -50,7 +50,7 @@ configs = st.one_of(
         "model": st.one_of(block(("dim", "levels", "size", "half_width",
                                   "weights", "weight_rule", "ladder")),
                            values),
-        "pseudo": st.one_of(block(("psi_seed", "N_ladder")), values),
+        "pseudo": st.one_of(block(("psi_seed",)), values),
         "tolerances": st.one_of(block(("gram", "equality", "support")),
                                 values),
         "output": st.one_of(block(("format",)), values),

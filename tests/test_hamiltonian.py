@@ -13,7 +13,7 @@ from rieszlab import (ContinuityError, DimensionError, InjectivityError,
                       random_unitary, spectrum_residual,
                       weak_similarity_residual)
 
-from conftest import random_vector
+from conftest import count_calls, random_vector
 from reference import commutator_norm, matching_distance, pairs
 
 LADDER = (8, 16, 32, 64)
@@ -378,27 +378,18 @@ class TestDensityDiagnostic:
 
     def test_report_builds_one_pair_and_one_unitary(self, monkeypatch,
                                                      capsys):
-        # The default ladder (8, 16, 32) reads transforms only; building
-        # a pair per rung took four pairs and four unitaries.
-        calls = {"demo_pair": 0, "random_unitary": 0}
-
-        def counted(module, name):
-            inner = getattr(module, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return inner(*args, **kwargs)
-            monkeypatch.setattr(module, name, wrapper)
-
-        counted(cli, "demo_pair")
-        counted(hamiltonian, "random_unitary")
+        # The default ladder (8, 16, 32, 64) reads transforms only;
+        # building a pair per rung took one pair and one unitary per rung
+        # beside the report's own.
+        calls = count_calls(monkeypatch, ("demo_pair", "random_unitary"),
+                            (cli, hamiltonian))
         assert cli.main(["pseudo-hermitian", "--dim", "8", "--seed", "0",
                          "--no-timing"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert calls == {"demo_pair": 1, "random_unitary": 1}
         admissibility = next(s for s in doc["sections"]
                              if s["name"] == "admissibility")
-        assert admissibility["records"]["ladder"] == [8, 16, 32]
+        assert admissibility["records"]["ladder"] == [8, 16, 32, 64]
 
 
 class TestDemoPair:

@@ -38,6 +38,8 @@ general non-Hermitian eigensolvers `eig` and `eigvals`; the Hermitian
 import ast
 import pathlib
 
+import pytest
+
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "rieszlab"
 
 ALLOWED = {"sequences.singular_values", "sequences.pseudo_inverse",
@@ -168,26 +170,25 @@ def test_the_check_follows_helpers_of_the_module(tmp_path):
         {"svd", "dual_level_norm"}
 
 
-#: Names of a structure scan, which a declared Diagonal makes unneeded.
-SCANS = {"count_nonzero", "_real_diagonal"}
-
-#: Product and adjoint dispatch, which `Diagonal.__matmul__` and
-#: `Diagonal.conj` replace.
-DISPATCH = {"_product", "_adjoint"}
-
-#: The coefficient wrapper that expansions returned before they returned
-#: arrays.
-WRAPPER = {"CoefVector"}
+#: Names no code of the package may name, by what they were retired for.
+RETIRED = {
+    # A structure scan, which a declared Diagonal makes unneeded.
+    "structure-scan": {"count_nonzero", "_real_diagonal"},
+    # Product and adjoint dispatch, which `Diagonal.__matmul__` and
+    # `Diagonal.conj` replace.
+    "dispatch-helper": {"_product", "_adjoint"},
+    # The coefficient wrapper expansions returned before they returned
+    # arrays.
+    "coefficient-wrapper": {"CoefVector"},
+    # The runtime self-test of numpy's FFT normalization.
+    "fft-self-test": {"_fft_defect"},
+    # The general non-Hermitian eigensolvers.
+    "general-eigensolver": {"eig", "eigvals"},
+}
 
 #: The sampler and the check that only `spaces.hermite_grid` runs for a
 #: report.
 GRID_DECISION = {"hermite_values", "aliasing_fraction"}
-
-#: The runtime self-test of numpy's FFT normalization.
-FFT_TEST = {"_fft_defect"}
-
-#: The general non-Hermitian eigensolvers.
-GENERAL_EIG = {"eig", "eigvals"}
 
 
 def name_sites(path, names):
@@ -208,49 +209,26 @@ def package_sites(names):
                          for p in PACKAGE.glob("*.py")))
 
 
-def test_no_code_rediscovers_diagonal_structure():
-    assert package_sites(SCANS) == set()
+@pytest.mark.parametrize("kind", sorted(RETIRED))
+def test_no_code_names_a_retired_name(kind):
+    assert package_sites(RETIRED[kind]) == set()
 
 
-def test_the_check_sees_a_structure_scan(tmp_path):
+def test_the_check_sees_every_form_of_a_name(tmp_path):
     path = tmp_path / "extra.py"
-    path.write_text("import numpy as np\nfrom numpy import count_nonzero\n"
-                    "from .sequences import _real_diagonal\n\n\n"
-                    "def scan(a):\n"
-                    "    return np.count_nonzero(a) + count_nonzero(a)\n\n\n"
-                    "def old(seq, a):\n"
-                    "    return seq._real_diagonal(a)\n\n\n"
-                    "def fine(a):\n    return np.nonzero(a)\n")
-    assert name_sites(path, SCANS) == {f"extra:{line}"
-                                       for line in (2, 3, 7, 11)}
-
-
-def test_no_code_names_the_retired_dispatch_helpers():
-    assert package_sites(DISPATCH) == set()
-
-
-def test_the_check_sees_a_dispatch_helper(tmp_path):
-    path = tmp_path / "extra.py"
-    path.write_text("from .sequences import _adjoint\n\n\n"
+    path.write_text("import numpy as np\n"
+                    "from numpy.linalg import eig\n\n\n"
+                    "class CoefVector:\n    pass\n\n\n"
                     "def _product(a, b):\n    return a @ b\n\n\n"
-                    "def gram(seq, x):\n"
-                    "    return _product(_adjoint(x), seq._product(x, x))\n\n\n"
-                    "def fine(x):\n    return x.conj().T @ x\n")
-    assert name_sites(path, DISPATCH) == {"extra:1", "extra:4", "extra:9"}
-
-
-def test_no_code_names_the_retired_coefficient_wrapper():
-    assert package_sites(WRAPPER) == set()
-
-
-def test_the_check_sees_a_coefficient_wrapper(tmp_path):
-    path = tmp_path / "extra.py"
-    path.write_text("from . import triplet\nfrom .triplet import CoefVector\n"
-                    "\n\nclass CoefVector:\n    pass\n\n\n"
-                    "def wrap(x):\n"
-                    "    return CoefVector(x), triplet.CoefVector(x)\n\n\n"
-                    "def fine(x):\n    return x.coords\n")
-    assert name_sites(path, WRAPPER) == {"extra:2", "extra:5", "extra:10"}
+                    "def old(seq, a):\n"
+                    "    b = seq._real_diagonal(a)\n"
+                    "    return _fft_defect(b)\n\n\n"
+                    "def fine(a):\n"
+                    "    return np.linalg.eigvalsh(a), np.nonzero(a), 'eig'\n")
+    # From-import, class, def, attribute and name, in that order.
+    names = set().union(*RETIRED.values())
+    assert name_sites(path, names) == {f"extra:{line}"
+                                       for line in (2, 5, 9, 14, 15)}
 
 
 def grid_sites(path):
@@ -279,31 +257,3 @@ def test_the_check_sees_a_grid_decision(tmp_path):
                     "    return spaces.aliasing_fraction(grid, v), g\n\n\n"
                     "def fine(grid: LineGrid):\n    return grid.points\n")
     assert grid_sites(path) == {f"extra:{line}" for line in (3, 7, 11, 12)}
-
-
-def test_no_code_names_the_retired_fft_self_test():
-    assert package_sites(FFT_TEST) == set()
-
-
-def test_the_check_sees_an_fft_self_test(tmp_path):
-    path = tmp_path / "extra.py"
-    path.write_text("from .triplet import _fft_defect\n\n\n"
-                    "def _fft_defect(n):\n    return 0.0\n\n\n"
-                    "def check(tri):\n"
-                    "    return _fft_defect(tri.dim)\n\n\n"
-                    "def fine(x):\n    return x\n")
-    assert name_sites(path, FFT_TEST) == {"extra:1", "extra:4", "extra:9"}
-
-
-def test_no_code_calls_a_general_eigensolver():
-    assert package_sites(GENERAL_EIG) == set()
-
-
-def test_the_check_sees_a_general_eigensolver(tmp_path):
-    path = tmp_path / "extra.py"
-    path.write_text("import numpy as np\nfrom numpy.linalg import eig\n\n\n"
-                    "def spectrum(a):\n"
-                    "    return np.linalg.eigvals(a) + eig(a)[0]\n\n\n"
-                    "def hermitian(a):\n"
-                    "    return np.linalg.eigvalsh(a) + np.linalg.eigh(a)[0]\n")
-    assert name_sites(path, GENERAL_EIG) == {"extra:2", "extra:6"}

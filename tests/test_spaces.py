@@ -151,10 +151,17 @@ class TestHermiteGrid:
         with pytest.raises(SupportError):
             hermite_grid(10, half_width=2.0)
 
-    def test_zero_column_is_refused_before_doubling(self):
-        with pytest.raises(SupportError, match="for 1024 points: basis "
+    def test_zero_columns_are_doubled_away(self):
+        # At spacing 40 phi_1, phi_3 and phi_5 are 0 on all four nodes;
+        # the grid doubles as for aliasing and ends where 8 points end.
+        grid, vals, worst = hermite_grid(10, half_width=80, points=4)
+        assert (grid, worst) == hermite_grid(10, half_width=80, points=8)[::2]
+        assert grid.points == 1024 and vals.any(axis=0).all()
+
+    def test_fixed_grid_sobolev_basis_refuses_a_zero_column(self):
+        with pytest.raises(SupportError, match="for 4 points: basis "
                            "function 1 is 0 on every node"):
-            hermite_grid(10, half_width=2e4)
+            sobolev_basis(LineGrid(80.0, 4), 10)
 
 
 class TestSobolevMultiplier:
