@@ -214,21 +214,61 @@ def test_no_code_names_a_retired_name(kind):
     assert package_sites(RETIRED[kind]) == set()
 
 
-def test_the_check_sees_every_form_of_a_name(tmp_path):
+def test_the_check_sees_a_structure_scan(tmp_path):
     path = tmp_path / "extra.py"
-    path.write_text("import numpy as np\n"
-                    "from numpy.linalg import eig\n\n\n"
-                    "class CoefVector:\n    pass\n\n\n"
-                    "def _product(a, b):\n    return a @ b\n\n\n"
+    path.write_text("import numpy as np\nfrom numpy import count_nonzero\n"
+                    "from .sequences import _real_diagonal\n\n\n"
+                    "def scan(a):\n"
+                    "    return np.count_nonzero(a) + count_nonzero(a)\n\n\n"
                     "def old(seq, a):\n"
-                    "    b = seq._real_diagonal(a)\n"
-                    "    return _fft_defect(b)\n\n\n"
-                    "def fine(a):\n"
-                    "    return np.linalg.eigvalsh(a), np.nonzero(a), 'eig'\n")
-    # From-import, class, def, attribute and name, in that order.
-    names = set().union(*RETIRED.values())
-    assert name_sites(path, names) == {f"extra:{line}"
-                                       for line in (2, 5, 9, 14, 15)}
+                    "    return seq._real_diagonal(a)\n\n\n"
+                    "def fine(a):\n    return np.nonzero(a)\n")
+    assert name_sites(path, RETIRED["structure-scan"]) == {
+        f"extra:{line}" for line in (2, 3, 7, 11)}
+
+
+def test_the_check_sees_a_dispatch_helper(tmp_path):
+    path = tmp_path / "extra.py"
+    path.write_text("from .sequences import _adjoint\n\n\n"
+                    "def _product(a, b):\n    return a @ b\n\n\n"
+                    "def gram(seq, x):\n"
+                    "    return _product(_adjoint(x), seq._product(x, x))\n\n\n"
+                    "def fine(x):\n    return x.conj().T @ x\n")
+    assert name_sites(path, RETIRED["dispatch-helper"]) == {
+        "extra:1", "extra:4", "extra:9"}
+
+
+def test_the_check_sees_a_coefficient_wrapper(tmp_path):
+    path = tmp_path / "extra.py"
+    path.write_text("from . import triplet\nfrom .triplet import CoefVector\n"
+                    "\n\nclass CoefVector:\n    pass\n\n\n"
+                    "def wrap(x):\n"
+                    "    return CoefVector(x), triplet.CoefVector(x)\n\n\n"
+                    "def fine(x):\n    return x.coords\n")
+    assert name_sites(path, RETIRED["coefficient-wrapper"]) == {
+        "extra:2", "extra:5", "extra:10"}
+
+
+def test_the_check_sees_an_fft_self_test(tmp_path):
+    path = tmp_path / "extra.py"
+    path.write_text("from .triplet import _fft_defect\n\n\n"
+                    "def _fft_defect(n):\n    return 0.0\n\n\n"
+                    "def check(tri):\n"
+                    "    return _fft_defect(tri.dim)\n\n\n"
+                    "def fine(x):\n    return x\n")
+    assert name_sites(path, RETIRED["fft-self-test"]) == {
+        "extra:1", "extra:4", "extra:9"}
+
+
+def test_the_check_sees_a_general_eigensolver(tmp_path):
+    path = tmp_path / "extra.py"
+    path.write_text("import numpy as np\nfrom numpy.linalg import eig\n\n\n"
+                    "def spectrum(a):\n"
+                    "    return np.linalg.eigvals(a) + eig(a)[0]\n\n\n"
+                    "def hermitian(a):\n"
+                    "    return np.linalg.eigvalsh(a) + np.linalg.eigh(a)[0]\n")
+    assert name_sites(path, RETIRED["general-eigensolver"]) == {
+        "extra:2", "extra:6"}
 
 
 def grid_sites(path):
