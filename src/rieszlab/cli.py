@@ -41,10 +41,10 @@ from .sequences import (BIORTH_TOL, DOMINATION_FACTOR, SequenceFamily,
                         max_deviation, partial_sum, partial_sum_residuals,
                         riesz_fischer_check, schauder_inequality_probe,
                         weak_expansion_residual)
-from .spaces import (ALIASING_TOL, CONSTRUCTION_TOL, SUPPORT_TOL, LineGrid,
-                     default_half_width, hermite_grid, number_operator_model,
-                     number_operator_rule, schwartz_hermite_model,
-                     sobolev_model, sobolev_multiplier)
+from .spaces import (ALIASING_TOL, CONSTRUCTION_TOL, DEFAULT_LADDER,
+                     SUPPORT_TOL, LineGrid, default_half_width, hermite_grid,
+                     number_operator_model, number_operator_rule,
+                     schwartz_hermite_model, sobolev_model, sobolev_multiplier)
 from .triplet import WeightedTriplet
 
 COMMANDS = ("check-biorthogonal", "frame-report", "bessel", "riesz-fischer",
@@ -55,7 +55,6 @@ COMMANDS = ("check-biorthogonal", "frame-report", "bessel", "riesz-fischer",
 SEEDED = frozenset({"bessel", "example", "pseudo-hermitian", "full-report"})
 EXAMPLES = ("number-op", "schwartz", "hermite", "sobolev")
 WEIGHT_RULES = ("ones", "linear", "quadratic")
-DEFAULT_LADDER = (8, 16, 32, 64)
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc mallopt(3) keys
 
 #: Random draws per report: partial-sum probe trials, weak-similarity pairs.
@@ -552,7 +551,7 @@ def _strictness_section(bundle, cfg):
                    "upper_slopes": report.upper_slopes, "note": report.note}
     else:
         fam = bundle.require_family()
-        lower, upper = strictness_constants(fam.triplet, fam.family)
+        lower, upper = strictness_constants(fam)
         verdict = "inconclusive"
         records = {"dimension": fam.dim, "lower": lower, "upper": upper,
                    "note": "single truncation cannot exhibit a trend"}
@@ -662,7 +661,7 @@ def _sobolev_section(bundle, cfg):
     worst_round = bundle.round_trip
     mod_defect = max_deviation(level_gram(fam, 1))
     gram_defect = max_deviation(grid.spacing * (phis.T @ phis))
-    lower, upper = strictness_constants(fam.triplet, fam.family)
+    lower, upper = strictness_constants(fam)
     top = fam.triplet.levels
     records = {"construction_residual": worst_build,
                "round_trip_residual": worst_round,

@@ -142,10 +142,10 @@ def save_function_csv(path, f):
 
 # -- report values -----------------------------------------------------------
 
-def jsonify(value):
+def jsonify(value, where="report"):
     """Recursively convert numbers, arrays and tuple-keyed dicts to plain
-    JSON-ready data.  Complex scalars become {"re": ..., "im": ...};
-    tuple keys join with '->'."""
+    JSON-ready data: complex scalars as {"re": ..., "im": ...}, tuple keys
+    joined with '->'.  A NaN or inf raises ValidationError at `where`.key."""
     if isinstance(value, dict):
         out = {}
         for k, v in value.items():
@@ -153,20 +153,23 @@ def jsonify(value):
                 key = "->".join(str(p) for p in k)
             else:
                 key = str(k)
-            out[key] = jsonify(v)
+            out[key] = jsonify(v, f"{where}.{key}")
         return out
     if isinstance(value, (list, tuple)):
-        return [jsonify(v) for v in value]
+        return [jsonify(v, where) for v in value]
     if isinstance(value, np.ndarray):
-        return [jsonify(v) for v in value.tolist()]
+        return [jsonify(v, where) for v in value.tolist()]
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     if isinstance(value, (int, np.integer)):
         return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
     if isinstance(value, (complex, np.complexfloating)):
-        return {"re": float(value.real), "im": float(value.imag)}
+        return {"re": jsonify(value.real, where),
+                "im": jsonify(value.imag, where)}
+    if isinstance(value, (float, np.floating)):
+        if not np.isfinite(value):
+            raise ValidationError(f"non-finite value {value} at {where}")
+        return float(value)
     if value is None or isinstance(value, str):
         return value
     raise ValidationError(f"cannot serialize {type(value).__name__} into a report")
@@ -201,14 +204,14 @@ class DiagnosticsReport:
 
     def to_dict(self):
         return {
-            "meta": jsonify(self.meta),
+            "meta": jsonify(self.meta, "meta"),
             "sections": [
                 {
                     "name": s.name,
-                    "records": jsonify(s.records),
+                    "records": jsonify(s.records, s.name),
                     "verdicts": [
                         {"name": v.name, "verdict": v.verdict,
-                         "evidence": jsonify(v.evidence)}
+                         "evidence": jsonify(v.evidence, f"{s.name}.{v.name}")}
                         for v in s.verdicts
                     ],
                 }
@@ -218,24 +221,25 @@ class DiagnosticsReport:
 
 
 def render_json(report):
-    return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+    return json.dumps(report.to_dict(), sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
 
 
 def render_csv(report):
     """Flat, deterministic CSV rendering: one row per record entry or
     verdict evidence item, compound values JSON-encoded in place."""
     lines = [["section", "kind", "name", "key", "value"]]
-    meta = jsonify(report.meta)
+    meta = jsonify(report.meta, "meta")
     for k in sorted(meta):
         lines.append(["", "meta", "", k, json.dumps(meta[k], sort_keys=True)])
     for s in report.sections:
-        records = jsonify(s.records)
+        records = jsonify(s.records, s.name)
         for k in sorted(records):
             lines.append([s.name, "record", "", k,
                           json.dumps(records[k], sort_keys=True)])
         for v in s.verdicts:
             lines.append([s.name, "verdict", v.name, "verdict", v.verdict])
-            ev = jsonify(v.evidence)
+            ev = jsonify(v.evidence, f"{s.name}.{v.name}")
             for k in sorted(ev):
                 lines.append([s.name, "verdict", v.name, k,
                               json.dumps(ev[k], sort_keys=True)])
@@ -262,6 +266,6 @@ def save_report(report, path, fmt="json"):
 
 def config_digest(config):
     """sha256 of the canonical JSON form of a configuration mapping."""
-    blob = json.dumps(jsonify(config), sort_keys=True,
+    blob = json.dumps(jsonify(config, "config"), sort_keys=True,
                       separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()

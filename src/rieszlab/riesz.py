@@ -17,9 +17,9 @@ import numpy as np
 
 from .errors import DimensionError, InjectivityError, StateError, ValidationError
 from .sequences import (BIORTH_TOL, DOMINATION_FACTOR, LinearMap,
-                        SequenceFamily, _as_map, _dual_of, _require_finite,
-                        analysis, biorthogonality_residual, dual_analysis,
-                        dual_level_norm, make_linear_map, max_deviation,
+                        SequenceFamily, _as_map, _dual_of, _family_map,
+                        _require_finite, analysis, biorthogonality_residual,
+                        dual_analysis, dual_level_norm, max_deviation,
                         pseudo_inverse, singular_values)
 from .trends import MIN_LADDER_POINTS, classify_growth, loglog_slope
 from .triplet import Diagonal, WeightedTriplet, coords_of
@@ -128,8 +128,7 @@ def metric_operator_check(fam, samples=50, seed=0, positivity_tol=1e-8):
     pinv, rank = fam.pinv_rank
     if rank == 0 or rank < fam.size:
         raise InjectivityError("family matrix is singular; S is not determined")
-    metric = make_linear_map(z, fam.triplet, pairs=((1, -1),),
-                             right=pinv.conj().T)
+    metric = _family_map(fam, "dual", "inverse", (1, -1))
 
     # Row t holds re a and im a of sample t: the stream order of drawing
     # the samples one by one.
@@ -208,22 +207,19 @@ def range_membership(basis_rule, psi_rule, ladder):
 
 # -- strictness -------------------------------------------------------------
 
-def strictness_constants(triplet, family_matrix):
+def strictness_constants(fam):
     """Exact two-sided constants (lower, upper) of a family: lower is the
-    squared smallest singular value of scale(1) @ Xi, upper maps each
-    level q to the squared largest one of scale(q) @ Xi.  Overflow raises
-    ContinuityError."""
-    x = _as_map(family_matrix)
-    if x.shape[1] > x.shape[0]:
+    squared smallest singular value of its memoised scale(1) @ Xi, upper
+    maps each level q to the squared largest one of scale(q) @ Xi.
+    Overflow raises ContinuityError."""
+    if fam.size > fam.dim:
         raise DimensionError("more columns than the dimension supports")
     squares = {}
-    # Overflow is reported by _require_finite, not by numpy warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for q in range(triplet.levels + 1):
-            scaled = triplet.scale(q, x)
-            _require_finite(0, q, scaled)
-            squares[q] = singular_values(scaled) ** 2
-            _require_finite(0, q, squares[q])
+    for q in range(fam.triplet.levels + 1):
+        _require_finite(0, q, fam.scaled(q))
+        with np.errstate(over="ignore", invalid="ignore"):
+            squares[q] = singular_values(fam.scaled(q)) ** 2
+        _require_finite(0, q, squares[q])
     lower = float(squares[1][-1]) if squares[1].size else 0.0
     upper = {q: float(s[0]) if s.size else 0.0 for q, s in squares.items()}
     return lower, upper
@@ -266,11 +262,8 @@ def strictness_report(basis_rule, ladder):
     lowers, uppers = [], {}
     for n in ladder:
         item = basis_rule(n)
-        if isinstance(item, tuple):
-            tri, mat = item
-        else:
-            tri, mat = item.triplet, item.fam.family
-        lo, up = strictness_constants(tri, mat)
+        lo, up = strictness_constants(SequenceFamily(item[1], item[0])
+                                      if isinstance(item, tuple) else item.fam)
         lowers.append(lo)
         for q, val in up.items():
             uppers.setdefault(q, []).append(val)

@@ -58,11 +58,6 @@ def _leading(a, n):
     return a if n == a.shape[1] else a[:, :n]
 
 
-def _canonical_columns(n, m):
-    """E_M, the n x m identity block, a Diagonal when square."""
-    return Diagonal(np.ones(n)) if n == m else np.eye(n, m)
-
-
 def max_deviation(a, b=None):
     """Largest entry of |a - b|, with b the identity when omitted; 0 for
     an empty map.  Either side may be a Diagonal."""
@@ -91,38 +86,31 @@ def singular_values(matrix):
     return np.linalg.svd(np.asarray(matrix), compute_uv=False)
 
 
-def certificate_norm(matrix, triplet, from_level, to_level, right=None):
+def certificate_norm(matrix, triplet, from_level, to_level):
     """Largest singular value of scale(to) @ A @ scale(-from).
 
     This is the operator norm of the map A between the two levels;
     negative levels address the dual side, so e.g. (from=1, to=-1)
-    certifies a map from the smooth space into the level-1 dual.
-
-    With `right`, A = matrix @ right^H is given by two N x M factors B
-    and C, and the certificate is sigma_max((S_to B)(S_-from C)^H).  For
-    M < N that is sigma_max(R_B R_C^H), R_B and R_C the triangular
-    factors of reduced QRs of the scaled factors, so only N x M and M x M
-    arrays are formed; square factors are multiplied out instead.
+    certifies a map from the smooth space into the level-1 dual.  Maps a
+    family holds as N x M factors are certified by `_family_map`.
     """
-    a = _as_map(matrix)
-    # Overflow is reported by _require_finite, not by numpy warnings.
+    # Overflow is reported by _certified, not by numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        left = triplet.scale(to_level, a)
-        if right is None:
-            # A S = (S A^H)^H because every scaling is Hermitian.
-            prod = triplet.scale(-from_level, left.conj().T).conj().T
-        else:
-            c = triplet.scale(-from_level, right)
-            _require_finite(from_level, to_level, left, c)
-            if c.shape[1] < c.shape[0]:
-                prod = (np.linalg.qr(left, mode="r")
-                        @ np.linalg.qr(c, mode="r").conj().T)
-            else:
-                prod = left @ c.conj().T
-    _require_finite(from_level, to_level, prod)
-    if 0 in prod.shape:
-        return 0.0
-    return float(singular_values(prod)[0])
+        left = triplet.scale(to_level, _as_map(matrix))
+        # A S = (S A^H)^H because every scaling is Hermitian.
+        prod = triplet.scale(-from_level, left.conj().T).conj().T
+    return _certified(prod, (from_level, to_level))
+
+
+def _certified(prod, pair):
+    """sigma_max of a scaled product, the certificate of the level `pair`;
+    non-finite entries or norm raise ContinuityError."""
+    _require_finite(*pair, prod)
+    value = float(np.max(singular_values(prod), initial=0.0))
+    if not np.isfinite(value):
+        raise ContinuityError(
+            f"operator norm overflow between levels {pair[0]} -> {pair[1]}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -150,22 +138,27 @@ class LinearMap:
         return (self.left.shape[0], self.right.shape[0])
 
 
-def make_linear_map(matrix, triplet, pairs=((0, 0),), right=None):
-    """Wrap a map with continuity certificates for the given level pairs.
-
-    The map is `matrix`, or matrix @ right^H when the factor `right`
-    is given (see `certificate_norm`).
-    """
+def make_linear_map(matrix, triplet, pairs=((0, 0),)):
+    """Wrap a square map with continuity certificates for the given level
+    pairs."""
     a = _as_map(matrix)
-    c = None if right is None else _as_map(right)
-    cert = {}
-    for fr, to in pairs:
-        value = certificate_norm(a, triplet, fr, to, right=c)
-        if not np.isfinite(value):
-            raise ContinuityError(
-                f"operator norm overflow between levels {fr} -> {to}")
-        cert[(fr, to)] = value
-    return LinearMap(a, cert, c)
+    return LinearMap(a, {pair: certificate_norm(a, triplet, *pair)
+                         for pair in pairs})
+
+
+def _family_map(fam, left, right, pair):
+    """The map L R^H of two N x M maps the family holds, named as for
+    `SequenceFamily.scaled`, with its `pair` certificate: sigma_max of
+    (S_to L)(S_-from R)^H, or for M < N of the product of their memoised
+    R factors, so that no N x N array is formed."""
+    (fr, to), keys = pair, ((pair[1], left), (-pair[0], right))
+    x, c = (fam.scaled(*key) for key in keys)
+    _require_finite(fr, to, x, c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        prod = (fam.r_factor(*keys[0]) @ fam.r_factor(*keys[1]).conj().T
+                if c.shape[1] < c.shape[0] else x @ c.conj().T)
+    return LinearMap(fam.scaled(0, left), {pair: _certified(prod, pair)},
+                     fam.scaled(0, right))
 
 
 @dataclass(frozen=True)
@@ -176,18 +169,18 @@ class SequenceFamily:
     triplet : the weighted model the columns live in
     dual : None or N x M columns zeta_n on the dual side, likewise
 
-    Both maps are held as declared, and `np.asarray` gives the dense view.
-    Memoised, so every check shares one SVD: `pinv_rank`, the pair
-    (Xi^+, rank) at RANK_RTOL, and the per-level `dual_level_norm` values;
-    a copy made by `dataclasses.replace` keeps the maps and starts with
-    empty memos.
+    Both maps are held as declared, read-only; `np.asarray` gives the
+    dense view.  Memoised read-only, so checks share each SVD, scaling and
+    QR: `pinv_rank` (Xi^+, rank) at RANK_RTOL, `scaled` and `r_factor` per
+    held map and level, and `dual_level_norm` per level; a copy made by
+    `dataclasses.replace` keeps the maps and starts with empty memos.
     """
 
     family: np.ndarray | Diagonal
     triplet: WeightedTriplet
     dual: np.ndarray | Diagonal | None = None
-    _dual_norms: dict = field(default_factory=dict, init=False, repr=False,
-                              compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def __post_init__(self):
         fam = _as_map(self.family)
@@ -205,8 +198,8 @@ class SequenceFamily:
             dual = _as_map(dual)
             if dual.shape != fam.shape:
                 raise DimensionError("dual must match the family's shape")
-        object.__setattr__(self, "family", fam)
-        object.__setattr__(self, "dual", dual)
+        object.__setattr__(self, "family", _read_only(fam))
+        object.__setattr__(self, "dual", _read_only(dual))
 
     @property
     def dim(self):
@@ -221,9 +214,44 @@ class SequenceFamily:
         """(Xi^+, rank) from `pseudo_inverse` at RANK_RTOL, taken on first
         read; a shared array pseudo-inverse is read-only."""
         pinv, rank = pseudo_inverse(self.family)
-        if isinstance(pinv, np.ndarray):
-            pinv.flags.writeable = False
-        return pinv, rank
+        return _read_only(pinv), rank
+
+    def _memoised(self, key, compute):
+        """Memo entry `key`, computed on first read with overflow left to
+        the callers' finite checks."""
+        if key not in self._memo:
+            with np.errstate(over="ignore", invalid="ignore"):
+                self._memo[key] = _read_only(compute())
+        return self._memo[key]
+
+    def scaled(self, j, name="family"):
+        """scale(j, X) of the held map X named `name`: "family" Xi, "dual"
+        Z, "canonical" E_M (the first M canonical columns, a Diagonal when
+        M = N) or "inverse" (Xi^+)^H; level 0 is X itself, not a copy."""
+        def compute():
+            if j:
+                return self.triplet.scale(j, self.scaled(0, name))
+            n, m = self.family.shape
+            return {"family": lambda: self.family,
+                    "dual": lambda: _dual_of(self),
+                    "canonical": lambda: (Diagonal(np.ones(n)) if n == m
+                                          else np.eye(n, m)),
+                    "inverse": lambda: self.pinv_rank[0].conj().T}[name]()
+        return self._memoised((j, name), compute)
+
+    def r_factor(self, j, name="family"):
+        """R factor of a reduced QR of `scaled(j, name)`, memoised."""
+        return self._memoised(("R", j, name), lambda: np.linalg.qr(
+            self.scaled(j, name), mode="r"))
+
+
+def _read_only(a):
+    """`a`, or a read-only view of a writable array: no memo may outlive
+    a change to the map it was taken from."""
+    if isinstance(a, np.ndarray) and a.flags.writeable:
+        a = a.view()
+        a.flags.writeable = False
+    return a
 
 
 def _dual_of(fam):
@@ -307,8 +335,7 @@ def frame_operator(fam):
     """Synthesis after analysis, eta -> sum_k conj(<zeta_k, eta>) zeta_k:
     the positive map Z Z^H, kept as the factor pair (Z, Z) with its
     (1, -1) certificate."""
-    z = _dual_of(fam)
-    return make_linear_map(z, fam.triplet, pairs=((1, -1),), right=z)
+    return _family_map(fam, "dual", "dual", (1, -1))
 
 
 def dual_row_masses(fam):
@@ -326,12 +353,8 @@ def dual_level_norm(fam, j):
     """sigma_max(scale(-j) Z), the norm of a -> sum_k a_k zeta_k from l2
     into level -j; its square is the level-j Bessel bound.  Memoised per
     family and level, for the Bessel bounds and metric level constants."""
-    norms = fam._dual_norms
-    if j not in norms:
-        z = _dual_of(fam)
-        s = singular_values(fam.triplet.scale(-j, z))
-        norms[j] = float(s[0]) if s.size else 0.0
-    return norms[j]
+    return fam._memoised(("norm", j), lambda: float(np.max(
+        singular_values(fam.scaled(-j, "dual")), initial=0.0)))
 
 
 def _check_level(fam, j):
@@ -388,7 +411,10 @@ def _lanczos_top(apply, m, tol, seed, what, absolute=False):
         done = basis[:k + 1]
         for _ in range(2):  # twice is enough for orthogonality
             w -= (done.conj() @ w) @ done
-        beta.append(float(np.linalg.norm(w)))
+        # beta from w times a power of two near 1 / max|w|, exact both
+        # ways, so that the sum of squares cannot overflow.
+        unit = 2.0 ** -np.frexp(np.max(np.abs(w)))[1]
+        beta.append(float(np.linalg.norm(w * unit) / unit))
         tri = np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1)
         theta, y = np.linalg.eigh(tri)
         ritz, residual = float(theta[-1]), beta[-1] * float(abs(y[-1, -1]))
@@ -403,9 +429,8 @@ def bessel_bound_lanczos(fam, j, tol, seed):
     """(ritz, residual, steps) of `_lanczos_top` on S^H S, S = scale(-j, Z):
     the level-j Bessel bound attained from products with S and S^H alone,
     so sharing no step with the SVD behind `bessel_bound`."""
-    z = _dual_of(fam)
     _check_level(fam, j)
-    s = fam.triplet.scale(-j, z)
+    s = fam.scaled(-j, "dual")
     s_h = s.conj().T
     return _lanczos_top(lambda v: s_h @ (s @ v), fam.size,
                         tol, seed, f"the level-{j} Bessel products")
@@ -421,9 +446,8 @@ def bessel_bound_sampled(fam, j, samples=10000, seed=0):
     remainder orthogonal to Q, a chi-square with 2 (N - r) degrees of
     freedom.  Never exceeds the singular value answer.
     """
-    z = np.asarray(_dual_of(fam))
     _check_level(fam, j)
-    s = fam.triplet.scale(-j, z)
+    s = np.asarray(fam.scaled(-j, "dual"))
     q = np.linalg.qr(s)[0]
     rank = q.shape[1]
     op = s.conj().T @ q
@@ -459,9 +483,7 @@ def bessel_factor(fam):
     """The map Z E_M^H sending e_n to zeta_n, kept as the factor pair
     (Z, E_M), E_M the first M canonical columns.  Its (0, -1) certificate
     squared reproduces the level-1 Bessel bound (factorization)."""
-    z = _dual_of(fam)
-    return make_linear_map(z, fam.triplet, pairs=((0, -1),),
-                           right=_canonical_columns(*z.shape))
+    return _family_map(fam, "dual", "canonical", (0, -1))
 
 
 # -- Riesz-Fischer-type check ------------------------------------------------
@@ -495,15 +517,13 @@ def riesz_fischer_check(fam):
     construction; other duals exist when the family is not total.
     """
     xi = fam.family
-    n, m = xi.shape
     pinv, rank = fam.pinv_rank
     residual = max_deviation(pinv @ xi)
-    flatten = make_linear_map(_canonical_columns(n, m), fam.triplet,
-                              pairs=((1, 0),), right=pinv.conj().T)
-    ok = rank == m
+    flatten = _family_map(fam, "canonical", "inverse", (1, 0))
+    ok = rank == fam.size
     if ok:
         out = fam if fam.dual is not None else \
-            SequenceFamily(xi, fam.triplet, dual=pinv.conj().T)
+            SequenceFamily(xi, fam.triplet, dual=flatten.right)
         note = ("minimal-norm dual recovered; other duals exist when the "
                 "family is not total")
     else:
@@ -643,5 +663,5 @@ def schauder_inequality_probe(fam, p_level, trials, seed):
 
 def level_gram(fam, j):
     """Gram matrix of the family columns in the level-j inner product."""
-    x = fam.triplet.scale(j, fam.family)
+    x = fam.scaled(j)
     return np.asarray(x.conj().T @ x)

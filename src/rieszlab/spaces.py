@@ -35,6 +35,9 @@ CONSTRUCTION_TOL = 1e-10
 
 _MAX_POINTS = 2 ** 16
 
+#: Dimensions of the strictness and admissibility ladders.
+DEFAULT_LADDER = (8, 16, 32, 64)
+
 
 @dataclass(frozen=True)
 class LineGrid:
@@ -180,17 +183,18 @@ def hermite_gram(grid, count):
 
 
 def aliasing_fraction(grid, values):
-    """Fraction of squared spectral mass in the top third of the band.
+    """Fraction of squared spectral mass in the top third of the band, of
+    a sample vector, or of each column of a P x K array from one FFT.
 
     Spectral operations are only trusted when this is tiny; the builders
     check it against the declared tolerance and double the grid if needed.
     """
-    spec = np.fft.fft(np.asarray(values, dtype=complex))
-    total = float(np.sum(np.abs(spec) ** 2))
-    if total == 0.0:
-        return 0.0
+    spec = np.fft.fft(np.asarray(values, dtype=complex), axis=0)
     high = np.abs(grid.angular_frequencies) >= (2.0 / 3.0) * np.pi / grid.spacing
-    return float(np.sum(np.abs(spec[high]) ** 2)) / total
+    # A column is summed as a contiguous row, in the order of a lone vector.
+    total, top = (np.sum(np.abs(s.T, order="C") ** 2, axis=-1)
+                  for s in (spec, spec[high]))
+    return top / np.where(total == 0.0, 1.0, total)  # top <= total
 
 
 def hermite_grid(count, half_width=None, points=1024, support_tol=SUPPORT_TOL,
@@ -211,7 +215,7 @@ def hermite_grid(count, half_width=None, points=1024, support_tol=SUPPORT_TOL,
     while True:
         grid = LineGrid(hw, p)
         vals = hermite_values(grid, count, support_tol)
-        worst = max(aliasing_fraction(grid, vals[:, n]) for n in range(count))
+        worst = float(np.max(aliasing_fraction(grid, vals)))
         if worst <= aliasing_tol and vals.any(axis=0).all():
             return grid, vals, worst
         if 2 * p > _MAX_POINTS:
@@ -296,7 +300,7 @@ def number_operator_rule(levels):
     return rule
 
 
-def number_operator_model(dim, levels=1, ladder=(8, 16, 32, 64)):
+def number_operator_model(dim, levels=1, ladder=DEFAULT_LADDER):
     """Diagonal model: weights w_k = k, transform T = diag(k), family
     xi_k = e_k / k and dual zeta_k = k e_k, all held as Diagonals.  The
     attached ladder verdict is strict at one level (all constants 1) and

@@ -381,6 +381,24 @@ def check_scale(fam):
         tri.scale(tri.levels + 1, x)
 
 
+def check_memo(fam):
+    """Every memoised scaling at every level -J..J against a fresh
+    `WeightedTriplet.scale` of the held map, and the R factor of each thin
+    one against a fresh QR, bit for bit."""
+    tri = fam.triplet
+    n, m = fam.family.shape
+    held = {"family": fam.family, "dual": fam.dual,
+            "canonical": np.eye(n, m), "inverse": fam.pinv_rank[0].conj().T}
+    for name, x in held.items():
+        for j in range(-tri.levels, tri.levels + 1):
+            memo = fam.scaled(j, name)
+            assert np.array_equal(np.asarray(memo),
+                                  np.asarray(tri.scale(j, x)))
+            if m < n:
+                assert np.array_equal(fam.r_factor(j, name), np.linalg.qr(
+                    np.asarray(tri.scale(j, x)), mode="r"))
+
+
 def check_norms(fam):
     """seminorm and dual_norm, of the columns and of a lone vector."""
     tri = fam.triplet
@@ -470,7 +488,7 @@ def check_grams(fam):
     """level_gram and the strictness constants against dense SVDs."""
     tri = fam.triplet
     xi = np.asarray(fam.family)
-    lower, upper = strictness_constants(tri, fam.family)
+    lower, upper = strictness_constants(fam)
     for j in range(tri.levels + 1):
         x = dense_scaling(tri, j) @ xi
         assert close(level_gram(fam, j), x.conj().T @ x)
@@ -512,6 +530,7 @@ def check_positivity(fam):
 
 CHECKS = {
     "scale": check_scale,
+    "memo": check_memo,
     "norms": check_norms,
     "inverse": check_inverse,
     "certificates": check_certificates,

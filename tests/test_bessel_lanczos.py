@@ -7,7 +7,10 @@ the kernel is compared with `eigvalsh` of the M x M Gram of the dense
 scaled dual (`reference.dense_top_eigenvalue`), and the verdict is shown
 to pass on a bound near the tolerance and to fail when the certificate
 is off by one part in a million either way, or when the kernel returns
-NaN.
+NaN; a NaN then ends the run with an error, since no report may carry
+it.  Lanczos takes each beta on a power-of-two rescaling of its vector,
+so a transform scaled by 2^k gives finite records up to the largest k
+whose bound is finite.
 """
 import json
 import warnings
@@ -129,11 +132,48 @@ def test_verdict_passes_on_a_bound_near_the_tolerance(tmp_path, seed):
 
 
 @pytest.mark.parametrize("slot", [0, 1])
-def test_nan_from_the_kernel_fails(tmp_path, monkeypatch, slot):
+def test_nan_from_the_kernel_fails(tmp_path, monkeypatch, capsys, slot):
     def nan_kernel(fam, j, tol, seed):
         out = list(bessel_bound_lanczos(fam, j, tol, seed))
         out[slot] = float("nan")
         return tuple(out)
 
     monkeypatch.setattr(cli, "bessel_bound_lanczos", nan_kernel)
-    assert lanczos_verdict(tmp_path, REPORTS["number-op"](tmp_path)) == "fail"
+    argv = REPORTS["number-op"](tmp_path) + ["--no-timing"]
+    cfg = cli.config_from_args(cli.build_parser().parse_args(argv))
+    _, verdicts = cli.SECTIONS["bessel"](cli.resolve_model(cfg), cfg)
+    assert verdicts[0].verdict == "fail"
+    assert cli.main(argv) == 2
+    key = ("ritz", "residual")[slot]
+    assert capsys.readouterr() == (
+        "", f"error: non-finite value nan at bessel.levels.1.{key}\n")
+
+
+def no_constant(token):
+    raise AssertionError(f"{token} in a report")
+
+
+@pytest.mark.parametrize("k", [300, 400, 500])
+def test_a_transform_scaled_by_two_to_the_k_stays_finite(tmp_path, capsys,
+                                                         k):
+    # Below k = 550, where the bound itself overflows, the sum of squares
+    # of the Lanczos vector overflowed from k = 300 and its NaN reached
+    # the report.
+    rng = np.random.default_rng(1)
+    g = rng.standard_normal((24, 24)) + 1j * rng.standard_normal((24, 24))
+    t = np.eye(24) + 0.3 * g / np.sqrt(24)
+    docs = []
+    for power in (0, k):
+        save_complex_matrix(tmp_path / "t.csv", 2.0 ** power * t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["bessel", "--transform", str(tmp_path / "t.csv"),
+                             "--seed", "0", "--no-timing"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        docs.append(json.loads(out, parse_constant=no_constant))
+    words = [[(v["name"], v["verdict"]) for s in doc["sections"]
+              for v in s["verdicts"]] for doc in docs]
+    assert words[0] == words[1] and {w for _, w in words[1]} == {"pass"}
+    level = docs[1]["sections"][0]["records"]["levels"]["1"]
+    assert level["bound"] > 1e180 and level["residual"] > 0.0

@@ -30,6 +30,12 @@ neither the sampler `hermite_values` nor the `aliasing_fraction` check.
 The unitary DFT frame is accepted by name, so no code names the retired
 runtime self-test `_fft_defect`.
 
+A family's maps are scaled once per level, by the memo of
+`SequenceFamily.scaled`: no other function passes `fam.family`,
+`fam.dual` or `_dual_of(...)`, directly or through a local name, to a
+`.scale(` call.  `riesz._realized` keeps its calls, because it scales a
+basis's maps into the realized triplet, not the family's own.
+
 The real spectrum of a pseudo-Hermitian pair is certified through the
 Hermitian similarity T H T^{-1}, so no code of the package names the
 general non-Hermitian eigensolvers `eig` and `eigvals`; the Hermitian
@@ -168,6 +174,66 @@ def test_the_check_follows_helpers_of_the_module(tmp_path):
                     "    return _top(fam.family) + dual_level_norm(fam, j)\n")
     assert reached_names(path, "kernel") & CERTIFICATE == \
         {"svd", "dual_level_norm"}
+
+
+def held_map(node, aliases):
+    """Whether `node` is a map a family holds: a `family` or `dual`
+    attribute, a `_dual_of` call, a name in `aliases`, or `asarray` of
+    one of these."""
+    if isinstance(node, ast.Call) and node.args and \
+            getattr(node.func, "attr", None) == "asarray":
+        node = node.args[0]
+    return (isinstance(node, ast.Attribute) and node.attr in ("family", "dual")
+            or isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "_dual_of"
+            or isinstance(node, ast.Name) and node.id in aliases)
+
+
+def held_scale_sites(path):
+    """`module.function` for every function of the file, methods of
+    `SequenceFamily` aside, that passes a held map to a `.scale(` call."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    functions += [item for node in tree.body if isinstance(node, ast.ClassDef)
+                  and node.name != "SequenceFamily" for item in node.body
+                  if isinstance(item, ast.FunctionDef)]
+    sites = set()
+    for function in functions:
+        nodes = list(ast.walk(function))
+        aliases = {target.id for node in nodes if isinstance(node, ast.Assign)
+                   and held_map(node.value, ()) for target in node.targets
+                   if isinstance(target, ast.Name)}
+        if any(isinstance(node, ast.Call)
+               and getattr(node.func, "attr", None) == "scale"
+               and any(held_map(arg, aliases) for arg in node.args)
+               for node in nodes):
+            sites.add(f"{path.stem}.{function.name}")
+    return sites
+
+
+def test_only_the_memo_scales_a_family():
+    sites = set().union(*(held_scale_sites(p) for p in PACKAGE.glob("*.py")))
+    assert sites == {"riesz._realized"}
+
+
+def test_the_check_sees_a_scaled_family(tmp_path):
+    path = tmp_path / "extra.py"
+    path.write_text("import numpy as np\n\n\n"
+                    "class SequenceFamily:\n"
+                    "    def scaled(self, j):\n"
+                    "        return self.triplet.scale(j, self.family)\n\n\n"
+                    "def gram(fam, j):\n"
+                    "    x = fam.triplet.scale(j, fam.family)\n"
+                    "    return x.conj().T @ x\n\n\n"
+                    "def norm(fam, j):\n"
+                    "    z = np.asarray(_dual_of(fam))\n"
+                    "    return fam.triplet.scale(-j, z)\n\n\n"
+                    "def dense(fam, j):\n"
+                    "    return fam.triplet.scale(j, np.asarray(fam.dual))\n\n\n"
+                    "def fine(fam, j, x):\n"
+                    "    return fam.triplet.scale(j, x), fam.scaled(j)\n")
+    assert held_scale_sites(path) == {"extra.gram", "extra.norm",
+                                      "extra.dense"}
 
 
 #: Names no code of the package may name, by what they were retired for.

@@ -209,7 +209,7 @@ class TestRangeMembership:
 class TestStrictnessConstants:
     def test_number_op_level_one(self):
         basis = number_op_basis(8)
-        lower, upper = strictness_constants(basis.triplet, basis.fam.family)
+        lower, upper = strictness_constants(basis.fam)
         assert lower == pytest.approx(1.0, abs=1e-12)
         assert upper[0] == pytest.approx(1.0, abs=1e-12)
         assert upper[1] == pytest.approx(1.0, abs=1e-12)
@@ -217,13 +217,13 @@ class TestStrictnessConstants:
     def test_number_op_level_two_upper(self):
         for n in (8, 16):
             basis = number_op_basis(n, levels=2)
-            _, upper = strictness_constants(basis.triplet, basis.fam.family)
+            _, upper = strictness_constants(basis.fam)
             assert upper[2] == pytest.approx(n ** 2, rel=1e-12)
 
     def test_too_many_columns_rejected(self):
         tri = WeightedTriplet(2, np.ones(2))
         with pytest.raises(DimensionError):
-            strictness_constants(tri, np.ones((2, 3)))
+            strictness_constants(SequenceFamily(np.ones((2, 3)), tri))
 
     # Weight 1e200 keeps the level-1 family finite but not its squared
     # constant; weight 1e300 squared overflows the level-2 scaling itself
@@ -235,7 +235,7 @@ class TestStrictnessConstants:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ContinuityError, match=f"levels 0 -> {levels}"):
-                strictness_constants(tri, np.diag([1.0, entry]))
+                strictness_constants(SequenceFamily(np.diag([1.0, entry]), tri))
 
 
 class TestStrictnessReport:
@@ -290,10 +290,9 @@ class TestStrictnessReport:
 
         plain = WeightedTriplet(n, w, levels)
         rotated = WeightedTriplet(n, w, levels, frame=q)
-        lo1, up1 = strictness_constants(
-            plain, make_riesz_basis(t, plain).fam.family)
+        lo1, up1 = strictness_constants(make_riesz_basis(t, plain).fam)
         lo2, up2 = strictness_constants(
-            rotated, make_riesz_basis(q @ t @ q.conj().T, rotated).fam.family)
+            make_riesz_basis(q @ t @ q.conj().T, rotated).fam)
         assert lo2 == pytest.approx(lo1, rel=1e-9)
         for level in up1:
             assert up2[level] == pytest.approx(up1[level], rel=1e-9)

@@ -14,7 +14,7 @@ from rieszlab import (ContinuityError, DimensionError, LevelError,
                       partial_sum_adjoint, riesz_fischer_check,
                       schauder_inequality_probe, schwartz_hermite_model,
                       synthesis, weak_expansion_residual)
-from rieszlab.sequences import pseudo_inverse
+from rieszlab.sequences import _family_map, pseudo_inverse
 from rieszlab.triplet import Diagonal
 
 from conftest import random_vector, well_conditioned_transform
@@ -228,15 +228,20 @@ class TestCertificates:
 
     def test_nonfinite_factor_rejected(self):
         tri = WeightedTriplet(2, np.ones(2))
-        with np.errstate(invalid="ignore"), pytest.raises(ContinuityError):
-            make_linear_map(np.array([[np.inf], [0.0]]), tri,
-                            right=np.ones((2, 1)))
+        fam = SequenceFamily(np.ones((2, 1)), tri,
+                             dual=np.array([[np.inf], [0.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContinuityError):
+                frame_operator(fam)
 
     def test_factored_map_is_formed_on_read(self):
         tri = WeightedTriplet(3, (1.0, 2.0, 3.0))
         b = np.array([[1.0], [2.0], [0.0]])
         c = np.array([[0.0], [1.0], [1.0j]])
-        lm = make_linear_map(b, tri, pairs=((1, -1),), right=c)
+        # Dual times family^H: the factor pair (b, c).
+        lm = _family_map(SequenceFamily(c, tri, dual=b), "dual", "family",
+                         (1, -1))
         dense = b @ c.conj().T
         assert lm.shape == (3, 3)
         assert np.array_equal(lm.matrix, dense)

@@ -1,9 +1,12 @@
-"""Work the diagnostics share: one SVD per family and per dual level, and
-the draws of the sampled Bessel sup.
+"""Work the diagnostics share: one SVD per family and per dual level, one
+scaling per held map and level, one QR per thin scaled factor, and the
+draws of the sampled Bessel sup.
 
-`SequenceFamily` memoises its pseudo-inverse and its dual-level norms.
-That must be invisible in the numbers: every value is compared with `==`
-against fresh SVDs, and the report's SVD count is pinned.
+`SequenceFamily` memoises its pseudo-inverse, its scaled maps with their
+R factors, and its dual-level norms.  That must be invisible in the
+numbers: every value is compared with `==` against fresh SVDs (the
+scalings in `reference.check_memo`), and the reports' SVD, scaling and
+QR counts are pinned.
 
 `bessel_bound_sampled` draws each random point only in the coordinates
 the level operator sees: the row space of the level's scaled dual, the
@@ -21,8 +24,8 @@ from scipy.stats import ks_2samp
 import rieszlab.cli as cli
 from rieszlab import hamiltonian, riesz, sequences
 from rieszlab import (InjectivityError, SequenceFamily, WeightedTriplet,
-                      bessel_bound, bessel_bound_sampled,
-                      metric_operator_check, riesz_fischer_check,
+                      bessel_bound, bessel_bound_sampled, frame_operator,
+                      level_gram, metric_operator_check, riesz_fischer_check,
                       save_complex_matrix)
 from rieszlab.sequences import dual_level_norm, pseudo_inverse
 
@@ -65,10 +68,32 @@ class TestFamilyMemo:
         fam = CASES["number-op-L2"]()
         norm = dual_level_norm(fam, 1)
         _ = fam.pinv_rank
+        _ = fam.scaled(-1, "dual"), fam.r_factor(1)
         twice = replace(fam, dual=2.0 * np.asarray(fam.dual))
-        assert "pinv_rank" not in vars(twice) and twice._dual_norms == {}
+        assert "pinv_rank" not in vars(twice) and twice._memo == {}
         assert dual_level_norm(twice, 1) == pytest.approx(2.0 * norm,
                                                           rel=1e-14)
+
+    def test_memoised_arrays_are_read_only(self):
+        fam = CASES["sobolev-P256"]()
+        frame_operator(fam)
+        riesz_fischer_check(fam)
+        level_gram(fam, 1)
+        arrays = [a for a in fam._memo.values() if isinstance(a, np.ndarray)]
+        # Xi, Z, E_M and (Xi^+)^H, at levels 0 and -1 or 1, and the R
+        # factors of the thin factors of the three maps.
+        assert len(arrays) == 10
+        for a in arrays + [fam.family, fam.dual, fam.pinv_rank[0]]:
+            with pytest.raises(ValueError):
+                a[0, 0] = 0.0
+        assert fam.scaled(0) is fam.family
+        assert fam.scaled(0, "dual") is fam.dual
+
+    def test_a_writable_input_is_held_as_a_view(self):
+        xi = np.eye(3, 2, dtype=complex)
+        fam = SequenceFamily(xi, WeightedTriplet(3, (1.0, 2.0, 3.0)))
+        xi[0, 0] = 5.0  # the caller's array stays writable
+        assert fam.family[0, 0] == 5.0 and not fam.family.flags.writeable
 
     def test_checks_read_the_memoised_rank(self):
         tri = WeightedTriplet(2, (1.0, 2.0))
@@ -171,14 +196,41 @@ def test_number_op_report_draws_once_and_saves_four_svds(tmp_path,
     # the memos save four.  Of the nine bases (the model and two four-rung
     # ladders) none certifies its T: only `construction`, the one section
     # that reads it, certifies the model's, with one SVD and two scalings,
-    # where a certificate per basis took 50 SVDs and 55 scalings.
+    # where a certificate per basis took 50 SVDs and 55 scalings.  Each
+    # family scales each held map once per level: 21 scalings, where the
+    # sections took 39 before the scalings were memoised.
     assert {name: count for (where, name), count in drawn.items()
             if where == "bessel"} == {"standard_normal": 2 * 2 * 16}
     assert kernels[0] == 42
-    assert scales[0] == 39
+    assert scales[0] == 21
     # The number-op model declares every map a Diagonal, so none of them
     # reaches LAPACK.
     assert svds[0] == 0
+
+
+def test_sobolev_report_scales_and_factors_each_map_once(tmp_path,
+                                                       monkeypatch):
+    scales, qrs = [], []
+    scale, qr = WeightedTriplet.scale, np.linalg.qr
+
+    def counting_scale(tri, j, x):
+        scales.append((j, x))
+        return scale(tri, j, x)
+
+    monkeypatch.setattr(WeightedTriplet, "scale", counting_scale)
+    monkeypatch.setattr(np.linalg, "qr",
+                        lambda a, *args, **kw: qrs.append(a) or qr(a, *args,
+                                                                   **kw))
+    report_bytes(tmp_path, ["full-report", "--example", "sobolev", "--size",
+                            "1024", "--seed", "0", "--no-timing"], "s.json")
+    # S_1 Xi, S_-1 Z and S_-1 (Xi^+)^H, each once; level 0 is the held map.
+    # The sections took 11 scalings of these and of Xi and E_M at level 0.
+    assert sorted(j for j, _ in scales) == [-1, -1, 1]
+    assert len({id(x) for _, x in scales}) == 3
+    # One R factor each of S_-1 Z (Bessel factor and frame operator),
+    # E_M (Bessel factor and flattening map) and S_-1 (Xi^+)^H, where the
+    # certificates took six.
+    assert len(qrs) == 3 and len({id(a) for a in qrs}) == 3
 
 
 def test_transform_reconstruction_takes_one_svd(tmp_path, monkeypatch):

@@ -1,5 +1,10 @@
+import inspect
+
 import numpy as np
 import pytest
+
+import rieszlab.cli as cli
+from rieszlab import spaces
 
 from rieszlab import (DimensionError, LineGrid, SampledFunction, SupportError,
                       ValidationError, aliasing_fraction, bessel_bound,
@@ -126,6 +131,16 @@ class TestAliasing:
 
     def test_zero_function(self):
         assert aliasing_fraction(GRID, np.zeros(256)) == 0.0
+
+    def test_columns_share_one_fft_and_keep_their_fractions(self):
+        vals = hermite_values(LineGrid(20.0, 1024), 30)
+        vals[:, 3] = 0.0
+        fractions = aliasing_fraction(LineGrid(20.0, 1024), vals)
+        # One transform of all columns, each summed as a lone vector.
+        assert fractions.tolist() == [
+            aliasing_fraction(LineGrid(20.0, 1024), vals[:, n])
+            for n in range(30)]
+        assert fractions[3] == 0.0 and fractions[29] > 0.0
 
 
 class TestHermiteGrid:
@@ -298,6 +313,11 @@ class TestNumberOperatorModel:
     def test_custom_ladder_short_window(self):
         _, basis = number_operator_model(4, ladder=(8, 16))
         assert basis.strict == "inconclusive"
+
+    def test_one_default_ladder(self):
+        default = inspect.signature(number_operator_model).parameters[
+            "ladder"].default
+        assert default is spaces.DEFAULT_LADDER is cli.DEFAULT_LADDER
 
 
 class TestSchwartzHermiteModel:

@@ -51,7 +51,7 @@ class TestAgainstDenseReference:
         # On these families sigma_min^2 also holds to 1e-12 of itself.
         x = dense_scaling(case.triplet, 1) @ np.asarray(case.family)
         s1 = np.linalg.svd(x, compute_uv=False)
-        assert close(strictness_constants(case.triplet, case.family)[0],
+        assert close(strictness_constants(case)[0],
                      s1[-1] ** 2)
 
     def test_fourier_frame_two_levels(self):
@@ -102,7 +102,7 @@ def test_no_square_array_at_large_grid():
             bessel_bound(fam, 1)
             bessel_bound_lanczos(fam, 1, TOL, seed=0)
             level_gram(fam, 1)
-            strictness_constants(fam.triplet, fam.family)
+            strictness_constants(fam)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
