@@ -1,10 +1,11 @@
-"""Inverse-multiplier family on a line grid: Grams and round trips.
+"""Sobolev family on a line grid: its Gram matrices.
 
-Builds xi_n by applying the inverse square-root multiplier to the first
-M Hermite functions, then prints the residuals that make this family a
-transported copy of an orthonormal system: the quadrature Gram of the
-sources, the modified level-1 Gram of the family, and the worst
-multiplier round trip.  Optionally dumps the family to a plot-ready CSV.
+Builds xi_n by applying the Sobolev triplet's scaling S_-1, the inverse
+square root of I - d^2/dx^2, to the first M Hermite functions, then
+prints the residuals that make this family a transported copy of an
+orthonormal system: the quadrature Gram of the sources and the modified
+level-1 Gram of the family, and the plain Gram, which is not the
+identity.  Optionally dumps the family to a plot-ready CSV.
 """
 import argparse
 

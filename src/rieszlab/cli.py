@@ -655,9 +655,9 @@ def _hermite_section(bundle, cfg):
 def _sobolev_section(bundle, cfg):
     grid, fam, phis = bundle.grid, bundle.family, bundle.hermite
     tol = cfg.tolerances
-    scale = np.sqrt(grid.spacing)
-    forward = sobolev_multiplier(grid, 1.0, fam.family / scale)
-    worst_build = scale * float(np.max(np.linalg.norm(forward - phis, axis=0)))
+    # The triplet's S_-1 built the family; the multiplier is its reference.
+    reference = np.sqrt(grid.spacing) * sobolev_multiplier(grid, -1.0, phis)
+    worst_build = float(np.max(np.linalg.norm(fam.family - reference, axis=0)))
     worst_round = bundle.round_trip
     mod_defect = max_deviation(level_gram(fam, 1))
     gram_defect = max_deviation(grid.spacing * (phis.T @ phis))

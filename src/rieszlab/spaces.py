@@ -1,9 +1,11 @@
 """Concrete models: Hermite functions on a line grid, a Sobolev-type
-family built by an FFT multiplier, and two coefficient-space models.
+family built from them by the Sobolev triplet's own scalings, and two
+coefficient-space models.
 
 The grid is uniform on [-L, L) with a power-of-two point count, so the
-discrete Fourier transform is exact on band-limited data and the
-multiplier (1 + y^2)^{s/2} realizes (I - d^2/dx^2)^{s/2} spectrally.
+discrete Fourier transform is exact on band-limited data and the weights
+(1 + y^2)^{s/2} realize (I - d^2/dx^2)^{s/2} spectrally, in the triplet
+and in `sobolev_multiplier`, its independent reference.
 Quadrature on the grid is the rectangle rule, which is exponentially
 accurate for smooth decaying functions; all accuracy claims are checked,
 not assumed: `hermite_values` checks support, `hermite_grid` aliasing
@@ -126,11 +128,12 @@ def default_half_width(count):
 
 def _support_residual(grid, column):
     # Mass near the window edge plus a Gaussian-tail extrapolation of the
-    # boundary values; grids cannot see beyond themselves, so this proxy
-    # stands in for the mass genuinely outside [-L, L].
+    # boundary values in the band (the right endpoint is excluded, so on 2
+    # points the last node is x = 0); grids cannot see beyond themselves,
+    # so this proxy stands in for the mass genuinely outside [-L, L].
     band = np.abs(grid.nodes) >= 0.85 * grid.half_width
     tail = grid.spacing * float(np.sum(np.abs(column[band]) ** 2))
-    edge = (abs(column[0]) ** 2 + abs(column[-1]) ** 2) \
+    edge = (abs(column[0]) ** 2 + band[-1] * abs(column[-1]) ** 2) \
         / (2.0 * max(grid.half_width, 1.0))
     return tail + float(edge)
 
@@ -266,24 +269,21 @@ def sobolev_basis(grid, count):
 
 
 def sobolev_model(grid, phis):
-    """(family, round_trip): `sobolev_basis` built from the Hermite columns
-    `phis` sampled on `grid`, as `hermite_values` or `hermite_grid` hand
-    them over, and the worst quadrature-norm defect of the multiplier
-    round trip phi_n -> xi_n -> phi_n, for diagnostics to reuse.  Since the
-    dual is the forward multiplier of phi_n, biorthogonality reduces to
-    the Hermite quadrature Gram.  A defect above CONSTRUCTION_TOL raises."""
-    scale = np.sqrt(grid.spacing)
-    low = sobolev_multiplier(grid, -1.0, phis)
-    defects = scale * np.linalg.norm(sobolev_multiplier(grid, 1.0, low) - phis,
-                                     axis=0)
+    """(family, round_trip): `sobolev_basis` from the Hermite columns
+    `phis` on `grid`: xi_n = S_-1 and zeta_n = S_1 of sqrt(h) phi_n in the
+    triplet, so biorthogonality is the Hermite quadrature Gram.  round_trip,
+    the worst defect of S_1 xi_n against sqrt(h) phi_n, fills the level-1
+    memo; a defect above CONSTRUCTION_TOL raises."""
+    tri = sobolev_triplet(grid)
+    src = np.sqrt(grid.spacing) * phis
+    fam = SequenceFamily(tri.scale(-1, src), tri, dual=tri.scale(1, src))
+    defects = np.linalg.norm(fam.scaled(1) - src, axis=0)
     failed = np.flatnonzero(~(defects <= CONSTRUCTION_TOL))
     if failed.size:
         n = int(failed[0])
         raise ValidationError(
             f"multiplier round trip failed for function {n} "
             f"(defect {defects[n]:.2e})")
-    dual = scale * sobolev_multiplier(grid, 1.0, phis)
-    fam = SequenceFamily(scale * low, sobolev_triplet(grid), dual=dual)
     return fam, float(np.max(defects))
 
 

@@ -11,8 +11,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from rieszlab import (ConfigError, Diagonal, SequenceFamily, cli,
-                      save_complex_matrix)
+from rieszlab import (ConfigError, Diagonal, SequenceFamily, WeightedTriplet,
+                      cli, save_complex_matrix, spaces)
 from rieszlab.cli import SECTIONS, RunConfig, _keep_freed_arrays, main
 from rieszlab.reportio import config_digest, jsonify
 
@@ -680,6 +680,17 @@ def test_both_function_examples_take_the_same_grid(tmp_path, extra, points):
     assert grids[0]["grid_points"] == points
 
 
+@pytest.mark.parametrize("dim", ["1", "10"])
+@pytest.mark.parametrize("example", ["hermite", "sobolev"])
+def test_two_requested_points_give_the_report_of_four(tmp_path, example, dim):
+    # Both grids double to the same accepted one.  On 2 points the last
+    # node, x = 0, counted as a window edge and every run was refused.
+    sections = [run_json(tmp_path, ["example", "--example", example, "--dim",
+                                    dim, "--size", size, "--seed", "0"],
+                         f"{size}.json")["sections"] for size in ("2", "4")]
+    assert sections[0] == sections[1]
+
+
 def test_sobolev_report_on_a_doubled_grid_passes(tmp_path):
     # At its 64 requested points the family failed its modified Gram and
     # level constants and tainted its pairings; the grid rule takes 256.
@@ -697,11 +708,35 @@ def test_sobolev_report_verifies_its_construction_once(tmp_path, monkeypatch):
                         "256", "--seed", "1"])
     # The grid rule samples the ten Hermite columns once, measures their
     # aliasing once, by one FFT of all ten, and hands both to the model and
-    # the section; the model hands its round-trip defect on: one multiplier
-    # pair for the round trip, one for the dual and one for the section's
-    # construction check.
+    # the section.  The model builds the family with the triplet's own
+    # scalings; the multiplier runs once, as the section's construction
+    # reference.  It ran 4 times while the model built the family with it.
     assert counts == {"hermite_values": 1, "aliasing_fraction": 1,
-                      "sobolev_multiplier": 4}
+                      "sobolev_multiplier": 1}
+
+
+def test_a_triplet_off_the_multiplier_fails_the_construction(tmp_path,
+                                                             monkeypatch):
+    # Triplet weights off by one part in a million build a family that the
+    # multiplier reference does not.  The round trip closes on the same
+    # weights and the Gram checks read the Hermite quadrature, so only the
+    # construction verdict sees it; it passed while the multiplier built
+    # the family too.
+    triplet = spaces.sobolev_triplet
+
+    def perturbed(grid):
+        tri = triplet(grid)
+        return WeightedTriplet.fourier(tri.weights * (1 + 1e-6), tri.levels)
+
+    monkeypatch.setattr(spaces, "sobolev_triplet", perturbed)
+    doc = run_json(tmp_path, ["full-report", "--example", "sobolev", "--seed",
+                              "0"])
+    words = {v["name"]: v["verdict"]
+             for v in section(doc, "sobolev-family")["verdicts"]}
+    assert words == {"inverse-multiplier-construction": "fail",
+                     "multiplier-round-trip": "pass",
+                     "modified-orthonormality": "pass",
+                     "level-constants-near-one": "pass"}
 
 
 def test_hermite_report_samples_the_columns_once(tmp_path, monkeypatch):

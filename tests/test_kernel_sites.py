@@ -36,6 +36,12 @@ A family's maps are scaled once per level, by the memo of
 `.scale(` call.  `riesz._realized` keeps its calls, because it scales a
 basis's maps into the realized triplet, not the family's own.
 
+The Sobolev family is built by the triplet's own scalings, and the
+spectral multiplier `spaces.sobolev_multiplier` is only the reference
+that the construction verdict compares it with: nothing that
+`spaces.sobolev_model` reaches names the multiplier, and in `cli.py`
+only `_sobolev_section` does, so no second construction route returns.
+
 The real spectrum of a pseudo-Hermitian pair is certified through the
 Hermitian similarity T H T^{-1}, so no code of the package names the
 general non-Hermitian eigensolvers `eig` and `eigvals`; the Hermitian
@@ -68,27 +74,32 @@ def spectral_norm(node):
         isinstance(o, ast.Constant) and o.value == 2 for o in orders)
 
 
-def svd_sites(path):
-    """`module.function` for every reference to an `svd` attribute, an
-    imported `svd` name or a `norm` of order 2 in the file (`module` alone
-    at module level)."""
+def function_sites(path, hit):
+    """`module.function` for every function of the file that holds a node
+    for which `hit(node)` is true (`module` alone at module level)."""
     tree = ast.parse(path.read_text(), filename=str(path))
     sites = set()
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = f"{path.stem}.{node.name}"
-        if isinstance(node, ast.Attribute) and node.attr == "svd" or \
-                spectral_norm(node):
-            sites.add(where)
-        if isinstance(node, ast.ImportFrom) and \
-                any(alias.name == "svd" for alias in node.names):
+        if hit(node):
             sites.add(where)
         for child in ast.iter_child_nodes(node):
             visit(child, where)
 
     visit(tree, path.stem)
     return sites
+
+
+def svd_sites(path):
+    """`function_sites` of every reference to an `svd` attribute, an
+    imported `svd` name or a `norm` of order 2 in the file."""
+    return function_sites(path, lambda node: (
+        isinstance(node, ast.Attribute) and node.attr == "svd"
+        or spectral_norm(node)
+        or isinstance(node, ast.ImportFrom)
+        and any(alias.name == "svd" for alias in node.names)))
 
 
 def test_svd_is_called_only_from_the_shared_kernels():
@@ -363,3 +374,38 @@ def test_the_check_sees_a_grid_decision(tmp_path):
                     "    return spaces.aliasing_fraction(grid, v), g\n\n\n"
                     "def fine(grid: LineGrid):\n    return grid.points\n")
     assert grid_sites(path) == {f"extra:{line}" for line in (3, 7, 11, 12)}
+
+
+#: The spectral reference of the Sobolev construction.
+MULTIPLIER = {"sobolev_multiplier"}
+
+
+def multiplier_sites(path):
+    """`function_sites` of every name or attribute `sobolev_multiplier` in
+    the file; importing it is not a reference."""
+    return function_sites(path, lambda node: (
+        node.id if isinstance(node, ast.Name)
+        else getattr(node, "attr", None)) in MULTIPLIER)
+
+
+def test_the_sobolev_model_is_built_without_the_multiplier():
+    reached = reached_names(PACKAGE / "spaces.py", "sobolev_model")
+    assert "sobolev_triplet" in reached and not reached & MULTIPLIER
+    assert multiplier_sites(PACKAGE / "cli.py") == {"cli._sobolev_section"}
+
+
+def test_the_check_sees_a_second_multiplier_route(tmp_path):
+    path = tmp_path / "extra.py"
+    path.write_text("from . import spaces\n"
+                    "from .spaces import sobolev_multiplier\n\n"
+                    "ORDER = sobolev_multiplier\n\n\n"
+                    "def _low(grid, phis):\n"
+                    "    return sobolev_multiplier(grid, -1.0, phis)\n\n\n"
+                    "def model(grid, phis):\n"
+                    "    return _low(grid, phis)\n\n\n"
+                    "def section(grid, phis):\n"
+                    "    return spaces.sobolev_multiplier(grid, 1.0,"
+                    " phis)\n\n\n"
+                    "def fine(tri, phis):\n    return tri.scale(-1, phis)\n")
+    assert multiplier_sites(path) == {"extra", "extra._low", "extra.section"}
+    assert reached_names(path, "model") & MULTIPLIER == MULTIPLIER

@@ -223,10 +223,13 @@ def test_sobolev_report_scales_and_factors_each_map_once(tmp_path,
                                                                    **kw))
     report_bytes(tmp_path, ["full-report", "--example", "sobolev", "--size",
                             "1024", "--seed", "0", "--no-timing"], "s.json")
+    # The model's S_-1 and S_1 of sqrt(h) phi, which build Xi and Z, then
     # S_1 Xi, S_-1 Z and S_-1 (Xi^+)^H, each once; level 0 is the held map.
-    # The sections took 11 scalings of these and of Xi and E_M at level 0.
-    assert sorted(j for j, _ in scales) == [-1, -1, 1]
-    assert len({id(x) for _, x in scales}) == 3
+    # Three before, when a spectral multiplier built Xi and Z; the sections
+    # took 11 scalings before the memo.
+    assert sorted(j for j, _ in scales) == [-1, -1, -1, 1, 1]
+    assert len({(j, id(x)) for j, x in scales}) == 5
+    assert len({id(x) for _, x in scales}) == 4  # sqrt(h) phi at two levels
     # One R factor each of S_-1 Z (Bessel factor and frame operator),
     # E_M (Bessel factor and flattening map) and S_-1 (Xi^+)^H, where the
     # certificates took six.

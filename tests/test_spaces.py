@@ -173,6 +173,28 @@ class TestHermiteGrid:
         assert (grid, worst) == hermite_grid(10, half_width=80, points=8)[::2]
         assert grid.points == 1024 and vals.any(axis=0).all()
 
+    @pytest.mark.parametrize("count, half_width", [
+        (1, None), (1, 200.0), (10, None)])
+    def test_two_points_double_like_any_unresolved_grid(self, count,
+                                                         half_width):
+        # The right endpoint is excluded, so on 2 points the last node is
+        # x = 0; read as a window edge, it refused every half width.
+        grid, vals, worst = hermite_grid(count, half_width, points=2)
+        kept = hermite_grid(count, half_width, points=4)
+        assert (grid, worst) == kept[::2]
+        assert np.array_equal(vals, kept[1])
+
+    def test_a_last_node_outside_the_edge_band_is_no_edge_value(self):
+        column = np.zeros(2)
+        column[-1] = 1.0  # the centre, x = 0
+        assert spaces._support_residual(LineGrid(20.0, 2), column) == 0.0
+        # From 16 points on the last node lies in the band, at 7L/8 or more.
+        grid = LineGrid(20.0, 16)
+        column = np.zeros(16)
+        column[-1] = 1.0
+        assert spaces._support_residual(grid, column) == \
+            grid.spacing + 1.0 / 40.0
+
     def test_fixed_grid_sobolev_basis_refuses_a_zero_column(self):
         with pytest.raises(SupportError, match="for 4 points: basis "
                            "function 1 is 0 on every node"):
