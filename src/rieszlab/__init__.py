@@ -25,15 +25,14 @@ from .reportio import (DiagnosticsReport, Section, Verdict, config_digest,
 from .riesz import (RieszBasis, adjoint_action, coefficient_seminorm,
                     hilbert_triplet_realization, make_riesz_basis,
                     metric_operator_check, range_membership, realized_grams,
-                    strictness_constants, strictness_report, with_strictness)
+                    strictness_constants, strictness_report)
 from .sequences import (LinearMap, SequenceFamily, analysis, bessel_bound,
                         bessel_bound_lanczos, bessel_bound_sampled,
-                        bessel_factor,
-                        biorthogonality_residual, certificate_norm,
+                        bessel_factor, biorthogonality_residual,
                         dual_analysis, frame_operator, is_tainted, level_gram,
-                        make_linear_map, partial_sum, partial_sum_adjoint,
-                        riesz_fischer_check, schauder_inequality_probe,
-                        synthesis, weak_expansion_residual)
+                        partial_sum, partial_sum_adjoint, riesz_fischer_check,
+                        schauder_inequality_probe, synthesis,
+                        weak_expansion_residual)
 from .spaces import (LineGrid, SampledFunction, aliasing_fraction,
                      hermite_gram, hermite_grid, hermite_values,
                      number_operator_model, schwartz_hermite_model,
@@ -52,20 +51,18 @@ __all__ = [
     "WeightedTriplet", "adjoint_action", "aliasing_fraction", "analysis",
     "bessel_bound", "bessel_bound_lanczos", "bessel_bound_sampled",
     "bessel_factor", "biorthogonality_residual", "build_pair",
-    "build_selfadjoint", "certificate_norm", "coefficient_seminorm",
-    "config_digest", "coords_of", "demo_pair", "demo_transform",
-    "density_diagnostic", "dual_analysis", "eigen_residual",
-    "frame_operator", "graph_norm_triplet", "hermite_gram", "hermite_grid",
-    "hermitian_defect",
-    "hermite_values", "hilbert_triplet_realization",
-    "is_tainted", "level_gram", "load_complex_matrix", "make_linear_map",
-    "make_riesz_basis", "metric_operator_check", "nonnormality",
-    "number_operator_model", "pairing", "partial_sum", "partial_sum_adjoint",
-    "random_unitary", "range_membership", "realized_grams", "render_csv",
-    "render_json", "riesz_fischer_check", "save_complex_matrix",
-    "save_function_csv", "save_report", "schauder_inequality_probe",
-    "schwartz_hermite_model", "sobolev_basis", "sobolev_multiplier",
-    "sobolev_triplet", "spectrum_residual", "strictness_constants",
-    "strictness_report", "synthesis", "weak_expansion_residual",
-    "weak_similarity_residual", "with_strictness",
+    "build_selfadjoint", "coefficient_seminorm", "config_digest", "coords_of",
+    "demo_pair", "demo_transform", "density_diagnostic", "dual_analysis",
+    "eigen_residual", "frame_operator", "graph_norm_triplet", "hermite_gram",
+    "hermite_grid", "hermitian_defect", "hermite_values",
+    "hilbert_triplet_realization", "is_tainted", "level_gram",
+    "load_complex_matrix", "make_riesz_basis", "metric_operator_check",
+    "nonnormality", "number_operator_model", "pairing", "partial_sum",
+    "partial_sum_adjoint", "random_unitary", "range_membership",
+    "realized_grams", "render_csv", "render_json", "riesz_fischer_check",
+    "save_complex_matrix", "save_function_csv", "save_report",
+    "schauder_inequality_probe", "schwartz_hermite_model", "sobolev_basis",
+    "sobolev_multiplier", "sobolev_triplet", "spectrum_residual",
+    "strictness_constants", "strictness_report", "synthesis",
+    "weak_expansion_residual", "weak_similarity_residual",
 ]

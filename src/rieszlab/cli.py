@@ -24,20 +24,20 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, RieszLabError
-from .hamiltonian import (HamiltonianPair, demo_pair, demo_transform,
-                          density_diagnostic, eigen_residual,
-                          hermitian_defect, nonnormality, spectrum_residual,
-                          weak_similarity_residual)
+from .hamiltonian import (DEFAULT_PSI_SEED, EQUALITY_TOL, HamiltonianPair,
+                          demo_pair, demo_transform, density_diagnostic,
+                          eigen_residual, hermitian_defect, nonnormality,
+                          spectrum_residual, weak_similarity_residual)
 from .reportio import (DiagnosticsReport, SCHEMA_VERSION, Section, Verdict,
                        config_digest, load_complex_matrix, render_report,
                        save_report)
-from .riesz import (_realized, make_riesz_basis, metric_operator_check,
-                    strictness_constants, strictness_report,
-                    transport_residuals)
+from .riesz import (GRAM_TOL, POSITIVITY_TOL, _realized, make_riesz_basis,
+                    metric_operator_check, strictness_constants,
+                    strictness_report, transport_residuals)
 from .sequences import (BIORTH_TOL, DOMINATION_FACTOR, SequenceFamily,
                         bessel_bound, bessel_bound_lanczos, bessel_factor,
-                        biorthogonality_residual, dual_row_masses,
-                        frame_operator, level_gram, make_linear_map,
+                        biorthogonality_residual, dual_level_norm,
+                        dual_row_masses, frame_operator, level_gram,
                         max_deviation, partial_sum, partial_sum_residuals,
                         riesz_fischer_check, schauder_inequality_probe,
                         weak_expansion_residual)
@@ -68,10 +68,10 @@ DEFAULT_TOLERANCES = {
     "constants_window": 1e-6,
     "construction": CONSTRUCTION_TOL,
     "eigen": 1e-10,
-    "equality": 1e-12,
+    "equality": EQUALITY_TOL,
     "frame_positivity": 1e-12,
-    "gram": 1e-8,
-    "positivity": 1e-8,
+    "gram": GRAM_TOL,
+    "positivity": POSITIVITY_TOL,
     "reconstruction": 1e-12,
     "roundtrip": 1e-12,
     "similarity": 1e-10,
@@ -80,7 +80,7 @@ DEFAULT_TOLERANCES = {
 }
 
 # The pseudo-Hermitian knobs and their defaults.
-PSEUDO_DEFAULTS = {"psi_seed": 7}
+PSEUDO_DEFAULTS = {"psi_seed": DEFAULT_PSI_SEED}
 
 
 @dataclass
@@ -465,11 +465,12 @@ def _biorthogonality_section(bundle, cfg):
 def _construction_section(bundle, cfg):
     basis = bundle.basis
     r_txi, r_dual, r_chain = transport_residuals(basis)
-    cert = make_linear_map(basis.transform, basis.triplet, pairs=((1, 0),))
+    # Z = T^H, so ||T||_{1->0} = sigma_max(T S_-1) is the dual's level-1 norm.
+    cert = {(1, 0): dual_level_norm(basis.fam, 1)}
     records = {"transform_times_family": r_txi,
                "dual_vs_adjoint": r_dual,
                "metric_chain": r_chain,
-               "continuity_certificate": cert.certificate}
+               "continuity_certificate": cert}
     worst = max(r_txi, r_dual, r_chain)
     return records, [_at_most("transported-identities", "worst_residual",
                               worst, cfg.tolerances["composition"])]

@@ -27,6 +27,12 @@ from .triplet import Diagonal, coords_of
 #: Largest entry of |Psi^H Psi - I| accepted for an eigenvector matrix.
 UNITARY_TOL = 1e-10
 
+#: Lanczos stopping tolerance of `nonnormality`.
+EQUALITY_TOL = 1e-12
+
+#: Seed of the unitary eigenvector matrix of `demo_pair`.
+DEFAULT_PSI_SEED = 7
+
 
 @dataclass(frozen=True)
 class HamiltonianPair:
@@ -175,7 +181,7 @@ def spectrum_residual(pair):
     return gap + defect
 
 
-def nonnormality(matrix, tol=1e-12, seed=0):
+def nonnormality(matrix, tol=EQUALITY_TOL, seed=0):
     """Spectral norm of the commutator C = [A, A^H]; zero iff A is normal.
 
     C is Hermitian, so ||C||_2^2 is the top eigenvalue of C^2, which the
@@ -239,7 +245,7 @@ def demo_transform(dim):
     return Diagonal(np.arange(1, int(dim) + 1, dtype=float))
 
 
-def demo_pair(dim, psi_seed=7):
+def demo_pair(dim, psi_seed=DEFAULT_PSI_SEED):
     """Reference pair: T = `demo_transform(dim)`, seeded random unitary psi,
     eigenvalues 1..N.  Non-normal for generic psi, spectrum exactly known."""
     return build_pair(np.arange(1, int(dim) + 1, dtype=float),

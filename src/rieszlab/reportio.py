@@ -226,23 +226,23 @@ def render_json(report):
 
 
 def render_csv(report):
-    """Flat, deterministic CSV rendering: one row per record entry or
-    verdict evidence item, compound values JSON-encoded in place."""
+    """Flat, deterministic CSV rendering of `report.to_dict()`: one row per
+    record entry or verdict evidence item, compound values JSON-encoded in
+    place."""
+    data = report.to_dict()
+
+    def rows(name, kind, label, values):
+        return [[name, kind, label, k, json.dumps(v, sort_keys=True)]
+                for k, v in sorted(values.items())]
+
     lines = [["section", "kind", "name", "key", "value"]]
-    meta = jsonify(report.meta, "meta")
-    for k in sorted(meta):
-        lines.append(["", "meta", "", k, json.dumps(meta[k], sort_keys=True)])
-    for s in report.sections:
-        records = jsonify(s.records, s.name)
-        for k in sorted(records):
-            lines.append([s.name, "record", "", k,
-                          json.dumps(records[k], sort_keys=True)])
-        for v in s.verdicts:
-            lines.append([s.name, "verdict", v.name, "verdict", v.verdict])
-            ev = jsonify(v.evidence, f"{s.name}.{v.name}")
-            for k in sorted(ev):
-                lines.append([s.name, "verdict", v.name, k,
-                              json.dumps(ev[k], sort_keys=True)])
+    lines += rows("", "meta", "", data["meta"])
+    for s in data["sections"]:
+        lines += rows(s["name"], "record", "", s["records"])
+        for v in s["verdicts"]:
+            lines.append([s["name"], "verdict", v["name"], "verdict",
+                          v["verdict"]])
+            lines += rows(s["name"], "verdict", v["name"], v["evidence"])
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerows(lines)

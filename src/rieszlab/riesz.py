@@ -11,7 +11,7 @@ product is <T . , T .>.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +23,12 @@ from .sequences import (BIORTH_TOL, DOMINATION_FACTOR, LinearMap,
                         pseudo_inverse, singular_values)
 from .trends import MIN_LADDER_POINTS, classify_growth, loglog_slope
 from .triplet import Diagonal, WeightedTriplet, coords_of
+
+#: Largest |<S f, f> - sum |a_k|^2| the metric check accepts.
+POSITIVITY_TOL = 1e-8
+
+#: Largest entry of the realized Gram defects a strict basis may leave.
+GRAM_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -54,8 +60,8 @@ def make_riesz_basis(transform, triplet):
     array-like or a `Diagonal`, which gives Diagonal family and dual; it
     is held as declared and rejected when its rank falls short.  The
     identities T Xi = I, Z = T^H and T^H T Xi = Z hold by construction up
-    to the inversion's roundoff.  The basis carries no certificate of T;
-    `make_linear_map(basis.transform, triplet, pairs=((1, 0),))` takes one.
+    to the inversion's roundoff.  The basis carries no certificate of T:
+    ||T||_{1->0} is the dual's level-1 norm, `dual_level_norm(basis.fam, 1)`.
     """
     a = _as_map(transform)
     if len(a.shape) != 2 or a.shape[0] != a.shape[1]:
@@ -116,7 +122,8 @@ class MetricCheckResult:
     verdict: str
 
 
-def metric_operator_check(fam, samples=50, seed=0, positivity_tol=1e-8):
+def metric_operator_check(fam, samples=50, seed=0,
+                          positivity_tol=POSITIVITY_TOL):
     """Build S with S xi_k = zeta_k and test the equivalent formulations.
 
     S is Z Xi^+ (a singular family is rejected).  The quadratic form
@@ -291,11 +298,6 @@ def strictness_report(basis_rule, ladder):
                             upper_slopes, verdict, note)
 
 
-def with_strictness(basis, report):
-    """Copy of the basis carrying the ladder verdict."""
-    return replace(basis, strict=report.verdict)
-
-
 # -- Hilbert triplet realization --------------------------------------------
 
 def _realized(basis):
@@ -321,7 +323,7 @@ def realized_grams(basis):
     return tuple(np.asarray(g) for g in _realized(basis)[2])
 
 
-def hilbert_triplet_realization(basis, gram_tol=1e-8):
+def hilbert_triplet_realization(basis, gram_tol=GRAM_TOL):
     """Collapse a strict basis's ladder onto a single Hilbert triplet.
 
     The triplet's level-1 seminorm is ||T f||.  A `Diagonal` T = diag(d)

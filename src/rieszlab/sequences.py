@@ -7,11 +7,11 @@ are plain complex coordinate arrays: expansions and syntheses return
 1-D arrays, read on whichever side the norm or pairing applied to them
 names.  Every operator built here is a finite matrix, certified across
 the seminorm ladder by the largest singular value of its weight-scaled
-form.  Maps of rank at most M are kept as their thin N x M factors, and
-a map that a model builder declares diagonal stays a `Diagonal`, which
-multiplies itself in O(N) under `@` and `.conj().T`, and which
-`max_deviation`, `singular_values` and `pseudo_inverse` take in closed
-form; so no N x N array is formed on the way.
+form.  Each map is kept as its two N x M factors, and a map that a
+model builder declares diagonal stays a `Diagonal`, which multiplies
+itself in O(N) under `@` and `.conj().T`, and which `max_deviation`,
+`singular_values` and `pseudo_inverse` take in closed form; so no N x N
+array is formed on the way.
 Nothing is mutated: checks that recover a dual return a new family.
 """
 from __future__ import annotations
@@ -86,22 +86,6 @@ def singular_values(matrix):
     return np.linalg.svd(np.asarray(matrix), compute_uv=False)
 
 
-def certificate_norm(matrix, triplet, from_level, to_level):
-    """Largest singular value of scale(to) @ A @ scale(-from).
-
-    This is the operator norm of the map A between the two levels;
-    negative levels address the dual side, so e.g. (from=1, to=-1)
-    certifies a map from the smooth space into the level-1 dual.  Maps a
-    family holds as N x M factors are certified by `_family_map`.
-    """
-    # Overflow is reported by _certified, not by numpy warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
-        left = triplet.scale(to_level, _as_map(matrix))
-        # A S = (S A^H)^H because every scaling is Hermitian.
-        prod = triplet.scale(-from_level, left.conj().T).conj().T
-    return _certified(prod, (from_level, to_level))
-
-
 def _certified(prod, pair):
     """sigma_max of a scaled product, the certificate of the level `pair`;
     non-finite entries or norm raise ContinuityError."""
@@ -115,35 +99,22 @@ def _certified(prod, pair):
 
 @dataclass(frozen=True)
 class LinearMap:
-    """Map with its certificate: (from_level, to_level) -> operator norm.
-
-    A square map is held in `left`, an array or a Diagonal; a map of rank
-    at most M as its N x M factors, A = left @ right^H.  The dense
-    `matrix` is only formed when a caller reads it.
+    """Map A = left @ right^H, held as its two N x M factors (arrays or
+    Diagonals), with its certificate: (from_level, to_level) -> operator
+    norm.  The dense `matrix` is only formed when a caller reads it.
     """
 
     left: np.ndarray | Diagonal
     certificate: dict
-    right: np.ndarray | Diagonal | None = None
+    right: np.ndarray | Diagonal
 
     @cached_property
     def matrix(self):
-        return np.asarray(self.left if self.right is None
-                          else self.left @ self.right.conj().T)
+        return np.asarray(self.left @ self.right.conj().T)
 
     @property
     def shape(self):
-        if self.right is None:
-            return self.left.shape
         return (self.left.shape[0], self.right.shape[0])
-
-
-def make_linear_map(matrix, triplet, pairs=((0, 0),)):
-    """Wrap a square map with continuity certificates for the given level
-    pairs."""
-    a = _as_map(matrix)
-    return LinearMap(a, {pair: certificate_norm(a, triplet, *pair)
-                         for pair in pairs})
 
 
 def _family_map(fam, left, right, pair):

@@ -15,12 +15,12 @@ be met.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DimensionError, SupportError, ValidationError
-from .riesz import make_riesz_basis, strictness_report, with_strictness
+from .riesz import make_riesz_basis, strictness_report
 from .sequences import SequenceFamily
 from .triplet import Diagonal, WeightedTriplet
 
@@ -308,7 +308,7 @@ def number_operator_model(dim, levels=1, ladder=DEFAULT_LADDER):
     rule = number_operator_rule(levels)
     basis = rule(int(dim))
     report = strictness_report(rule, ladder)
-    return basis.triplet, with_strictness(basis, report)
+    return basis.triplet, replace(basis, strict=report.verdict)
 
 
 def schwartz_hermite_model(dim, levels=1):

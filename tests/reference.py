@@ -24,13 +24,12 @@ from scipy.special import eval_hermite
 
 from rieszlab import (LevelError, LineGrid, SequenceFamily, WeightedTriplet,
                       bessel_bound, bessel_bound_lanczos, bessel_factor,
-                      build_pair, certificate_norm, demo_pair,
-                      frame_operator, graph_norm_triplet, level_gram,
-                      make_riesz_basis, metric_operator_check,
-                      number_operator_model, pairing, random_unitary,
-                      riesz_fischer_check, schauder_inequality_probe,
-                      schwartz_hermite_model, sobolev_basis,
-                      strictness_constants)
+                      build_pair, demo_pair, frame_operator,
+                      graph_norm_triplet, level_gram, make_riesz_basis,
+                      metric_operator_check, number_operator_model, pairing,
+                      random_unitary, riesz_fischer_check,
+                      schauder_inequality_probe, schwartz_hermite_model,
+                      sobolev_basis, strictness_constants)
 from rieszlab import sequences
 from rieszlab.cli import DEFAULT_TOLERANCES
 from rieszlab.sequences import (DOMINATION_FACTOR, RANK_RTOL,
@@ -430,8 +429,8 @@ def check_inverse(fam):
 
 def check_certificates(fam):
     """The four factor-pair maps and, for a square family, T = Z^H: each
-    certificate against the SVD of the dense scaled product, and the
-    square route of `certificate_norm` on the dense map."""
+    certificate against the SVD of the dense scaled product.  T's
+    continuity certificate ||T||_{1->0} is the dual's level-1 norm."""
     tri = fam.triplet
     z, xi = np.asarray(fam.dual), np.asarray(fam.family)
     n, m = xi.shape
@@ -449,12 +448,8 @@ def check_certificates(fam):
                      dense_certificate(dense, tri, *pair))
         assert lm.shape == (n, n)
         assert close(lm.matrix, dense)
-        assert close(certificate_norm(dense, tri, *pair),
-                     lm.certificate[pair])
     if m == n:
-        t = fam.dual.conj().T  # as held, so a Diagonal stays one
-        basis = make_riesz_basis(t, tri)
-        assert close(certificate_norm(basis.transform, tri, 1, 0),
+        assert close(dual_level_norm(fam, 1),
                      dense_certificate(z.conj().T, tri, 1, 0))
 
 

@@ -32,12 +32,13 @@ import numpy as np
 import pytest
 
 import rieszlab.cli as cli
-from rieszlab import (SequenceFamily, WeightedTriplet, certificate_norm,
-                      hamiltonian, make_riesz_basis, spaces)
+from rieszlab import (SequenceFamily, WeightedTriplet, hamiltonian,
+                      make_riesz_basis, spaces)
 from rieszlab.errors import DimensionError
-from rieszlab.sequences import (max_deviation, partial_sum,
-                                partial_sum_adjoint, pseudo_inverse,
-                                singular_values, weak_expansion_residual)
+from rieszlab.sequences import (_family_map, dual_level_norm, max_deviation,
+                                partial_sum, partial_sum_adjoint,
+                                pseudo_inverse, singular_values,
+                                weak_expansion_residual)
 from rieszlab.triplet import Diagonal
 
 from conftest import count_calls
@@ -96,13 +97,26 @@ def test_kernels_equal_lapack(n, kind):
     v = x[:, 0]
     assert np.array_equal(diag @ v, a @ v)
     assert np.array_equal(v @ diag, v @ a)
-    # Power-of-two weights keep the scaled power-of-two entries exact.
+    # The map as a family's dual, certified as the factor pair (dual, E)
+    # between levels and by its level-j norms.  Power-of-two weights keep
+    # the scaled power-of-two entries exact.
     weights = 2.0 ** (np.arange(n) % 3) if kind == "pow2-wide" \
         else np.arange(1.0, n + 1)
     tri = WeightedTriplet(n, weights, 2)
-    for fr, to in [(0, 0), (1, -1), (2, 0), (-1, 1)]:
-        assert certificate_norm(diag, tri, fr, to) == \
-            certificate_norm(a, tri, fr, to)
+    fams = [SequenceFamily(Diagonal(np.ones(n)), tri, dual=diag),
+            SequenceFamily(np.eye(n), tri, dual=a)]
+    for pair in [(0, 0), (1, -1), (2, 0), (-1, 1)]:
+        closed, dense = (_family_map(fam, "dual", "canonical", pair)
+                         .certificate[pair] for fam in fams)
+        assert closed == dense
+    # -1e-150 k / k is -1e-150 only up to an ulp: those level-1 entries are
+    # no model diagonal, and LAPACK, which rescales them out of its safe
+    # range, returns 1e-150 where the largest is an ulp above (N >= 64).
+    # For the 1e+-150 kinds it is held to `test_generic_diagonals`' bound.
+    rtol = 8 * np.finfo(float).eps if "150" in kind else 0.0
+    for j in range(3):
+        closed, dense = (dual_level_norm(fam, j) for fam in fams)
+        np.testing.assert_allclose(closed, dense, rtol=rtol, atol=0)
 
 
 @pytest.mark.parametrize("n", [8, 64, 256])

@@ -22,7 +22,10 @@ never rediscovered: no code of the package counts nonzeros or names the
 retired `_real_diagonal` scan.  A `Diagonal` multiplies itself under `@`
 and `.conj().T`, so no code names the retired dispatch helpers
 `_product` and `_adjoint` either.  Expansions return plain coordinate
-arrays, so no code names the retired wrapper `CoefVector`.
+arrays, so no code names the retired wrapper `CoefVector`.  T's
+continuity certificate is the memoised level-1 norm of its dual, so no
+code names the retired square-map route `certificate_norm` and
+`make_linear_map`.
 
 A line grid is decided in one place, `spaces.hermite_grid`, for both
 function-space examples: the CLI constructs no `LineGrid` and names
@@ -59,7 +62,7 @@ ALLOWED = {"sequences.singular_values", "sequences.pseudo_inverse",
 
 #: The certificate's kernels, which the Lanczos check must not reach.
 CERTIFICATE = {"singular_values", "pseudo_inverse", "dual_level_norm",
-               "bessel_bound", "certificate_norm", "svd"}
+               "bessel_bound", "svd"}
 
 
 def spectral_norm(node):
@@ -261,6 +264,9 @@ RETIRED = {
     "fft-self-test": {"_fft_defect"},
     # The general non-Hermitian eigensolvers.
     "general-eigensolver": {"eig", "eigvals"},
+    # The square-map certificate route, which the family memo replaces:
+    # T's continuity certificate is its dual's level-1 norm.
+    "square-certificate": {"certificate_norm", "make_linear_map"},
 }
 
 #: The sampler and the check that only `spaces.hermite_grid` runs for a
@@ -346,6 +352,22 @@ def test_the_check_sees_a_general_eigensolver(tmp_path):
                     "    return np.linalg.eigvalsh(a) + np.linalg.eigh(a)[0]\n")
     assert name_sites(path, RETIRED["general-eigensolver"]) == {
         "extra:2", "extra:6"}
+
+
+def test_the_check_sees_a_square_certificate(tmp_path):
+    path = tmp_path / "extra.py"
+    path.write_text("from . import sequences\n"
+                    "from .sequences import make_linear_map\n\n\n"
+                    "def certificate_norm(a, tri, fr, to):\n"
+                    "    return 0.0\n\n\n"
+                    "def construction(basis):\n"
+                    "    return make_linear_map(basis.transform, tri)\n\n\n"
+                    "def norm(t, tri):\n"
+                    "    return sequences.certificate_norm(t, tri, 1, 0)\n\n\n"
+                    "def fine(basis):\n"
+                    "    return dual_level_norm(basis.fam, 1)\n")
+    assert name_sites(path, RETIRED["square-certificate"]) == {
+        f"extra:{line}" for line in (2, 5, 10, 14)}
 
 
 def grid_sites(path):

@@ -8,12 +8,13 @@ from rieszlab import (ContinuityError, Diagonal, DimensionError,
                       InjectivityError, RieszBasis, SequenceFamily,
                       StateError, ValidationError, WeightedTriplet,
                       adjoint_action, coefficient_seminorm, coords_of,
-                      hilbert_triplet_realization, make_linear_map,
-                      make_riesz_basis, metric_operator_check,
+                      hilbert_triplet_realization, make_riesz_basis,
+                      metric_operator_check, number_operator_model,
                       range_membership, realized_grams, strictness_constants,
-                      strictness_report, with_strictness)
+                      strictness_report)
 from rieszlab.cli import DEFAULT_TOLERANCES
 from rieszlab.riesz import _realized
+from rieszlab.sequences import dual_level_norm
 from rieszlab.trends import classify_growth, loglog_slope
 
 from conftest import random_vector, well_conditioned_transform
@@ -52,10 +53,9 @@ class TestMakeRieszBasis:
 
     def test_continuity_certificate_of_the_transform(self):
         basis = number_op_basis(4)
-        # ||T f|| over the level-1 ball of w = (1..4): T cancels the scale
-        cert = make_linear_map(basis.transform, basis.triplet,
-                               pairs=((1, 0),)).certificate
-        assert cert == {(1, 0): pytest.approx(1.0)}
+        # ||T f|| over the level-1 ball of w = (1..4): T cancels the
+        # scale, and ||T||_{1->0} is the level-1 norm of the dual Z = T^H.
+        assert dual_level_norm(basis.fam, 1) == pytest.approx(1.0)
 
     def test_transform_is_held_as_declared(self):
         d = Diagonal(np.arange(1.0, 5.0))
@@ -297,10 +297,11 @@ class TestStrictnessReport:
         for level in up1:
             assert up2[level] == pytest.approx(up1[level], rel=1e-9)
 
-    def test_with_strictness_attaches_verdict(self):
-        report = strictness_report(number_op_basis, LADDER)
-        basis = with_strictness(number_op_basis(8), report)
-        assert basis.strict == "strict"
+    @pytest.mark.parametrize("levels, verdict", [(1, "strict"),
+                                                 (2, "non-strict")])
+    def test_number_operator_model_attaches_verdict(self, levels, verdict):
+        _, basis = number_operator_model(8, levels)
+        assert basis.strict == verdict
 
 
 class TestRealization:
@@ -309,8 +310,9 @@ class TestRealization:
         Diagonal(k), realized in closed form, and np.diag(k), by SVD."""
         report = strictness_report(number_op_basis, LADDER)
         k = np.arange(1.0, n + 1)
-        return [with_strictness(make_riesz_basis(t, WeightedTriplet(n, k)),
-                                report) for t in (Diagonal(k), np.diag(k))]
+        return [dataclasses.replace(
+            make_riesz_basis(t, WeightedTriplet(n, k)), strict=report.verdict)
+            for t in (Diagonal(k), np.diag(k))]
 
     def test_weights_are_singular_values(self):
         for basis in self.strict_number_ops(6):
@@ -370,7 +372,8 @@ class TestRealization:
             hilbert_triplet_realization(number_op_basis(6))
         report = strictness_report(lambda n: number_op_basis(n, levels=2),
                                    LADDER)
-        basis = with_strictness(number_op_basis(6, levels=2), report)
+        basis = dataclasses.replace(number_op_basis(6, levels=2),
+                                    strict=report.verdict)
         with pytest.raises(StateError):
             hilbert_triplet_realization(basis)
 

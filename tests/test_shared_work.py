@@ -192,17 +192,19 @@ def test_number_op_report_draws_once_and_saves_four_svds(tmp_path,
         monkeypatch.setitem(cli.SECTIONS, name, tracked(name, build))
     report_bytes(tmp_path, NUMBER_OP, "counted.json")
     # One complex Lanczos start vector of M = 16 entries per level.
-    # Per-section pseudo-inverses and dual-level norms would take 54 SVDs;
-    # the memos save four.  Of the nine bases (the model and two four-rung
-    # ladders) none certifies its T: only `construction`, the one section
-    # that reads it, certifies the model's, with one SVD and two scalings,
-    # where a certificate per basis took 50 SVDs and 55 scalings.  Each
-    # family scales each held map once per level: 21 scalings, where the
-    # sections took 39 before the scalings were memoised.
+    # Per-section pseudo-inverses and dual-level norms would take 46 SVDs;
+    # the memos save five.  Of the nine bases (the model and two four-rung
+    # ladders) none certifies its T: `construction` reads the model's
+    # ||T||_{1->0} as the memoised level-1 norm of the dual Z = T^H, which
+    # `bessel` and `metric-operator` reuse.  Its own certificate of T took
+    # one more SVD and two more scalings (42 and 21), and a certificate per
+    # basis 50 SVDs and 55 scalings.  Each family scales each held map once
+    # per level: 19 scalings, where the sections took 39 before the
+    # scalings were memoised.
     assert {name: count for (where, name), count in drawn.items()
             if where == "bessel"} == {"standard_normal": 2 * 2 * 16}
-    assert kernels[0] == 42
-    assert scales[0] == 21
+    assert kernels[0] == 41
+    assert scales[0] == 19
     # The number-op model declares every map a Diagonal, so none of them
     # reaches LAPACK.
     assert svds[0] == 0

@@ -5,9 +5,19 @@ validates it and hashes it into the report's `config_hash`, so a key no
 section reads would change the digest and nothing else.  The CLI reads
 tolerances as `tol["key"]` (the sections' alias of `cfg.tolerances`) or
 as `cfg.tolerances["key"]`; this check finds those reads in `cli.py`.
+
+A default the command line shares with a library function has one home,
+a module constant next to its kernel, which both the CLI table and the
+function's signature read; `SHARED_DEFAULTS` lists each such pair.
 """
 import ast
+import inspect
 import pathlib
+
+import pytest
+
+import rieszlab
+from rieszlab.cli import DEFAULT_TOLERANCES, PSEUDO_DEFAULTS, RunConfig
 
 CLI = pathlib.Path(__file__).resolve().parents[1] / "src" / "rieszlab" / "cli.py"
 
@@ -51,3 +61,33 @@ def test_the_check_sees_an_unread_key(tmp_path):
         '    other = {"support": 1.0}\n'
         '    return tol["gram"], cfg.tolerances["eigen"], other["support"]\n')
     assert unread_tolerances(path) == {"support"}
+
+
+#: CLI default -> (its value, library function, parameter, the constant
+#: both read, as "module.NAME").
+SHARED_DEFAULTS = {
+    "positivity": (DEFAULT_TOLERANCES["positivity"],
+                   rieszlab.metric_operator_check, "positivity_tol",
+                   "riesz.POSITIVITY_TOL"),
+    "gram": (DEFAULT_TOLERANCES["gram"], rieszlab.hilbert_triplet_realization,
+             "gram_tol", "riesz.GRAM_TOL"),
+    "equality": (DEFAULT_TOLERANCES["equality"], rieszlab.nonnormality,
+                 "tol", "hamiltonian.EQUALITY_TOL"),
+    "psi_seed": (PSEUDO_DEFAULTS["psi_seed"], rieszlab.demo_pair,
+                 "psi_seed", "hamiltonian.DEFAULT_PSI_SEED"),
+    "support": (DEFAULT_TOLERANCES["support"], rieszlab.hermite_grid,
+                "support_tol", "spaces.SUPPORT_TOL"),
+    "aliasing": (DEFAULT_TOLERANCES["aliasing"], rieszlab.hermite_grid,
+                 "aliasing_tol", "spaces.ALIASING_TOL"),
+    "ladder": (RunConfig("strictness").ladder, rieszlab.number_operator_model,
+               "ladder", "spaces.DEFAULT_LADDER"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_DEFAULTS))
+def test_cli_default_is_the_library_default(name):
+    value, function, parameter, constant = SHARED_DEFAULTS[name]
+    module, attr = constant.split(".")
+    home = getattr(getattr(rieszlab, module), attr)
+    default = inspect.signature(function).parameters[parameter].default
+    assert value is home and default is home
