@@ -45,6 +45,7 @@ from .spaces import (ALIASING_TOL, CONSTRUCTION_TOL, DEFAULT_LADDER,
                      SUPPORT_TOL, LineGrid, default_half_width, hermite_grid,
                      number_operator_model, number_operator_rule,
                      schwartz_hermite_model, sobolev_model, sobolev_multiplier)
+from .trends import checked_ladder
 from .triplet import WeightedTriplet
 
 COMMANDS = ("check-biorthogonal", "frame-report", "bessel", "riesz-fischer",
@@ -125,19 +126,8 @@ class RunConfig:
             self.weight_rule = "ones"
         if self.weight_rule not in WEIGHT_RULES:
             raise ConfigError(f"unknown weight rule {self.weight_rule!r}")
-        if self.ladder is None:
-            self.ladder = DEFAULT_LADDER
-        try:
-            ladder = tuple(self.ladder)
-        except TypeError as exc:
-            raise ConfigError("ladder must be a list of integers") from exc
-        if not ladder or None in ladder:
-            raise ConfigError("ladder needs positive dimensions")
-        for n in ladder:
-            _check_int(n, "ladder entry", 1)
-        if any(b <= a for a, b in zip(ladder, ladder[1:])):
-            raise ConfigError("ladder must be strictly increasing")
-        self.ladder = ladder
+        self.ladder = checked_ladder(
+            DEFAULT_LADDER if self.ladder is None else self.ladder)
         for name, low in (("seed", 0), ("dim", 1), ("levels", 1),
                           ("size", 1)):
             _check_int(getattr(self, name), name, low)
@@ -342,10 +332,10 @@ class ModelBundle:
     transform exists); function-space examples add the grid, the Hermite
     columns sampled on it and their worst aliasing fraction, and the
     Sobolev example also the round-trip defect its construction measured.
-    The ladder rule feeds trend diagnostics and may return (triplet,
-    matrix) pairs for families truncated by column count; the
-    pseudo-Hermitian command resolves to its pair, with the rule of its
-    transform at each ladder dimension.
+    The ladder rule feeds trend diagnostics and returns a basis or, for
+    families truncated by column count, a family; the pseudo-Hermitian
+    command resolves to its pair, with the rule of its transform at each
+    ladder dimension.
     """
 
     label: str
@@ -412,13 +402,9 @@ def _resolve_example(cfg):
         return ModelBundle("number-op", basis.fam, basis,
                            number_operator_rule(levels))
     if cfg.example == "schwartz":
-        _, fam = schwartz_hermite_model(dim, levels)
-
-        def rule(n):
-            tri, rung = schwartz_hermite_model(n, levels)
-            return tri, rung.family
-
-        return ModelBundle("schwartz", fam, ladder_rule=rule)
+        return ModelBundle(
+            "schwartz", schwartz_hermite_model(dim, levels)[1],
+            ladder_rule=lambda n: schwartz_hermite_model(n, levels)[1])
     # Both function-space examples take the grid one rule decides.
     grid, hermite, aliasing = hermite_grid(dim, cfg.half_width, cfg.size,
                                            tol["support"], tol["aliasing"])
@@ -433,7 +419,7 @@ def _resolve_example(cfg):
             raise ConfigError(
                 f"ladder rung {m} exceeds the {fam.size} Sobolev columns; "
                 "raise --dim or lower the ladder")
-        return fam.triplet, fam.family[:, :m]
+        return SequenceFamily(fam.family[:, :m], fam.triplet)
 
     return ModelBundle("sobolev", fam, ladder_rule=truncation, grid=grid,
                        hermite=hermite, aliasing=aliasing,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DimensionError, InjectivityError, ValidationError
 from .sequences import _as_map, _lanczos_top, max_deviation, pseudo_inverse
-from .trends import classify_growth, loglog_slope
+from .trends import checked_ladder, fit_trend
 from .triplet import Diagonal, coords_of
 
 #: Largest entry of |Psi^H Psi - I| accepted for an eigenvector matrix.
@@ -225,17 +225,14 @@ def density_diagnostic(transform_rule, ladder):
     growing trend is flagged "growing" (the probe directions leave every
     bounded admissibility ball), a bounded one "benign".
     """
-    ladder = tuple(int(n) for n in ladder)
-    if not ladder:
-        raise ValidationError("empty ladder")
+    ladder = checked_ladder(ladder)
     norms = []
     for n in ladder:
         t = _as_map(transform_rule(n))
         eta = np.zeros(t.shape[0], dtype=complex)
         eta[-1] = 1.0
         norms.append(float(np.linalg.norm(t.conj().T @ eta)))
-    slope = loglog_slope(ladder, norms) if len(ladder) >= 2 else None
-    cls = None if slope is None else classify_growth(slope)
+    slope, cls = fit_trend(ladder, norms)
     flag = {"growing": "growing", "bounded": "benign"}.get(cls, "inconclusive")
     return DensityTrend(ladder, tuple(norms), slope, flag)
 

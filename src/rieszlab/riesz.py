@@ -21,7 +21,7 @@ from .sequences import (BIORTH_TOL, DOMINATION_FACTOR, LinearMap,
                         _require_finite, analysis, biorthogonality_residual,
                         dual_analysis, dual_level_norm, max_deviation,
                         pseudo_inverse, singular_values)
-from .trends import MIN_LADDER_POINTS, classify_growth, loglog_slope
+from .trends import MIN_LADDER_POINTS, checked_ladder, fit_trend
 from .triplet import Diagonal, WeightedTriplet, coords_of
 
 #: Largest |<S f, f> - sum |a_k|^2| the metric check accepts.
@@ -29,6 +29,9 @@ POSITIVITY_TOL = 1e-8
 
 #: Largest entry of the realized Gram defects a strict basis may leave.
 GRAM_TOL = 1e-8
+
+#: Random coefficient vectors the metric positivity check draws.
+METRIC_SAMPLES = 50
 
 
 @dataclass(frozen=True)
@@ -122,8 +125,7 @@ class MetricCheckResult:
     verdict: str
 
 
-def metric_operator_check(fam, samples=50, seed=0,
-                          positivity_tol=POSITIVITY_TOL):
+def metric_operator_check(fam, seed=0, positivity_tol=POSITIVITY_TOL):
     """Build S with S xi_k = zeta_k and test the equivalent formulations.
 
     S is Z Xi^+ (a singular family is rejected).  The quadratic form
@@ -140,7 +142,7 @@ def metric_operator_check(fam, samples=50, seed=0,
     # Row t holds re a and im a of sample t: the stream order of drawing
     # the samples one by one.
     draws = np.random.default_rng(seed).standard_normal(
-        (int(samples), 2, fam.size))
+        (METRIC_SAMPLES, 2, fam.size))
     a = draws[:, 0] + 1j * draws[:, 1]
     f = a @ fam.family.T
     form = np.sum(f.conj() * (f @ pinv.T @ z.T), axis=1)
@@ -190,9 +192,7 @@ def range_membership(basis_rule, psi_rule, ladder):
         Per-dimension coordinates of the probe vector.
     ladder : increasing dimensions to sample.
     """
-    ladder = tuple(int(n) for n in ladder)
-    if not ladder:
-        raise ValidationError("empty ladder")
+    ladder = checked_ladder(ladder)
     sq_sums, defects = [], []
     for n in ladder:
         basis = basis_rule(n)
@@ -202,11 +202,7 @@ def range_membership(basis_rule, psi_rule, ladder):
         defect = float(np.linalg.norm(adjoint_action(basis, h) - psi))
         sq_sums.append(res.sq_sum)
         defects.append(defect)
-    if len(ladder) >= 2:
-        slope = loglog_slope(ladder, sq_sums)
-        trend = classify_growth(slope)
-    else:
-        slope, trend = None, "inconclusive"
+    slope, trend = fit_trend(ladder, sq_sums)
     in_range = {"bounded": True, "growing": False}.get(trend)
     return RangeMembershipResult(ladder, tuple(sq_sums), tuple(defects),
                                  slope, trend, in_range)
@@ -257,20 +253,16 @@ def strictness_report(basis_rule, ladder):
     Strict means the inverse lower constant and every level's upper
     constant stay bounded; any clearly growing trend is non-strict;
     straddling slopes or a window shorter than MIN_LADDER_POINTS stay
-    inconclusive.  `basis_rule` may return either a basis or a plain
-    (triplet, family_matrix) pair, which covers families truncated by
-    column count rather than rebuilt per dimension.
+    inconclusive.  `basis_rule` returns a `RieszBasis` or a
+    `SequenceFamily`, which covers families truncated by column count
+    rather than rebuilt per dimension.
     """
-    ladder = tuple(int(n) for n in ladder)
-    if not ladder:
-        raise ValidationError("empty ladder")
-    if any(b <= a for a, b in zip(ladder, ladder[1:])):
-        raise ValidationError("ladder must be strictly increasing")
+    ladder = checked_ladder(ladder)
     lowers, uppers = [], {}
     for n in ladder:
         item = basis_rule(n)
-        lo, up = strictness_constants(SequenceFamily(item[1], item[0])
-                                      if isinstance(item, tuple) else item.fam)
+        lo, up = strictness_constants(
+            item.fam if isinstance(item, RieszBasis) else item)
         lowers.append(lo)
         for q, val in up.items():
             uppers.setdefault(q, []).append(val)
@@ -280,10 +272,10 @@ def strictness_report(basis_rule, ladder):
                                 "inconclusive",
                                 "single truncation cannot exhibit a trend")
     inv_lower = [1.0 / max(v, 1e-300) for v in lowers]
-    lower_slope = loglog_slope(ladder, inv_lower)
-    upper_slopes = {q: loglog_slope(ladder, v) for q, v in uppers.items()}
-    classes = [classify_growth(sl)
-               for sl in (lower_slope, *upper_slopes.values())]
+    lower_slope, lower_class = fit_trend(ladder, inv_lower)
+    fits = {q: fit_trend(ladder, v) for q, v in uppers.items()}
+    upper_slopes = {q: slope for q, (slope, _) in fits.items()}
+    classes = [lower_class, *(cls for _, cls in fits.values())]
     if len(ladder) < MIN_LADDER_POINTS:
         verdict, note = "inconclusive", (
             f"ladder shorter than the declared {MIN_LADDER_POINTS}-point "

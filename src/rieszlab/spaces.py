@@ -104,20 +104,6 @@ class SampledFunction:
         return complex(self.grid.spacing * np.vdot(other.values, self.values))
 
 
-def to_coef(f):
-    """Quadrature-scaled coordinates sqrt(h) * values.
-
-    In these coordinates the plain l2 norm equals the quadrature L2 norm,
-    so grid functions plug directly into the weighted-triplet machinery.
-    """
-    return np.sqrt(f.grid.spacing) * f.values
-
-
-def from_coef(grid, c):
-    c = np.asarray(c, dtype=complex)
-    return SampledFunction(grid, c / np.sqrt(grid.spacing))
-
-
 # -- Hermite functions -------------------------------------------------------
 
 def default_half_width(count):

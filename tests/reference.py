@@ -32,6 +32,7 @@ from rieszlab import (LevelError, LineGrid, SequenceFamily, WeightedTriplet,
                       sobolev_basis, strictness_constants)
 from rieszlab import sequences
 from rieszlab.cli import DEFAULT_TOLERANCES
+from rieszlab.riesz import METRIC_SAMPLES
 from rieszlab.sequences import (DOMINATION_FACTOR, RANK_RTOL,
                                 dual_level_norm, partial_sum_residuals,
                                 pseudo_inverse, singular_values)
@@ -518,9 +519,8 @@ def check_positivity(fam):
         + 1j * rng.standard_normal(fam.dual.shape)
     off = SequenceFamily(fam.family, fam.triplet,
                          dual=np.asarray(fam.dual) + 1e-3 * shift)
-    loop, _ = loop_positivity(off, 20, seed=2)
-    assert close(metric_operator_check(off, samples=20, seed=2).positivity,
-                 loop)
+    loop, _ = loop_positivity(off, METRIC_SAMPLES, seed=2)
+    assert close(metric_operator_check(off, seed=2).positivity, loop)
 
 
 CHECKS = {

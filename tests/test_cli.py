@@ -540,6 +540,27 @@ def test_overflowing_pseudo_inverse_is_an_error(tmp_path, capsys, argv):
         "1e-310\n")
 
 
+STRICTNESS = ["strictness", "--example", "number-op"]
+
+
+@pytest.mark.parametrize("flag, config, message", [
+    ("8,4", None, "ladder must be strictly increasing"),
+    ("0,4", None, "ladder entry must be at least 1, got 0"),
+    (None, [8.7, 16, 32, 64], "ladder entry must be an integer, got 8.7"),
+    (None, [True, 16, 32, 64], "ladder entry must be an integer, got True"),
+    (None, 5, "ladder must be a list of integers"),
+    (None, [], "ladder needs positive dimensions"),
+    (None, [None, 8], "ladder needs positive dimensions"),
+], ids=["decreasing", "zero", "float", "bool", "scalar", "empty", "null"])
+def test_bad_ladder_refusal_lines(tmp_path, capsys, flag, config, message):
+    argv = STRICTNESS + (["--ladder", flag] if flag else [])
+    if config is not None:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"model": {"ladder": config}}))
+        argv += ["--config", str(path)]
+    assert refusal(argv, capsys) == f"error: {message}\n"
+
+
 SOBOLEV_STRICTNESS = ["strictness", "--example", "sobolev", "--seed", "0"]
 
 

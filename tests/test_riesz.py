@@ -8,6 +8,7 @@ from rieszlab import (ContinuityError, Diagonal, DimensionError,
                       InjectivityError, RieszBasis, SequenceFamily,
                       StateError, ValidationError, WeightedTriplet,
                       adjoint_action, coefficient_seminorm, coords_of,
+                      demo_transform, density_diagnostic,
                       hilbert_triplet_realization, make_riesz_basis,
                       metric_operator_check, number_operator_model,
                       range_membership, realized_grams, strictness_constants,
@@ -15,7 +16,8 @@ from rieszlab import (ContinuityError, Diagonal, DimensionError,
 from rieszlab.cli import DEFAULT_TOLERANCES
 from rieszlab.riesz import _realized
 from rieszlab.sequences import dual_level_norm
-from rieszlab.trends import classify_growth, loglog_slope
+from rieszlab.trends import (checked_ladder, classify_growth, fit_trend,
+                             loglog_slope)
 
 from conftest import random_vector, well_conditioned_transform
 
@@ -277,7 +279,8 @@ class TestStrictnessReport:
     def test_truncated_family_rule(self):
         tri = WeightedTriplet(8, np.ones(8))
         eye = np.eye(8)
-        report = strictness_report(lambda n: (tri, eye[:, :n]), (4, 5, 6, 7))
+        report = strictness_report(lambda n: SequenceFamily(eye[:, :n], tri),
+                                   (4, 5, 6, 7))
         assert report.verdict == "strict"
         assert report.lower == pytest.approx((1.0,) * 4)
 
@@ -405,3 +408,36 @@ class TestTrendHelpers:
             loglog_slope([1, 2], [1.0])
         with pytest.raises(ValueError):
             loglog_slope([1], [1.0])
+
+    def test_single_rung_has_no_trend(self):
+        assert fit_trend((8,), (1.0,)) == (None, "inconclusive")
+        assert fit_trend((8, 16), (1.0, 4.0)) == (pytest.approx(2.0),
+                                                  "growing")
+
+    def test_qualifying_ladder_comes_back_as_is(self):
+        assert checked_ladder(LADDER) is LADDER
+
+
+#: The three ladder diagnostics of the library, each on a ladder argument.
+DIAGNOSTICS = {
+    "strictness": lambda ladder: strictness_report(number_op_basis, ladder),
+    "range": lambda ladder: range_membership(
+        number_op_basis, lambda n: np.ones(n), ladder),
+    "density": lambda ladder: density_diagnostic(demo_transform, ladder),
+}
+
+
+@pytest.mark.parametrize("ladder", [
+    (), (0, 8), (-3, 8), (8.9, 16), (True, 8), (8, 8, 16), (16, 8)],
+    ids=["empty", "zero", "negative", "float", "bool", "repeated",
+         "decreasing"])
+@pytest.mark.parametrize("name", sorted(DIAGNOSTICS))
+def test_every_diagnostic_refuses_a_bad_ladder(name, ladder):
+    with pytest.raises(ValidationError):
+        DIAGNOSTICS[name](ladder)
+
+
+@pytest.mark.parametrize("name", sorted(DIAGNOSTICS))
+def test_numpy_integer_rungs_come_back_as_plain_ints(name):
+    ladder = DIAGNOSTICS[name](np.array(LADDER)).ladder
+    assert ladder == LADDER and all(type(n) is int for n in ladder)

@@ -101,7 +101,7 @@ class TestFamilyMemo:
         assert fam.pinv_rank[1] == 1
         assert riesz_fischer_check(fam).rank == 1
         with pytest.raises(InjectivityError):
-            metric_operator_check(fam, samples=2)
+            metric_operator_check(fam)
 
     def test_metric_and_riesz_fischer_share_one_svd(self, monkeypatch):
         fam = CASES["number-op-L2"]()
@@ -109,7 +109,7 @@ class TestFamilyMemo:
         monkeypatch.setattr("rieszlab.sequences.pseudo_inverse",
                             lambda *a: calls.append(1) or pseudo_inverse(*a))
         riesz_fischer_check(fam)
-        metric_operator_check(fam, samples=2)
+        metric_operator_check(fam)
         assert len(calls) == 1
 
 

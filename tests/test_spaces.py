@@ -12,11 +12,17 @@ from rieszlab import (DimensionError, LineGrid, SampledFunction, SupportError,
                       hermite_values, level_gram, number_operator_model,
                       schwartz_hermite_model, sobolev_basis,
                       sobolev_multiplier, sobolev_triplet)
-from rieszlab.spaces import default_half_width, from_coef, to_coef
+from rieszlab.spaces import default_half_width
 
 from reference import reference_hermite
 
 GRID = LineGrid(20.0, 256)
+
+
+def coef(f):
+    """Quadrature-scaled coordinates sqrt(h) * values, whose plain l2 norm
+    is the quadrature L2 norm."""
+    return np.sqrt(f.grid.spacing) * f.values
 
 
 class TestLineGrid:
@@ -73,13 +79,6 @@ class TestSampledFunction:
         g = SampledFunction(LineGrid(10.0, 256), np.ones(256))
         with pytest.raises(DimensionError):
             f.inner(g)
-
-    def test_coef_round_trip(self):
-        f = SampledFunction(GRID, np.sin(GRID.nodes))
-        back = from_coef(GRID, to_coef(f))
-        assert np.max(np.abs(back.values - f.values)) < 1e-15
-        assert np.linalg.norm(to_coef(f)) == pytest.approx(f.norm(),
-                                                           rel=1e-12)
 
 
 class TestHermiteValues:
@@ -246,22 +245,20 @@ class TestSobolevTriplet:
     def test_level_zero_is_quadrature_norm(self):
         tri = sobolev_triplet(GRID)
         f = SampledFunction(GRID, np.exp(-0.5 * GRID.nodes ** 2))
-        assert tri.seminorm(to_coef(f), 0) == pytest.approx(f.norm(),
-                                                            rel=1e-10)
+        assert tri.seminorm(coef(f), 0) == pytest.approx(f.norm(), rel=1e-10)
 
     def test_level_one_matches_multiplier(self):
         tri = sobolev_triplet(GRID)
         f = SampledFunction(GRID, np.exp(-0.5 * GRID.nodes ** 2))
         expect = sobolev_multiplier(GRID, 1.0, f).norm()
-        assert tri.seminorm(to_coef(f), 1) == pytest.approx(expect, rel=1e-10)
+        assert tri.seminorm(coef(f), 1) == pytest.approx(expect, rel=1e-10)
 
     def test_dual_norm_matches_inverse_multiplier(self):
         tri = sobolev_triplet(GRID)
         f = SampledFunction(GRID, np.exp(-0.5 * GRID.nodes ** 2)
                             * GRID.nodes)
         expect = sobolev_multiplier(GRID, -1.0, f).norm()
-        assert tri.dual_norm(to_coef(f), 1) == pytest.approx(expect,
-                                                             rel=1e-10)
+        assert tri.dual_norm(coef(f), 1) == pytest.approx(expect, rel=1e-10)
 
     def test_constants_pinned_to_band(self):
         tri = sobolev_triplet(GRID)
@@ -290,7 +287,8 @@ class TestSobolevBasis:
         fam = sobolev_basis(GRID, 4)
         phis = hermite_values(GRID, 4)
         for n in range(4):
-            xi = from_coef(GRID, fam.family[:, n])
+            xi = SampledFunction(GRID, fam.family[:, n]
+                                 / np.sqrt(GRID.spacing))
             back = sobolev_multiplier(GRID, 1.0, xi)
             assert np.max(np.abs(back.values - phis[:, n])) < 1e-12
 
