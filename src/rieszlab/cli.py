@@ -265,6 +265,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache
 def build_parser():
     # Unset flags stay out of the namespace, so its vars are the overrides.
     parser = _Parser(

@@ -149,16 +149,15 @@ def jsonify(value, where="report"):
     if isinstance(value, dict):
         out = {}
         for k, v in value.items():
-            if isinstance(k, tuple):
-                key = "->".join(str(p) for p in k)
-            else:
-                key = str(k)
+            key = "->".join(map(str, k)) if isinstance(k, tuple) else str(k)
             out[key] = jsonify(v, f"{where}.{key}")
         return out
     if isinstance(value, (list, tuple)):
         return [jsonify(v, where) for v in value]
     if isinstance(value, np.ndarray):
-        return [jsonify(v, where) for v in value.tolist()]
+        if value.dtype == float and np.isfinite(value).all():
+            return value.tolist()
+        return jsonify(value.tolist(), where)
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     if isinstance(value, (int, np.integer)):

@@ -20,7 +20,7 @@ from .sequences import (BIORTH_TOL, DOMINATION_FACTOR, LinearMap,
                         SequenceFamily, _as_map, _dual_of, _family_map,
                         _require_finite, analysis, biorthogonality_residual,
                         dual_analysis, dual_level_norm, max_deviation,
-                        pseudo_inverse, singular_values)
+                        pseudo_inverse)
 from .trends import MIN_LADDER_POINTS, checked_ladder, fit_trend
 from .triplet import Diagonal, WeightedTriplet, coords_of
 
@@ -170,7 +170,7 @@ class RangeMembershipResult:
     preimage_residuals checks ||T^H h - psi|| for the reconstructed
     preimage h (exact at truncation, so these stay at roundoff).  The
     in_range field is True/False/None for bounded/growing/straddling
-    trends; a single dimension never decides membership.
+    trends; a ladder shorter than MIN_LADDER_POINTS never decides it.
     """
 
     ladder: tuple
@@ -212,8 +212,8 @@ def range_membership(basis_rule, psi_rule, ladder):
 
 def strictness_constants(fam):
     """Exact two-sided constants (lower, upper) of a family: lower is the
-    squared smallest singular value of its memoised scale(1) @ Xi, upper
-    maps each level q to the squared largest one of scale(q) @ Xi.
+    squared smallest of `fam.sigma(1)`, the singular values of scale(1) @
+    Xi, upper maps each level q to the squared largest of `fam.sigma(q)`.
     Overflow raises ContinuityError."""
     if fam.size > fam.dim:
         raise DimensionError("more columns than the dimension supports")
@@ -221,7 +221,7 @@ def strictness_constants(fam):
     for q in range(fam.triplet.levels + 1):
         _require_finite(0, q, fam.scaled(q))
         with np.errstate(over="ignore", invalid="ignore"):
-            squares[q] = singular_values(fam.scaled(q)) ** 2
+            squares[q] = fam.sigma(q) ** 2
         _require_finite(0, q, squares[q])
     lower = float(squares[1][-1]) if squares[1].size else 0.0
     upper = {q: float(s[0]) if s.size else 0.0 for q, s in squares.items()}
@@ -233,9 +233,9 @@ class StrictnessReport:
     """Two-sided constants over a dimension ladder with the trend verdict.
 
     The verdict convention is declared, not proven: fitted log-log slopes
-    classified by `trends.classify_growth`, and at least MIN_LADDER_POINTS
-    ladder points; completeness beyond full column rank has no finite
-    content, so the verdict speaks about trends only.
+    classified by `trends.fit_trend`, which needs MIN_LADDER_POINTS ladder
+    points; completeness beyond full column rank has no finite content, so
+    the verdict speaks about trends only.
     """
 
     ladder: tuple
@@ -276,14 +276,14 @@ def strictness_report(basis_rule, ladder):
     fits = {q: fit_trend(ladder, v) for q, v in uppers.items()}
     upper_slopes = {q: slope for q, (slope, _) in fits.items()}
     classes = [lower_class, *(cls for _, cls in fits.values())]
-    if len(ladder) < MIN_LADDER_POINTS:
-        verdict, note = "inconclusive", (
-            f"ladder shorter than the declared {MIN_LADDER_POINTS}-point "
-            "window")
-    elif "growing" in classes:
+    if "growing" in classes:
         verdict, note = "non-strict", "some constant grows along the ladder"
     elif all(c == "bounded" for c in classes):
         verdict, note = "strict", "all constants bounded along the ladder"
+    elif len(ladder) < MIN_LADDER_POINTS:
+        verdict, note = "inconclusive", (
+            f"ladder shorter than the declared {MIN_LADDER_POINTS}-point "
+            "window")
     else:
         verdict, note = "inconclusive", "a trend straddles the threshold band"
     return StrictnessReport(ladder, tuple(lowers), upper, lower_slope,

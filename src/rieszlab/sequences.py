@@ -142,8 +142,8 @@ class SequenceFamily:
 
     Both maps are held as declared, read-only; `np.asarray` gives the
     dense view.  Memoised read-only, so checks share each SVD, scaling and
-    QR: `pinv_rank` (Xi^+, rank) at RANK_RTOL, `scaled` and `r_factor` per
-    held map and level, and `dual_level_norm` per level; a copy made by
+    QR: `pinv_rank` (Xi^+, rank) at RANK_RTOL, and `scaled`, `r_factor`
+    and `sigma` per held map and level; a copy made by
     `dataclasses.replace` keeps the maps and starts with empty memos.
     """
 
@@ -214,6 +214,18 @@ class SequenceFamily:
         """R factor of a reduced QR of `scaled(j, name)`, memoised."""
         return self._memoised(("R", j, name), lambda: np.linalg.qr(
             self.scaled(j, name), mode="r"))
+
+    def sigma(self, j, name="family"):
+        """Singular values of `scaled(j, name)`, largest first, memoised: for
+        an array of at least twice as many rows as columns, those of its
+        finite `r_factor`, bit for bit the M x M SVD gesdd takes there."""
+        def compute():
+            x = self.scaled(j, name)
+            if isinstance(x, np.ndarray) and x.shape[0] >= 2 * x.shape[1]:
+                r = self.r_factor(j, name)
+                x = r if np.isfinite(r).all() else x
+            return singular_values(x)
+        return self._memoised(("sigma", j, name), compute)
 
 
 def _read_only(a):
@@ -322,10 +334,9 @@ def dual_row_masses(fam):
 
 def dual_level_norm(fam, j):
     """sigma_max(scale(-j) Z), the norm of a -> sum_k a_k zeta_k from l2
-    into level -j; its square is the level-j Bessel bound.  Memoised per
-    family and level, for the Bessel bounds and metric level constants."""
-    return fam._memoised(("norm", j), lambda: float(np.max(
-        singular_values(fam.scaled(-j, "dual")), initial=0.0)))
+    into level -j; its square is the level-j Bessel bound.  Read from the
+    family's `sigma`, for the Bessel bounds and metric level constants."""
+    return float(np.max(fam.sigma(-j, "dual"), initial=0.0))
 
 
 def _check_level(fam, j):

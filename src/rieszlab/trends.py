@@ -14,7 +14,7 @@ import numpy as np
 from .errors import ValidationError
 
 #: Slope threshold and its relative straddle band (`classify_growth`), and
-#: the shortest ladder a strictness verdict may rest on.
+#: the shortest ladder a trend class may rest on (`fit_trend`).
 GROWTH_THRESHOLD = 0.5
 STRADDLE_BAND = 0.1
 MIN_LADDER_POINTS = 4
@@ -70,8 +70,10 @@ def classify_growth(slope):
 
 
 def fit_trend(ladder, values):
-    """(slope, class) along a ladder; one rung gives (None, "inconclusive")."""
+    """(slope, class) along a ladder; one rung gives (None, "inconclusive"),
+    and fewer than MIN_LADDER_POINTS rungs a slope classed "inconclusive"."""
     if len(ladder) < 2:
         return None, "inconclusive"
     slope = loglog_slope(ladder, values)
-    return slope, classify_growth(slope)
+    short = len(ladder) < MIN_LADDER_POINTS
+    return slope, "inconclusive" if short else classify_growth(slope)

@@ -16,7 +16,7 @@ from rieszlab import (ConfigError, Diagonal, SequenceFamily, WeightedTriplet,
 from rieszlab.cli import SECTIONS, RunConfig, _keep_freed_arrays, main
 from rieszlab.reportio import config_digest, jsonify
 
-from conftest import count_calls
+from conftest import count_calls, well_conditioned_transform
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SCHEMA = json.loads((ROOT / "docs" / "report_schema.json").read_text())
@@ -593,6 +593,28 @@ def test_help_exits_zero(capsys):
         main(["--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage:")
+
+
+def test_the_shared_parser_carries_no_state(tmp_path, capsys):
+    # One parser, built on the first request, serves every request of the
+    # process: a request with other flags, `--tolerance` among them,
+    # leaves the next one printing what it prints first.
+    path = tmp_path / "t.csv"
+    save_complex_matrix(path, well_conditioned_transform(
+        np.random.default_rng(2), 8))
+    first = ["full-report", "--example", "number-op", "--seed", "0",
+             "--no-timing"]
+    other = ["bessel", "--transform", str(path), "--seed", "0",
+             "--tolerance", "equality=1e-10", "--no-timing"]
+    cli.build_parser.cache_clear()
+    outputs = []
+    for argv in (first, other, first):
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[2] == outputs[0] and outputs[0].err == ""
+    assert outputs[1].out != outputs[0].out
+    assert cli.build_parser.cache_info().misses == 1
+    assert "usage:" not in refusal(["full-report", "--format", "xml"], capsys)
 
 
 HERMITE = ["example", "--example", "hermite", "--dim", "10", "--seed", "0"]

@@ -37,7 +37,10 @@ A family's maps are scaled once per level, by the memo of
 `SequenceFamily.scaled`: no other function passes `fam.family`,
 `fam.dual` or `_dual_of(...)`, directly or through a local name, to a
 `.scale(` call.  `riesz._realized` keeps its calls, because it scales a
-basis's maps into the realized triplet, not the family's own.
+basis's maps into the realized triplet, not the family's own.  Their
+singular values are memoised too: only `SequenceFamily.sigma`, which
+takes those of a tall map from its R factor, passes a held map or a
+`.scaled(` map to `singular_values`.
 
 The Sobolev family is built by the triplet's own scalings, and the
 spectral multiplier `spaces.sobolev_multiplier` is only the reference
@@ -62,7 +65,7 @@ ALLOWED = {"sequences.singular_values", "sequences.pseudo_inverse",
 
 #: The certificate's kernels, which the Lanczos check must not reach.
 CERTIFICATE = {"singular_values", "pseudo_inverse", "dual_level_norm",
-               "bessel_bound", "svd"}
+               "bessel_bound", "svd", "sigma"}
 
 
 def spectral_norm(node):
@@ -203,26 +206,47 @@ def held_map(node, aliases):
             or isinstance(node, ast.Name) and node.id in aliases)
 
 
-def held_scale_sites(path):
-    """`module.function` for every function of the file, methods of
-    `SequenceFamily` aside, that passes a held map to a `.scale(` call."""
+def scaled_map(node, aliases):
+    """`held_map`, or a `.scaled(` call or `asarray` of one."""
+    if isinstance(node, ast.Call) and node.args and \
+            getattr(node.func, "attr", None) == "asarray":
+        node = node.args[0]
+    return held_map(node, aliases) or isinstance(node, ast.Call) and \
+        getattr(node.func, "attr", None) == "scaled"
+
+
+def passing_sites(path, callee, passed, exempt=()):
+    """`module.function` (`module.Class.method` for a method) for every
+    function of the file, those named in `exempt` aside, that passes a
+    node for which `passed(node, aliases)` is true to a call of `callee`;
+    `aliases` are the local names bound to such a node."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
-    functions += [item for node in tree.body if isinstance(node, ast.ClassDef)
-                  and node.name != "SequenceFamily" for item in node.body
+    functions = [(node.name, node) for node in tree.body
+                 if isinstance(node, ast.FunctionDef)]
+    functions += [(f"{node.name}.{item.name}", item) for node in tree.body
+                  if isinstance(node, ast.ClassDef) for item in node.body
                   if isinstance(item, ast.FunctionDef)]
     sites = set()
-    for function in functions:
+    for name, function in functions:
+        if name.split(".")[0] in exempt:
+            continue
         nodes = list(ast.walk(function))
         aliases = {target.id for node in nodes if isinstance(node, ast.Assign)
-                   and held_map(node.value, ()) for target in node.targets
+                   and passed(node.value, ()) for target in node.targets
                    if isinstance(target, ast.Name)}
         if any(isinstance(node, ast.Call)
-               and getattr(node.func, "attr", None) == "scale"
-               and any(held_map(arg, aliases) for arg in node.args)
+               and callee in (getattr(node.func, "attr", None),
+                              getattr(node.func, "id", None))
+               and any(passed(arg, aliases) for arg in node.args)
                for node in nodes):
-            sites.add(f"{path.stem}.{function.name}")
+            sites.add(f"{path.stem}.{name}")
     return sites
+
+
+def held_scale_sites(path):
+    """`passing_sites` of a held map to a `.scale(` call, methods of
+    `SequenceFamily` aside."""
+    return passing_sites(path, "scale", held_map, exempt={"SequenceFamily"})
 
 
 def test_only_the_memo_scales_a_family():
@@ -248,6 +272,40 @@ def test_the_check_sees_a_scaled_family(tmp_path):
                     "    return fam.triplet.scale(j, x), fam.scaled(j)\n")
     assert held_scale_sites(path) == {"extra.gram", "extra.norm",
                                       "extra.dense"}
+
+
+def singular_value_sites(path):
+    """`passing_sites` of a held or `.scaled(` map to `singular_values`."""
+    return passing_sites(path, "singular_values", scaled_map)
+
+
+def test_only_the_memo_takes_singular_values_of_a_family():
+    sites = set().union(*(singular_value_sites(p)
+                          for p in PACKAGE.glob("*.py")))
+    assert sites == {"sequences.SequenceFamily.sigma"}
+
+
+def test_the_check_sees_singular_values_of_a_family(tmp_path):
+    path = tmp_path / "extra.py"
+    path.write_text("import numpy as np\n\n\n"
+                    "class SequenceFamily:\n"
+                    "    def sigma(self, j):\n"
+                    "        x = self.scaled(j)\n"
+                    "        return singular_values(x)\n\n\n"
+                    "def top(fam, j):\n"
+                    "    return singular_values(fam.scaled(j))[0]\n\n\n"
+                    "def dual_top(fam):\n"
+                    "    z = _dual_of(fam)\n"
+                    "    return sequences.singular_values(z)[0]\n\n\n"
+                    "def dense(fam, j):\n"
+                    "    s = np.asarray(fam.scaled(-j, 'dual'))\n"
+                    "    return singular_values(s), "
+                    "singular_values(fam.dual)\n\n\n"
+                    "def fine(fam, prod):\n"
+                    "    return singular_values(prod), fam.sigma(1)\n")
+    assert singular_value_sites(path) == {
+        "extra.SequenceFamily.sigma", "extra.top", "extra.dual_top",
+        "extra.dense"}
 
 
 #: Names no code of the package may name, by what they were retired for.

@@ -265,6 +265,19 @@ class TestJsonify:
                        "c": np.int32(2), "d": np.bool_(True)})
         assert out == {"a": [0, 1, 2], "b": 0.5, "c": 2, "d": True}
 
+    def test_zero_dimensional_arrays(self):
+        out = jsonify({"a": np.array(1.5), "b": np.array(2),
+                       "c": np.array(1.0 - 2.0j)})
+        assert out == {"a": 1.5, "b": 2, "c": {"re": 1.0, "im": -2.0}}
+        assert type(out["a"]) is float and type(out["b"]) is int
+
+    @pytest.mark.parametrize("value", [
+        np.array([1.0, np.nan]), np.array([[0.5], [np.inf]]),
+        np.array(-np.inf), np.array([1.0, complex(0.0, np.nan)])])
+    def test_non_finite_array_entries_name_their_key(self, value):
+        with pytest.raises(ValidationError, match="at sec.records.a$"):
+            jsonify({"records": {"a": value}}, "sec")
+
     def test_nested_containers(self):
         assert jsonify([(1, 2.0), None, "s"]) == [[1, 2.0], None, "s"]
 

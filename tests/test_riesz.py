@@ -411,8 +411,14 @@ class TestTrendHelpers:
 
     def test_single_rung_has_no_trend(self):
         assert fit_trend((8,), (1.0,)) == (None, "inconclusive")
+        # Two and three rungs fit a slope but no class: a class needs
+        # MIN_LADDER_POINTS rungs.
         assert fit_trend((8, 16), (1.0, 4.0)) == (pytest.approx(2.0),
-                                                  "growing")
+                                                  "inconclusive")
+        assert fit_trend((8, 16, 32), (1.0, 4.0, 16.0)) == (
+            pytest.approx(2.0), "inconclusive")
+        assert fit_trend(LADDER, (1.0, 4.0, 16.0, 64.0)) == (
+            pytest.approx(2.0), "growing")
 
     def test_qualifying_ladder_comes_back_as_is(self):
         assert checked_ladder(LADDER) is LADDER
@@ -435,6 +441,23 @@ DIAGNOSTICS = {
 def test_every_diagnostic_refuses_a_bad_ladder(name, ladder):
     with pytest.raises(ValidationError):
         DIAGNOSTICS[name](ladder)
+
+
+@pytest.mark.parametrize("ladder", [(8, 16), (8, 16, 32)])
+def test_every_diagnostic_needs_four_rungs_for_a_class(ladder):
+    # On LADDER each diagnostic decides; on a shorter ladder none does,
+    # though each still fits its slopes.
+    full = {name: run(LADDER) for name, run in DIAGNOSTICS.items()}
+    assert (full["strictness"].verdict, full["range"].in_range,
+            full["density"].flag) == ("strict", True, "growing")
+    short = {name: run(ladder) for name, run in DIAGNOSTICS.items()}
+    assert short["strictness"].verdict == "inconclusive"
+    assert short["strictness"].lower_slope is not None
+    assert (short["range"].trend, short["range"].in_range) == (
+        "inconclusive", None)
+    assert short["range"].slope is not None
+    assert short["density"].flag == "inconclusive"
+    assert short["density"].slope == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("name", sorted(DIAGNOSTICS))

@@ -2,11 +2,12 @@
 scaling per held map and level, one QR per thin scaled factor, and the
 draws of the sampled Bessel sup.
 
-`SequenceFamily` memoises its pseudo-inverse, its scaled maps with their
-R factors, and its dual-level norms.  That must be invisible in the
-numbers: every value is compared with `==` against fresh SVDs (the
-scalings in `reference.check_memo`), and the reports' SVD, scaling and
-QR counts are pinned.
+`SequenceFamily` memoises its pseudo-inverse, and its scaled maps with
+their R factors and singular values (`sigma`, from the R factor of a
+tall map).  That must be invisible in the numbers: every value is
+compared with `==` against fresh SVDs (the scalings in
+`reference.check_memo`, and the singular values there within 4 ulps),
+and the reports' SVD, scaling and QR counts are pinned.
 
 `bessel_bound_sampled` draws each random point only in the coordinates
 the level operator sees: the row space of the level's scaled dual, the
@@ -63,6 +64,14 @@ class TestFamilyMemo:
                                   compute_uv=False)[0]
             assert dual_level_norm(fam, j) == float(fresh)
             assert dual_level_norm(fam, j) == float(fresh)
+
+    def test_tall_maps_take_their_singular_values_from_r(self):
+        tall, square = CASES["sobolev-P256"](), CASES["transform-64"]()
+        for fam in (tall, square):
+            s = fam.sigma(-1, "dual")
+            assert fam.sigma(-1, "dual") is s and not s.flags.writeable
+        assert ("R", -1, "dual") in tall._memo
+        assert ("R", -1, "dual") not in square._memo
 
     def test_replace_starts_with_empty_memos(self):
         fam = CASES["number-op-L2"]()
@@ -212,8 +221,8 @@ def test_number_op_report_draws_once_and_saves_four_svds(tmp_path,
 
 def test_sobolev_report_scales_and_factors_each_map_once(tmp_path,
                                                        monkeypatch):
-    scales, qrs = [], []
-    scale, qr = WeightedTriplet.scale, np.linalg.qr
+    scales, qrs, svds = [], [], []
+    scale, qr, svd = WeightedTriplet.scale, np.linalg.qr, np.linalg.svd
 
     def counting_scale(tri, j, x):
         scales.append((j, x))
@@ -223,6 +232,8 @@ def test_sobolev_report_scales_and_factors_each_map_once(tmp_path,
     monkeypatch.setattr(np.linalg, "qr",
                         lambda a, *args, **kw: qrs.append(a) or qr(a, *args,
                                                                    **kw))
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: svds.append(
+        np.shape(a)) or svd(a, *args, **kw))
     report_bytes(tmp_path, ["full-report", "--example", "sobolev", "--size",
                             "1024", "--seed", "0", "--no-timing"], "s.json")
     # The model's S_-1 and S_1 of sqrt(h) phi, which build Xi and Z, then
@@ -232,10 +243,15 @@ def test_sobolev_report_scales_and_factors_each_map_once(tmp_path,
     assert sorted(j for j, _ in scales) == [-1, -1, -1, 1, 1]
     assert len({(j, id(x)) for j, x in scales}) == 5
     assert len({id(x) for _, x in scales}) == 4  # sqrt(h) phi at two levels
-    # One R factor each of S_-1 Z (Bessel factor and frame operator),
-    # E_M (Bessel factor and flattening map) and S_-1 (Xi^+)^H, where the
-    # certificates took six.
-    assert len(qrs) == 3 and len({id(a) for a in qrs}) == 3
+    # One R factor each of S_-1 Z (Bessel factor, frame operator and
+    # Bessel bound), E_M (Bessel factor and flattening map), S_-1 (Xi^+)^H,
+    # and Xi and S_1 Xi (strictness constants), where the certificates took
+    # six; three before the singular values were read from R factors.
+    assert len(qrs) == 5 and len({id(a) for a in qrs}) == 5
+    # The pseudo-inverse is the only SVD of a P x M array; the Bessel bound
+    # and the strictness constants took three more before `sigma`.
+    assert svds.count((1024, 10)) == 1
+    assert set(svds) == {(1024, 10), (10, 10)}
 
 
 def test_transform_reconstruction_takes_one_svd(tmp_path, monkeypatch):
