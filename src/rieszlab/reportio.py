@@ -155,8 +155,6 @@ def jsonify(value, where="report"):
     if isinstance(value, (list, tuple)):
         return [jsonify(v, where) for v in value]
     if isinstance(value, np.ndarray):
-        if value.dtype == float and np.isfinite(value).all():
-            return value.tolist()
         return jsonify(value.tolist(), where)
     if isinstance(value, (bool, np.bool_)):
         return bool(value)

@@ -384,9 +384,9 @@ def check_scale(fam):
 def check_memo(fam):
     """Every memoised scaling at every level -J..J against a fresh
     `WeightedTriplet.scale` of the held map, and the R factor of each thin
-    one against a fresh QR, bit for bit; its singular values `sigma`
-    against a fresh SVD within 4 ulps, the slack another LAPACK may need
-    where a tall map takes them from its R factor."""
+    one against a fresh QR, and its singular values `sigma` against a
+    fresh SVD, all bit for bit: a tall map's `sigma` comes from its R
+    factor by the reduction gesdd makes itself."""
     tri = fam.triplet
     n, m = fam.family.shape
     held = {"family": fam.family, "dual": fam.dual,
@@ -399,8 +399,8 @@ def check_memo(fam):
             if m < n:
                 assert np.array_equal(fam.r_factor(j, name), np.linalg.qr(
                     np.asarray(tri.scale(j, x)), mode="r"))
-            np.testing.assert_array_max_ulp(fam.sigma(j, name), np.linalg.svd(
-                np.asarray(tri.scale(j, x)), compute_uv=False), maxulp=4)
+            assert np.array_equal(fam.sigma(j, name), np.linalg.svd(
+                np.asarray(tri.scale(j, x)), compute_uv=False))
 
 
 def check_norms(fam):

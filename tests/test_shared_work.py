@@ -5,9 +5,9 @@ draws of the sampled Bessel sup.
 `SequenceFamily` memoises its pseudo-inverse, and its scaled maps with
 their R factors and singular values (`sigma`, from the R factor of a
 tall map).  That must be invisible in the numbers: every value is
-compared with `==` against fresh SVDs (the scalings in
-`reference.check_memo`, and the singular values there within 4 ulps),
-and the reports' SVD, scaling and QR counts are pinned.
+compared with `==` against fresh SVDs (the scalings, R factors and
+singular values in `reference.check_memo`), and the reports' SVD,
+scaling and QR counts are pinned.
 
 `bessel_bound_sampled` draws each random point only in the coordinates
 the level operator sees: the row space of the level's scaled dual, the
