@@ -29,8 +29,8 @@ from .riesz import (RieszBasis, adjoint_action, coefficient_seminorm,
 from .sequences import (LinearMap, SequenceFamily, analysis, bessel_bound,
                         bessel_bound_lanczos, bessel_bound_sampled,
                         bessel_factor, biorthogonality_residual,
-                        dual_analysis, frame_operator, is_tainted, level_gram,
-                        partial_sum, partial_sum_adjoint, riesz_fischer_check,
+                        dual_analysis, frame_operator, level_gram,
+                        partial_sum, riesz_fischer_check,
                         schauder_inequality_probe, synthesis,
                         weak_expansion_residual)
 from .spaces import (LineGrid, SampledFunction, aliasing_fraction,
@@ -55,10 +55,10 @@ __all__ = [
     "demo_pair", "demo_transform", "density_diagnostic", "dual_analysis",
     "eigen_residual", "frame_operator", "graph_norm_triplet", "hermite_gram",
     "hermite_grid", "hermitian_defect", "hermite_values",
-    "hilbert_triplet_realization", "is_tainted", "level_gram",
+    "hilbert_triplet_realization", "level_gram",
     "load_complex_matrix", "make_riesz_basis", "metric_operator_check",
     "nonnormality", "number_operator_model", "pairing", "partial_sum",
-    "partial_sum_adjoint", "random_unitary", "range_membership",
+    "random_unitary", "range_membership",
     "realized_grams", "render_csv", "render_json", "riesz_fischer_check",
     "save_complex_matrix", "save_function_csv", "save_report",
     "schauder_inequality_probe", "schwartz_hermite_model", "sobolev_basis",

@@ -11,6 +11,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -164,7 +165,7 @@ def jsonify(value, where="report"):
         return {"re": jsonify(value.real, where),
                 "im": jsonify(value.imag, where)}
     if isinstance(value, (float, np.floating)):
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise ValidationError(f"non-finite value {value} at {where}")
         return float(value)
     if value is None or isinstance(value, str):

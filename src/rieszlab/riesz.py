@@ -36,9 +36,10 @@ METRIC_SAMPLES = 50
 
 @dataclass(frozen=True)
 class RieszBasis:
-    """A transported basis: the transform T as declared, a complex ndarray
-    or a `Diagonal`, and the family xi_n = T^{-1} e_n with its dual
-    zeta_n = T^H e_n; `triplet` is the family's.
+    """A transported basis: the transform T as declared, a `Diagonal` or
+    an ndarray held by the dtype rule of `triplet.held_array`, and the
+    family xi_n = T^{-1} e_n with its dual zeta_n = T^H e_n; `triplet` is
+    the family's.
 
     `strict` is a tri-state ladder verdict ("strict", "non-strict",
     "inconclusive"); fresh constructions start inconclusive because a
@@ -66,7 +67,7 @@ def make_riesz_basis(transform, triplet):
     to the inversion's roundoff.  The basis carries no certificate of T:
     ||T||_{1->0} is the dual's level-1 norm, `dual_level_norm(basis.fam, 1)`.
     """
-    a = _as_map(transform)
+    a = _as_map(transform, triplet.keeps_real)
     if len(a.shape) != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError("the transform must be square")
     if a.shape[0] != triplet.dim:

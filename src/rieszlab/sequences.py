@@ -2,16 +2,19 @@
 
 A family is an N x M matrix whose columns are the candidate basis
 vectors; an optional dual matrix of the same shape carries the
-biorthogonal partner sequence on the dual side of the triplet.  Vectors
-are plain complex coordinate arrays: expansions and syntheses return
-1-D arrays, read on whichever side the norm or pairing applied to them
-names.  Every operator built here is a finite matrix, certified across
-the seminorm ladder by the largest singular value of its weight-scaled
-form.  Each map is kept as its two N x M factors, and a map that a
-model builder declares diagonal stays a `Diagonal`, which multiplies
-itself in O(N) under `@` and `.conj().T`, and which `max_deviation`,
-`singular_values` and `pseudo_inverse` take in closed form; so no N x N
-array is formed on the way.
+biorthogonal partner sequence on the dual side of the triplet.  Maps
+are held by the triplet's dtype rule (`triplet.held_array`): float64
+when their data are real and the triplet keeps them real, complex128
+otherwise, and their scalings, R factors, singular values and
+pseudo-inverse follow.  Vectors are plain complex coordinate arrays:
+expansions and syntheses return 1-D arrays, read on whichever side the
+norm or pairing applied to them names.  Every operator built here is a
+finite matrix, certified across the seminorm ladder by the largest
+singular value of its weight-scaled form.  Each map is kept as its two
+N x M factors, and a map that a model builder declares diagonal stays a
+`Diagonal`, which multiplies itself in O(N) under `@` and `.conj().T`,
+and which `max_deviation`, `singular_values` and `pseudo_inverse` take
+in closed form; so no N x N array is formed on the way.
 Nothing is mutated: checks that recover a dual return a new family.
 """
 from __future__ import annotations
@@ -23,14 +26,15 @@ import numpy as np
 
 from .errors import (ContinuityError, DimensionError, LevelError,
                      MissingDualError, ValidationError)
-from .triplet import Diagonal, WeightedTriplet, coords_of, pairing
+from .triplet import Diagonal, WeightedTriplet, coords_of, held_array, pairing
 
 #: Relative cutoff below the largest singular value under which singular
 #: values count as zero (pseudo-inverses, rank decisions, injectivity).
 RANK_RTOL = 1e-12
 
-#: Biorthogonality tolerance: a larger residual makes `is_tainted` true
-#: and fails `metric_operator_check`, without raising.
+#: Biorthogonality tolerance: a larger residual taints the report's
+#: `biorthogonality` section and fails `metric_operator_check`, without
+#: raising.
 BIORTH_TOL = 1e-10
 
 #: Declared domination factor: the partial-sum probe and the metric check
@@ -43,16 +47,17 @@ _CHUNK_COLUMNS = 2048
 _CHUNK_ELEMENTS = 2 ** 23
 
 
-def _as_map(a):
-    """A `Diagonal` as it is, anything else as a complex ndarray."""
-    return a if isinstance(a, Diagonal) else np.asarray(a, dtype=complex)
+def _as_map(a, real=True):
+    """A `Diagonal` as it is, anything else as `held_array(a, real)`: pass
+    the triplet's `keeps_real` for a map that its scalings act on."""
+    return a if isinstance(a, Diagonal) else held_array(a, real)
 
 
 def _leading(a, n):
     """The first n columns of a map, all of them as held; a Diagonal gives
     its N x n block without forming the N x N matrix."""
     if isinstance(a, Diagonal) and n < a.shape[1]:
-        block = np.zeros((a.shape[0], n), dtype=complex)
+        block = np.zeros((a.shape[0], n))
         np.fill_diagonal(block, a.d[:n])
         return block
     return a if n == a.shape[1] else a[:, :n]
@@ -154,7 +159,8 @@ class SequenceFamily:
                         compare=False)
 
     def __post_init__(self):
-        fam = _as_map(self.family)
+        real = self.triplet.keeps_real
+        fam = _as_map(self.family, real)
         if len(fam.shape) != 2:
             raise DimensionError("family must be a 2-d array of columns")
         if fam.shape[0] != self.triplet.dim:
@@ -166,7 +172,7 @@ class SequenceFamily:
             raise ValidationError("family columns must be nonzero")
         dual = self.dual
         if dual is not None:
-            dual = _as_map(dual)
+            dual = _as_map(dual, real)
             if dual.shape != fam.shape:
                 raise DimensionError("dual must match the family's shape")
         object.__setattr__(self, "family", _read_only(fam))
@@ -261,11 +267,12 @@ def _kept_inverse(s):
 def pseudo_inverse(matrix):
     """(A^+, rank) of an N x M matrix from one thin SVD, with singular
     values at or below RANK_RTOL times the largest counted as zero; a
-    Diagonal is inverted entry by entry into a Diagonal."""
+    Diagonal is inverted entry by entry into a Diagonal, and a real array
+    gives a real A^+ (`held_array`)."""
     if isinstance(matrix, Diagonal):
         inv, rank = _kept_inverse(matrix.d)
         return Diagonal(inv), rank
-    a = np.asarray(matrix, dtype=complex)
+    a = held_array(matrix)
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     inv, rank = _kept_inverse(s)
     return (vh.conj().T * inv) @ u.conj().T, rank
@@ -284,14 +291,6 @@ def biorthogonality_residual(fam):
             "non-finite biorthogonality residual: the family-dual pairings "
             "overflow")
     return res
-
-
-def is_tainted(fam):
-    """Whether the biorthogonality residual exceeds BIORTH_TOL; tainted
-    families stay usable, the flag is data, not an error."""
-    if fam.dual is None:
-        return False
-    return biorthogonality_residual(fam) > BIORTH_TOL
 
 
 # -- analysis / synthesis / frame -------------------------------------------
@@ -556,12 +555,6 @@ def partial_sum(fam, f, n):
     """S_n f = sum_{k<=n} conj(<zeta_k, f>) xi_k, a vector on the smooth side."""
     z, v = _order_input(fam, n, f)
     return _leading(fam.family, n) @ (_leading(z, n).conj().T @ v)
-
-
-def partial_sum_adjoint(fam, psi, n):
-    """Adjoint action sum_{k<=n} <psi, xi_k> zeta_k on the dual side."""
-    z, p = _order_input(fam, n, psi)
-    return _leading(z, n) @ (_leading(fam.family, n).conj().T @ p)
 
 
 def weak_expansion_residual(fam, psi, f, n):

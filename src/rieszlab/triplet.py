@@ -1,8 +1,8 @@
 """Truncated weighted-coefficient model of a nested scale of spaces.
 
 The model fixes a truncation dimension N, a weight vector w with entries
->= 1 and a ladder of J seminorm levels.  Vectors are complex coefficient
-arrays against the canonical orthonormal basis; level j carries the
+>= 1 and a ladder of J seminorm levels.  Vectors are coefficient arrays
+against the canonical orthonormal basis; level j carries the
 seminorm ``p_j(f) = ||diag(w)^j f||_2``, level -j the dual norm
 ``||diag(w)^{-j} .||_2``, and the duality pairing extends the inner
 product sesquilinearly.
@@ -13,6 +13,13 @@ coordinates Q^H f.  Frames are applied, not stored as scaling matrices:
 `WeightedTriplet.scale(j, X)` computes Q diag(w^j) Q^H X element-wise, by
 FFT or by two thin products, and a map declared as a real `Diagonal`
 scales in O(N).  All values are immutable and every operation is pure.
+
+One dtype rule, `held_array`, decides how maps are held: float64 when
+their data are real and every scaling applied to them keeps them real,
+complex128 otherwise.  A triplet keeps real data real (`keeps_real`) in
+the canonical frame, and in the DFT frame when its weights are even
+under omega -> -omega, where `scale` takes the half spectrum by `rfft`.
+Vectors handed to the norms and the pairing stay complex (`coords_of`).
 """
 from __future__ import annotations
 
@@ -38,7 +45,8 @@ class Diagonal:
     the map itself, and `@` scales the rows of an array on its right or
     the last axis of one on its left in O(N), each entry equal to the BLAS
     product of the dense matrices bit for bit; NumPy's ufuncs refuse it.
-    `dense`, or `np.asarray`, forms the read-only complex N x N matrix.
+    `dense`, or `np.asarray`, forms the read-only N x N matrix, float64
+    like `d`: what a scaling makes of it follows `held_array`.
     """
 
     d: np.ndarray
@@ -69,12 +77,22 @@ class Diagonal:
 
     @cached_property
     def dense(self):
-        a = np.diag(self.d.astype(complex))
+        a = np.diag(self.d)
         a.flags.writeable = False
         return a
 
     def __array__(self, dtype=None, copy=None):
         return np.array(self.dense, dtype=dtype, copy=copy)
+
+
+def held_array(x, real=True):
+    """The package's one dtype rule: x as a float64 array when its data
+    are real and `real` holds, that is every scaling applied to it keeps
+    real data real (`WeightedTriplet.keeps_real`); as a complex128 array
+    otherwise."""
+    x = np.asarray(x)
+    return x.astype(float if real and not np.iscomplexobj(x) else complex,
+                    copy=False)
 
 
 def coords_of(x):
@@ -162,6 +180,16 @@ class WeightedTriplet:
         w = np.asarray(weights, dtype=float)
         return cls(int(w.shape[0]), w, levels, _DFT_FRAME)
 
+    @cached_property
+    def keeps_real(self):
+        """Whether every scaling maps real columns to real columns: in the
+        canonical frame, and in the DFT frame when the weights are even,
+        w[k] = w[N - k]; a dense frame is held complex.  Checked once."""
+        if isinstance(self.frame, str):
+            return bool(np.array_equal(self.weights[1:],
+                                       self.weights[:0:-1]))
+        return self.frame is None
+
     # -- coordinate helpers -------------------------------------------------
 
     def _to_frame(self, x):
@@ -193,9 +221,12 @@ class WeightedTriplet:
 
         x is a vector, an N x K array whose columns are scaled, or a
         `Diagonal`, which stays one in the canonical model.  Negative j
-        addresses the dual side; j = 0 is the identity.  The scaling is
-        applied, never stored, so thin N x K inputs cost O(N K) work and
-        memory (times log N for the DFT frame, times N for a dense frame).
+        addresses the dual side; j = 0 is the identity.  The result is
+        `held_array(x, keeps_real)`'s dtype: real data stay float64 where
+        the triplet keeps them real, by `irfft(w^j rfft(x))` in the DFT
+        frame.  The scaling is applied, never stored, so thin N x K inputs
+        cost O(N K) work and memory (times log N for the DFT frame, times
+        N for a dense frame).
         """
         if not -self.levels <= j <= self.levels:
             raise LevelError(
@@ -203,13 +234,18 @@ class WeightedTriplet:
         if isinstance(x, Diagonal) and self.frame is None and \
                 x.shape[0] == self.dim:
             return Diagonal(self.weights ** j * x.d)
-        x = np.asarray(x, dtype=complex)
+        x = held_array(x, self.keeps_real)
         if x.ndim == 0 or x.shape[0] != self.dim:
             raise DimensionError(
                 f"array of shape {x.shape} does not fit dimension {self.dim}")
         if j == 0:
             return x.copy()
         d = (self.weights ** j).reshape((self.dim,) + (1,) * (x.ndim - 1))
+        if isinstance(self.frame, str) and x.dtype == float:
+            # Even weights: the half spectrum of real columns is all of it.
+            half = np.fft.rfft(x, axis=0, norm="ortho")
+            return np.fft.irfft(d[:half.shape[0]] * half, self.dim, axis=0,
+                                norm="ortho")
         return self._from_frame(d * self._to_frame(x))
 
     def scale_matrix(self, j):

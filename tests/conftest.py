@@ -12,16 +12,19 @@ settings.register_profile(
 settings.load_profile("suite")
 
 
-def well_conditioned_transform(rng, n, smin=1.0, smax=2.0):
-    """Random T = U diag(s) V^H with singular values in [smin, smax]."""
+def well_conditioned_transform(rng, n, smin=1.0, smax=2.0, real=False):
+    """Random T = U diag(s) V^H with singular values in [smin, smax]; U
+    and V are real orthogonal when `real`, else unitary."""
     def haar(r):
-        q, r_ = np.linalg.qr(r.standard_normal((n, n))
-                             + 1j * r.standard_normal((n, n)))
+        a = r.standard_normal((n, n))
+        if not real:
+            a = a + 1j * r.standard_normal((n, n))
+        q, r_ = np.linalg.qr(a)
         return q * (np.diag(r_) / np.abs(np.diag(r_)))
     u = haar(rng)
     v = haar(rng)
     s = rng.uniform(smin, smax, size=n)
-    return u @ np.diag(s).astype(complex) @ v.conj().T
+    return u @ np.diag(s).astype(u.dtype) @ v.conj().T
 
 
 def random_vector(rng, n):

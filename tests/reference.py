@@ -10,10 +10,14 @@ references and the model catalogues below; they define none of their
 own, and none imports another test module.
 
 `models()` draws the generated models (N <= 24, M <= N, 1-3 levels;
-canonical, DFT or dense unitary frame; Diagonal, square or thin family;
-weights from 1 to 1e6), and `CHECKS` holds one comparison per kernel,
-each within 1e-12 relative to max(1, |reference|) unless the check says
-why it takes another bound.
+canonical, DFT or dense unitary frame; Diagonal, square or thin family,
+real or complex; weights from 1 to 1e6, drawn even under omega -> -omega
+half the time on the DFT frame), `EDGE_ROWS` adds the DFT sizes a draw
+rarely reaches, and `CHECKS` holds one comparison per kernel, each
+within 1e-12 relative to max(1, |reference|) unless the check says why
+it takes another bound.  A real family on a triplet that keeps real
+data real takes the package's float64 route; every reference here
+computes in complex arithmetic.
 """
 import math
 
@@ -73,6 +77,16 @@ def dense_scaling(tri, j):
 def dense_certificate(a, tri, from_level, to_level):
     prod = dense_scaling(tri, to_level) @ a @ dense_scaling(tri, -from_level)
     return float(np.linalg.svd(prod, compute_uv=False)[0])
+
+
+def keeps_real(tri):
+    """Whether the triplet's scalings keep real data real, from the
+    definition: no frame, or the DFT frame with w[k] = w[-k mod N]."""
+    if tri.frame is None:
+        return True
+    w = tri.weights
+    return isinstance(tri.frame, str) and \
+        bool(np.all(w == w[-np.arange(tri.dim) % tri.dim]))
 
 
 def reference_scale(self, j, x):
@@ -325,33 +339,73 @@ FRAMES = ("canonical", "dft", "dense")
 KINDS = ("diagonal", "square", "thin")
 
 
+def even(w):
+    """w made even under omega -> -omega: w[k] = w[-k mod N]."""
+    return np.maximum(w, w[-np.arange(w.size) % w.size])
+
+
+def family_on(tri, kind, rng, m, real):
+    """A family of `kind` (M = m columns when thin) with its dual on `tri`,
+    its entries from `rng`: real or complex for a square or thin family,
+    always real for a Diagonal."""
+    n = tri.dim
+    if kind == "diagonal":
+        # Unsorted magnitudes in [0.1, 10] with both signs.
+        d = 10.0 ** rng.uniform(-1.0, 1.0, n) * rng.choice([-1.0, 1.0], n)
+        return make_riesz_basis(Diagonal(d), tri).fam
+    t = well_conditioned_transform(rng, n, real=real)
+    if kind == "square":
+        return make_riesz_basis(t, tri).fam
+    # Leading columns of a well-conditioned map stay well-conditioned.
+    return riesz_fischer_check(SequenceFamily(t[:, :m], tri)).family
+
+
 @st.composite
 def models(draw, frame, kind):
     """A family of `kind` with its dual on a triplet with a `frame`.  The
-    sizes and weight range are drawn by hypothesis, the entries from a
-    drawn numpy seed."""
+    sizes, weight range, realness and (on the DFT frame) evenness of the
+    weights are drawn by hypothesis, the entries from a drawn numpy
+    seed."""
     n = draw(st.integers(1, 24))
     m = draw(st.integers(1, n)) if kind == "thin" else n
     levels = draw(st.integers(1, 3))
     # log10 of the smallest and of the largest possible weight
     low = draw(st.integers(0, 6))
     high = draw(st.integers(low, 6))
+    real = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     w = 10.0 ** rng.uniform(low, high, n)
     tri = {"canonical": lambda: WeightedTriplet(n, w, levels),
-           "dft": lambda: WeightedTriplet.fourier(w, levels),
+           "dft": lambda: WeightedTriplet.fourier(
+               even(w) if draw(st.booleans()) else w, levels),
            "dense": lambda: WeightedTriplet(
                n, w, levels, random_unitary(n, seed=int(rng.integers(99))))
            }[frame]()
-    if kind == "diagonal":
-        # Unsorted magnitudes in [0.1, 10] with both signs.
-        d = 10.0 ** rng.uniform(-1.0, 1.0, n) * rng.choice([-1.0, 1.0], n)
-        return make_riesz_basis(Diagonal(d), tri).fam
-    t = well_conditioned_transform(rng, n)
-    if kind == "square":
-        return make_riesz_basis(t, tri).fam
-    # Leading columns of a well-conditioned map stay well-conditioned.
-    return riesz_fischer_check(SequenceFamily(t[:, :m], tri)).family
+    return family_on(tri, kind, rng, m, real)
+
+
+def _edge_row(n, kind, uneven=False):
+    """A real family of `kind` on a two-level DFT triplet of size n with
+    even weights, or with weights even but for w[1] when `uneven`."""
+    def build():
+        rng = np.random.default_rng(n)
+        w = even(10.0 ** rng.uniform(0.0, 3.0, n))
+        if uneven:
+            w[1] *= 1.5  # w[1] != w[n - 1] for n >= 3
+        return family_on(WeightedTriplet.fourier(w, 2), kind, rng,
+                         max(1, n // 2), real=True)
+    return build
+
+
+#: DFT sizes a draw rarely reaches: P = 1 and P = 2, odd P (no Nyquist
+#: bin) and even P, each with even weights, where real families take the
+#: float64 route, and with one uneven weight, where they stay complex.
+EDGE_ROWS = {
+    **{f"even-P{n}-{kind}": _edge_row(n, kind)
+       for n in (1, 2, 7, 8) for kind in KINDS},
+    **{f"uneven-P{n}-{kind}": _edge_row(n, kind, uneven=True)
+       for n in (3, 8) for kind in KINDS},
+}
 
 
 def _probe_vector(fam):
@@ -360,14 +414,19 @@ def _probe_vector(fam):
 
 
 def check_scale(fam):
-    """scale(j) at every level against the dense Q diag(w^j) Q^H, its
-    round trip, the dense `scale_matrix`, and a held Diagonal."""
+    """scale(j) at every level against the dense Q diag(w^j) Q^H and the
+    complex route, its dtype by the one rule, its round trip, the dense
+    `scale_matrix`, and a held Diagonal."""
     tri = fam.triplet
     x = np.asarray(fam.family)
+    real = keeps_real(tri) and not np.iscomplexobj(x)
     spread = float(np.max(tri.weights) / np.min(tri.weights))
     for j in range(-tri.levels, tri.levels + 1):
         ref = dense_scaling(tri, j)
-        assert close(tri.scale(j, x), ref @ x)
+        scaled = tri.scale(j, x)
+        assert scaled.dtype == (float if real else complex)
+        assert close(scaled, ref @ x)
+        assert close(scaled, tri.scale(j, x.astype(complex)))
         assert close(tri.scale_matrix(j), ref)
         # Roundoff in scale(j) x comes back multiplied by the condition
         # number spread^|j| of the scaling.
@@ -386,21 +445,38 @@ def check_memo(fam):
     `WeightedTriplet.scale` of the held map, and the R factor of each thin
     one against a fresh QR, and its singular values `sigma` against a
     fresh SVD, all bit for bit: a tall map's `sigma` comes from its R
-    factor by the reduction gesdd makes itself."""
+    factor by the reduction gesdd makes itself.  A memo held as a
+    Diagonal gives its exact singular values, bit for bit the sorted
+    |diagonal| of the fresh scaling.  Every held array has the dtype of
+    the package's one rule."""
     tri = fam.triplet
     n, m = fam.family.shape
     held = {"family": fam.family, "dual": fam.dual,
             "canonical": np.eye(n, m), "inverse": fam.pinv_rank[0].conj().T}
+    real = keeps_real(tri) and not np.iscomplexobj(np.asarray(fam.family))
     for name, x in held.items():
+        # The one dtype rule: E_M is real data, the rest are the family's.
+        want = float if keeps_real(tri) and (
+            real or name == "canonical") else complex
         for j in range(-tri.levels, tri.levels + 1):
             memo = fam.scaled(j, name)
-            assert np.array_equal(np.asarray(memo),
-                                  np.asarray(tri.scale(j, x)))
+            if isinstance(memo, np.ndarray) and (j or name != "canonical"):
+                # Level 0 holds E_M itself, the real identity.
+                assert memo.dtype == want
+            fresh = np.asarray(tri.scale(j, x))
+            assert np.array_equal(np.asarray(memo), fresh)
             if m < n:
-                assert np.array_equal(fam.r_factor(j, name), np.linalg.qr(
-                    np.asarray(tri.scale(j, x)), mode="r"))
-            assert np.array_equal(fam.sigma(j, name), np.linalg.svd(
-                np.asarray(tri.scale(j, x)), compute_uv=False))
+                assert np.array_equal(fam.r_factor(j, name),
+                                      np.linalg.qr(fresh, mode="r"))
+            svd = np.linalg.svd(fresh, compute_uv=False)
+            if isinstance(memo, Diagonal):
+                # Exactly the sorted |diagonal|, which LAPACK's SVD of the
+                # dense diagonal can miss by an ulp (2 x 2, dlas2).
+                assert np.array_equal(fam.sigma(j, name),
+                                      np.sort(np.abs(np.diag(fresh)))[::-1])
+                assert close(fam.sigma(j, name), svd)
+            else:
+                assert np.array_equal(fam.sigma(j, name), svd)
 
 
 def check_norms(fam):

@@ -325,6 +325,10 @@ RETIRED = {
     # The square-map certificate route, which the family memo replaces:
     # T's continuity certificate is its dual's level-1 norm.
     "square-certificate": {"certificate_norm", "make_linear_map"},
+    # Library API that no command reached: the `biorthogonality` section
+    # makes the taint comparison itself, and no section forms the adjoint
+    # partial sum.
+    "test-only-api": {"is_tainted", "partial_sum_adjoint"},
 }
 
 #: The sampler and the check that only `spaces.hermite_grid` runs for a

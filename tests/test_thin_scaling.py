@@ -5,7 +5,9 @@ and certify low-rank maps from their thin factors.  The comparisons of
 `reference.CHECKS` rebuild each scaling as a dense matrix from the frame
 and recompute each certificate, bound, Gram matrix and strictness
 constant the slow way; here they run on four hand-picked families on DFT
-and graph-norm frames at sizes above the generated models'.  A grid at
+and graph-norm frames at sizes above the generated models'.  The Sobolev
+family is pinned to the float64 route, and the same columns on a DFT
+triplet with one weight off even to complex128.  A grid at
 P = 2^14 then checks that the thin path never allocates a P x P array,
 a number-operator report at N = 8192 that its Diagonal maps stay O(N),
 and a grid at P = 2^16 that the sampled Bessel draws stay within budget.
@@ -62,6 +64,27 @@ class TestAgainstDenseReference:
         fam = SequenceFamily(x, tri)
         check_scale(fam)
         check_norms(fam)
+
+
+def test_real_data_stay_real_where_the_triplet_keeps_them():
+    # The Sobolev weights are even in omega, so the family, its dual and
+    # every memoised scaling, R factor and pseudo-inverse are float64.
+    fam = sobolev_basis(LineGrid(20.0, 256), 8)
+    assert fam.triplet.keeps_real
+    for name in ("family", "dual", "canonical", "inverse"):
+        for j in (-1, 0, 1):
+            assert fam.scaled(j, name).dtype == np.float64
+            assert fam.r_factor(j, name).dtype == np.float64
+    assert fam.pinv_rank[0].dtype == np.float64
+    # One weight off even: the same real columns are held complex.
+    w = fam.triplet.weights.copy()
+    w[1] *= 1.5
+    uneven = SequenceFamily(fam.family, WeightedTriplet.fourier(w),
+                            dual=fam.dual)
+    assert not uneven.triplet.keeps_real
+    for name in ("family", "dual", "inverse"):
+        for j in (-1, 0, 1):
+            assert uneven.scaled(j, name).dtype == np.complex128
 
 
 # -- memory -------------------------------------------------------------------
