@@ -21,7 +21,7 @@ from .hamiltonian import (HamiltonianPair, build_pair, build_selfadjoint,
                           weak_similarity_residual)
 from .reportio import (DiagnosticsReport, Section, Verdict, config_digest,
                        load_complex_matrix, render_csv, render_json,
-                       save_complex_matrix, save_function_csv, save_report)
+                       save_complex_matrix, save_report)
 from .riesz import (RieszBasis, adjoint_action, coefficient_seminorm,
                     hilbert_triplet_realization, make_riesz_basis,
                     metric_operator_check, range_membership, realized_grams,
@@ -31,14 +31,12 @@ from .sequences import (LinearMap, SequenceFamily, analysis, bessel_bound,
                         bessel_factor, biorthogonality_residual,
                         dual_analysis, frame_operator, level_gram,
                         partial_sum, riesz_fischer_check,
-                        schauder_inequality_probe, synthesis,
-                        weak_expansion_residual)
-from .spaces import (LineGrid, SampledFunction, aliasing_fraction,
-                     hermite_gram, hermite_grid, hermite_values,
-                     number_operator_model, schwartz_hermite_model,
-                     sobolev_basis, sobolev_multiplier, sobolev_triplet)
-from .triplet import (Diagonal, WeightedTriplet, coords_of,
-                      graph_norm_triplet, pairing)
+                        schauder_inequality_probe, weak_expansion_residual)
+from .spaces import (LineGrid, aliasing_fraction, hermite_gram,
+                     hermite_grid, hermite_values, number_operator_model,
+                     schwartz_hermite_model, sobolev_basis,
+                     sobolev_multiplier, sobolev_triplet)
+from .triplet import Diagonal, WeightedTriplet, coords_of, pairing
 
 __version__ = "0.1.0"
 
@@ -46,23 +44,21 @@ __all__ = [
     "ConfigError", "ContinuityError", "Diagonal", "DiagnosticsReport",
     "DimensionError", "HamiltonianPair", "InjectivityError", "LevelError",
     "LineGrid", "LinearMap", "MissingDualError", "ParseError", "RieszBasis",
-    "RieszLabError", "SampledFunction", "Section", "SequenceFamily",
-    "StateError", "SupportError", "ValidationError", "Verdict",
-    "WeightedTriplet", "adjoint_action", "aliasing_fraction", "analysis",
-    "bessel_bound", "bessel_bound_lanczos", "bessel_bound_sampled",
-    "bessel_factor", "biorthogonality_residual", "build_pair",
-    "build_selfadjoint", "coefficient_seminorm", "config_digest", "coords_of",
-    "demo_pair", "demo_transform", "density_diagnostic", "dual_analysis",
-    "eigen_residual", "frame_operator", "graph_norm_triplet", "hermite_gram",
+    "RieszLabError", "Section", "SequenceFamily", "StateError", "SupportError",
+    "ValidationError", "Verdict", "WeightedTriplet", "adjoint_action",
+    "aliasing_fraction", "analysis", "bessel_bound", "bessel_bound_lanczos",
+    "bessel_bound_sampled", "bessel_factor", "biorthogonality_residual",
+    "build_pair", "build_selfadjoint", "coefficient_seminorm", "config_digest",
+    "coords_of", "demo_pair", "demo_transform", "density_diagnostic",
+    "dual_analysis", "eigen_residual", "frame_operator", "hermite_gram",
     "hermite_grid", "hermitian_defect", "hermite_values",
-    "hilbert_triplet_realization", "level_gram",
-    "load_complex_matrix", "make_riesz_basis", "metric_operator_check",
-    "nonnormality", "number_operator_model", "pairing", "partial_sum",
-    "random_unitary", "range_membership",
-    "realized_grams", "render_csv", "render_json", "riesz_fischer_check",
-    "save_complex_matrix", "save_function_csv", "save_report",
+    "hilbert_triplet_realization", "level_gram", "load_complex_matrix",
+    "make_riesz_basis", "metric_operator_check", "nonnormality",
+    "number_operator_model", "pairing", "partial_sum", "random_unitary",
+    "range_membership", "realized_grams", "render_csv", "render_json",
+    "riesz_fischer_check", "save_complex_matrix", "save_report",
     "schauder_inequality_probe", "schwartz_hermite_model", "sobolev_basis",
     "sobolev_multiplier", "sobolev_triplet", "spectrum_residual",
-    "strictness_constants", "strictness_report", "synthesis",
-    "weak_expansion_residual", "weak_similarity_residual",
+    "strictness_constants", "strictness_report", "weak_expansion_residual",
+    "weak_similarity_residual",
 ]

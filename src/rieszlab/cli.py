@@ -42,8 +42,8 @@ from .sequences import (BIORTH_TOL, DOMINATION_FACTOR, SequenceFamily,
                         riesz_fischer_check, schauder_inequality_probe,
                         weak_expansion_residual)
 from .spaces import (ALIASING_TOL, CONSTRUCTION_TOL, DEFAULT_LADDER,
-                     SUPPORT_TOL, LineGrid, default_half_width, hermite_grid,
-                     number_operator_model, number_operator_rule,
+                     SUPPORT_TOL, LineGrid, default_half_width, hermite_gram,
+                     hermite_grid, number_operator_model, number_operator_rule,
                      schwartz_hermite_model, sobolev_model, sobolev_multiplier)
 from .trends import checked_ladder
 from .triplet import WeightedTriplet
@@ -623,7 +623,7 @@ def _hermite_section(bundle, cfg):
               (np.sqrt(2.0) * x ** 2 - np.sqrt(0.5)) * phi0]
     rec = max(float(np.max(np.abs(vals[:, n] - closed[n])))
               for n in range(min(count, 3)))
-    gram_defect = max_deviation(grid.spacing * (vals.T @ vals))
+    gram_defect = max_deviation(hermite_gram(grid, vals))
     records = {"value_at_zero_0": float(at0[0]),
                "value_at_zero_1": float(at0[1]) if count > 1 else None,
                "closed_form_residual": rec,
@@ -648,7 +648,7 @@ def _sobolev_section(bundle, cfg):
     worst_build = float(np.max(np.linalg.norm(fam.family - reference, axis=0)))
     worst_round = bundle.round_trip
     mod_defect = max_deviation(level_gram(fam, 1))
-    gram_defect = max_deviation(grid.spacing * (phis.T @ phis))
+    gram_defect = max_deviation(hermite_gram(grid, phis))
     lower, upper = strictness_constants(fam)
     top = fam.triplet.levels
     records = {"construction_residual": worst_build,

@@ -131,16 +131,6 @@ def save_complex_matrix(path, matrix):
             writer.writerow(out)
 
 
-def save_function_csv(path, f):
-    """Write a sampled function as (x, re, im) rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "re", "im"])
-        for x, v in zip(f.grid.nodes, f.values):
-            writer.writerow([repr(float(x)), repr(float(v.real)),
-                             repr(float(v.imag))])
-
-
 # -- report values -----------------------------------------------------------
 
 def jsonify(value, where="report"):

@@ -7,7 +7,7 @@ are held by the triplet's dtype rule (`triplet.held_array`): float64
 when their data are real and the triplet keeps them real, complex128
 otherwise, and their scalings, R factors, singular values and
 pseudo-inverse follow.  Vectors are plain complex coordinate arrays:
-expansions and syntheses return 1-D arrays, read on whichever side the
+expansions and partial sums return 1-D arrays, read on whichever side the
 norm or pairing applied to them names.  Every operator built here is a
 finite matrix, certified across the seminorm ladder by the largest
 singular value of its weight-scaled form.  Each map is kept as its two
@@ -293,7 +293,7 @@ def biorthogonality_residual(fam):
     return res
 
 
-# -- analysis / synthesis / frame -------------------------------------------
+# -- analysis / frame ---------------------------------------------------------
 
 def analysis(fam, eta):
     """Coefficient map eta -> {conj(<zeta_k, eta>)}_k as a length-M array."""
@@ -302,15 +302,6 @@ def analysis(fam, eta):
     if v.shape[0] != fam.dim:
         raise DimensionError("analysis input does not match the model dimension")
     return z.conj().T @ v
-
-
-def synthesis(fam, a):
-    """sum_k a_k zeta_k, landing on the dual side."""
-    z = _dual_of(fam)
-    a = np.atleast_1d(np.asarray(a, dtype=complex))
-    if a.shape[0] != fam.size:
-        raise DimensionError("synthesis needs one coefficient per dual vector")
-    return z @ a
 
 
 def frame_operator(fam):
@@ -432,7 +423,8 @@ def bessel_bound_sampled(fam, j, samples=10000, seed=0):
     q = np.linalg.qr(s)[0]
     rank = q.shape[1]
     op = s.conj().T @ q
-    op_re, op_im = np.ascontiguousarray(op.real), np.ascontiguousarray(op.imag)
+    op_re = np.ascontiguousarray(op.real)
+    op_im = np.ascontiguousarray(op.imag) if np.iscomplexobj(op) else None
     rng = np.random.default_rng(seed)
     best, left = 0.0, int(samples)
     cols = min(_CHUNK_COLUMNS, max(1, _CHUNK_ELEMENTS // max(rank, 1)))
@@ -450,9 +442,12 @@ def bessel_bound_sampled(fam, j, samples=10000, seed=0):
 
 def _squared_images(op_re, op_im, u_re, u_im):
     """Column sums of |op @ (u_re + i u_im)|^2, with op = op_re + i op_im,
-    from real products and without complex copies of the draws."""
-    out_re = op_re @ u_re - op_im @ u_im
-    out_im = op_re @ u_im + op_im @ u_re
+    from real products and without complex copies of the draws; a real op
+    (op_im None) skips the two products with its zero imaginary part."""
+    out_re, out_im = op_re @ u_re, op_re @ u_im
+    if op_im is not None:
+        out_re -= op_im @ u_im
+        out_im += op_im @ u_re
     # The images are this call's own: square and add them in place.
     np.square(out_re, out=out_re)
     np.square(out_im, out=out_im)

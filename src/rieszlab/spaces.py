@@ -80,30 +80,6 @@ class LineGrid:
         return 2.0 * np.pi * np.fft.fftfreq(self.points, d=self.spacing)
 
 
-@dataclass(frozen=True)
-class SampledFunction:
-    """Grid samples of a function on the line."""
-
-    grid: LineGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
-        if vals.shape != (self.grid.points,):
-            raise DimensionError("sample count does not match the grid")
-        object.__setattr__(self, "values", vals)
-
-    def norm(self):
-        """Quadrature L2 norm on the grid."""
-        return float(np.sqrt(self.grid.spacing) * np.linalg.norm(self.values))
-
-    def inner(self, other):
-        """Quadrature L2 inner product, linear in self."""
-        if other.grid != self.grid:
-            raise DimensionError("functions live on different grids")
-        return complex(self.grid.spacing * np.vdot(other.values, self.values))
-
-
 # -- Hermite functions -------------------------------------------------------
 
 def default_half_width(count):
@@ -165,10 +141,12 @@ def _refuse_zero_columns(grid, vals):
             f"{grid.spacing:.3g})")
 
 
-def hermite_gram(grid, count):
-    """Quadrature Gram matrix of the first `count` Hermite functions."""
-    vals = hermite_values(grid, count)
-    return grid.spacing * (vals.T @ vals)
+def hermite_gram(grid, columns):
+    """Quadrature Gram matrix h Phi^T Phi of real sample columns Phi on
+    `grid`, such as the `hermite_values` columns, without re-sampling: the
+    one kernel of the Gram that the `hermite-values` and `sobolev-family`
+    sections record."""
+    return grid.spacing * (columns.T @ columns)
 
 
 def aliasing_fraction(grid, values):
@@ -221,21 +199,19 @@ def sobolev_multiplier(grid, order, f):
     """Apply (I - d^2/dx^2)^(order/2) spectrally: multiply the transform
     by (1 + y^2)^(order/2).
 
-    `f` is a sampled function, a length-P sample vector, or a P x K array
-    of sample columns; columns share one FFT pair along axis 0.  A single
-    function comes back as a SampledFunction, a column array as a P x K
-    array.  Self-adjoint and positive for the quadrature inner product;
-    order 0 is the identity and opposite orders invert each other exactly
-    up to roundoff.
+    `f` is a length-P sample vector or a P x K array of sample columns,
+    which share one FFT pair along axis 0; the result is a complex array of
+    the same shape.  Self-adjoint and positive for the quadrature inner
+    product; order 0 is the identity and opposite orders invert each other
+    exactly up to roundoff.
     """
-    vals = f.values if isinstance(f, SampledFunction) else np.asarray(f, complex)
+    vals = np.asarray(f, complex)
     if vals.ndim not in (1, 2) or vals.shape[0] != grid.points:
         raise DimensionError("sample count does not match the grid")
     mult = (1.0 + grid.angular_frequencies ** 2) ** (order / 2.0)
     if vals.ndim == 2:
         mult = mult[:, None]
-    out = np.fft.ifft(mult * np.fft.fft(vals, axis=0), axis=0)
-    return SampledFunction(grid, out) if out.ndim == 1 else out
+    return np.fft.ifft(mult * np.fft.fft(vals, axis=0), axis=0)
 
 
 def sobolev_triplet(grid):

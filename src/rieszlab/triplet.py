@@ -4,12 +4,12 @@ The model fixes a truncation dimension N, a weight vector w with entries
 >= 1 and a ladder of J seminorm levels.  Vectors are coefficient arrays
 against the canonical orthonormal basis; level j carries the
 seminorm ``p_j(f) = ||diag(w)^j f||_2``, level -j the dual norm
-``||diag(w)^{-j} .||_2``, and the duality pairing extends the inner
-product sesquilinearly.
+``||diag(w)^{-j} .||_2``, the length of a level -j `scale`, and the
+duality pairing extends the inner product sesquilinearly.
 
-An optional unitary frame Q (graph norms, realizations of a dense
-transform, the DFT of the Sobolev grid) makes the weights act on the
-coordinates Q^H f.  Frames are applied, not stored as scaling matrices:
+An optional unitary frame Q (the realization of a dense transform, the
+DFT of the Sobolev grid) makes the weights act on the coordinates Q^H f.
+Frames are applied, not stored as scaling matrices:
 `WeightedTriplet.scale(j, X)` computes Q diag(w^j) Q^H X element-wise, by
 FFT or by two thin products, and a map declared as a real `Diagonal`
 scales in O(N).  All values are immutable and every operation is pure.
@@ -103,9 +103,9 @@ def coords_of(x):
 
 def _unitary_defect(q):
     # Full check up to a few hundred dims, randomized probe beyond that so
-    # large dense frames (graph norms, the realization of a dense T) stay
-    # cheap to validate.  The DFT frame is unitary by construction and is
-    # accepted by name.
+    # large dense frames (the realization of a dense T) stay cheap to
+    # validate.  The DFT frame is unitary by construction and is accepted
+    # by name.
     n = q.shape[0]
     if n <= 256:
         return float(np.max(np.abs(q.conj().T @ q - np.eye(n))))
@@ -209,13 +209,6 @@ class WeightedTriplet:
             return np.fft.ifft(y, axis=0, norm="ortho")
         return self.frame @ y
 
-    def _rotated(self, x):
-        v = coords_of(x)
-        if v.shape[0] != self.dim:
-            raise DimensionError(
-                f"vector of length {v.shape[0]} does not fit dimension {self.dim}")
-        return self._to_frame(v)
-
     def scale(self, j, x):
         """Apply the level-j scaling Q diag(w^j) Q^H to x.
 
@@ -264,22 +257,15 @@ class WeightedTriplet:
         """
         if not 0 <= j <= self.levels:
             raise LevelError(f"seminorm level {j} outside [0, {self.levels}]")
+        v = coords_of(f)
+        if v.shape[0] != self.dim:
+            raise DimensionError(
+                f"vector of length {v.shape[0]} does not fit dimension {self.dim}")
         # A column is summed as a contiguous row, in the order of a lone
         # vector, so its seminorm does not depend on the other columns.
-        y = np.multiply(self._rotated(f).T, self.weights ** j, order="C")
+        y = np.multiply(self._to_frame(v).T, self.weights ** j, order="C")
         norms = np.linalg.norm(y, axis=-1)
         return float(norms) if norms.ndim == 0 else norms
-
-    def dual_norm(self, phi, j):
-        """Dual-side norm ||diag(w)^{-j} phi||_2 for levels 1..J.
-
-        Equals the supremum of |pairing(phi, f)| over the level-j unit
-        ball, which is how the tests pin it down.
-        """
-        if not 1 <= j <= self.levels:
-            raise LevelError(f"dual norm level {j} outside [1, {self.levels}]")
-        v = self._rotated(phi)
-        return float(np.linalg.norm(self.weights ** (-j) * v))
 
 
 def pairing(phi, f):
@@ -291,22 +277,3 @@ def pairing(phi, f):
         raise DimensionError("pairing needs vectors of equal length")
     return complex(np.vdot(v, p))
 
-
-def graph_norm_triplet(op):
-    """Hilbert triplet whose level-1 norm is the graph norm of a square map.
-
-    The level-1 seminorm equals ``||(I + A^H A)^{1/2} f||``, so
-    ``p_1(f)^2 = ||f||^2 + ||A f||^2``.  The weights are the square roots
-    of the eigenvalues of I + A^H A (always >= 1) and the eigenvector
-    frame is stored with the triplet.  A = 0 collapses the triplet to the
-    plain Hilbert space.
-    """
-    a = np.asarray(getattr(op, "matrix", op), dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError("graph norms need a square map")
-    n = a.shape[0]
-    gram = np.eye(n) + a.conj().T @ a
-    lam, q = np.linalg.eigh(gram)
-    # Hermitian psd plus identity: eigenvalues >= 1 up to roundoff.
-    lam = np.clip(lam, 1.0, None)
-    return WeightedTriplet(n, np.sqrt(lam), 1, q)

@@ -28,12 +28,12 @@ from scipy.special import eval_hermite
 
 from rieszlab import (LevelError, LineGrid, SequenceFamily, WeightedTriplet,
                       bessel_bound, bessel_bound_lanczos, bessel_factor,
-                      build_pair, demo_pair, frame_operator,
-                      graph_norm_triplet, level_gram, make_riesz_basis,
-                      metric_operator_check, number_operator_model, pairing,
-                      random_unitary, riesz_fischer_check,
-                      schauder_inequality_probe, schwartz_hermite_model,
-                      sobolev_basis, strictness_constants)
+                      build_pair, demo_pair, frame_operator, level_gram,
+                      make_riesz_basis, metric_operator_check,
+                      number_operator_model, pairing, random_unitary,
+                      riesz_fischer_check, schauder_inequality_probe,
+                      schwartz_hermite_model, sobolev_basis,
+                      strictness_constants)
 from rieszlab import sequences
 from rieszlab.cli import DEFAULT_TOLERANCES
 from rieszlab.riesz import METRIC_SAMPLES
@@ -250,12 +250,14 @@ def loop_residuals(fam, f):
 
 
 # -- hand-picked models ---------------------------------------------------------
+# A dense unitary frame Q with weights w >= 1 is the graph-norm triplet of
+# A = diag(sqrt(w^2 - 1)) Q^H: p_1(f)^2 = ||f||^2 + ||A f||^2.
 
 def graph_case(square):
     rng = np.random.default_rng(11)
     n = 24
-    tri = graph_norm_triplet(rng.standard_normal((n, n))
-                             + 1j * rng.standard_normal((n, n)))
+    tri = WeightedTriplet(n, np.linspace(1.0, 10.0, n), 1,
+                          random_unitary(n, seed=11))
     if square:
         return make_riesz_basis(well_conditioned_transform(rng, n), tri).fam
     xi = rng.standard_normal((n, 6)) + 1j * rng.standard_normal((n, 6))
@@ -275,9 +277,8 @@ def graph_norm_family():
     """Dense complex frame with two levels, around a random transform."""
     rng = np.random.default_rng(5)
     n = 20
-    frame = graph_norm_triplet(rng.standard_normal((n, n))
-                               + 1j * rng.standard_normal((n, n))).frame
-    tri = WeightedTriplet(n, np.linspace(1.0, 3.0, n), 2, frame)
+    tri = WeightedTriplet(n, np.linspace(1.0, 3.0, n), 2,
+                          random_unitary(n, seed=5))
     return make_riesz_basis(well_conditioned_transform(rng, n), tri).fam
 
 
@@ -327,7 +328,7 @@ def pairs():
 def framed_triplets(n, rng):
     """The three kinds of frame: canonical, unitary DFT and dense."""
     w = np.linspace(1.0, 3.0, n)
-    frame = graph_norm_triplet(rng.standard_normal((n, n))).frame
+    frame = random_unitary(n, seed=int(rng.integers(2 ** 31)))
     return {"canonical": WeightedTriplet(n, w, 2),
             "dft": WeightedTriplet.fourier(w, 2),
             "dense": WeightedTriplet(n, w, 2, frame)}
@@ -480,7 +481,8 @@ def check_memo(fam):
 
 
 def check_norms(fam):
-    """seminorm and dual_norm, of the columns and of a lone vector."""
+    """seminorm, of the columns and of a lone vector, and the dual norm
+    ||scale(-j, f)|| of the vector."""
     tri = fam.triplet
     x = np.asarray(fam.family)
     f = _probe_vector(fam)
@@ -489,7 +491,7 @@ def check_norms(fam):
         assert close(tri.seminorm(x, j), np.linalg.norm(ref @ x, axis=0))
         assert close(tri.seminorm(f, j), np.linalg.norm(ref @ f))
         if j:
-            assert close(tri.dual_norm(f, j),
+            assert close(np.linalg.norm(tri.scale(-j, f)),
                          np.linalg.norm(dense_scaling(tri, -j) @ f))
 
 

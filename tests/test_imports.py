@@ -1,12 +1,14 @@
-"""Every module-level import in the package is used by its module, and
-names only the standard library, numpy or the package itself.
+"""Every module-level import in the package and in its test modules is
+used by its module, and the package names only the standard library,
+numpy or the package itself.
 
 No linter runs in this project, so this stands in for the unused-import
-check: removing the last use of a helper must remove its import too.
-`__init__.py` is exempt from it because its imports are the package's
-exports.  The second check keeps numpy the only runtime dependency and
-keeps test-only modules such as scipy out of the import time of the CLI;
-imports inside functions run only when called and are not checked.
+check: removing the last use of a helper, or retiring a name, must
+remove its import too.  `__init__.py` is exempt from it because its
+imports are the package's exports.  The second check keeps numpy the
+only runtime dependency and keeps test-only modules such as scipy out of
+the import time of the CLI; imports inside functions run only when
+called and are not checked.
 """
 import ast
 import pathlib
@@ -15,6 +17,7 @@ import sys
 import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "rieszlab"
+TESTS = pathlib.Path(__file__).resolve().parent
 
 
 def unused_imports(path):
@@ -34,8 +37,10 @@ def unused_imports(path):
 
 
 @pytest.mark.parametrize(
-    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"),
-    ids=lambda p: p.name)
+    "path",
+    sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    + sorted(TESTS.glob("*.py")),
+    ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}")
 def test_no_unused_module_imports(path):
     assert unused_imports(path) == []
 

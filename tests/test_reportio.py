@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rieszlab import (ConfigError, DiagnosticsReport, DimensionError,
-                      LineGrid, ParseError, RieszLabError, SampledFunction,
-                      Section, ValidationError, Verdict, config_digest,
-                      load_complex_matrix, render_csv, render_json, reportio,
-                      save_complex_matrix, save_function_csv, save_report)
+                      ParseError, RieszLabError, Section, ValidationError,
+                      Verdict, config_digest, load_complex_matrix, render_csv,
+                      render_json, reportio, save_complex_matrix, save_report)
 from rieszlab.reportio import SCHEMA_VERSION, jsonify
 
 from conftest import random_vector
@@ -112,18 +111,6 @@ class TestComplexMatrixCsv:
         with pytest.raises(DimensionError) as err:
             load_complex_matrix(path, expected_shape=(3, 3))
         assert str(path) in str(err.value)
-
-    def test_function_csv_round_trips_values(self, tmp_path):
-        grid = LineGrid(4.0, 8)
-        f = SampledFunction(grid, np.exp(1j * grid.nodes))
-        path = tmp_path / "f.csv"
-        save_function_csv(path, f)
-        text = path.read_text().splitlines()
-        assert text[0] == "x,re,im"
-        assert len(text) == 9
-        x0, re0, im0 = (float(c) for c in text[1].split(","))
-        assert x0 == grid.nodes[0]
-        assert complex(re0, im0) == f.values[0]
 
 
 # -- the one-pass route against the row-by-row reader ----------------------

@@ -31,7 +31,7 @@ from rieszlab import (InjectivityError, SequenceFamily, WeightedTriplet,
 from rieszlab.sequences import dual_level_norm, pseudo_inverse
 
 from conftest import well_conditioned_transform
-from reference import CASES, reference_row_space, reference_sampled
+from reference import CASES, FAMILIES, reference_row_space, reference_sampled
 
 
 @pytest.fixture(params=sorted(CASES))
@@ -39,10 +39,13 @@ def fam(request):
     return CASES[request.param]()
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("name", sorted(CASES) + ["sobolev-P1024"])
 def test_sampled_equals_the_row_space_reference(name):
-    fam = CASES[name]()
-    # 3000 samples take two chunks on every case here.
+    fam = FAMILIES[name]()
+    # 3000 samples take two chunks on every case here.  A real row-space
+    # operator (the number-op, schwartz, Sobolev and real-thin families)
+    # takes two real products per chunk, the reference four, with the
+    # zero imaginary part included.
     for j in range(1, fam.triplet.levels + 1):
         sampled = bessel_bound_sampled(fam, j, samples=3000, seed=4)
         assert sampled == reference_row_space(fam, j, samples=3000, seed=4)

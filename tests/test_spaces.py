@@ -6,8 +6,8 @@ import pytest
 import rieszlab.cli as cli
 from rieszlab import spaces
 
-from rieszlab import (DimensionError, LineGrid, SampledFunction, SupportError,
-                      ValidationError, aliasing_fraction, bessel_bound,
+from rieszlab import (DimensionError, LineGrid, SupportError, ValidationError,
+                      aliasing_fraction, bessel_bound,
                       biorthogonality_residual, hermite_gram, hermite_grid,
                       hermite_values, level_gram, number_operator_model,
                       schwartz_hermite_model, sobolev_basis,
@@ -20,9 +20,19 @@ GRID = LineGrid(20.0, 256)
 
 
 def coef(f):
-    """Quadrature-scaled coordinates sqrt(h) * values, whose plain l2 norm
-    is the quadrature L2 norm."""
-    return np.sqrt(f.grid.spacing) * f.values
+    """Quadrature-scaled coordinates sqrt(h) f of samples f on GRID, whose
+    plain l2 norm is the quadrature L2 norm."""
+    return np.sqrt(GRID.spacing) * f
+
+
+def quad_norm(f):
+    """Quadrature L2 norm of samples f on GRID."""
+    return float(np.linalg.norm(coef(f)))
+
+
+def quad_inner(f, g):
+    """Quadrature L2 inner product of samples on GRID, linear in f."""
+    return complex(np.vdot(coef(g), coef(f)))
 
 
 class TestLineGrid:
@@ -59,28 +69,6 @@ class TestLineGrid:
         assert np.max(np.abs(freqs)) == pytest.approx(np.pi / GRID.spacing)
 
 
-class TestSampledFunction:
-    def test_norm_is_quadrature(self):
-        f = SampledFunction(GRID, np.ones(256))
-        assert f.norm() == pytest.approx(np.sqrt(40.0), rel=1e-12)
-
-    def test_inner_linear_in_self(self):
-        f = SampledFunction(GRID, 1j * np.ones(256))
-        g = SampledFunction(GRID, np.ones(256))
-        assert f.inner(g) == pytest.approx(40.0j)
-        assert g.inner(f) == pytest.approx(-40.0j)
-
-    def test_sample_count_checked(self):
-        with pytest.raises(DimensionError):
-            SampledFunction(GRID, np.ones(100))
-
-    def test_mismatched_grids_rejected(self):
-        f = SampledFunction(GRID, np.ones(256))
-        g = SampledFunction(LineGrid(10.0, 256), np.ones(256))
-        with pytest.raises(DimensionError):
-            f.inner(g)
-
-
 class TestHermiteValues:
     def test_ground_state_at_origin(self):
         vals = hermite_values(GRID, 2)
@@ -115,7 +103,7 @@ class TestHermiteValues:
 
 class TestHermiteGram:
     def test_orthonormal_to_quadrature_accuracy(self):
-        g = hermite_gram(GRID, 10)
+        g = hermite_gram(GRID, hermite_values(GRID, 10))
         assert np.max(np.abs(g - np.eye(10))) < 1e-8
 
 
@@ -202,27 +190,26 @@ class TestHermiteGrid:
 
 class TestSobolevMultiplier:
     def test_order_zero_is_identity(self):
-        f = SampledFunction(GRID, np.sin(GRID.nodes))
+        f = np.sin(GRID.nodes)
         out = sobolev_multiplier(GRID, 0.0, f)
-        assert np.max(np.abs(out.values - f.values)) < 1e-14
+        assert np.max(np.abs(out - f)) < 1e-14
 
     def test_opposite_orders_invert(self):
-        f = SampledFunction(GRID, np.exp(-0.5 * GRID.nodes ** 2))
+        f = np.exp(-0.5 * GRID.nodes ** 2)
         out = sobolev_multiplier(GRID, -1.0,
                                  sobolev_multiplier(GRID, 1.0, f))
-        assert np.max(np.abs(out.values - f.values)) < 1e-12
+        assert np.max(np.abs(out - f)) < 1e-12
 
     def test_self_adjoint(self):
         phis = hermite_values(GRID, 4)
-        f = SampledFunction(GRID, phis[:, 1])
-        g = SampledFunction(GRID, phis[:, 3] + 0.5 * phis[:, 0])
-        left = sobolev_multiplier(GRID, 1.0, f).inner(g)
-        right = f.inner(sobolev_multiplier(GRID, 1.0, g))
+        f, g = phis[:, 1], phis[:, 3] + 0.5 * phis[:, 0]
+        left = quad_inner(sobolev_multiplier(GRID, 1.0, f), g)
+        right = quad_inner(f, sobolev_multiplier(GRID, 1.0, g))
         assert left == pytest.approx(right, abs=1e-10)
 
     def test_positive(self):
-        f = SampledFunction(GRID, np.exp(-GRID.nodes ** 2) + 0.1)
-        value = sobolev_multiplier(GRID, 1.0, f).inner(f)
+        f = np.exp(-GRID.nodes ** 2) + 0.1
+        value = quad_inner(sobolev_multiplier(GRID, 1.0, f), f)
         assert value.imag == pytest.approx(0.0, abs=1e-10)
         assert value.real > 0.0
 
@@ -237,28 +224,29 @@ class TestSobolevMultiplier:
         out = sobolev_multiplier(GRID, -1.0, phis)
         assert out.shape == phis.shape
         for n in range(4):
-            single = sobolev_multiplier(GRID, -1.0, phis[:, n]).values
+            single = sobolev_multiplier(GRID, -1.0, phis[:, n])
             assert np.max(np.abs(out[:, n] - single)) < 1e-15
 
 
 class TestSobolevTriplet:
     def test_level_zero_is_quadrature_norm(self):
         tri = sobolev_triplet(GRID)
-        f = SampledFunction(GRID, np.exp(-0.5 * GRID.nodes ** 2))
-        assert tri.seminorm(coef(f), 0) == pytest.approx(f.norm(), rel=1e-10)
+        f = np.exp(-0.5 * GRID.nodes ** 2)
+        assert tri.seminorm(coef(f), 0) == pytest.approx(quad_norm(f),
+                                                         rel=1e-10)
 
     def test_level_one_matches_multiplier(self):
         tri = sobolev_triplet(GRID)
-        f = SampledFunction(GRID, np.exp(-0.5 * GRID.nodes ** 2))
-        expect = sobolev_multiplier(GRID, 1.0, f).norm()
+        f = np.exp(-0.5 * GRID.nodes ** 2)
+        expect = quad_norm(sobolev_multiplier(GRID, 1.0, f))
         assert tri.seminorm(coef(f), 1) == pytest.approx(expect, rel=1e-10)
 
     def test_dual_norm_matches_inverse_multiplier(self):
         tri = sobolev_triplet(GRID)
-        f = SampledFunction(GRID, np.exp(-0.5 * GRID.nodes ** 2)
-                            * GRID.nodes)
-        expect = sobolev_multiplier(GRID, -1.0, f).norm()
-        assert tri.dual_norm(coef(f), 1) == pytest.approx(expect, rel=1e-10)
+        f = np.exp(-0.5 * GRID.nodes ** 2) * GRID.nodes
+        expect = quad_norm(sobolev_multiplier(GRID, -1.0, f))
+        dual = np.linalg.norm(tri.scale(-1, coef(f)))
+        assert dual == pytest.approx(expect, rel=1e-10)
 
     def test_constants_pinned_to_band(self):
         tri = sobolev_triplet(GRID)
@@ -282,15 +270,17 @@ class TestSobolevBasis:
         for n in range(6):
             assert np.linalg.norm(fam.family[:, n]) < \
                 np.sqrt(h) * np.linalg.norm(phis[:, n])
+        # So the family is not orthonormal in H: its plain Gram is not I.
+        plain = np.diag(fam.family.T @ fam.family)
+        assert np.max(np.abs(plain - 1.0)) > 0.1
 
     def test_forward_multiplier_recovers_source(self):
         fam = sobolev_basis(GRID, 4)
         phis = hermite_values(GRID, 4)
         for n in range(4):
-            xi = SampledFunction(GRID, fam.family[:, n]
-                                 / np.sqrt(GRID.spacing))
+            xi = fam.family[:, n] / np.sqrt(GRID.spacing)
             back = sobolev_multiplier(GRID, 1.0, xi)
-            assert np.max(np.abs(back.values - phis[:, n])) < 1e-12
+            assert np.max(np.abs(back - phis[:, n])) < 1e-12
 
     def test_modified_gram_near_identity(self):
         fam = sobolev_basis(GRID, 6)

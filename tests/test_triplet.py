@@ -4,13 +4,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rieszlab import (DimensionError, LevelError, ValidationError,
-                      WeightedTriplet, coords_of, graph_norm_triplet, pairing)
+                      WeightedTriplet, coords_of, pairing, random_unitary)
 
 from conftest import random_vector
 from reference import framed_triplets
 
 W4 = WeightedTriplet(4, (1.0, 2.0, 3.0, 4.0), levels=2)
 E = np.eye(4)
+
+
+def dual_norm(tri, phi, j):
+    """Dual-side norm ||diag(w)^{-j} phi||_2 in frame coordinates: the
+    length of the level -j scaling."""
+    return float(np.linalg.norm(tri.scale(-j, phi)))
 
 
 def small_models():
@@ -93,19 +99,16 @@ class TestSeminormColumns:
 
 class TestDualNorm:
     def test_weighted_basis_vector(self):
-        assert W4.dual_norm(E[:, 3], 1) == pytest.approx(0.25, abs=1e-15)
+        assert dual_norm(W4, E[:, 3], 1) == pytest.approx(0.25, abs=1e-15)
 
     def test_trivial_weights_collapse(self):
         tri = WeightedTriplet(4, np.ones(4))
         phi = np.array([1.0, 2.0, -1.0, 0.5])
-        assert tri.dual_norm(phi, 1) == pytest.approx(np.linalg.norm(phi))
+        assert dual_norm(tri, phi, 1) == pytest.approx(np.linalg.norm(phi))
 
     def test_dual_of_seminorm_example(self):
-        assert W4.dual_norm([0, 2, 0, 0], 1) == pytest.approx(1.0, abs=1e-15)
-
-    def test_level_zero_rejected(self):
-        with pytest.raises(LevelError):
-            W4.dual_norm(E[:, 0], 0)
+        assert dual_norm(W4, [0, 2, 0, 0], 1) == pytest.approx(1.0,
+                                                               abs=1e-15)
 
 
 class TestPairing:
@@ -168,35 +171,32 @@ class TestScaleMatrix:
             W4.scale_matrix(3)
 
     def test_rotated_scaling_matches_seminorm(self, rng):
-        a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        tri = graph_norm_triplet(a)
+        tri = WeightedTriplet(5, np.linspace(1.0, 4.0, 5), 1,
+                              random_unitary(5, seed=2))
         f = random_vector(rng, 5)
         direct = float(np.linalg.norm(tri.scale_matrix(1) @ f))
         assert direct == pytest.approx(tri.seminorm(f, 1), rel=1e-12)
 
 
 class TestGraphNormTriplet:
-    def test_zero_map_collapses(self):
-        tri = graph_norm_triplet(np.zeros((3, 3)))
-        assert np.allclose(tri.weights, 1.0)
+    """A dense frame Q with weights w >= 1 is the graph-norm triplet of
+    A = diag(sqrt(w^2 - 1)) Q^H, since I + A^H A = Q diag(w^2) Q^H."""
 
-    def test_diagonal_weights(self):
-        tri = graph_norm_triplet(np.diag([1.0, 2.0, 3.0]))
-        assert np.allclose(np.sort(tri.weights),
-                           np.sqrt([2.0, 5.0, 10.0]), atol=1e-12)
-
-    def test_diagonal_seminorm_values(self):
-        n = 6
-        tri = graph_norm_triplet(np.diag(np.arange(1.0, n + 1)))
-        for k in range(n):
-            expect = np.sqrt(1.0 + (k + 1) ** 2)
-            assert tri.seminorm(np.eye(n)[:, k], 1) == pytest.approx(expect)
+    def test_zero_map_collapses(self, rng):
+        # A = 0: unit weights give the Hilbert norm in any frame.
+        tri = WeightedTriplet(3, np.ones(3), 2, random_unitary(3, seed=1))
+        f = random_vector(rng, 3)
+        for j in range(3):
+            assert tri.seminorm(f, j) == pytest.approx(np.linalg.norm(f),
+                                                       rel=1e-14)
 
     def test_graph_norm_identity(self, rng):
         # p_1(f)^2 must recover ||f||^2 + ||A f||^2, the defining property,
-        # via an oracle that never touches the eigendecomposition.
-        a = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
-        tri = graph_norm_triplet(a)
+        # via an oracle that never rotates f into the frame first.
+        w = np.linspace(1.0, 6.0, 7)
+        q = random_unitary(7, seed=3)
+        a = np.sqrt(w ** 2 - 1.0)[:, None] * q.conj().T
+        tri = WeightedTriplet(7, w, 1, q)
         for _ in range(20):
             f = random_vector(rng, 7)
             expect = np.sqrt(np.linalg.norm(f) ** 2
@@ -205,7 +205,7 @@ class TestGraphNormTriplet:
 
     def test_nonsquare_rejected(self):
         with pytest.raises(DimensionError):
-            graph_norm_triplet(np.ones((2, 3)))
+            WeightedTriplet(2, (1.0, 2.0), frame=np.ones((2, 3)))
 
 
 @given(small_models().flatmap(
@@ -224,7 +224,7 @@ def test_duality_cauchy_schwarz(data):
     (n, w, levels), phi, f = data
     tri = WeightedTriplet(n, w, levels)
     for j in range(1, levels + 1):
-        bound = tri.dual_norm(phi, j) * tri.seminorm(f, j)
+        bound = dual_norm(tri, phi, j) * tri.seminorm(f, j)
         assert abs(pairing(phi, f)) <= bound * (1 + 1e-10) + 1e-12
 
 
@@ -239,10 +239,10 @@ def test_dual_norm_attained_on_unit_ball(data):
         f = wv ** (-2 * j) * phi
         norm = tri.seminorm(f, j)
         if norm == 0.0:
-            assert tri.dual_norm(phi, j) == 0.0
+            assert dual_norm(tri, phi, j) == 0.0
             continue
         attained = abs(pairing(phi, f / norm))
-        assert attained == pytest.approx(tri.dual_norm(phi, j),
+        assert attained == pytest.approx(dual_norm(tri, phi, j),
                                          rel=1e-10, abs=1e-10)
 
 
